@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._convolution import apply_kernel, grad_convolution
 from .harmonics import ShCoefficients, sh_curl_eval, sh_eval, sh_grad_eval
 from .kernels import (
     KIND_DIRICHLET,
@@ -34,7 +35,7 @@ from .quadrature import (
     QuadratureGrid,
     build_boundary_grid,
 )
-from .solvers import _chunks, default_scale
+from .solvers import default_scale
 
 _SQRT_SING_FLOOR = 1e-300
 
@@ -76,22 +77,6 @@ def helmholtz_compose(
     return out[0] if single else out
 
 
-def _grad_convolution(
-    samples: FieldSamples,
-    spec: KernelSpec,
-    points: np.ndarray,
-    curl: bool,
-) -> np.ndarray:
-    """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j, chunked over points."""
-    grid = samples.grid
-    out = np.empty(points.shape[0])
-    w = grid.weights
-    for i0, i1 in _chunks(points.shape[0], len(grid)):
-        rows = kernel_grad_dot(spec, points[i0:i1], grid.nodes, samples.values, curl=curl)
-        out[i0:i1] = -np.sum(w[None, :] * rows, axis=1)
-    return out
-
-
 def _demean(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
     return values - np.sum(grid.weights * values) / np.sum(grid.weights)
 
@@ -112,8 +97,8 @@ def helmholtz_decompose_sphere(
         scale = default_scale(grid)
     spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
     f1 = np.sum(samples.values * grid.nodes, axis=1)
-    f2 = _demean(grid, _grad_convolution(samples, spec, grid.nodes, curl=False))
-    f3 = _demean(grid, _grad_convolution(samples, spec, grid.nodes, curl=True))
+    f2 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=False))
+    f3 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=True))
     return HelmholtzScalars(
         FieldSamples(grid, f1),
         FieldSamples(grid, f2),
@@ -218,8 +203,8 @@ def decompose_cap_at(
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
 
     def evaluate(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f2 = _grad_convolution(samples, spec_n, target, curl=False)
-        f3 = _grad_convolution(samples, spec_d, target, curl=True)
+        f2 = grad_convolution(samples, spec_n, target, curl=False)
+        f3 = grad_convolution(samples, spec_d, target, curl=True)
         w = bgrid.weights
         rows_n = kernel_grad_dot(spec_n, target, bgrid.nodes, bgrid.tangents)
         f2 = f2 + np.sum(w[None, :] * rows_n * trace[None, :], axis=1)
@@ -269,20 +254,19 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     else:
         pts = np.atleast_2d(np.asarray(xi, dtype=float))
         single = np.asarray(xi).ndim == 1
-        match = np.argmax(pts @ grid.nodes.T, axis=1)
+        match = grid.node_lookup(pts)
         if np.any(np.sum(pts * grid.nodes[match], axis=1) < 1.0 - 1e-12):
             raise ValueError("evaluation points must coincide with grid nodes")
         centers = samples.values[match]
-    w = grid.weights
-    out = np.empty(pts.shape[0])
-    for i0, i1 in _chunks(pts.shape[0], len(grid)):
-        t = pts[i0:i1] @ grid.nodes.T
-        u = np.maximum(1.0 - t, _SQRT_SING_FLOOR)
-        k = 1.0 / (2.0 * np.pi * np.sqrt(2.0 * u))
-        diff = samples.values[None, :] - centers[i0:i1, None]
-        diff = np.where(u < 1e-14, 0.0, diff)
-        out[i0:i1] = np.sum(w[None, :] * k * diff, axis=1) + 2.0 * centers[i0:i1]
+    out = apply_kernel(_d_inv_kernel, samples, pts, centers) + 2.0 * centers
     return float(out[0]) if single else out
+
+
+def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """1/(2 pi sqrt(2 (1 - xi . eta))), zero at coincident points."""
+    u = np.maximum(1.0 - xi @ eta.T, _SQRT_SING_FLOOR)
+    k = 1.0 / (2.0 * np.pi * np.sqrt(2.0 * u))
+    return np.where(u < 1e-14, 0.0, k)
 
 
 def hardy_hodge_combine(f1, f2, f3, d_inv_f1, d_inv_f2):

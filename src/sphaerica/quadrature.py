@@ -54,6 +54,31 @@ class QuadratureGrid:
         span = 2.0 if self.kind == KIND_SPHERE else self.cap.radius
         return span / self.shape[0]
 
+    @property
+    def polar_frame(self) -> np.ndarray:
+        """Columns (a1, a2, zeta) of the product rule: zeta is the ring axis
+        and longitude 0 lies along a1."""
+        return _polar_frame(self.cap)
+
+    def node_lookup(self, points: np.ndarray) -> np.ndarray:
+        """Index of the area-grid node nearest in ring and longitude, per point.
+
+        O(P): the ring comes from t = xi . zeta, the longitude index from
+        rounding phi n_phi / 2 pi. Points on or within ~1e-6 of a node get
+        that node; callers confirm a match against grid.nodes[index].
+        """
+        if self.kind == KIND_BOUNDARY:
+            raise ValueError("node lookup needs an area grid")
+        n_t, n_phi = self.shape
+        a1, a2, zeta = self.polar_frame.T
+        ring_t = self.nodes[::n_phi] @ zeta
+        t = points @ zeta
+        ring = np.clip(np.searchsorted(ring_t, t), 1, n_t - 1)
+        ring -= t - ring_t[ring - 1] < ring_t[ring] - t
+        phi = np.arctan2(points @ a2, points @ a1)
+        lon = np.rint(phi * (n_phi / (2.0 * np.pi))).astype(int) % n_phi
+        return ring * n_phi + lon
+
 
 @dataclass(frozen=True)
 class FieldSamples:
@@ -79,6 +104,10 @@ class FieldSamples:
         values.setflags(write=False)
 
 
+def _polar_frame(cap: SphericalCap | None) -> np.ndarray:
+    return np.eye(3) if cap is None else rotation_to_pole(cap.center)
+
+
 def _polar_product_grid(cap: SphericalCap | None, t_lo: float, n_t: int, n_phi: int):
     """Nodes/weights of the Gauss-Legendre x uniform product rule on [t_lo, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_t)
@@ -87,7 +116,7 @@ def _polar_product_grid(cap: SphericalCap | None, t_lo: float, n_t: int, n_phi: 
     wt = w * half
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
-    frame = np.eye(3) if cap is None else rotation_to_pole(cap.center)
+    frame = _polar_frame(cap)
     a1, a2, zeta = frame[:, 0], frame[:, 1], frame[:, 2]
     sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     circ = np.cos(phis)[None, :, None] * a1 + np.sin(phis)[None, :, None] * a2
@@ -132,7 +161,12 @@ def sample(grid: QuadratureGrid, fn, tangential: bool = False) -> FieldSamples:
 
 def integrate(grid: QuadratureGrid, samples: FieldSamples):
     """Weighted sum over the grid in fixed index order (pairwise reduction)."""
-    if samples.grid is not grid and len(samples.grid) != len(grid):
+    other = samples.grid
+    if other is not grid and not (
+        other.kind == grid.kind
+        and other.shape == grid.shape
+        and np.array_equal(other.nodes, grid.nodes)
+    ):
         raise ValueError("samples do not belong to this grid")
     v = samples.values
     if v.ndim == 1:

@@ -7,6 +7,15 @@ resolution. The scalar surface potential additionally exploits the kernel's
 zero spherical mean on full-sphere grids: when the integrand's value at the
 evaluation point is available, the singular part is subtracted and the
 quadrature error drops by more than an order of magnitude.
+
+Both area convolutions pick their summation from the evaluation points.
+When every point is a grid node (bitwise equal to grid.nodes[idx]), ring-FFT
+summation applies: the grid is a product of rings about one axis and the
+kernels are invariant under rotation about it, so the kernel is circulant in
+longitude between two rings. That costs O(n_t N) kernel evaluations plus
+O(n_t^2 n_phi log n_phi) FFT work for n_t rings of n_phi nodes, instead of
+one kernel pair per point and node. Any other points, off-grid probes
+included, are summed densely in bounded chunks.
 """
 
 from __future__ import annotations
@@ -16,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, unit_vector
 from .kernels import (
     KIND_FUNDAMENTAL,
     KIND_NEUMANN_REG,
     KernelSpec,
-    kernel_grad_dot,
     kernel_value_matrix,
 )
 from .quadrature import (
@@ -32,10 +41,7 @@ from .quadrature import (
     build_boundary_grid,
     build_cap_grid,
     integrate,
-    mean_value,
 )
-
-_CHUNK_DOUBLES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -61,12 +67,6 @@ def default_scale(grid: QuadratureGrid) -> int:
     return int(np.ceil(np.log2(1.0 / h))) + 2
 
 
-def _chunks(n_points: int, n_nodes: int):
-    step = max(1, _CHUNK_DOUBLES // max(n_nodes, 1))
-    for i0 in range(0, n_points, step):
-        yield i0, min(i0 + step, n_points)
-
-
 def surface_potential(
     samples: FieldSamples,
     xi,
@@ -88,20 +88,12 @@ def surface_potential(
     if scale is None:
         scale = default_scale(grid)
     spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
-    subtract = xi_values is not None and grid.kind == KIND_SPHERE
-    if subtract:
+    centers = None
+    if xi_values is not None and grid.kind == KIND_SPHERE:
         centers = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    h = samples.values
-    out = np.empty(pts.shape[0])
-    w = grid.weights
-    for i0, i1 in _chunks(pts.shape[0], len(grid)):
-        k = kernel_value_matrix(spec, pts[i0:i1], grid.nodes)
-        if subtract:
-            out[i0:i1] = np.sum(
-                w[None, :] * k * (h[None, :] - centers[i0:i1, None]), axis=1
-            )
-        else:
-            out[i0:i1] = np.sum(w[None, :] * k * h[None, :], axis=1)
+    out = apply_kernel(
+        lambda x, eta: kernel_value_matrix(spec, x, eta), samples, pts, centers
+    )
     return float(out[0]) if single else out
 
 
@@ -247,14 +239,7 @@ def invert_gradient(
         spec = KernelSpec(KIND_NEUMANN_REG, cap=grid.cap, scale=scale)
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    out = np.empty(pts.shape[0])
-    w = grid.weights
-    for i0, i1 in _chunks(pts.shape[0], len(grid)):
-        rows = kernel_grad_dot(
-            spec, pts[i0:i1], grid.nodes, samples.values, curl=(mode == "curl")
-        )
-        out[i0:i1] = -np.sum(w[None, :] * rows, axis=1)
+    out = grad_convolution(samples, spec, xi[None, :] if single else xi, mode == "curl")
     return float(out[0]) if single else out
 
 

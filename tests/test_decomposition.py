@@ -219,6 +219,20 @@ class TestHalfShiftOperator:
         with pytest.raises(ValueError):
             d_inv_convolve(ones, unit_vector([0.123, 0.456, 0.789]))
 
+    def test_convolution_node_tolerance(self):
+        samples = FieldSamples(GRID, sh_eval(synth_field(3, 0, 4), GRID.nodes))
+        idx = np.arange(5, len(GRID), 97)
+        shift = np.array([0.6, -0.8, 0.0])
+        # within 1e-12 of a node in xi . eta: accepted, centered on that node
+        near = unit_vector(GRID.nodes[idx] + 1e-8 * shift)
+        assert np.all(np.sum(near * GRID.nodes[idx], axis=1) >= 1.0 - 1e-12)
+        assert_allclose(
+            d_inv_convolve(samples, near), d_inv_convolve(samples, idx), atol=1e-8
+        )
+        # beyond it: rejected
+        with pytest.raises(ValueError):
+            d_inv_convolve(samples, unit_vector(GRID.nodes[idx] + 1e-5 * shift))
+
 
 class TestHardyHodge:
     def test_difference_identity_is_exact(self):

@@ -71,6 +71,17 @@ def test_integrate_vector_values_and_mismatch():
     other = build_cap_grid(CAP, 10, 16)
     with pytest.raises(ValueError):
         integrate(other, vec)
+    # same construction, different object: accepted
+    assert np.array_equal(integrate(build_cap_grid(CAP, 8, 16), vec), total)
+
+
+def test_integrate_rejects_samples_of_a_same_size_grid():
+    cap_grid = build_cap_grid(CAP, 8, 16)
+    ones = sample(cap_grid, lambda p: np.ones(len(p)))
+    for other in (build_sphere_grid(8, 16), build_cap_grid(CAP.complement, 8, 16)):
+        assert len(other) == len(cap_grid)
+        with pytest.raises(ValueError):
+            integrate(other, ones)
 
 
 def test_field_samples_validation():
@@ -117,3 +128,15 @@ def test_grid_size_preconditions():
         build_sphere_grid(8, 3)
     with pytest.raises(ValueError):
         build_boundary_grid(CAP, 4)
+
+
+def test_node_lookup_finds_every_node():
+    tilted = SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9)
+    for grid in (build_sphere_grid(24, 48), build_cap_grid(tilted, 24, 48)):
+        idx = np.arange(len(grid))
+        assert np.array_equal(grid.node_lookup(grid.nodes), idx)
+        # points a little off a node still resolve to it
+        nudged = unit_vector(grid.nodes + 1e-7 * np.array([0.6, -0.8, 0.0]))
+        assert np.array_equal(grid.node_lookup(nudged), idx)
+    with pytest.raises(ValueError):
+        build_boundary_grid(CAP, 16).node_lookup(CAP.center[None, :])
