@@ -185,6 +185,14 @@ def _report_errors(report: Report, values: np.ndarray, truth: np.ndarray) -> Non
         report.add("rel_l2_error", float(np.sqrt(np.mean(diff**2))) / denom)
 
 
+def _source_offset(cfg: RunConfig, cap: SphericalCap) -> float:
+    """Offset of the MFS source circle (radius rho-bar) beyond the cap.
+
+    sources_on_circle rejects a circle that is not outside the cap.
+    """
+    return cfg.rho_bar - cap.radius if cfg.rho_bar > 0 else 0.005
+
+
 def cmd_selfcheck(cfg: RunConfig, report: Report) -> int:
     results = selfcheck_mod.run_all(seed=cfg.seed)
     ok = True
@@ -409,9 +417,7 @@ def cmd_geostrophic(cfg: RunConfig, report: Report) -> int:
 def cmd_vortex(cfg: RunConfig, report: Report) -> int:
     cap = cfg.cap()
     vortices = random_vortices(cap, cfg.n_vortices, cfg.seed)
-    offset = cfg.rho_bar - cap.radius if cfg.rho_bar > 0 else 0.005
-    if offset <= 0:
-        raise ValueError("rho-bar must exceed the cap radius")
+    offset = _source_offset(cfg, cap)
     inner = SphericalCap(cap.center, 0.8 * cap.radius)
     igrid = build_cap_grid(inner, max(cfg.nt // 2, 8), max(cfg.nphi // 2, 16))
     rep = vortex_mfs(
@@ -439,7 +445,7 @@ def cmd_mfs_fit(cfg: RunConfig, report: Report) -> int:
     from .mfs import FundamentalSystem, mfs_eval, mfs_fit, sources_on_circle
 
     cap = cfg.cap()
-    offset = cfg.rho_bar - cap.radius if cfg.rho_bar > 0 else 0.005
+    offset = _source_offset(cfg, cap)
     idx = InnerHarmonicIndex(cap, 3, 1)
     data = lambda p: inner_harmonic_eval(idx, p)
     sources = sources_on_circle(cap, cfg.n_sources - 1, offset)

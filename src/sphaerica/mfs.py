@@ -7,6 +7,10 @@ harmonics. Dense collocation systems are solved by plain interpolation or
 Tikhonov-regularized least squares; plain interpolation of near-boundary
 sources conditions badly, so the regularized path is the default choice in
 the applications.
+
+Each collocation system is factored once: a Householder QR of [A | f] and
+one SVD of its triangle give the condition number and the Tikhonov
+filter-factor solution, with the cut-off described in mfs_fit.
 """
 
 from __future__ import annotations
@@ -66,7 +70,17 @@ class FundamentalSystem:
 def sources_on_circle(
     cap: SphericalCap, count: int, radius_offset: float = 0.005
 ) -> np.ndarray:
-    """count equidistant source points on the boundary of the enlarged cap."""
+    """count equidistant source points on the boundary of the enlarged cap.
+
+    The enlarged radius cap.radius + radius_offset must lie strictly between
+    cap.radius and 2 (the antipode of the center in the 1 - xi . center
+    measure), so that the sources sit on a circle outside the cap.
+    """
+    if not (radius_offset > 0.0 and cap.radius + radius_offset < 2.0):
+        raise ValueError(
+            f"source circle radius {cap.radius + radius_offset!r} must exceed "
+            f"the cap radius {cap.radius!r} and stay below 2"
+        )
     outer = SphericalCap(cap.center, cap.radius + radius_offset)
     phis = 2.0 * np.pi * np.arange(count) / count
     pos, _, _ = boundary_nodes(outer, phis)
@@ -95,15 +109,17 @@ def basis_eval(
     return float(out[0]) if single else out
 
 
-def _log_part(pts, anchor, mode, nu):
-    t = pts @ anchor
-    if np.any(1.0 - t < 1e-14):
+def _log_part(pts, anchors, mode, nu):
+    """Log kernel (or normal derivative) at pts: shape (P,) for one anchor
+    point, (P, S) for a stack of S anchors."""
+    gap = 1.0 - pts @ np.transpose(anchors)
+    if np.any(gap < 1e-14):
         raise ValueError("basis evaluated at one of its source points")
     if mode == "value":
-        return np.log(1.0 - t) / FOUR_PI
+        return np.log(gap) / FOUR_PI
     # normal derivative: -(nu . anchor - t (nu . pts = 0)) / (4 pi (1 - t));
     # nu is tangential at pts, so nu . pts vanishes
-    return -(nu @ anchor) / (FOUR_PI * (1.0 - t))
+    return -(nu @ np.transpose(anchors)) / (FOUR_PI * gap)
 
 
 def _basis_columns(system, pts, mode="value", nu=None) -> np.ndarray:
@@ -123,15 +139,10 @@ def _basis_columns(system, pts, mode="value", nu=None) -> np.ndarray:
             cols.append(inner_harmonic_eval(idx, pts))
             k += 1
         return np.column_stack(cols)
-    reg = None
+    block = _log_part(pts, system.sources, mode, nu)
     if system.variant == VARIANT_GK_MOD:
-        reg = _log_part(pts, system.regularization_point, mode, nu)
-    for anchor in system.sources:
-        col = _log_part(pts, anchor, mode, nu)
-        if system.variant == VARIANT_GK_MOD:
-            col = col - reg
-        cols.append(col)
-    return np.column_stack(cols)
+        block -= _log_part(pts, system.regularization_point, mode, nu)[:, None]
+    return np.column_stack(cols + [block])
 
 
 @dataclass(frozen=True)
@@ -158,13 +169,22 @@ def mfs_fit(
 ) -> MfsSolution:
     """Fit basis coefficients to boundary data at the collocation nodes.
 
-    mode "interpolation" solves the square system directly (requires as many
-    collocation points as basis elements and fails loudly on numerically
-    singular systems); "tikhonov" minimizes the residual plus ridge * |a|^2
-    through a rank-revealing least-squares factorization.
+    The M x K collocation matrix A and the data f are factored once: a
+    Householder QR of [A | f] gives R and Q^T f without forming Q, and the
+    SVD R = U S V^T gives condition = s_0 / s_-1. mode "interpolation"
+    solves the square system directly (requires as many collocation points
+    as basis elements and fails loudly on numerically singular systems);
+    "tikhonov" minimizes |A a - f|^2 + ridge |a|^2 as
+    V diag(s / (s^2 + ridge)) U^T Q^T f, zeroing the filter factors where
+    sqrt(s^2 + ridge) <= eps (M + K) sqrt(s_0^2 + ridge): the cut-off of a
+    rank-revealing solve of the stacked system [A; sqrt(ridge) I]. ridge
+    must be finite and non-negative; ridge = 0 gives the minimum-norm
+    least-squares solution.
     """
     if collocation.kind != KIND_BOUNDARY:
         raise ValueError("collocation nodes must come from a boundary grid")
+    if not (np.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge!r}")
     f = (
         np.asarray(boundary_values(collocation.nodes), dtype=float)
         if callable(boundary_values)
@@ -176,22 +196,27 @@ def mfs_fit(
         raise ValueError("boundary data shape does not match collocation grid")
     if n_pts < n_basis:
         raise ValueError(f"{n_pts} collocation points for {n_basis} basis elements")
-    sv = np.linalg.svd(a_mat, compute_uv=False)
+    if mode not in ("interpolation", "tikhonov"):
+        raise ValueError("mode must be 'interpolation' or 'tikhonov'")
+    if mode == "interpolation" and n_pts != n_basis:
+        raise ValueError("interpolation needs a square system")
+    r_full = np.linalg.qr(np.column_stack([a_mat, f]), mode="r")
+    u_mat, sv, vt_mat = np.linalg.svd(r_full[:n_basis, :n_basis])
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
     if mode == "interpolation":
-        if n_pts != n_basis:
-            raise ValueError("interpolation needs a square system")
         if sv[-1] <= n_basis * np.finfo(float).eps * sv[0]:
             raise np.linalg.LinAlgError(
                 "collocation matrix numerically singular; use tikhonov mode"
             )
         coeffs = np.linalg.solve(a_mat, f)
-    elif mode == "tikhonov":
-        aug = np.vstack([a_mat, np.sqrt(ridge) * np.eye(n_basis)])
-        rhs = np.concatenate([f, np.zeros(n_basis)])
-        coeffs, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     else:
-        raise ValueError("mode must be 'interpolation' or 'tikhonov'")
+        damped = sv**2 + ridge
+        keep = np.sqrt(damped) > (
+            np.finfo(float).eps * (n_pts + n_basis) * np.sqrt(damped[0])
+        )
+        filt = np.zeros_like(sv)
+        filt[keep] = sv[keep] / damped[keep]
+        coeffs = vt_mat.T @ (filt * (u_mat.T @ r_full[:n_basis, n_basis]))
     residual = float(np.abs(a_mat @ coeffs - f).max())
     return MfsSolution(system, coeffs, mode, residual, condition)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphaerica.cli import RunConfig, config_from_args, load_config_file, run
+from sphaerica.cli import RunConfig, config_from_args, load_config_file, main, run
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.gridio import CsvFormatError, load_field_csv, save_field_csv
 from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid, sample
@@ -105,6 +105,22 @@ class TestRuns:
             out_dir=str(tmp_path),
         )
         assert run(cfg) == 2
+
+    @pytest.mark.parametrize("command", ["vortex", "mfs-fit"])
+    def test_sources_inside_the_cap_exit_two(self, tmp_path, command):
+        # rho-bar 0.5 lies inside the default cap of radius 0.9
+        argv = [command, "--rho-bar", "0.5", "--M", "40", "--nt", "16", "--nphi", "32"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["vortex", "mfs-fit"])
+    @pytest.mark.parametrize("ridge", ["-1", "nan"])
+    def test_bad_ridge_exit_two_before_lapack(self, tmp_path, capfd, command, ridge):
+        argv = [command, "--lambda", ridge, "--M", "40", "--nt", "16", "--nphi", "32"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capfd.readouterr().err
+        assert "validation error" in err and "ridge" in err
+        # LAPACK reports illegal arguments on the process's own stderr
+        assert "On entry to" not in err and "illegal value" not in err
 
     def test_unknown_command_exit_two(self, tmp_path):
         assert run(RunConfig("nonsense", out_dir=str(tmp_path))) == 2

@@ -7,6 +7,7 @@ from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import InnerHarmonicIndex, inner_harmonic_eval
 from sphaerica.mfs import (
     FundamentalSystem,
+    _basis_columns,
     basis_eval,
     mfs_eval,
     mfs_fit,
@@ -23,6 +24,12 @@ def test_source_layout():
     assert sources.shape == (16, 3)
     assert_allclose(np.linalg.norm(sources, axis=1), 1.0, atol=1e-14)
     assert_allclose(1.0 - sources @ CAP.center, CAP.radius + 0.05, atol=1e-14)
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.1, 1.1, 2.0, np.nan])
+def test_source_circle_must_lie_outside_the_cap(offset):
+    with pytest.raises(ValueError, match="cap radius"):
+        sources_on_circle(CAP, 16, offset)
 
 
 def test_basis_point_values():
@@ -164,3 +171,148 @@ def test_fitted_combination_obeys_max_principle(rng):
     pts = random_interior_points(CAP, rng, 60, max_fraction=0.95)
     interior_error = np.abs(mfs_eval(fit, pts) - data(pts)).max()
     assert interior_error <= boundary_error * (1.0 + 1e-6) + 1e-14
+
+
+def _gk_mod(count, offset, cap=CAP):
+    return FundamentalSystem(
+        sources_on_circle(cap, count, offset), "gk-mod", regularization_point=-cap.center
+    )
+
+
+def _column_loop(system, pts, mode="value", nu=None):
+    """Reference collocation block: one log-kernel column per source."""
+
+    def log_part(anchor):
+        t = pts @ anchor
+        if mode == "value":
+            return np.log(1.0 - t) / (4 * np.pi)
+        return -(nu @ anchor) / (4 * np.pi * (1.0 - t))
+
+    reg = 0.0
+    if system.variant == "gk-mod":
+        reg = log_part(system.regularization_point)
+    const = np.full(len(pts), 1.0 / (4 * np.pi) if mode == "value" else 0.0)
+    return np.column_stack([const] + [log_part(a) - reg for a in system.sources])
+
+
+@pytest.mark.parametrize(
+    "variant, mode",
+    [("gk", "value"), ("gk-normal", "value"), ("gk-normal", "normal-derivative"),
+     ("gk-mod", "value"), ("gk-mod", "normal-derivative")],
+)
+def test_basis_block_matches_column_loop_and_basis_eval(variant, mode, rng):
+    system = FundamentalSystem(
+        sources_on_circle(CAP, 9, 0.05), variant, regularization_point=-CAP.center
+    )
+    grid = build_boundary_grid(CAP, 24)
+    pts = np.vstack([grid.nodes, random_interior_points(CAP, rng, 10)])
+    nu = np.vstack([grid.normals, grid.normals[:10]])
+    block = _basis_columns(system, pts, mode, nu)
+    # only the 3-term dot products may round differently; the log then
+    # amplifies that by at most 1 / (1 - t) <= 1e3 here
+    assert_allclose(block, _column_loop(system, pts, mode, nu), rtol=0, atol=1e-12)
+    for k in range(system.size):
+        single = [
+            basis_eval(system, k, p, mode=mode, normal=n) for p, n in zip(pts, nu)
+        ]
+        assert_allclose(block[:, k], single, rtol=0, atol=1e-12)
+
+
+def test_basis_block_rejects_source_points():
+    system = _gk_mod(8, 0.05)
+    source = system.sources[3]
+    with pytest.raises(ValueError, match="source points"):
+        basis_eval(system, 1, source)
+    stacked = np.vstack([cap_point(CAP, 0.2, 0.1), source, cap_point(CAP, 0.5, 2.0)])
+    with pytest.raises(ValueError, match="source points"):
+        _basis_columns(system, stacked)
+    fit = mfs_fit(system, build_boundary_grid(CAP, 32), np.ones(32))
+    with pytest.raises(ValueError, match="source points"):
+        mfs_eval(fit, stacked)
+
+
+def _duplicated_source_system():
+    sources = sources_on_circle(CAP, 15, 0.1)
+    return FundamentalSystem(
+        np.vstack([sources, sources[3]]), "gk-mod", regularization_point=-CAP.center
+    )
+
+
+def _stacked_least_squares(a_mat, f, ridge):
+    """Reference Tikhonov solution: rank-revealing lstsq on [A; sqrt(ridge) I]."""
+    n_basis = a_mat.shape[1]
+    aug = np.vstack([a_mat, np.sqrt(ridge) * np.eye(n_basis)])
+    rhs = np.concatenate([f, np.zeros(n_basis)])
+    return np.linalg.lstsq(aug, rhs, rcond=None)[0]
+
+
+@pytest.mark.parametrize(
+    "system, n_colloc, ridge",
+    [
+        (_gk_mod(31, 0.1), 128, 1e-12),
+        (_gk_mod(31, 0.1), 128, 1e-3),
+        # the near-boundary source circle of the snug vortex test
+        (_gk_mod(199, 5e-6), 800, 1e-12),
+        # two coincident sources: rank deficient, minimum-norm solution
+        (_duplicated_source_system(), 64, 0.0),
+    ],
+    ids=["separated", "separated-heavy-ridge", "near-boundary", "rank-deficient"],
+)
+def test_tikhonov_fit_matches_stacked_least_squares(system, n_colloc, ridge):
+    idx = InnerHarmonicIndex(CAP, 3, 1)
+    grid = build_boundary_grid(CAP, n_colloc)
+    f = inner_harmonic_eval(idx, grid.nodes)
+    fit = mfs_fit(system, grid, f, mode="tikhonov", ridge=ridge)
+    a_mat = _basis_columns(system, grid.nodes)
+    reference = _stacked_least_squares(a_mat, f, ridge)
+    scale = np.abs(reference).max()
+    assert_allclose(fit.coefficients, reference, rtol=0, atol=1e-11 * scale)
+    assert_allclose(a_mat @ fit.coefficients, a_mat @ reference, rtol=0, atol=1e-13)
+    sv = np.linalg.svd(a_mat, compute_uv=False)
+    if ridge == 0.0:
+        # the smallest singular value is rounding noise in both factorizations
+        assert fit.condition > 1e14 and sv[0] / sv[-1] > 1e14
+        assert fit.coefficients[4] == pytest.approx(fit.coefficients[-1], rel=1e-12)
+    else:
+        assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "ridge, tol",
+    [
+        # s_-1 = 1500 eps lies below the cut-off 2010 eps of M + K = 2010 rows
+        # but above the 10 eps of a cut-off that counted only the K columns
+        (0.0, 1e-13),
+        # sqrt(s_-1^2 + ridge) ~ 4300 eps is kept although s_-1 alone would be
+        # cut; that filter factor ~ s_-1 / ridge reads an eps-sized rounding of
+        # s_-1 at 1e-3 relative at most (measured <= 5e-6)
+        ((4000 * EPS) ** 2, 1e-4),
+    ],
+    ids=["cut", "kept-by-ridge"],
+)
+def test_tikhonov_cut_off_matches_stacked_least_squares(monkeypatch, rng, ridge, tol):
+    n_pts, n_basis = 2000, 10
+    u_mat, _ = np.linalg.qr(rng.standard_normal((n_pts, n_basis)))
+    v_mat, _ = np.linalg.qr(rng.standard_normal((n_basis, n_basis)))
+    sv = np.geomspace(1.0, 1e-3, n_basis)
+    sv[-1] = 1500 * EPS
+    a_mat = (u_mat * sv) @ v_mat.T
+    f = u_mat @ np.ones(n_basis) + 1e-3 * rng.standard_normal(n_pts)
+    monkeypatch.setattr("sphaerica.mfs._basis_columns", lambda *args: a_mat)
+    system = FundamentalSystem(sources_on_circle(CAP, n_basis - 1, 0.05), "gk")
+    fit = mfs_fit(system, build_boundary_grid(CAP, n_pts), f, ridge=ridge)
+    reference = _stacked_least_squares(a_mat, f, ridge)
+    assert_allclose(
+        fit.coefficients, reference, rtol=0, atol=tol * np.abs(reference).max()
+    )
+    assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=1e-3)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, -1e-300, np.nan, np.inf])
+def test_fit_rejects_negative_or_non_finite_ridge(ridge):
+    grid = build_boundary_grid(CAP, 32)
+    with pytest.raises(ValueError, match="ridge"):
+        mfs_fit(_gk_mod(8, 0.05), grid, np.ones(32), ridge=ridge)
