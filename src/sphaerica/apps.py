@@ -17,14 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, rotation_to_pole
+from .geometry import SphericalCap, on_points, rotation_to_pole
 from .harmonics import ShCoefficients, sh_curl_eval, sh_eval, sh_grad_eval
-from .kernels import KIND_DIRICHLET, KernelSpec, kernel_value_matrix
+from .kernels import (
+    KIND_DIRICHLET,
+    KIND_FUNDAMENTAL,
+    KernelSpec,
+    fundamental,
+    kernel_value_matrix,
+)
 from .mfs import FundamentalSystem, mfs_eval, mfs_fit, sources_on_circle
 from .quadrature import FieldSamples, QuadratureGrid, build_boundary_grid
 from .solvers import SolveReport, invert_gradient
 
-FOUR_PI = 4.0 * np.pi
 _EQUATOR_GUARD = 0.15
 
 
@@ -186,30 +191,28 @@ def vortex_exact(cap: SphericalCap, vortices: VortexSet, xi) -> float | np.ndarr
     Sum of strength-weighted Dirichlet cap kernels anchored at the vortex
     centers; vanishes on the boundary.
     """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
     spec = KernelSpec(KIND_DIRICHLET, cap=cap)
-    k = kernel_value_matrix(spec, vortices.centers, pts)
-    out = vortices.strengths @ k
-    return float(out[0]) if single else out
+    centers = vortices.centers
+    return on_points(
+        xi, lambda pts: vortices.strengths @ kernel_value_matrix(spec, centers, pts)
+    )
 
 
 def vortex_boundary_data(vortices: VortexSet):
     """Boundary trace driving the harmonic correction of the stream function.
 
-    Per vortex: strength * (G(xi . center) - ln(1 - xi . xbar) / 4 pi).
+    Per vortex: strength * (G(xi . center) - ln(1 - xi . xbar) / 4 pi), with
+    ln(1 - xi . xbar) / 4 pi = G(xi . xbar) - G(0) for the regularization
+    point xbar.
     """
-    centers = vortices.centers
-    strengths = vortices.strengths
-    xbar = vortices.regularization_point
-    const = (1.0 - np.log(2.0)) / FOUR_PI
+    anchors = np.vstack([vortices.centers, vortices.regularization_point])
+    total = float(np.sum(vortices.strengths))
+    weights = np.append(vortices.strengths, -total)
+    offset = total * fundamental(0.0)
+    spec = KernelSpec(KIND_FUNDAMENTAL)
 
     def data(pts: np.ndarray) -> np.ndarray:
-        t = pts @ centers.T
-        logs = np.log1p(-t) / FOUR_PI + const
-        reg = np.log(1.0 - pts @ xbar) / FOUR_PI
-        return logs @ strengths - float(np.sum(strengths)) * reg
+        return kernel_value_matrix(spec, pts, anchors) @ weights + offset
 
     return data
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import selfcheck as selfcheck_mod
 from .apps import (
     PhysicalConstants,
+    _error_stats,
     geo_forward,
     geo_reconstruct,
     random_vortices,
@@ -45,9 +46,9 @@ from .geometry import SphericalCap, lonlat_vector
 from .gridio import CsvFormatError, load_field_csv, save_field_csv
 from .harmonics import (
     InnerHarmonicIndex,
-    ShCoefficients,
     inner_harmonic_eval,
     inner_harmonic_grad,
+    scale_degrees,
     sh_eval,
     sh_grad_eval,
     synth_field,
@@ -176,13 +177,10 @@ def _interior_grid(cfg: RunConfig, shrink: float = 0.8):
     return cap, build_cap_grid(inner, max(cfg.nt // 2, 8), max(cfg.nphi // 2, 16))
 
 
-def _report_errors(report: Report, values: np.ndarray, truth: np.ndarray) -> None:
-    diff = np.asarray(values) - np.asarray(truth)
-    report.add("sup_error", float(np.abs(diff).max()))
-    report.add("l2_error", float(np.sqrt(np.mean(diff**2))))
-    denom = float(np.sqrt(np.mean(np.asarray(truth) ** 2)))
-    if denom > 0.0:
-        report.add("rel_l2_error", float(np.sqrt(np.mean(diff**2))) / denom)
+def _report_errors(report: Report, stats: dict) -> None:
+    """Report lines of the sup, l2 and relative l2 errors of _error_stats."""
+    for key in ("sup_error", "l2_error", "rel_l2_error"):
+        report.add(key, stats[key])
 
 
 def _source_offset(cfg: RunConfig, cap: SphericalCap) -> float:
@@ -207,10 +205,7 @@ def cmd_poisson(cfg: RunConfig, report: Report) -> int:
     cap, igrid = _interior_grid(cfg)
     grid = build_cap_grid(cap, cfg.nt, cfg.nphi)
     coeffs = synth_field(cfg.seed, cfg.nmin, cfg.nmax)
-    degrees = np.arange(coeffs.l_max + 1, dtype=float)
-    lap = ShCoefficients(
-        coeffs.l_max, coeffs.coeffs * (-degrees * (degrees + 1.0))[:, None]
-    )
+    lap = scale_degrees(coeffs, lambda n: -n * (n + 1.0))
     h = sample(grid, lambda p: sh_eval(lap, p))
     xi_bar = -cap.center
     vals = poisson_solve_cap(cap, h, xi_bar, igrid.nodes, scale=cfg.scale)
@@ -236,7 +231,7 @@ def cmd_dirichlet(cfg: RunConfig, report: Report) -> int:
     save_field_csv(
         os.path.join(cfg.out_dir, "dirichlet.csv"), FieldSamples(igrid, vals)
     )
-    _report_errors(report, vals, inner_harmonic_eval(idx, igrid.nodes))
+    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
     return 0
 
 
@@ -249,7 +244,7 @@ def cmd_neumann(cfg: RunConfig, report: Report) -> int:
     mean = mean_value(sample(area_grid, lambda p: inner_harmonic_eval(idx, p)))
     vals = neumann_solve_cap(cap, FieldSamples(bgrid, data), mean, igrid.nodes)
     save_field_csv(os.path.join(cfg.out_dir, "neumann.csv"), FieldSamples(igrid, vals))
-    _report_errors(report, vals, inner_harmonic_eval(idx, igrid.nodes))
+    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
     return 0
 
 
@@ -261,7 +256,7 @@ def cmd_idp(cfg: RunConfig, report: Report) -> int:
     solution = solve_idp(bgrid, data)
     vals = solution(igrid.nodes)
     save_field_csv(os.path.join(cfg.out_dir, "idp.csv"), FieldSamples(igrid, vals))
-    _report_errors(report, vals, inner_harmonic_eval(idx, igrid.nodes))
+    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
     report.add("collocation_residual", idp_residual(solution, data))
     cross = dirichlet_solve_cap(cap, data, igrid.nodes, m=cfg.m)
     report.add("cross_solver_sup", float(np.abs(vals - cross).max()))
@@ -278,7 +273,7 @@ def cmd_inp(cfg: RunConfig, report: Report) -> int:
     save_field_csv(os.path.join(cfg.out_dir, "inp.csv"), FieldSamples(igrid, vals))
     truth = inner_harmonic_eval(idx, igrid.nodes)
     shift = float(np.mean(vals - truth))
-    _report_errors(report, vals - shift, truth)
+    _report_errors(report, _error_stats(vals - shift, truth))
     report.add("constant_shift", shift)
     report.add("collocation_residual", inp_residual(solution, data))
     report.add("density_mean", float(np.sum(bgrid.weights * solution.density.values)))
@@ -384,8 +379,7 @@ def cmd_vertical_deflections(cfg: RunConfig, report: Report) -> int:
         os.path.join(cfg.out_dir, "vertical_deflections_tj.csv"),
         FieldSamples(grid, recon),
     )
-    for key in ("sup_error", "l2_error", "rel_l2_error"):
-        report.add(key, rep.diagnostics[key])
+    _report_errors(report, rep.diagnostics)
     report.add("scale", cfg.scale)
     report.add("t_mean", t_mean)
     return 0
@@ -408,18 +402,15 @@ def cmd_geostrophic(cfg: RunConfig, report: Report) -> int:
     save_field_csv(
         os.path.join(cfg.out_dir, "geostrophic_hj.csv"), FieldSamples(grid, recon)
     )
-    for key in ("sup_error", "l2_error", "rel_l2_error"):
-        report.add(key, rep.diagnostics[key])
+    _report_errors(report, rep.diagnostics)
     report.add("scale", cfg.scale)
     return 0
 
 
 def cmd_vortex(cfg: RunConfig, report: Report) -> int:
-    cap = cfg.cap()
+    cap, igrid = _interior_grid(cfg)
     vortices = random_vortices(cap, cfg.n_vortices, cfg.seed)
     offset = _source_offset(cfg, cap)
-    inner = SphericalCap(cap.center, 0.8 * cap.radius)
-    igrid = build_cap_grid(inner, max(cfg.nt // 2, 8), max(cfg.nphi // 2, 16))
     rep = vortex_mfs(
         cap,
         vortices,
@@ -456,7 +447,7 @@ def cmd_mfs_fit(cfg: RunConfig, report: Report) -> int:
     report.add("condition", fit.condition)
     _, igrid = _interior_grid(cfg)
     vals = mfs_eval(fit, igrid.nodes)
-    _report_errors(report, vals, inner_harmonic_eval(idx, igrid.nodes))
+    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
     return 0
 
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
-from .harmonics import ShCoefficients, sh_curl_eval, sh_eval, sh_grad_eval
+from .geometry import on_points
+from .harmonics import (
+    ShCoefficients,
+    scale_degrees,
+    sh_curl_eval,
+    sh_eval,
+    sh_grad_eval,
+)
 from .kernels import (
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
@@ -41,8 +48,9 @@ _SQRT_SING_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class HelmholtzScalars:
-    """Radial, curl-free, and divergence-free scalars of one field.
+class DecompositionScalars:
+    """Scalars of one field split: radial, curl-free and divergence-free
+    (Helmholtz) or inner, outer and surface sources (Hardy-Hodge).
 
     normalization records which gauge fixed the free constants (demeaned
     scalars, boundary data used for the divergence-free part on caps).
@@ -54,27 +62,17 @@ class HelmholtzScalars:
     normalization: dict
 
 
-@dataclass(frozen=True)
-class HardyHodgeScalars:
-    """Scalars of the inner/outer/surface source split of a field."""
-
-    f1: FieldSamples
-    f2: FieldSamples
-    f3: FieldSamples
-    normalization: dict
-
-
 def helmholtz_compose(
     f1: ShCoefficients, f2: ShCoefficients, f3: ShCoefficients, xi
 ) -> np.ndarray:
     """xi F1(xi) + grad F2(xi) + curl-grad F3(xi) from spectral scalars."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    out = pts * sh_eval(f1, pts)[:, None]
-    out = out + sh_grad_eval(f2, pts)
-    out = out + sh_curl_eval(f3, pts)
-    return out[0] if single else out
+
+    def evaluate(pts):
+        out = pts * sh_eval(f1, pts)[:, None]
+        out = out + sh_grad_eval(f2, pts)
+        return out + sh_curl_eval(f3, pts)
+
+    return on_points(xi, evaluate)
 
 
 def _demean(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
@@ -83,7 +81,7 @@ def _demean(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
 
 def helmholtz_decompose_sphere(
     samples: FieldSamples, scale: int | None = None
-) -> HelmholtzScalars:
+) -> DecompositionScalars:
     """Global decomposition; scalars are produced at the field's own nodes.
 
     F2 and F3 are gradient/curl convolutions with the fundamental solution,
@@ -99,7 +97,7 @@ def helmholtz_decompose_sphere(
     f1 = np.sum(samples.values * grid.nodes, axis=1)
     f2 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=False))
     f3 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=True))
-    return HelmholtzScalars(
+    return DecompositionScalars(
         FieldSamples(grid, f1),
         FieldSamples(grid, f2),
         FieldSamples(grid, f3),
@@ -113,7 +111,7 @@ def helmholtz_decompose_cap(
     scale: int | None = None,
     m: int = 512,
     boundary_field=None,
-) -> HelmholtzScalars:
+) -> DecompositionScalars:
     """Cap decomposition with Dirichlet data for the divergence-free scalar.
 
     boundary_f3 gives the boundary trace of F3 (callable on stacked boundary
@@ -140,7 +138,7 @@ def helmholtz_decompose_cap(
         scale=scale,
         m=m,
     )
-    return HelmholtzScalars(
+    return DecompositionScalars(
         FieldSamples(grid, f1),
         FieldSamples(grid, f2),
         FieldSamples(grid, f3),
@@ -229,9 +227,7 @@ def d_apply(c: ShCoefficients, power: int) -> ShCoefficients:
     """Spectral action of the shifted square-root operator: (n + 1/2)^power."""
     if power not in (1, -1):
         raise ValueError("power must be +1 or -1")
-    degrees = np.arange(c.l_max + 1, dtype=float) + 0.5
-    factors = degrees**power
-    return ShCoefficients(c.l_max, c.coeffs * factors[:, None], seed=c.seed)
+    return scale_degrees(c, lambda n: (n + 0.5) ** power)
 
 
 def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
@@ -245,21 +241,19 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     grid = samples.grid
     if grid.kind != KIND_SPHERE:
         raise ValueError("the convolution path needs a sphere grid")
-    xi = np.asarray(xi)
-    if xi.dtype.kind in "iu":
-        idx = np.atleast_1d(xi)
-        pts = grid.nodes[idx]
-        centers = samples.values[idx]
-        single = xi.ndim == 0
-    else:
-        pts = np.atleast_2d(np.asarray(xi, dtype=float))
-        single = np.asarray(xi).ndim == 1
+
+    def evaluate(pts):
         match = grid.node_lookup(pts)
         if np.any(np.sum(pts * grid.nodes[match], axis=1) < 1.0 - 1e-12):
             raise ValueError("evaluation points must coincide with grid nodes")
         centers = samples.values[match]
-    out = apply_kernel(_d_inv_kernel, samples, pts, centers) + 2.0 * centers
-    return float(out[0]) if single else out
+        return apply_kernel(_d_inv_kernel, samples, pts, centers) + 2.0 * centers
+
+    xi = np.asarray(xi)
+    if xi.dtype.kind in "iu":
+        out = evaluate(grid.nodes[np.atleast_1d(xi)])
+        return float(out[0]) if xi.ndim == 0 else out
+    return on_points(xi, evaluate)
 
 
 def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -279,7 +273,7 @@ def hardy_hodge_combine(f1, f2, f3, d_inv_f1, d_inv_f2):
 
 def hardy_hodge_decompose_sphere(
     samples: FieldSamples, scale: int | None = None
-) -> HardyHodgeScalars:
+) -> DecompositionScalars:
     """Global source split via the Helmholtz scalars and the convolution
     inverse of the shifted square-root operator."""
     helm = helmholtz_decompose_sphere(samples, scale=scale)
@@ -289,7 +283,7 @@ def hardy_hodge_decompose_sphere(
     t1, t2, t3 = hardy_hodge_combine(
         helm.f1.values, helm.f2.values, helm.f3.values, d1, d2
     )
-    return HardyHodgeScalars(
+    return DecompositionScalars(
         FieldSamples(grid, t1),
         FieldSamples(grid, t2),
         FieldSamples(grid, t3),
@@ -305,18 +299,13 @@ def hardy_hodge_compose_spectral(
     The inner/outer operators act as xi (D + 1/2) - grad and
     xi (D - 1/2) + grad; on degree n that is (n + 1) and n radial weights.
     """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    up1 = _shift_spectral(t1, +1.0)
-    up2 = _shift_spectral(t2, 0.0)
-    out = pts * sh_eval(up1, pts)[:, None] - sh_grad_eval(t1, pts)
-    out = out + pts * sh_eval(up2, pts)[:, None] + sh_grad_eval(t2, pts)
-    out = out + sh_curl_eval(t3, pts)
-    return out[0] if single else out
+    # D + 1/2 and D - 1/2 act on degree n as n + 1 and n
+    up1 = scale_degrees(t1, lambda n: n + 1.0)
+    up2 = scale_degrees(t2, lambda n: n)
 
+    def evaluate(pts):
+        out = pts * sh_eval(up1, pts)[:, None] - sh_grad_eval(t1, pts)
+        out = out + pts * sh_eval(up2, pts)[:, None] + sh_grad_eval(t2, pts)
+        return out + sh_curl_eval(t3, pts)
 
-def _shift_spectral(c: ShCoefficients, offset: float) -> ShCoefficients:
-    # multiply degree-n coefficients by (n + offset): D +- 1/2 eigenvalues
-    factors = np.arange(c.l_max + 1, dtype=float) + offset
-    return ShCoefficients(c.l_max, c.coeffs * factors[:, None], seed=c.seed)
+    return on_points(xi, evaluate)

@@ -38,6 +38,19 @@ def unit_vector(v) -> np.ndarray:
     return v / np.where(np.abs(n - 1.0) <= 1e-12, 1.0, n)
 
 
+def on_points(xi, evaluate):
+    """evaluate(pts) on stacked points pts (N, 3).
+
+    A single point (3,) is evaluated as a stack of one, and its result is
+    returned as a float (scalar results) or one row (vector results).
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1:
+        return evaluate(xi)
+    out = evaluate(xi[None, :])[0]
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def lonlat_vector(lon_deg: float, lat_deg: float) -> np.ndarray:
     """Unit vector from geographic longitude and latitude in degrees."""
     lon = np.radians(lon_deg)

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (
     AntipodeError,
     SphericalCap,
+    on_points,
     rotation_to_pole,
     stereographic_project,
     unit_vector,
@@ -51,6 +52,12 @@ class ShCoefficients:
 
     def coefficient(self, n: int, j: int) -> float:
         return float(self.coeffs[n, j - 1])
+
+
+def scale_degrees(c: ShCoefficients, factor) -> ShCoefficients:
+    """Multiply the degree-n coefficients by factor(n), n as a float array."""
+    degrees = np.arange(c.l_max + 1, dtype=float)
+    return ShCoefficients(c.l_max, c.coeffs * factor(degrees)[:, None], seed=c.seed)
 
 
 def coefficients_from_entries(l_max: int, entries: dict) -> ShCoefficients:
@@ -167,18 +174,12 @@ def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
 
 def sh_eval(c: ShCoefficients, xi) -> float | np.ndarray:
     """Evaluate sum of c[n, j] Y_{n, j} at xi ((3,) or (N, 3))."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    values, _ = _sh_accumulate(c, xi[None, :] if single else xi, want_grad=False)
-    return float(values[0]) if single else values
+    return on_points(xi, lambda pts: _sh_accumulate(c, pts, want_grad=False)[0])
 
 
 def sh_grad_eval(c: ShCoefficients, xi) -> np.ndarray:
     """Tangential surface gradient of the expansion at xi ((3,) or (N, 3))."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    _, grads = _sh_accumulate(c, xi[None, :] if single else xi, want_grad=True)
-    return grads[0] if single else grads
+    return on_points(xi, lambda pts: _sh_accumulate(c, pts, want_grad=True)[1])
 
 
 def sh_curl_eval(c: ShCoefficients, xi) -> np.ndarray:
@@ -216,22 +217,23 @@ def _inner_radius(cap: SphericalCap) -> float:
 def inner_harmonic_eval(idx: InnerHarmonicIndex, xi) -> float | np.ndarray:
     """Inner harmonic of the cap at xi: the planar disc harmonic of the
     stereographic image."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    p = stereographic_project(idx.cap.center, xi[None, :] if single else xi)
     R = _inner_radius(idx.cap)
-    w = (p[:, 0] + 1j * p[:, 1]) / R
-    wn = w ** idx.degree
-    part = wn.real if idx.order == 1 else wn.imag
-    out = part / (R * np.sqrt(np.pi))
-    return float(out[0]) if single else out
+
+    def evaluate(pts):
+        p = stereographic_project(idx.cap.center, pts)
+        wn = ((p[:, 0] + 1j * p[:, 1]) / R) ** idx.degree
+        part = wn.real if idx.order == 1 else wn.imag
+        return part / (R * np.sqrt(np.pi))
+
+    return on_points(xi, evaluate)
 
 
 def inner_harmonic_grad(idx: InnerHarmonicIndex, xi) -> np.ndarray:
     """Tangential surface gradient of an inner harmonic."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
+    return on_points(xi, lambda pts: _inner_harmonic_grad(idx, pts))
+
+
+def _inner_harmonic_grad(idx: InnerHarmonicIndex, pts: np.ndarray) -> np.ndarray:
     zeta = idx.cap.center
     frame = rotation_to_pole(zeta)
     a1, a2 = frame[:, 0], frame[:, 1]
@@ -260,8 +262,7 @@ def inner_harmonic_grad(idx: InnerHarmonicIndex, xi) -> np.ndarray:
     proj_zeta = zeta[None, :] - (pts @ zeta)[:, None] * pts
     grad_p1 = 2.0 * proj_a1 / denom[:, None] - (p1 / denom)[:, None] * proj_zeta
     grad_p2 = 2.0 * proj_a2 / denom[:, None] - (p2 / denom)[:, None] * proj_zeta
-    out = gp1[:, None] * grad_p1 + gp2[:, None] * grad_p2
-    return out[0] if single else out
+    return gp1[:, None] * grad_p1 + gp2[:, None] * grad_p2
 
 
 def log_series(xi, eta, zeta, rho: float, n_terms: int) -> float:

@@ -3,13 +3,14 @@
 The fundamental solution G(t) = ln(1-t)/(4 pi) + (1 - ln 2)/(4 pi), its cap
 Green functions with Dirichlet or Neumann boundary behavior (built from the
 cap reflection), the scale-J regularized Neumann kernel, and closed-form
-tangential derivatives of all of them. Derivative formulas are validated
-against finite differences in the test suite before anything else relies on
-them.
+tangential derivatives of all of them.
 
-Scalar entry points mirror the public contracts; the _*_many helpers are
-vectorized over stacked evaluation points and are what the solver modules
-call in their chunked quadrature loops.
+Each formula is written once, in the vectorized core: kernel_value_matrix
+and kernel_grad_dot evaluate a KernelSpec for stacked points, and every
+solver and convolution calls them. The scalar entry points (fundamental,
+fundamental_deriv, dirichlet_green, neumann_green, neumann_green_regularized)
+evaluate one (xi, eta) pair through that same core, so the finite-difference
+tests of the scalar APIs check the arithmetic the solvers run.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPoint, SphericalCap, _reflect_many, reflect
+from .geometry import BoundaryPoint, SphericalCap, _reflect_many
 
 FOUR_PI = 4.0 * np.pi
+_G_CONST = (1.0 - np.log(2.0)) / FOUR_PI  # G(0): the constant of G
 _SING_TOL = 1e-14
 
 KIND_FUNDAMENTAL = "fundamental"
@@ -56,14 +58,6 @@ class KernelSpec:
                 raise ValueError("regularized kernel requires scale J >= 0")
 
 
-def fundamental(t: float) -> float:
-    """Fundamental solution at t = xi . eta, singular as t -> 1."""
-    t = float(t)
-    if t >= 1.0 - _SING_TOL:
-        raise SingularityError("fundamental solution evaluated at its singularity")
-    return np.log1p(-t) / FOUR_PI + (1.0 - np.log(2.0)) / FOUR_PI
-
-
 def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
     """Vectorized fundamental solution; with a scale, the log branch is
     replaced by its linear continuation inside 1 - t < 2^-scale."""
@@ -72,57 +66,12 @@ def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
     if scale is None:
         if np.any(u < _SING_TOL):
             raise SingularityError("kernel evaluated at its singularity")
-        return np.log(u) / FOUR_PI + (1.0 - np.log(2.0)) / FOUR_PI
+        return np.log(u) / FOUR_PI + _G_CONST
     delta = 2.0 ** (-scale)
     with np.errstate(divide="ignore"):
         log_branch = np.log(np.maximum(u, 1e-300)) / FOUR_PI
     lin_branch = (u / delta - scale * np.log(2.0) - 1.0) / FOUR_PI
-    return np.where(u >= delta, log_branch, lin_branch) + (
-        1.0 - np.log(2.0)
-    ) / FOUR_PI
-
-
-def _grad_factor(t: np.ndarray, scale: int | None) -> np.ndarray:
-    """Radial factor of the log-branch gradient: 1/(1-t), capped at 2^scale.
-
-    grad_eta of the log term is -(xi - t eta) * factor / (4 pi); the linear
-    regularized branch has the constant factor 2^scale, which matches the log
-    branch at the seam.
-    """
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    if scale is None:
-        if np.any(u < _SING_TOL):
-            raise SingularityError("kernel gradient at its singularity")
-        return 1.0 / u
-    return np.minimum(1.0 / np.maximum(u, 1e-300), 2.0**scale)
-
-
-def fundamental_deriv(xi, eta, mode: str = "grad"):
-    """Derivative of G(xi . eta) in its second argument.
-
-    mode "grad" returns the tangential gradient at eta, "curl" returns
-    eta x grad, and "normal" the normal derivative (eta must then be a
-    BoundaryPoint).
-    """
-    if mode == "normal":
-        if not isinstance(eta, BoundaryPoint):
-            raise TypeError("normal mode requires a BoundaryPoint")
-        nu, eta_vec = eta.normal, eta.position
-    else:
-        eta_vec = np.asarray(eta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    t = float(xi @ eta_vec)
-    if t >= 1.0 - _SING_TOL:
-        raise SingularityError("kernel derivative at its singularity")
-    grad = -(xi - t * eta_vec) / (FOUR_PI * (1.0 - t))
-    if mode == "grad":
-        return grad
-    if mode == "curl":
-        return np.cross(eta_vec, grad)
-    if mode == "normal":
-        return float(nu @ grad)
-    raise ValueError(f"unknown mode {mode!r}")
+    return np.where(u >= delta, log_branch, lin_branch) + _G_CONST
 
 
 def _cap_terms_value(
@@ -136,17 +85,38 @@ def _cap_terms_value(
     t = xi @ eta.T
     check, scale_arr = _reflect_many(cap, xi)
     t_ref = check @ eta.T
-    base = _fundamental_many(t, scale) - (1.0 - np.log(2.0)) / FOUR_PI
+    base = _fundamental_many(t, scale) - _G_CONST
     refl = (np.log(scale_arr)[:, None] + np.log(1.0 - t_ref)) / FOUR_PI
     return base + sign * refl
 
 
 def _neumann_zeta_term(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
     """(1 - rho) ln(1 + zeta . eta) / (2 pi rho), shape (N,)."""
+    c = _center_cosine(cap, eta)
+    return (1.0 - cap.radius) / (2.0 * np.pi * cap.radius) * np.log1p(c)
+
+
+def _center_cosine(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
+    """zeta . eta, where the Neumann kernel's center term is finite."""
     c = eta @ cap.center
     if np.any(1.0 + c < _SING_TOL):
         raise SingularityError("Neumann kernel at the antipode of the cap center")
-    return (1.0 - cap.radius) / (2.0 * np.pi * cap.radius) * np.log1p(c)
+    return c
+
+
+def fundamental(t: float) -> float:
+    """Fundamental solution at t = xi . eta, singular as t -> 1."""
+    return float(_fundamental_many(float(t)))
+
+
+def fundamental_deriv(xi, eta, mode: str = "grad"):
+    """Derivative of G(xi . eta) in its second argument.
+
+    mode "grad" returns the tangential gradient at eta, "curl" returns
+    eta x grad, and "normal" the normal derivative (eta must then be a
+    BoundaryPoint).
+    """
+    return _pair(KernelSpec(KIND_FUNDAMENTAL), xi, eta, mode)
 
 
 def dirichlet_green(cap: SphericalCap, xi, eta, mode: str = "value"):
@@ -156,65 +126,16 @@ def dirichlet_green(cap: SphericalCap, xi, eta, mode: str = "value"):
     (check, r) the reflection of xi. Modes: value, grad, curl, normal
     (normal requires a BoundaryPoint eta).
     """
-    xi = np.asarray(xi, dtype=float)
-    if not cap.contains(xi):
-        raise ValueError("dirichlet_green requires xi inside the cap")
-    if mode == "normal":
-        if not isinstance(eta, BoundaryPoint):
-            raise TypeError("normal mode requires a BoundaryPoint")
-        grad = dirichlet_green(cap, xi, eta.position, mode="grad")
-        return float(eta.normal @ grad)
-    eta_vec = np.asarray(eta, dtype=float)
-    t = float(xi @ eta_vec)
-    if t >= 1.0 - _SING_TOL:
-        raise SingularityError("dirichlet_green at its singularity")
-    if mode == "value":
-        out = _cap_terms_value(cap, xi[None, :], eta_vec[None, :], -1.0, None)
-        return float(out[0, 0])
-    ref = reflect(cap, xi)
-    t_ref = float(ref.point @ eta_vec)
-    grad = -(xi - t * eta_vec) / (FOUR_PI * (1.0 - t)) + (
-        ref.point - t_ref * eta_vec
-    ) / (FOUR_PI * (1.0 - t_ref))
-    if mode == "grad":
-        return grad
-    if mode == "curl":
-        return np.cross(eta_vec, grad)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _pair(KernelSpec(KIND_DIRICHLET, cap), xi, eta, mode)
 
 
 def neumann_green(cap: SphericalCap, xi, eta, mode: str = "value"):
     """Cap Green function with vanishing boundary normal derivative.
 
     Value: log(1 - xi.eta)/4pi + log(r (1 - check.eta))/4pi
-    + (1 - rho) ln(1 + zeta.eta) / (2 pi rho). Modes: value, grad, curl.
+    + (1 - rho) ln(1 + zeta.eta) / (2 pi rho). Modes as for dirichlet_green.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta_vec = np.asarray(eta, dtype=float)
-    if not cap.contains(xi):
-        raise ValueError("neumann_green requires xi inside the cap")
-    t = float(xi @ eta_vec)
-    if t >= 1.0 - _SING_TOL:
-        raise SingularityError("neumann_green at its singularity")
-    if mode == "value":
-        out = _cap_terms_value(cap, xi[None, :], eta_vec[None, :], +1.0, None)
-        return float(out[0, 0] + _neumann_zeta_term(cap, eta_vec[None, :])[0])
-    ref = reflect(cap, xi)
-    t_ref = float(ref.point @ eta_vec)
-    c = float(cap.center @ eta_vec)
-    grad = (
-        -(xi - t * eta_vec) / (FOUR_PI * (1.0 - t))
-        - (ref.point - t_ref * eta_vec) / (FOUR_PI * (1.0 - t_ref))
-        + (1.0 - cap.radius)
-        / (2.0 * np.pi * cap.radius)
-        * (cap.center - c * eta_vec)
-        / (1.0 + c)
-    )
-    if mode == "grad":
-        return grad
-    if mode == "curl":
-        return np.cross(eta_vec, grad)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _pair(KernelSpec(KIND_NEUMANN, cap), xi, eta, mode)
 
 
 def neumann_green_regularized(
@@ -224,41 +145,34 @@ def neumann_green_regularized(
 
     Inside 1 - xi.eta < 2^-J the singular log term is replaced by its linear
     continuation 2^J (1 - xi.eta)/4pi - J ln2/4pi - 1/4pi; value and gradient
-    are continuous across the seam. Other terms are unchanged.
+    are continuous across the seam. Other terms are unchanged. Modes as for
+    dirichlet_green.
     """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
+    return _pair(KernelSpec(KIND_NEUMANN_REG, cap, scale), xi, eta, mode)
+
+
+def _pair(spec: KernelSpec, xi, eta, mode: str):
+    """One (xi, eta) pair of kernel_value_matrix / kernel_grad_dot.
+
+    mode "value" gives the kernel, "grad" its tangential eta-gradient (the
+    rows of kernel_grad_dot against the three unit fields), "curl" the
+    surface curl gradient eta x grad, and "normal" the gradient dotted with
+    the normal of a BoundaryPoint eta. Cap kernels require xi inside the cap.
+    """
     xi = np.asarray(xi, dtype=float)
-    eta_vec = np.asarray(eta, dtype=float)
-    if not cap.contains(xi):
-        raise ValueError("regularized kernel requires xi inside the cap")
-    t = float(xi @ eta_vec)
-    ref = reflect(cap, xi)
-    t_ref = float(ref.point @ eta_vec)
-    c = float(cap.center @ eta_vec)
+    if spec.cap is not None and not spec.cap.contains(xi):
+        raise ValueError(f"{spec.kind} kernel requires xi inside the cap")
+    if mode == "normal":
+        if not isinstance(eta, BoundaryPoint):
+            raise TypeError("normal mode requires a BoundaryPoint")
+        return float(eta.normal @ _pair(spec, xi, eta.position, "grad"))
+    eta = np.asarray(eta, dtype=float)
     if mode == "value":
-        u = 1.0 - t
-        delta = 2.0**-scale
-        if u >= delta:
-            first = np.log(u) / FOUR_PI
-        else:
-            first = (u / delta - scale * np.log(2.0) - 1.0) / FOUR_PI
-        return float(
-            first
-            + (np.log(ref.scale) + np.log(1.0 - t_ref)) / FOUR_PI
-            + _neumann_zeta_term(cap, eta_vec[None, :])[0]
-        )
-    if mode == "grad":
-        factor = float(_grad_factor(np.array([t]), scale)[0])
-        return (
-            -(xi - t * eta_vec) * factor / FOUR_PI
-            - (ref.point - t_ref * eta_vec) / (FOUR_PI * (1.0 - t_ref))
-            + (1.0 - cap.radius)
-            / (2.0 * np.pi * cap.radius)
-            * (cap.center - c * eta_vec)
-            / (1.0 + c)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        return float(kernel_value_matrix(spec, xi, eta)[0, 0])
+    if mode not in ("grad", "curl"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rows = np.tile(eta, (3, 1))
+    return kernel_grad_dot(spec, xi, rows, np.eye(3), curl=mode == "curl")[0]
 
 
 def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -323,7 +237,7 @@ def kernel_grad_dot(
     refl *= sign / FOUR_PI
     out += refl
     if spec.kind in (KIND_NEUMANN, KIND_NEUMANN_REG):
-        c = eta @ spec.cap.center
+        c = _center_cosine(spec.cap, eta)
         zeta_dot = (spec.cap.center @ f.T - c * radial) / (1.0 + c)
         coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)
         out += coef * zeta_dot[None, :]

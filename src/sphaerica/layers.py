@@ -20,11 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap
-from .kernels import KIND_FUNDAMENTAL, KernelSpec, kernel_value_matrix
-from .quadrature import KIND_BOUNDARY, FieldSamples, QuadratureGrid
+from .geometry import SphericalCap, on_points
+from .kernels import (
+    FOUR_PI,
+    KIND_FUNDAMENTAL,
+    KernelSpec,
+    kernel_grad_dot,
+    kernel_value_matrix,
+)
+from .quadrature import KIND_BOUNDARY, QuadratureGrid, boundary_data
 
-FOUR_PI = 4.0 * np.pi
+_FUNDAMENTAL = KernelSpec(KIND_FUNDAMENTAL)
 _MEAN_FREE_TOL = 1e-10
 _COMPAT_TOL = 1e-8
 
@@ -44,6 +50,8 @@ class DensitySamples:
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.grid),):
             raise ValueError("density shape does not match its grid")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if self.mean_free:
             total = abs(float(np.sum(self.grid.weights * values)))
             if total >= _MEAN_FREE_TOL:
@@ -62,33 +70,30 @@ def single_layer(density: DensitySamples, xi) -> float | np.ndarray:
     Plain trapezoidal quadrature; accuracy degrades within about one node
     spacing of the curve and the kernel blows up on node collision.
     """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    grid = density.grid
-    k = kernel_value_matrix(KernelSpec(KIND_FUNDAMENTAL), pts, grid.nodes)
-    out = np.sum(grid.weights[None, :] * k * density.values[None, :], axis=1)
-    return float(out[0]) if single else out
-
-
-def _dlp_kernel(pts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Double-layer kernel -(nu(eta) . xi) / (4 pi (1 - xi . eta)), (P, N)."""
-    t = pts @ grid.nodes.T
-    if np.any(1.0 - t < 1e-14):
-        raise ValueError("double layer evaluated on a boundary node")
-    nu_dot = pts @ grid.normals.T
-    return -nu_dot / (FOUR_PI * (1.0 - t))
+    return _layer(
+        density, xi, lambda pts, g: kernel_value_matrix(_FUNDAMENTAL, pts, g.nodes)
+    )
 
 
 def double_layer(density: DensitySamples, xi) -> float | np.ndarray:
-    """Boundary integral of the normal-derivative kernel against the density."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
+    """Boundary integral of the normal-derivative kernel against the density.
+
+    The kernel is the eta-gradient of G(xi . eta) dotted with the outward
+    boundary normal at eta.
+    """
+    return _layer(
+        density,
+        xi,
+        lambda pts, g: kernel_grad_dot(_FUNDAMENTAL, pts, g.nodes, g.normals),
+    )
+
+
+def _layer(density: DensitySamples, xi, kernel) -> float | np.ndarray:
+    """Trapezoidal sum of kernel(pts, grid) (P, N) against the density."""
     grid = density.grid
-    k = _dlp_kernel(pts, grid)
-    out = np.sum(grid.weights[None, :] * k * density.values[None, :], axis=1)
-    return float(out[0]) if single else out
+    w = grid.weights[None, :]
+    q = density.values[None, :]
+    return on_points(xi, lambda pts: np.sum(w * kernel(pts, grid) * q, axis=1))
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ def solve_idp(grid: QuadratureGrid, boundary_values) -> BoundarySolution:
     so the collocation system (I/2 + rank-one) solves in closed form:
     Q = 2 F - (kappa_g / 2 pi) * (2 integral(F) / (2 - rho)).
     """
-    f = _boundary_values(grid, boundary_values)
+    f = boundary_data(grid, boundary_values)
     cap = grid.cap
     denom = 2.0 - cap.radius
     if not denom > 1e-12:
@@ -239,7 +244,7 @@ def solve_inp(
     solvability condition. The density must be mean-free for the single
     layer to stay harmonic, so the data is required to integrate to zero.
     """
-    f = _boundary_values(grid, boundary_values)
+    f = boundary_data(grid, boundary_values)
     total = float(np.sum(grid.weights * f))
     if abs(total) > compat_tol:
         raise ValueError(
@@ -268,34 +273,21 @@ def single_layer_on_boundary(density: DensitySamples) -> np.ndarray:
 
 def idp_residual(solution: BoundarySolution, boundary_values) -> float:
     """Sup-norm residual of F = U2[Q] + Q/2 at the collocation nodes."""
-    grid = solution.density.grid
-    f = _boundary_values(grid, boundary_values)
-    q = solution.density.values
-    kg = geodesic_curvature(grid.cap)
-    u2 = kg / FOUR_PI * float(np.sum(grid.weights * q))
-    return float(np.abs(u2 + 0.5 * q - f).max())
+    return _collocation_residual(solution, boundary_values, 0.5)
 
 
 def inp_residual(solution: BoundarySolution, boundary_values) -> float:
     """Sup-norm residual of F = K[Q] - Q/2 at the collocation nodes."""
+    return _collocation_residual(solution, boundary_values, -0.5)
+
+
+def _collocation_residual(solution: BoundarySolution, boundary_values, half):
+    """Sup-norm of (kappa_g / 4 pi) integral(Q) + half * Q - F at the nodes;
+    on cap boundaries both collocated kernels are the constant kappa_g / 4 pi."""
     grid = solution.density.grid
-    f = _boundary_values(grid, boundary_values)
+    f = boundary_data(grid, boundary_values)
     q = solution.density.values
     kg = geodesic_curvature(grid.cap)
-    ku = kg / FOUR_PI * float(np.sum(grid.weights * q))
-    return float(np.abs(ku - 0.5 * q - f).max())
+    u = kg / FOUR_PI * float(np.sum(grid.weights * q))
+    return float(np.abs(u + half * q - f).max())
 
-
-def _boundary_values(grid: QuadratureGrid, boundary_values) -> np.ndarray:
-    if grid.kind != KIND_BOUNDARY:
-        raise ValueError("boundary solvers need a boundary grid")
-    if isinstance(boundary_values, FieldSamples):
-        if boundary_values.grid is not grid:
-            raise ValueError("boundary data must live on the collocation grid")
-        return boundary_values.values
-    if callable(boundary_values):
-        return np.asarray(boundary_values(grid.nodes), dtype=float)
-    values = np.asarray(boundary_values, dtype=float)
-    if values.shape != (len(grid),):
-        raise ValueError("boundary data shape does not match the grid")
-    return values

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, boundary_nodes
+from .geometry import SphericalCap, boundary_nodes, on_points
 from .harmonics import InnerHarmonicIndex, inner_harmonic_eval
-from .quadrature import KIND_BOUNDARY, QuadratureGrid
-
-FOUR_PI = 4.0 * np.pi
+from .kernels import FOUR_PI
+from .quadrature import QuadratureGrid, boundary_data
 
 VARIANT_GK = "gk"
 VARIANT_GK_NORMAL = "gk-normal"
@@ -96,17 +95,10 @@ def basis_eval(
     elements follow. mode "normal-derivative" needs the outward normals at
     xi (same leading shape).
     """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
     if mode == "normal-derivative" and normal is None:
         raise ValueError("normal-derivative mode needs normals")
-    nu = None
-    if normal is not None:
-        nu = np.asarray(normal, dtype=float)
-        nu = nu[None, :] if nu.ndim == 1 else nu
-    out = _basis_columns(system, pts, mode, nu)[:, k]
-    return float(out[0]) if single else out
+    nu = None if normal is None else np.atleast_2d(np.asarray(normal, dtype=float))
+    return on_points(xi, lambda pts: _basis_columns(system, pts, mode, nu)[:, k])
 
 
 def _log_part(pts, anchors, mode, nu):
@@ -181,19 +173,11 @@ def mfs_fit(
     must be finite and non-negative; ridge = 0 gives the minimum-norm
     least-squares solution.
     """
-    if collocation.kind != KIND_BOUNDARY:
-        raise ValueError("collocation nodes must come from a boundary grid")
     if not (np.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and non-negative, got {ridge!r}")
-    f = (
-        np.asarray(boundary_values(collocation.nodes), dtype=float)
-        if callable(boundary_values)
-        else np.asarray(boundary_values, dtype=float)
-    )
+    f = boundary_data(collocation, boundary_values)
     a_mat = _basis_columns(system, collocation.nodes)
     n_pts, n_basis = a_mat.shape
-    if f.shape != (n_pts,):
-        raise ValueError("boundary data shape does not match collocation grid")
     if n_pts < n_basis:
         raise ValueError(f"{n_pts} collocation points for {n_basis} basis elements")
     if mode not in ("interpolation", "tikhonov"):
@@ -223,8 +207,6 @@ def mfs_fit(
 
 def mfs_eval(solution: MfsSolution, xi) -> float | np.ndarray:
     """Evaluate the fitted combination at xi (away from the source points)."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    vals = _basis_columns(solution.system, pts) @ solution.coefficients
-    return float(vals[0]) if single else vals
+    return on_points(
+        xi, lambda pts: _basis_columns(solution.system, pts) @ solution.coefficients
+    )

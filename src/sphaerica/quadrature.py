@@ -95,6 +95,8 @@ class FieldSamples:
             raise ValueError(
                 f"{values.shape[0]} samples for {len(self.grid)} grid nodes"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples must be finite")
         if self.tangential:
             if values.ndim != 2 or values.shape[1] != 3:
                 raise ValueError("tangential samples must be 3-vectors")
@@ -152,6 +154,26 @@ def build_boundary_grid(cap: SphericalCap, m: int) -> QuadratureGrid:
     return QuadratureGrid(
         KIND_BOUNDARY, pos, weights, (m,), cap=cap, phis=phis, tangents=tan, normals=nor
     )
+
+
+def boundary_data(grid: QuadratureGrid, data) -> np.ndarray:
+    """Values of boundary data at the nodes of a boundary grid.
+
+    data is FieldSamples on that grid, a callable on the stacked nodes, or
+    an array with one value per node.
+    """
+    if grid.kind != KIND_BOUNDARY:
+        raise ValueError("boundary data needs a boundary grid")
+    if isinstance(data, FieldSamples):
+        if data.grid is not grid:
+            raise ValueError("boundary data must live on the collocation grid")
+        return data.values
+    values = np.asarray(data(grid.nodes) if callable(data) else data, dtype=float)
+    if values.shape != (len(grid),):
+        raise ValueError("boundary data shape does not match the grid")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("boundary data must be finite")
+    return values
 
 
 def sample(grid: QuadratureGrid, fn, tangential: bool = False) -> FieldSamples:

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
-from .geometry import SphericalCap, unit_vector
+from .geometry import SphericalCap, on_points, unit_vector
 from .kernels import (
     KIND_FUNDAMENTAL,
     KIND_NEUMANN_REG,
@@ -34,10 +35,10 @@ from .kernels import (
     kernel_value_matrix,
 )
 from .quadrature import (
-    KIND_BOUNDARY,
     KIND_SPHERE,
     FieldSamples,
     QuadratureGrid,
+    boundary_data,
     build_boundary_grid,
     build_cap_grid,
     integrate,
@@ -54,6 +55,8 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("solution values must be finite")
         for v in self.diagnostics.values():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError("diagnostics must be finite")
@@ -81,20 +84,14 @@ def surface_potential(
     integrand into G(xi . eta)(H(eta) - H(xi)), which removes the singular
     contribution entirely.
     """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
     grid = samples.grid
     if scale is None:
         scale = default_scale(grid)
-    spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
+    kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=scale))
     centers = None
     if xi_values is not None and grid.kind == KIND_SPHERE:
         centers = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    out = apply_kernel(
-        lambda x, eta: kernel_value_matrix(spec, x, eta), samples, pts, centers
-    )
-    return float(out[0]) if single else out
+    return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts, centers))
 
 
 def beltrami_fd(evaluator, xi, h: float = 1e-3) -> float:
@@ -155,17 +152,21 @@ def dirichlet_solve_cap(
     on stacked boundary nodes; xi must be strictly interior
     (1 - xi . center < radius - margin).
     """
-    grid, f = _boundary_data(cap, boundary_values, m)
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    if not np.all(cap.contains(pts, margin=margin)):
-        raise ValueError("evaluation points must be strictly interior")
+    if isinstance(boundary_values, FieldSamples):
+        grid = boundary_values.grid
+    else:
+        grid = build_boundary_grid(cap, m)
+    f = boundary_data(grid, boundary_values)
     s = cap.boundary_sine
-    front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * s)
-    kernel = 1.0 / (1.0 - pts @ grid.nodes.T)
-    out = front * np.sum(grid.weights[None, :] * kernel * f[None, :], axis=1)
-    return float(out[0]) if single else out
+
+    def evaluate(pts):
+        if not np.all(cap.contains(pts, margin=margin)):
+            raise ValueError("evaluation points must be strictly interior")
+        front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * s)
+        kernel = 1.0 / (1.0 - pts @ grid.nodes.T)
+        return front * np.sum(grid.weights[None, :] * kernel * f[None, :], axis=1)
+
+    return on_points(xi, evaluate)
 
 
 def neumann_solve_cap(
@@ -182,34 +183,28 @@ def neumann_solve_cap(
     integrate to zero (solvability). mean_val supplies the cap mean of the
     solution, which fixes the free additive constant.
     """
-    grid, f = _boundary_data(cap, boundary_values, m)
+    if isinstance(boundary_values, FieldSamples):
+        grid = boundary_values.grid
+    else:
+        grid = build_boundary_grid(cap, m)
+    f = boundary_data(grid, boundary_values)
     total = float(np.sum(grid.weights * f))
     if abs(total) > compat_tol:
         raise ValueError(
             f"Neumann data violates the solvability condition: integral {total:.3e}"
         )
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = xi[None, :] if single else xi
-    if not np.all(cap.contains(pts)):
-        raise ValueError("evaluation points must lie inside the cap")
     rho = cap.radius
-    log_part = np.log(1.0 - pts @ grid.nodes.T) / (2.0 * np.pi)
     const_part = (1.0 - rho) / (2.0 * np.pi * rho) * np.log(2.0 - rho)
-    out = mean_val - np.sum(
-        grid.weights[None, :] * (log_part + const_part) * f[None, :], axis=1
-    )
-    return float(out[0]) if single else out
 
+    def evaluate(pts):
+        if not np.all(cap.contains(pts)):
+            raise ValueError("evaluation points must lie inside the cap")
+        log_part = np.log(1.0 - pts @ grid.nodes.T) / (2.0 * np.pi)
+        return mean_val - np.sum(
+            grid.weights[None, :] * (log_part + const_part) * f[None, :], axis=1
+        )
 
-def _boundary_data(cap, boundary_values, m):
-    if isinstance(boundary_values, FieldSamples):
-        grid = boundary_values.grid
-        if grid.kind != KIND_BOUNDARY:
-            raise ValueError("boundary data must live on a boundary grid")
-        return grid, boundary_values.values
-    grid = build_boundary_grid(cap, m)
-    return grid, np.asarray(boundary_values(grid.nodes), dtype=float)
+    return on_points(xi, evaluate)
 
 
 def invert_gradient(
@@ -237,10 +232,8 @@ def invert_gradient(
         spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
     else:
         spec = KernelSpec(KIND_NEUMANN_REG, cap=grid.cap, scale=scale)
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    out = grad_convolution(samples, spec, xi[None, :] if single else xi, mode == "curl")
-    return float(out[0]) if single else out
+    curl = mode == "curl"
+    return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
 
 
 def mvp_residual(

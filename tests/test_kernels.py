@@ -188,6 +188,23 @@ def test_regularized_kernel_seam_continuity():
     assert np.abs(g_lin - g_log).max() < 1e-10
 
 
+@pytest.mark.parametrize("side", [0.5, 2.0])
+def test_regularized_gradient_matches_fd_on_both_sides_of_seam(side):
+    # 1 - xi.eta = side * 2^-J: the capped factor 2^J inside, 1/(1 - t) outside
+    scale = 8
+    u = side * 2.0**-scale
+    xi = cap_point(CAP, 0.4, 0.9)
+    e1, _ = tangent_basis(xi)
+    eta = (1.0 - u) * xi + np.sqrt(u * (2.0 - u)) * e1
+    grad = neumann_green_regularized(CAP, xi, eta, scale, "grad")
+    assert abs(float(grad @ eta)) < 1e-12
+    for direction in tangent_basis(eta):
+        fd = fd_tangent_derivative(
+            lambda p: neumann_green_regularized(CAP, xi, p, scale), eta, direction
+        )
+        assert fd == pytest.approx(float(grad @ direction), abs=1e-6)
+
+
 def test_regularized_kernel_matches_plain_outside_ball():
     xi = cap_point(CAP, 0.4, 0.9)
     eta = cap_point(CAP, 0.47, 2.2)
@@ -249,3 +266,54 @@ def test_kernel_spec_validation():
         KernelSpec(KIND_DIRICHLET)
     with pytest.raises(ValueError):
         KernelSpec(KIND_NEUMANN_REG, CAP)
+
+
+def test_scalar_derivatives_are_kernel_grad_dot_rows(rng):
+    # the scalar APIs read the production rows, so they agree bit for bit
+    kernels = (
+        (KernelSpec(KIND_FUNDAMENTAL), fundamental_deriv),
+        (
+            KernelSpec(KIND_DIRICHLET, CAP),
+            lambda a, b, m: dirichlet_green(CAP, a, b, m),
+        ),
+        (KernelSpec(KIND_NEUMANN, CAP), lambda a, b, m: neumann_green(CAP, a, b, m)),
+        (
+            KernelSpec(KIND_NEUMANN_REG, CAP, scale=6),
+            lambda a, b, m: neumann_green_regularized(CAP, a, b, 6, m),
+        ),
+    )
+    for _ in range(20):
+        xi = cap_point(CAP, 0.8 * rng.random(), rng.uniform(0, 2 * np.pi))
+        eta = cap_point(CAP, 1.2 * rng.random(), rng.uniform(0, 2 * np.pi))
+        rows = np.tile(eta, (3, 1))
+        for spec, scalar in kernels:
+            for mode in ("grad", "curl"):
+                expected = kernel_grad_dot(
+                    spec, xi[None, :], rows, np.eye(3), curl=mode == "curl"
+                )[0]
+                assert np.array_equal(scalar(xi, eta, mode), expected)
+
+
+def test_scalar_modes_validate_arguments():
+    xi = cap_point(CAP, 0.5, 0.0)
+    eta = cap_point(CAP, 0.3, 2.0)
+    for call in (
+        lambda: neumann_green(CAP, -CAP.center, eta),
+        lambda: neumann_green_regularized(CAP, -CAP.center, eta, 4, "grad"),
+        lambda: neumann_green_regularized(CAP, xi, eta, -1),
+        lambda: dirichlet_green(CAP, xi, eta, "hessian"),
+        lambda: fundamental_deriv(xi, eta, "value-ish"),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(TypeError):
+        neumann_green(CAP, xi, eta, "normal")
+    for call in (
+        lambda: fundamental_deriv(xi, xi, "grad"),
+        lambda: neumann_green(CAP, xi, xi, "curl"),
+        lambda: dirichlet_green(CAP, xi, xi, "grad"),
+        lambda: neumann_green(CAP, xi, -CAP.center, "grad"),
+        lambda: neumann_green_regularized(CAP, xi, -CAP.center, 4, "value"),
+    ):
+        with pytest.raises(SingularityError):
+            call()

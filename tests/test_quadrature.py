@@ -4,8 +4,10 @@ from numpy.testing import assert_allclose
 
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import coefficients_from_entries, sh_eval
+from sphaerica.layers import DensitySamples
 from sphaerica.quadrature import (
     FieldSamples,
+    boundary_data,
     build_boundary_grid,
     build_cap_grid,
     build_sphere_grid,
@@ -13,6 +15,7 @@ from sphaerica.quadrature import (
     mean_value,
     sample,
 )
+from sphaerica.solvers import SolveReport
 
 CAP = SphericalCap(unit_vector([0.3, -0.1, 0.9]), 0.7)
 
@@ -140,3 +143,55 @@ def test_node_lookup_finds_every_node():
         assert np.array_equal(grid.node_lookup(nudged), idx)
     with pytest.raises(ValueError):
         build_boundary_grid(CAP, 16).node_lookup(CAP.center[None, :])
+
+
+def _spoil(values, bad):
+    """values with the first row scaled by bad; bad = 1.0 keeps them valid."""
+    values = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        values[0] *= bad
+    return values
+
+
+_AREA = build_cap_grid(CAP, 4, 8)
+_BOUNDARY = build_boundary_grid(CAP, 16)
+_TANGENTIAL = np.cross(_AREA.nodes, CAP.center)
+_CONTAINERS = {
+    "field-scalar": lambda bad: FieldSamples(_AREA, _spoil(np.ones(len(_AREA)), bad)),
+    "field-vector": lambda bad: FieldSamples(_AREA, _spoil(_AREA.nodes, bad)),
+    "field-tangential": lambda bad: FieldSamples(
+        _AREA, _spoil(_TANGENTIAL, bad), tangential=True
+    ),
+    "density-scalar": lambda bad: DensitySamples(_BOUNDARY, _spoil(np.ones(16), bad)),
+    "report-scalar": lambda bad: SolveReport(
+        _AREA.nodes, _spoil(np.ones(len(_AREA)), bad), {}
+    ),
+    "report-vector": lambda bad: SolveReport(_AREA.nodes, _spoil(_AREA.nodes, bad), {}),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("container", sorted(_CONTAINERS))
+def test_containers_reject_non_finite_values(container, bad):
+    build = _CONTAINERS[container]
+    build(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
+def test_boundary_data_inputs_and_rejections():
+    grid = build_boundary_grid(CAP, 16)
+    values = grid.nodes[:, 0]
+    assert np.array_equal(boundary_data(grid, lambda p: p[:, 0]), values)
+    assert np.array_equal(boundary_data(grid, values), values)
+    assert np.array_equal(boundary_data(grid, FieldSamples(grid, values)), values)
+    with pytest.raises(ValueError, match="boundary grid"):
+        boundary_data(build_cap_grid(CAP, 4, 8), values)
+    with pytest.raises(ValueError, match="collocation grid"):
+        boundary_data(grid, FieldSamples(build_boundary_grid(CAP, 16), values))
+    with pytest.raises(ValueError, match="shape"):
+        boundary_data(grid, values[:-1])
+    with pytest.raises(ValueError, match="shape"):
+        boundary_data(grid, lambda p: p)
+    with pytest.raises(ValueError, match="finite"):
+        boundary_data(grid, lambda p: np.full(len(p), np.inf))

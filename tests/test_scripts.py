@@ -1,0 +1,37 @@
+"""Smoke runs of the study scripts at small sizes, in a fresh interpreter."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, rows",
+    [
+        ("scale_study.py", ["--nt", "24", "--nphi", "48", "--scales", "4", "6"], 2),
+        ("vortex_study.py", ["--counts", "20", "40"], 3),
+    ],
+)
+def test_study_script_prints_its_table(script, args, rows):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + rows
+    for line in lines[1:]:
+        numbers = [float(cell) for cell in line.split()]
+        assert len(numbers) == 3
+        assert all(math.isfinite(x) for x in numbers)
