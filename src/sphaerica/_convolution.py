@@ -1,7 +1,10 @@
-"""The one quadrature convolution behind the area-grid solvers.
+"""The one quadrature sum behind every kernel integral of the package.
 
-apply_kernel sums a kernel against sampled values over a product grid. The
-backend follows from the targets:
+apply_kernel sums a kernel against sampled values with the weights of a
+quadrature grid: area convolutions on cap and sphere grids, and boundary
+integrals (layer potentials, the cap solvers' representation integrals and
+the boundary terms of the cap split) on boundary grids. The backend follows
+from the grid and the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx]) use
   ring-FFT summation. Area grids are products of Gauss rings and a uniform
@@ -11,8 +14,9 @@ backend follows from the targets:
   first node's kernel row against all N nodes and a batch of rFFT products
   over the source rings: O(n_t N) kernel evaluations plus
   O(n_t^2 n_phi log n_phi) FFT work instead of O(P N) kernel pairs.
-- any other targets use the dense path: (P, N) kernel blocks, chunked so
-  each temporary holds at most _CHUNK_DOUBLES values.
+- any other targets, and every target of a boundary grid, use the dense
+  path: (P, N) kernel blocks, chunked so each temporary holds at most
+  _CHUNK_DOUBLES values.
 """
 
 from __future__ import annotations
@@ -26,14 +30,20 @@ _CHUNK_DOUBLES = 8_000_000
 
 
 def _chunks(n_points: int, n_nodes: int):
-    step = max(1, _CHUNK_DOUBLES // max(n_nodes, 1))
-    for i0 in range(0, n_points, step):
-        yield i0, min(i0 + step, n_points)
+    # no chunk of one row out of several: BLAS multiplies a single row by
+    # gemv, whose rounding differs from the gemm of a taller block, so the
+    # sums would depend on where the chunk boundaries fall
+    step = max(2, _CHUNK_DOUBLES // max(n_nodes, 1))
+    bounds = list(range(0, n_points, step)) + [n_points]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def apply_kernel(kernel, samples, points: np.ndarray, centers=None) -> np.ndarray:
     """sum_j w_j A(xi_i, eta_j) over the sample grid, for stacked points xi.
 
+    samples supplies .grid and .values (FieldSamples or DensitySamples).
     Scalar samples h: kernel(xi, eta) returns kernel values K (P, N) and
     A = K h, or A = K (h - centers_i) when centers are given (singular
     subtraction against the integrand at the evaluation points). Vector

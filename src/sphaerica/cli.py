@@ -43,7 +43,7 @@ from .decomposition import (
     helmholtz_decompose_sphere,
 )
 from .geometry import SphericalCap, lonlat_vector
-from .gridio import CsvFormatError, load_field_csv, save_field_csv
+from .gridio import CsvFormatError, format_value, load_field_csv, save_field_csv
 from .harmonics import (
     InnerHarmonicIndex,
     inner_harmonic_eval,
@@ -54,6 +54,7 @@ from .harmonics import (
     synth_field,
 )
 from .layers import DensitySamples, inp_residual, idp_residual, jump_probe, solve_idp, solve_inp
+from .mfs import FundamentalSystem, mfs_eval, mfs_fit, sources_on_circle
 from .quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -153,18 +154,12 @@ def load_config_file(path: str) -> dict:
     return overrides
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 class Report:
     def __init__(self, command: str):
         self.lines = [f"command = {command}"]
 
     def add(self, key: str, value) -> None:
-        self.lines.append(f"{key} = {_fmt(value)}")
+        self.lines.append(f"{key} = {format_value(value)}")
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -195,7 +190,7 @@ def cmd_selfcheck(cfg: RunConfig, report: Report) -> int:
     results = selfcheck_mod.run_all(seed=cfg.seed)
     ok = True
     for name, passed, metric in results:
-        report.add(name, f"{'PASS' if passed else 'FAIL'} ({_fmt(metric)})")
+        report.add(name, f"{'PASS' if passed else 'FAIL'} ({format_value(metric)})")
         ok = ok and passed
     report.add("selfcheck", "PASS" if ok else "FAIL")
     return 0 if ok else 3
@@ -433,8 +428,6 @@ def cmd_vortex(cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_mfs_fit(cfg: RunConfig, report: Report) -> int:
-    from .mfs import FundamentalSystem, mfs_eval, mfs_fit, sources_on_circle
-
     cap = cfg.cap()
     offset = _source_offset(cfg, cap)
     idx = InnerHarmonicIndex(cap, 3, 1)
@@ -467,7 +460,7 @@ _DISPATCH = {
     "mfs-fit": cmd_mfs_fit,
 }
 
-# geostrophic caps must clear the equator; vortex mirrors the standard setup
+# geostrophic caps must clear the equator
 _COMMAND_DEFAULTS = {
     "geostrophic": {"cap_radius": 0.5},
 }
@@ -504,22 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--cap-center-lon", type=float, dest="cap_center_lon")
-    parser.add_argument("--cap-center-lat", type=float, dest="cap_center_lat")
-    parser.add_argument("--cap-radius", type=float, dest="cap_radius")
-    parser.add_argument("--nt", type=int)
-    parser.add_argument("--nphi", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--J", type=int, dest="scale")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--nmin", type=int)
-    parser.add_argument("--nmax", type=int)
-    parser.add_argument("--M", type=int, dest="n_sources")
-    parser.add_argument("--rho-bar", type=float, dest="rho_bar")
-    parser.add_argument("--lambda", type=float, dest="ridge")
-    parser.add_argument("--N", type=int, dest="n_vortices")
-    parser.add_argument("--in", dest="in_path")
-    parser.add_argument("--out", dest="out_dir")
+    for key, (dest, cast) in _CONFIG_KEYS.items():
+        parser.add_argument(f"--{key}", type=cast, dest=dest)
     return parser
 
 

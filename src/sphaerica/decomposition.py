@@ -15,6 +15,7 @@ nonlocal operator does not restrict to subdomains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .quadrature import (
     KIND_SPHERE,
     FieldSamples,
     QuadratureGrid,
+    boundary_data,
     build_boundary_grid,
 )
 from .solvers import default_scale
@@ -115,7 +117,8 @@ def helmholtz_decompose_cap(
     """Cap decomposition with Dirichlet data for the divergence-free scalar.
 
     boundary_f3 gives the boundary trace of F3 (callable on stacked boundary
-    nodes, an array of trace values, or None for the zero trace). F2
+    nodes, an array of m trace values, or None for the zero trace); a trace
+    of the wrong length or with non-finite values raises ValueError. F2
     convolves the Neumann cap kernel and carries a boundary correction
     weighted by the trace; F3 convolves the Dirichlet cap kernel plus its
     two boundary terms. F2 is demeaned over the cap. Scalars are returned
@@ -181,35 +184,29 @@ def decompose_cap_at(
     if scale is None:
         scale = default_scale(grid)
     bgrid = build_boundary_grid(cap, m)
-    trace = (
-        np.zeros(m)
-        if boundary_f3 is None
-        else np.asarray(
-            boundary_f3(bgrid.nodes) if callable(boundary_f3) else boundary_f3,
-            dtype=float,
-        )
+    trace = FieldSamples(
+        bgrid, np.zeros(m) if boundary_f3 is None else boundary_data(bgrid, boundary_f3)
     )
     f_bnd = (
         samples_on_boundary(samples, bgrid)
         if boundary_field is None
         else np.asarray(boundary_field(bgrid.nodes), dtype=float)
     )
-    tau_f = np.sum(bgrid.tangents * f_bnd, axis=1)
+    tau_f = FieldSamples(bgrid, np.sum(bgrid.tangents * f_bnd, axis=1))
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec_n = KernelSpec(KIND_NEUMANN_REG, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
+    tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
+    value_d = partial(kernel_value_matrix, spec_d)
+    normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
 
     def evaluate(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f2 = grad_convolution(samples, spec_n, target, curl=False)
         f3 = grad_convolution(samples, spec_d, target, curl=True)
-        w = bgrid.weights
-        rows_n = kernel_grad_dot(spec_n, target, bgrid.nodes, bgrid.tangents)
-        f2 = f2 + np.sum(w[None, :] * rows_n * trace[None, :], axis=1)
-        gd_vals = kernel_value_matrix(spec_d, target, bgrid.nodes)
-        f3 = f3 + np.sum(w[None, :] * gd_vals * tau_f[None, :], axis=1)
-        rows_d = kernel_grad_dot(spec_d, target, bgrid.nodes, bgrid.normals)
-        f3 = f3 + np.sum(w[None, :] * rows_d * trace[None, :], axis=1)
+        f2 = f2 + apply_kernel(tangent_n, trace, target)
+        f3 = f3 + apply_kernel(value_d, tau_f, target)
+        f3 = f3 + apply_kernel(normal_d, trace, target)
         return f2, f3
 
     f2, f3 = evaluate(pts)

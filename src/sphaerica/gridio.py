@@ -55,6 +55,11 @@ def _format(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def format_value(v) -> str:
+    """Floats with 17 significant digits (lossless), anything else as str."""
+    return _format(v) if isinstance(v, float) else str(v)
+
+
 def _grid_metadata(grid: QuadratureGrid) -> dict:
     # cap centers stored as exact components: lossless and bit-stable on
     # reload, unlike a degree round trip
@@ -95,7 +100,7 @@ def save_field_csv(path, samples: FieldSamples) -> None:
     lon, lat = _lonlat_of(grid.nodes)
     vector = samples.values.ndim == 2
     meta = _grid_metadata(grid)
-    meta_line = "# grid " + " ".join(f"{k}={_meta_value(v)}" for k, v in meta.items())
+    meta_line = "# grid " + " ".join(f"{k}={format_value(v)}" for k, v in meta.items())
     lines = [meta_line, _VECTOR_HEADER if vector else _SCALAR_HEADER]
     for i in range(len(grid)):
         cells = [_format(lon[i]), _format(lat[i])]
@@ -106,10 +111,6 @@ def save_field_csv(path, samples: FieldSamples) -> None:
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _meta_value(v) -> str:
-    return _format(v) if isinstance(v, float) else str(v)
 
 
 def load_field_csv(path) -> LoadedField:

@@ -9,6 +9,10 @@ the single-layer kernel depends on the parameter difference only, which
 makes the Neumann equation circulant and solvable by FFT after splitting off
 the periodic log singularity with spectral quadrature weights.
 
+Off the curve both potentials are trapezoidal sums through
+_convolution.apply_kernel, which takes its dense path on boundary grids and
+holds at most a bounded block of kernel values at a time.
+
 jump_probe measures the classical limit and jump behavior of the potentials
 across the boundary by evaluating at points displaced along the boundary
 normal and extrapolating the displacement to zero.
@@ -17,9 +21,11 @@ normal and extrapolating the displacement to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._convolution import apply_kernel
 from .geometry import SphericalCap, on_points
 from .kernels import (
     FOUR_PI,
@@ -70,9 +76,8 @@ def single_layer(density: DensitySamples, xi) -> float | np.ndarray:
     Plain trapezoidal quadrature; accuracy degrades within about one node
     spacing of the curve and the kernel blows up on node collision.
     """
-    return _layer(
-        density, xi, lambda pts, g: kernel_value_matrix(_FUNDAMENTAL, pts, g.nodes)
-    )
+    kernel = partial(kernel_value_matrix, _FUNDAMENTAL)
+    return on_points(xi, lambda pts: apply_kernel(kernel, density, pts))
 
 
 def double_layer(density: DensitySamples, xi) -> float | np.ndarray:
@@ -81,19 +86,9 @@ def double_layer(density: DensitySamples, xi) -> float | np.ndarray:
     The kernel is the eta-gradient of G(xi . eta) dotted with the outward
     boundary normal at eta.
     """
-    return _layer(
-        density,
-        xi,
-        lambda pts, g: kernel_grad_dot(_FUNDAMENTAL, pts, g.nodes, g.normals),
-    )
-
-
-def _layer(density: DensitySamples, xi, kernel) -> float | np.ndarray:
-    """Trapezoidal sum of kernel(pts, grid) (P, N) against the density."""
-    grid = density.grid
-    w = grid.weights[None, :]
-    q = density.values[None, :]
-    return on_points(xi, lambda pts: np.sum(w * kernel(pts, grid) * q, axis=1))
+    normals = density.grid.normals
+    kernel = lambda pts, eta: kernel_grad_dot(_FUNDAMENTAL, pts, eta, normals)
+    return on_points(xi, lambda pts: apply_kernel(kernel, density, pts))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ longitude between two rings. That costs O(n_t N) kernel evaluations plus
 O(n_t^2 n_phi log n_phi) FFT work for n_t rings of n_phi nodes, instead of
 one kernel pair per point and node. Any other points, off-grid probes
 included, are summed densely in bounded chunks.
+
+The Dirichlet and Neumann cap solvers sum their boundary integrals through
+the same primitive; boundary grids always take its dense path.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, unit_vector
 from .kernels import (
     KIND_FUNDAMENTAL,
+    KIND_NEUMANN,
     KIND_NEUMANN_REG,
     KernelSpec,
     kernel_value_matrix,
@@ -156,15 +160,15 @@ def dirichlet_solve_cap(
         grid = boundary_values.grid
     else:
         grid = build_boundary_grid(cap, m)
-    f = boundary_data(grid, boundary_values)
+    samples = FieldSamples(grid, boundary_data(grid, boundary_values))
     s = cap.boundary_sine
+    kernel = lambda x, eta: 1.0 / (1.0 - x @ eta.T)
 
     def evaluate(pts):
         if not np.all(cap.contains(pts, margin=margin)):
             raise ValueError("evaluation points must be strictly interior")
         front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * s)
-        kernel = 1.0 / (1.0 - pts @ grid.nodes.T)
-        return front * np.sum(grid.weights[None, :] * kernel * f[None, :], axis=1)
+        return front * apply_kernel(kernel, samples, pts)
 
     return on_points(xi, evaluate)
 
@@ -181,28 +185,26 @@ def neumann_solve_cap(
 
     boundary_values carries the normal derivative on the boundary; it must
     integrate to zero (solvability). mean_val supplies the cap mean of the
-    solution, which fixes the free additive constant.
+    solution, which fixes the free additive constant. The representation
+    kernel is the Neumann cap Green function, which for eta on the boundary
+    is ln(1 - xi . eta)/2pi + (1 - rho) ln(2 - rho)/(2 pi rho).
     """
     if isinstance(boundary_values, FieldSamples):
         grid = boundary_values.grid
     else:
         grid = build_boundary_grid(cap, m)
-    f = boundary_data(grid, boundary_values)
-    total = float(np.sum(grid.weights * f))
+    samples = FieldSamples(grid, boundary_data(grid, boundary_values))
+    total = integrate(grid, samples)
     if abs(total) > compat_tol:
         raise ValueError(
             f"Neumann data violates the solvability condition: integral {total:.3e}"
         )
-    rho = cap.radius
-    const_part = (1.0 - rho) / (2.0 * np.pi * rho) * np.log(2.0 - rho)
+    kernel = partial(kernel_value_matrix, KernelSpec(KIND_NEUMANN, cap))
 
     def evaluate(pts):
         if not np.all(cap.contains(pts)):
             raise ValueError("evaluation points must lie inside the cap")
-        log_part = np.log(1.0 - pts @ grid.nodes.T) / (2.0 * np.pi)
-        return mean_val - np.sum(
-            grid.weights[None, :] * (log_part + const_part) * f[None, :], axis=1
-        )
+        return mean_val - apply_kernel(kernel, samples, pts)
 
     return on_points(xi, evaluate)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sphaerica import _convolution
 from sphaerica._convolution import _dense, _ring, apply_kernel
-from sphaerica.decomposition import _d_inv_kernel
+from sphaerica.decomposition import _d_inv_kernel, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import (
@@ -23,8 +23,19 @@ from sphaerica.kernels import (
     kernel_grad_dot,
     kernel_value_matrix,
 )
-from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid
-from sphaerica.solvers import invert_gradient, surface_potential
+from sphaerica.layers import DensitySamples, double_layer, single_layer
+from sphaerica.quadrature import (
+    FieldSamples,
+    build_boundary_grid,
+    build_cap_grid,
+    build_sphere_grid,
+)
+from sphaerica.solvers import (
+    dirichlet_solve_cap,
+    invert_gradient,
+    neumann_solve_cap,
+    surface_potential,
+)
 
 SCALE = 10
 SPHERE = build_sphere_grid(16, 32)
@@ -125,6 +136,51 @@ def test_ring_matches_dense_across_chunks(case, monkeypatch):
     # three rings (ring path) or three points (dense path) per chunk
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(grid))
     _check(grid, kernel, build(grid), np.arange(len(grid)), subtract)
+
+
+def _boundary_sums():
+    """(id, evaluator) for each boundary integral summed by apply_kernel."""
+    bgrid = build_boundary_grid(CAP, 64)
+    density = DensitySamples(bgrid, np.cos(bgrid.phis) + 0.3 * np.sin(2 * bgrid.phis))
+    trace = lambda p: p[:, 0] * p[:, 1] + 0.2
+    flux = density.values - np.sum(bgrid.weights * density.values) / np.sum(bgrid.weights)
+    field = _vector(CAP_GRID)
+
+    def cap_split(pts):
+        f2, f3 = decompose_cap_at(field, pts, boundary_f3=trace, scale=SCALE, m=64)
+        return np.concatenate([f2, f3])
+
+    return [
+        ("single-layer", lambda pts: single_layer(density, pts)),
+        ("double-layer", lambda pts: double_layer(density, pts)),
+        ("dirichlet", lambda pts: dirichlet_solve_cap(CAP, trace, pts, m=64)),
+        ("neumann", lambda pts: neumann_solve_cap(CAP, FieldSamples(bgrid, flux), 0.5, pts)),
+        ("cap-split", cap_split),
+    ]
+
+
+BOUNDARY_SUMS = _boundary_sums()
+
+
+@pytest.mark.parametrize("case", BOUNDARY_SUMS, ids=[c[0] for c in BOUNDARY_SUMS])
+def test_boundary_sums_bit_identical_across_chunks(case, monkeypatch):
+    _, evaluate = case
+    pts = INNER.contains(CAP_GRID.nodes)
+    pts = CAP_GRID.nodes[np.flatnonzero(pts)[::7]]
+    whole = evaluate(pts)
+    # three points per chunk on the 64-node boundary grid; two points or
+    # rings per chunk on the 512-node area grid (51 points: a last chunk of
+    # one would be merged)
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * 64)
+    assert np.array_equal(evaluate(pts), whole)
+
+
+def test_chunks_never_leave_a_single_row(monkeypatch):
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 30)
+    assert list(_convolution._chunks(7, 10)) == [(0, 3), (3, 7)]
+    assert list(_convolution._chunks(6, 10)) == [(0, 3), (3, 6)]
+    assert list(_convolution._chunks(1, 10)) == [(0, 1)]
+    assert list(_convolution._chunks(5, 100)) == [(0, 2), (2, 5)]
 
 
 @pytest.mark.parametrize("name", GRIDS)

@@ -186,6 +186,23 @@ class TestCapDecomposition:
         )
         assert abs(np.sum(grid.weights * helm.f2.values)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            np.array([0.5]),
+            np.full(64, np.nan),
+            lambda pts: np.zeros(len(pts) - 1),
+        ],
+        ids=["length-one", "nan", "wrong-length-callable"],
+    )
+    def test_bad_boundary_trace_raises(self, trace):
+        grid = build_cap_grid(self.CAP, 12, 24)
+        _, _, samples, _, _ = self._field(grid)
+        with pytest.raises(ValueError):
+            decompose_cap_at(samples, grid.nodes[:5], boundary_f3=trace, scale=6, m=64)
+        with pytest.raises(ValueError):
+            helmholtz_decompose_cap(samples, boundary_f3=trace, scale=6, m=64)
+
 
 class TestHalfShiftOperator:
     def test_spectral_action(self):

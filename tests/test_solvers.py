@@ -195,6 +195,22 @@ class TestNeumann:
         assert np.abs(vals - inner_harmonic_eval(idx, pts)).max() < 1e-7
 
 
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 1.5])
+    def test_matches_boundary_log_kernel(self, rho, rng):
+        # On the boundary the reflection collapses and the Neumann cap Green
+        # function reduces to ln(1 - xi . eta)/2pi + (1 - rho) ln(2 - rho)/(2 pi rho)
+        cap = SphericalCap(unit_vector([0.3, -0.2, 1.0]), rho)
+        grid = build_boundary_grid(cap, 256)
+        f = np.cos(grid.phis) + 0.4 * np.sin(3.0 * grid.phis)
+        f = f - np.sum(grid.weights * f) / np.sum(grid.weights)
+        pts = random_interior_points(cap, rng, 200)
+        const = (1.0 - rho) / (2.0 * np.pi * rho) * np.log(2.0 - rho)
+        kernel = np.log(1.0 - pts @ grid.nodes.T) / (2.0 * np.pi) + const
+        expected = 0.5 - np.sum(grid.weights[None, :] * kernel * f[None, :], axis=1)
+        vals = neumann_solve_cap(cap, FieldSamples(grid, f), 0.5, pts)
+        assert np.abs(vals - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestInvertGradient:
     def _setup(self, nt=64, nphi=128):
         grid = build_cap_grid(CAP, nt, nphi)
