@@ -114,19 +114,11 @@ def vd_reconstruct(
     """Recover the potential from the deflection field at chosen points.
 
     T_J(xi) = mean + (GM/R) * inversion of the gradient field at scale J.
-    With an oracle (callable on stacked points) the report carries sup and
-    relative l2 errors against it.
+    With an oracle the report carries error statistics against it.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     flipped = FieldSamples(theta.grid, -theta.values, tangential=True)
-    vals = mean_potential + (constants.gm / constants.radius) * invert_gradient(
-        flipped, "grad", scale, points
-    )
-    diagnostics = {"scale": float(scale), "mean": float(mean_potential)}
-    if oracle is not None:
-        truth = np.asarray(oracle(points), dtype=float)
-        diagnostics.update(_error_stats(vals, truth))
-    return SolveReport(points, vals, {"scale": scale}, diagnostics)
+    factor = constants.gm / constants.radius
+    return _recover(flipped, "grad", factor, scale, mean_potential, points, oracle)
 
 
 def geo_forward(
@@ -160,16 +152,25 @@ def geo_reconstruct(
 
     H_J(xi) = mean - (2R|w|/G) * curl-mode inversion of the field z * v.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     z = flow.grid.nodes[:, 2]
     coef = 2.0 * constants.radius * constants.rotation_rate / constants.gravity
     weighted = FieldSamples(flow.grid, coef * z[:, None] * flow.values, tangential=True)
-    vals = mean_height + invert_gradient(weighted, "curl", scale, points)
-    diagnostics = {"scale": float(scale), "mean": float(mean_height)}
+    return _recover(weighted, "curl", 1.0, scale, mean_height, points, oracle)
+
+
+def _recover(field, mode, factor, scale, mean, points, oracle) -> SolveReport:
+    """mean + factor * (mode inversion of field at scale J) at the points.
+
+    With an oracle (callable on stacked points) the report carries sup and
+    relative l2 errors against it.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vals = mean + factor * invert_gradient(field, mode, scale, points)
+    diagnostics = {"scale": float(scale), "mean": float(mean)}
     if oracle is not None:
         truth = np.asarray(oracle(points), dtype=float)
         diagnostics.update(_error_stats(vals, truth))
-    return SolveReport(points, vals, {"scale": scale}, diagnostics)
+    return SolveReport(points, vals, diagnostics)
 
 
 def _require_offequator(cap: SphericalCap) -> None:
@@ -251,17 +252,7 @@ def vortex_mfs(
     diagnostics = _error_stats(values, truth)
     diagnostics["boundary_residual"] = fit.boundary_residual
     diagnostics["condition"] = fit.condition
-    return SolveReport(
-        probes,
-        values,
-        {
-            "n_sources": n_sources,
-            "radius_offset": radius_offset,
-            "ridge": ridge,
-            "collocation_factor": collocation_factor,
-        },
-        diagnostics,
-    )
+    return SolveReport(probes, values, diagnostics)
 
 
 def _error_stats(values: np.ndarray, truth: np.ndarray) -> dict:

@@ -25,14 +25,12 @@ import numpy as np
 
 from . import selfcheck as selfcheck_mod
 from .apps import (
-    PhysicalConstants,
     _error_stats,
     geo_forward,
     geo_reconstruct,
     random_vortices,
     vd_forward,
     vd_reconstruct,
-    vortex_boundary_data,
     vortex_exact,
     vortex_mfs,
 )
@@ -71,23 +69,6 @@ from .solvers import (
     poisson_solve_cap,
     surface_potential,
 )
-
-COMMANDS = (
-    "selfcheck",
-    "poisson",
-    "dirichlet",
-    "neumann",
-    "idp",
-    "inp",
-    "jump-test",
-    "helmholtz",
-    "hardy-hodge",
-    "vertical-deflections",
-    "geostrophic",
-    "vortex",
-    "mfs-fit",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -166,16 +147,45 @@ class Report:
             fh.write("\n".join(self.lines) + "\n")
 
 
-def _interior_grid(cfg: RunConfig, shrink: float = 0.8):
+def _interior_grid(cfg: RunConfig):
     cap = cfg.cap()
-    inner = SphericalCap(cap.center, shrink * cap.radius)
+    inner = SphericalCap(cap.center, 0.8 * cap.radius)
     return cap, build_cap_grid(inner, max(cfg.nt // 2, 8), max(cfg.nphi // 2, 16))
+
+
+def _save(cfg: RunConfig, name: str, samples: FieldSamples) -> None:
+    save_field_csv(os.path.join(cfg.out_dir, f"{name}.csv"), samples)
 
 
 def _report_errors(report: Report, stats: dict) -> None:
     """Report lines of the sup, l2 and relative l2 errors of _error_stats."""
     for key in ("sup_error", "l2_error", "rel_l2_error"):
         report.add(key, stats[key])
+
+
+def _save_checked(cfg, report, igrid, vals, idx: InnerHarmonicIndex) -> None:
+    """Write <command>.csv and report the errors against the inner harmonic."""
+    _save(cfg, cfg.command, FieldSamples(igrid, vals))
+    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
+
+
+def _recover(cfg, report, reconstruct, field, mean, coeffs, name: str) -> None:
+    """Run one cap recovery at the grid nodes inside the 0.8-radius cap.
+
+    Writes the recovered values (zero outside that cap) to <name>.csv and
+    reports the errors against the synthetic field and the scale J.
+    """
+    grid = field.grid
+    cap = cfg.cap()
+    keep = SphericalCap(cap.center, 0.8 * cap.radius).contains(grid.nodes)
+    rep = reconstruct(
+        field, cfg.scale, mean, grid.nodes[keep], oracle=lambda p: sh_eval(coeffs, p)
+    )
+    recon = np.zeros(len(grid))
+    recon[keep] = rep.values
+    _save(cfg, name, FieldSamples(grid, recon))
+    _report_errors(report, rep.diagnostics)
+    report.add("scale", cfg.scale)
 
 
 def _source_offset(cfg: RunConfig, cap: SphericalCap) -> float:
@@ -204,7 +214,7 @@ def cmd_poisson(cfg: RunConfig, report: Report) -> int:
     h = sample(grid, lambda p: sh_eval(lap, p))
     xi_bar = -cap.center
     vals = poisson_solve_cap(cap, h, xi_bar, igrid.nodes, scale=cfg.scale)
-    save_field_csv(os.path.join(cfg.out_dir, "poisson.csv"), FieldSamples(igrid, vals))
+    _save(cfg, "poisson", FieldSamples(igrid, vals))
     # consistency: at an exterior point the potential part has surface
     # Laplacian -(1/4pi) integral(H)
     total = integrate(grid, h)
@@ -223,10 +233,7 @@ def cmd_dirichlet(cfg: RunConfig, report: Report) -> int:
     vals = dirichlet_solve_cap(
         cap, lambda p: inner_harmonic_eval(idx, p), igrid.nodes, m=cfg.m
     )
-    save_field_csv(
-        os.path.join(cfg.out_dir, "dirichlet.csv"), FieldSamples(igrid, vals)
-    )
-    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
+    _save_checked(cfg, report, igrid, vals, idx)
     return 0
 
 
@@ -238,8 +245,7 @@ def cmd_neumann(cfg: RunConfig, report: Report) -> int:
     area_grid = build_cap_grid(cap, cfg.nt, cfg.nphi)
     mean = mean_value(sample(area_grid, lambda p: inner_harmonic_eval(idx, p)))
     vals = neumann_solve_cap(cap, FieldSamples(bgrid, data), mean, igrid.nodes)
-    save_field_csv(os.path.join(cfg.out_dir, "neumann.csv"), FieldSamples(igrid, vals))
-    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
+    _save_checked(cfg, report, igrid, vals, idx)
     return 0
 
 
@@ -250,8 +256,7 @@ def cmd_idp(cfg: RunConfig, report: Report) -> int:
     data = lambda p: inner_harmonic_eval(idx, p)
     solution = solve_idp(bgrid, data)
     vals = solution(igrid.nodes)
-    save_field_csv(os.path.join(cfg.out_dir, "idp.csv"), FieldSamples(igrid, vals))
-    _report_errors(report, _error_stats(vals, inner_harmonic_eval(idx, igrid.nodes)))
+    _save_checked(cfg, report, igrid, vals, idx)
     report.add("collocation_residual", idp_residual(solution, data))
     cross = dirichlet_solve_cap(cap, data, igrid.nodes, m=cfg.m)
     report.add("cross_solver_sup", float(np.abs(vals - cross).max()))
@@ -265,7 +270,7 @@ def cmd_inp(cfg: RunConfig, report: Report) -> int:
     data = np.sum(bgrid.normals * inner_harmonic_grad(idx, bgrid.nodes), axis=1)
     solution = solve_inp(bgrid, data)
     vals = solution(igrid.nodes)
-    save_field_csv(os.path.join(cfg.out_dir, "inp.csv"), FieldSamples(igrid, vals))
+    _save(cfg, "inp", FieldSamples(igrid, vals))
     truth = inner_harmonic_eval(idx, igrid.nodes)
     shift = float(np.mean(vals - truth))
     _report_errors(report, _error_stats(vals - shift, truth))
@@ -313,8 +318,8 @@ def cmd_helmholtz(cfg: RunConfig, report: Report) -> int:
         tangential=True,
     )
     helm = helmholtz_decompose_sphere(f, scale=cfg.scale)
-    save_field_csv(os.path.join(cfg.out_dir, "helmholtz_f2.csv"), helm.f2)
-    save_field_csv(os.path.join(cfg.out_dir, "helmholtz_f3.csv"), helm.f3)
+    _save(cfg, "helmholtz_f2", helm.f2)
+    _save(cfg, "helmholtz_f3", helm.f3)
     for name, scalars, coeffs in (("f2", helm.f2, p_coeffs), ("f3", helm.f3, s_coeffs)):
         truth = sh_eval(coeffs, grid.nodes)
         truth = truth - float(np.sum(grid.weights * truth) / (4.0 * np.pi))
@@ -332,8 +337,8 @@ def cmd_hardy_hodge(cfg: RunConfig, report: Report) -> int:
         + sh_grad_eval(p_coeffs, grid.nodes),
     )
     hh = hardy_hodge_decompose_sphere(f, scale=cfg.scale)
-    save_field_csv(os.path.join(cfg.out_dir, "hardy_hodge_f1.csv"), hh.f1)
-    save_field_csv(os.path.join(cfg.out_dir, "hardy_hodge_f2.csv"), hh.f2)
+    _save(cfg, "hardy_hodge_f1", hh.f1)
+    _save(cfg, "hardy_hodge_f2", hh.f2)
     # identity: tilde F1 - tilde F2 = -F2 of the Helmholtz split
     helm = helmholtz_decompose_sphere(f, scale=cfg.scale)
     ident = hh.f1.values - hh.f2.values + helm.f2.values
@@ -352,53 +357,27 @@ def cmd_hardy_hodge(cfg: RunConfig, report: Report) -> int:
 
 def cmd_vertical_deflections(cfg: RunConfig, report: Report) -> int:
     cap = cfg.cap()
-    grid = build_cap_grid(cap, cfg.nt, cfg.nphi)
     coeffs = synth_field(cfg.seed, cfg.nmin, cfg.nmax)
-    t_samples, theta = vd_forward(coeffs, cap, grid)
+    t_samples, theta = vd_forward(coeffs, cap, build_cap_grid(cap, cfg.nt, cfg.nphi))
     if cfg.in_path:
         loaded = load_field_csv(cfg.in_path)
         if loaded.samples is None:
             raise ValueError("input grid metadata missing or inconsistent")
         theta = FieldSamples(loaded.samples.grid, loaded.samples.values, tangential=True)
-        grid = theta.grid
     t_mean = mean_value(t_samples)
-    inner = SphericalCap(cap.center, 0.8 * cap.radius)
-    keep = inner.contains(grid.nodes)
-    probes = grid.nodes[keep]
-    rep = vd_reconstruct(
-        theta, cfg.scale, t_mean, probes, oracle=lambda p: sh_eval(coeffs, p)
+    _recover(
+        cfg, report, vd_reconstruct, theta, t_mean, coeffs, "vertical_deflections_tj"
     )
-    recon = np.zeros(len(grid))
-    recon[keep] = rep.values
-    save_field_csv(
-        os.path.join(cfg.out_dir, "vertical_deflections_tj.csv"),
-        FieldSamples(grid, recon),
-    )
-    _report_errors(report, rep.diagnostics)
-    report.add("scale", cfg.scale)
     report.add("t_mean", t_mean)
     return 0
 
 
 def cmd_geostrophic(cfg: RunConfig, report: Report) -> int:
     cap = cfg.cap()
-    grid = build_cap_grid(cap, cfg.nt, cfg.nphi)
     coeffs = synth_field(cfg.seed, cfg.nmin, cfg.nmax)
-    h_samples, flow = geo_forward(coeffs, cap, grid)
+    h_samples, flow = geo_forward(coeffs, cap, build_cap_grid(cap, cfg.nt, cfg.nphi))
     h_mean = mean_value(h_samples)
-    inner = SphericalCap(cap.center, 0.8 * cap.radius)
-    keep = inner.contains(grid.nodes)
-    probes = grid.nodes[keep]
-    rep = geo_reconstruct(
-        flow, cfg.scale, h_mean, probes, oracle=lambda p: sh_eval(coeffs, p)
-    )
-    recon = np.zeros(len(grid))
-    recon[keep] = rep.values
-    save_field_csv(
-        os.path.join(cfg.out_dir, "geostrophic_hj.csv"), FieldSamples(grid, recon)
-    )
-    _report_errors(report, rep.diagnostics)
-    report.add("scale", cfg.scale)
+    _recover(cfg, report, geo_reconstruct, flow, h_mean, coeffs, "geostrophic_hj")
     return 0
 
 
@@ -414,14 +393,9 @@ def cmd_vortex(cfg: RunConfig, report: Report) -> int:
         ridge=cfg.ridge,
         probes=igrid.nodes,
     )
-    save_field_csv(
-        os.path.join(cfg.out_dir, "vortex_psi.csv"), FieldSamples(igrid, rep.values)
-    )
+    _save(cfg, "vortex_psi", FieldSamples(igrid, rep.values))
     truth = vortex_exact(cap, vortices, igrid.nodes)
-    save_field_csv(
-        os.path.join(cfg.out_dir, "vortex_error.csv"),
-        FieldSamples(igrid, rep.values - truth),
-    )
+    _save(cfg, "vortex_error", FieldSamples(igrid, rep.values - truth))
     for key in ("sup_error", "rel_sup_error", "boundary_residual", "condition"):
         report.add(key, rep.diagnostics[key])
     return 0
@@ -459,6 +433,7 @@ _DISPATCH = {
     "vortex": cmd_vortex,
     "mfs-fit": cmd_mfs_fit,
 }
+COMMANDS = tuple(_DISPATCH)
 
 # geostrophic caps must clear the equator
 _COMMAND_DEFAULTS = {

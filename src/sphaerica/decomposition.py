@@ -125,13 +125,9 @@ def helmholtz_decompose_cap(
     at the grid nodes; decompose_cap_at evaluates at other interior points.
     boundary_field, when given, supplies exact field values on the boundary
     for the tangential boundary term (otherwise nearest-node transfer).
+    normalization records the scale as passed (None: the grid default).
     """
     grid = samples.grid
-    cap = grid.cap
-    if cap is None or grid.kind == KIND_BOUNDARY:
-        raise ValueError("helmholtz_decompose_cap needs a cap area grid")
-    if scale is None:
-        scale = default_scale(grid)
     f1 = np.sum(samples.values * grid.nodes, axis=1)
     f2, f3 = decompose_cap_at(
         samples,
@@ -177,21 +173,25 @@ def decompose_cap_at(
     the field is transferred from the nearest grid nodes. With demean, F2 is
     shifted by its cap mean computed on the sample grid, which costs one
     evaluation pass over all grid nodes; callers fixing the constant gauge
-    themselves can skip it.
+    themselves can skip it. A grid without a cap, or a boundary field that
+    is not one finite vector per boundary node, raises ValueError.
     """
     grid = samples.grid
     cap = grid.cap
+    if cap is None or grid.kind == KIND_BOUNDARY:
+        raise ValueError("the cap decomposition needs a cap area grid")
     if scale is None:
         scale = default_scale(grid)
     bgrid = build_boundary_grid(cap, m)
     trace = FieldSamples(
         bgrid, np.zeros(m) if boundary_f3 is None else boundary_data(bgrid, boundary_f3)
     )
-    f_bnd = (
-        samples_on_boundary(samples, bgrid)
-        if boundary_field is None
-        else np.asarray(boundary_field(bgrid.nodes), dtype=float)
-    )
+    if boundary_field is None:
+        f_bnd = samples_on_boundary(samples, bgrid)
+    else:
+        f_bnd = np.asarray(boundary_field(bgrid.nodes), dtype=float)
+        if f_bnd.shape != (m, 3) or not np.all(np.isfinite(f_bnd)):
+            raise ValueError("boundary_field must give one finite vector per node")
     tau_f = FieldSamples(bgrid, np.sum(bgrid.tangents * f_bnd, axis=1))
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -51,11 +51,10 @@ from .quadrature import (
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution samples plus the residual diagnostics needed to rerun them."""
+    """Solution samples plus the residual diagnostics of the solve."""
 
     points: np.ndarray
     values: np.ndarray
-    params: dict
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -86,15 +85,22 @@ def surface_potential(
     kernel. On full-sphere grids with xi_values supplied (the integrand at
     the evaluation points), the zero-mean identity of the kernel turns the
     integrand into G(xi . eta)(H(eta) - H(xi)), which removes the singular
-    contribution entirely.
+    contribution entirely. xi_values on another grid, of a length other than
+    the number of points, or with non-finite entries raise ValueError.
     """
     grid = samples.grid
     if scale is None:
         scale = default_scale(grid)
     kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=scale))
     centers = None
-    if xi_values is not None and grid.kind == KIND_SPHERE:
+    if xi_values is not None:
+        if grid.kind != KIND_SPHERE:
+            raise ValueError("xi_values need a sphere grid")
         centers = np.atleast_1d(np.asarray(xi_values, dtype=float))
+        if centers.shape != (len(np.atleast_2d(xi)),):
+            raise ValueError("xi_values need one value per evaluation point")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("xi_values must be finite")
     return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts, centers))
 
 

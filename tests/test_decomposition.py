@@ -203,6 +203,35 @@ class TestCapDecomposition:
         with pytest.raises(ValueError):
             helmholtz_decompose_cap(samples, boundary_f3=trace, scale=6, m=64)
 
+    @pytest.mark.parametrize(
+        "boundary_field",
+        [
+            lambda pts: np.array([[1.0, 0.0, 0.0]]),
+            lambda pts: pts[:, :2],
+            lambda pts: np.full(pts.shape, np.nan),
+        ],
+        ids=["one-row", "two-columns", "nan"],
+    )
+    def test_bad_boundary_field_raises(self, boundary_field):
+        grid = build_cap_grid(self.CAP, 12, 24)
+        _, _, samples, _, _ = self._field(grid)
+        with pytest.raises(ValueError, match="boundary_field"):
+            decompose_cap_at(
+                samples, grid.nodes[:5], boundary_field=boundary_field, scale=6, m=64
+            )
+        with pytest.raises(ValueError, match="boundary_field"):
+            helmholtz_decompose_cap(
+                samples, scale=6, m=64, boundary_field=boundary_field
+            )
+
+    def test_grid_without_cap_raises(self):
+        grid = build_sphere_grid(8, 16)
+        samples = FieldSamples(grid, np.cross(grid.nodes, [0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="cap area grid"):
+            decompose_cap_at(samples, grid.nodes[:5], scale=6, m=64)
+        with pytest.raises(ValueError, match="cap area grid"):
+            helmholtz_decompose_cap(samples, scale=6, m=64)
+
 
 class TestHalfShiftOperator:
     def test_spectral_action(self):

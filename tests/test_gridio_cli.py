@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphaerica.cli import RunConfig, config_from_args, load_config_file, main, run
+from sphaerica.cli import (
+    COMMANDS,
+    RunConfig,
+    config_from_args,
+    load_config_file,
+    main,
+    run,
+)
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.gridio import CsvFormatError, load_field_csv, save_field_csv
 from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid, sample
@@ -148,3 +155,16 @@ class TestRuns:
             assert run(cfg) == 0
         for name in ("vortex_psi.csv", "vortex_error.csv", "vortex_report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_runs_byte_deterministic(self, tmp_path, command):
+        sizes = ["--nt", "16", "--nphi", "32", "--m", "128", "--M", "40", "--J", "8"]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main([command, *sizes, "--out", str(out)]) == 0
+        report = command.replace("-", "_") + "_report.txt"
+        assert (outs[0] / report).is_file()
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -59,6 +59,20 @@ class TestSurfacePotential:
         values = surface_potential(h, pts, scale=12, xi_values=h.values[idx])
         assert np.abs(values + sh_eval(c, pts) / 6.0).max() < 5e-6
 
+    @pytest.mark.parametrize(
+        "grid, xi_values",
+        [
+            (build_cap_grid(CAP, 8, 16), np.ones(4)),
+            (build_sphere_grid(8, 16), np.ones(3)),
+            (build_sphere_grid(8, 16), np.array([1.0, np.nan, 1.0, 1.0])),
+        ],
+        ids=["cap-grid", "wrong-length", "non-finite"],
+    )
+    def test_rejects_bad_xi_values(self, grid, xi_values):
+        ones = sample(grid, lambda p: np.ones(len(p)))
+        with pytest.raises(ValueError, match="xi_values"):
+            surface_potential(ones, grid.nodes[:4], scale=8, xi_values=xi_values)
+
     def test_cap_exterior_laplacian_identity(self):
         grid = build_cap_grid(CAP, 48, 96)
         c = synth_field(5, 1, 8)
