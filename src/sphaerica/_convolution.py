@@ -43,7 +43,7 @@ def _chunks(n_points: int, n_nodes: int):
 def apply_kernel(kernel, samples, points: np.ndarray, centers=None) -> np.ndarray:
     """sum_j w_j A(xi_i, eta_j) over the sample grid, for stacked points xi.
 
-    samples supplies .grid and .values (FieldSamples or DensitySamples).
+    samples is FieldSamples (DensitySamples is a subclass).
     Scalar samples h: kernel(xi, eta) returns kernel values K (P, N) and
     A = K h, or A = K (h - centers_i) when centers are given (singular
     subtraction against the integrand at the evaluation points). Vector

@@ -4,7 +4,8 @@ Every command reads a flat key=value config (optional) overridden by flags,
 runs one pipeline, writes result grids through gridio and a report of all
 parameters and measured errors, and exits 0 on success, 2 on validation
 errors, 3 on numerical failure. Identical configurations and seeds produce
-byte-identical outputs.
+byte-identical outputs at a fixed BLAS thread count, which SPHAERICA_THREADS
+pins (mfs-fit's errors change in the last digits with the thread count).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .harmonics import (
 from .kernels import (
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
-    KIND_NEUMANN_REG,
+    KIND_NEUMANN,
     KernelSpec,
     kernel_grad_dot,
     kernel_value_matrix,
@@ -43,6 +43,7 @@ from .quadrature import (
     QuadratureGrid,
     boundary_data,
     build_boundary_grid,
+    mean_value,
 )
 from .solvers import default_scale
 
@@ -77,10 +78,6 @@ def helmholtz_compose(
     return on_points(xi, evaluate)
 
 
-def _demean(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
-    return values - np.sum(grid.weights * values) / np.sum(grid.weights)
-
-
 def helmholtz_decompose_sphere(
     samples: FieldSamples, scale: int | None = None
 ) -> DecompositionScalars:
@@ -97,12 +94,12 @@ def helmholtz_decompose_sphere(
         scale = default_scale(grid)
     spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
     f1 = np.sum(samples.values * grid.nodes, axis=1)
-    f2 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=False))
-    f3 = _demean(grid, grad_convolution(samples, spec, grid.nodes, curl=True))
+    f2 = FieldSamples(grid, grad_convolution(samples, spec, grid.nodes, curl=False))
+    f3 = FieldSamples(grid, grad_convolution(samples, spec, grid.nodes, curl=True))
     return DecompositionScalars(
         FieldSamples(grid, f1),
-        FieldSamples(grid, f2),
-        FieldSamples(grid, f3),
+        FieldSamples(grid, f2.values - mean_value(f2)),
+        FieldSamples(grid, f3.values - mean_value(f3)),
         normalization={"mean_f2": 0.0, "mean_f3": 0.0, "scale": scale},
     )
 
@@ -195,7 +192,7 @@ def decompose_cap_at(
     tau_f = FieldSamples(bgrid, np.sum(bgrid.tangents * f_bnd, axis=1))
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec_n = KernelSpec(KIND_NEUMANN_REG, cap=cap, scale=scale)
+    spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
     tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
     value_d = partial(kernel_value_matrix, spec_d)
@@ -216,8 +213,7 @@ def decompose_cap_at(
         f2_nodes = f2
     else:
         f2_nodes, _ = evaluate(grid.nodes)
-    mean_f2 = float(np.sum(grid.weights * f2_nodes) / np.sum(grid.weights))
-    return f2 - mean_f2, f3
+    return f2 - mean_value(FieldSamples(grid, f2_nodes)), f3
 
 
 def d_apply(c: ShCoefficients, power: int) -> ShCoefficients:

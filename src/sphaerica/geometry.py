@@ -209,7 +209,9 @@ class Reflection:
 
 
 def _reflect_many(cap: SphericalCap, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection points and scales for stacked xi of shape (N, 3)."""
+    """Reflection points and scales for stacked xi (N, 3) inside the cap."""
+    if not np.all(cap.contains(xi)):
+        raise ValueError("the cap reflection requires points inside the cap")
     rho = cap.radius
     s2 = rho * (2.0 - rho)
     t = xi @ cap.center
@@ -223,8 +225,5 @@ def _reflect_many(cap: SphericalCap, xi: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def reflect(cap: SphericalCap, xi) -> Reflection:
     """Reflect an interior point xi across the boundary of the cap."""
-    xi = np.asarray(xi, dtype=float)
-    if not cap.contains(xi):
-        raise ValueError("reflection requires a point inside the cap")
-    point, scale = _reflect_many(cap, xi[None, :])
+    point, scale = _reflect_many(cap, np.asarray(xi, dtype=float)[None, :])
     return Reflection(point[0], float(scale[0]))

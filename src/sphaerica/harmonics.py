@@ -50,9 +50,6 @@ class ShCoefficients:
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
 
-    def coefficient(self, n: int, j: int) -> float:
-        return float(self.coeffs[n, j - 1])
-
 
 def scale_degrees(c: ShCoefficients, factor) -> ShCoefficients:
     """Multiply the degree-n coefficients by factor(n), n as a float array."""

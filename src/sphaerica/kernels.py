@@ -2,8 +2,13 @@
 
 The fundamental solution G(t) = ln(1-t)/(4 pi) + (1 - ln 2)/(4 pi), its cap
 Green functions with Dirichlet or Neumann boundary behavior (built from the
-cap reflection), the scale-J regularized Neumann kernel, and closed-form
-tangential derivatives of all of them.
+cap reflection), and closed-form tangential derivatives of all of them.
+
+A KernelSpec names one of three kinds (fundamental, Dirichlet cap, Neumann
+cap) and an optional scale J >= 0 for every kind: with a scale, the
+singular log branch continues linearly inside 1 - xi . eta < 2^-J. The cap
+kernels reject xi outside their cap with ValueError (the reflection is only
+defined inside it).
 
 Each formula is written once, in the vectorized core: kernel_value_matrix
 and kernel_grad_dot evaluate a KernelSpec for stacked points, and every
@@ -28,7 +33,6 @@ _SING_TOL = 1e-14
 KIND_FUNDAMENTAL = "fundamental"
 KIND_DIRICHLET = "dirichlet-cap"
 KIND_NEUMANN = "neumann-cap"
-KIND_NEUMANN_REG = "neumann-cap-regularized"
 
 
 class SingularityError(ValueError):
@@ -44,18 +48,12 @@ class KernelSpec:
     scale: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (
-            KIND_FUNDAMENTAL,
-            KIND_DIRICHLET,
-            KIND_NEUMANN,
-            KIND_NEUMANN_REG,
-        ):
+        if self.kind not in (KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind != KIND_FUNDAMENTAL and self.cap is None:
             raise ValueError("cap kernels require a cap")
-        if self.kind == KIND_NEUMANN_REG:
-            if self.scale is None or self.scale < 0:
-                raise ValueError("regularized kernel requires scale J >= 0")
+        if self.scale is not None and self.scale < 0:
+            raise ValueError(f"scale J must be >= 0, got {self.scale}")
 
 
 def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
@@ -148,7 +146,9 @@ def neumann_green_regularized(
     are continuous across the seam. Other terms are unchanged. Modes as for
     dirichlet_green.
     """
-    return _pair(KernelSpec(KIND_NEUMANN_REG, cap, scale), xi, eta, mode)
+    if scale is None:
+        raise ValueError("the regularized kernel needs a scale J")
+    return _pair(KernelSpec(KIND_NEUMANN, cap, scale), xi, eta, mode)
 
 
 def _pair(spec: KernelSpec, xi, eta, mode: str):
@@ -157,11 +157,8 @@ def _pair(spec: KernelSpec, xi, eta, mode: str):
     mode "value" gives the kernel, "grad" its tangential eta-gradient (the
     rows of kernel_grad_dot against the three unit fields), "curl" the
     surface curl gradient eta x grad, and "normal" the gradient dotted with
-    the normal of a BoundaryPoint eta. Cap kernels require xi inside the cap.
+    the normal of a BoundaryPoint eta.
     """
-    xi = np.asarray(xi, dtype=float)
-    if spec.cap is not None and not spec.cap.contains(xi):
-        raise ValueError(f"{spec.kind} kernel requires xi inside the cap")
     if mode == "normal":
         if not isinstance(eta, BoundaryPoint):
             raise TypeError("normal mode requires a BoundaryPoint")
@@ -183,7 +180,7 @@ def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np
         return _fundamental_many(xi @ eta.T, spec.scale)
     sign = -1.0 if spec.kind == KIND_DIRICHLET else 1.0
     out = _cap_terms_value(spec.cap, xi, eta, sign, spec.scale)
-    if spec.kind in (KIND_NEUMANN, KIND_NEUMANN_REG):
+    if spec.kind == KIND_NEUMANN:
         out = out + _neumann_zeta_term(spec.cap, eta)[None, :]
     return out
 
@@ -236,7 +233,7 @@ def kernel_grad_dot(
     sign = 1.0 if spec.kind == KIND_DIRICHLET else -1.0
     refl *= sign / FOUR_PI
     out += refl
-    if spec.kind in (KIND_NEUMANN, KIND_NEUMANN_REG):
+    if spec.kind == KIND_NEUMANN:
         c = _center_cosine(spec.cap, eta)
         zeta_dot = (spec.cap.center @ f.T - c * radial) / (1.0 + c)
         coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)

@@ -34,35 +34,32 @@ from .kernels import (
     kernel_grad_dot,
     kernel_value_matrix,
 )
-from .quadrature import KIND_BOUNDARY, QuadratureGrid, boundary_data
+from .quadrature import (
+    KIND_BOUNDARY,
+    FieldSamples,
+    QuadratureGrid,
+    _neumann_total,
+    boundary_data,
+)
 
 _FUNDAMENTAL = KernelSpec(KIND_FUNDAMENTAL)
 _MEAN_FREE_TOL = 1e-10
-_COMPAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class DensitySamples:
-    """Boundary density values co-indexed with a boundary grid."""
+class DensitySamples(FieldSamples):
+    """Boundary density: FieldSamples of scalar values on a boundary grid."""
 
-    grid: QuadratureGrid
-    values: np.ndarray
     mean_free: bool = False
 
     def __post_init__(self):
-        if self.grid.kind != KIND_BOUNDARY:
-            raise ValueError("densities live on boundary grids")
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.grid),):
-            raise ValueError("density shape does not match its grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
+        super().__post_init__()
+        if self.grid.kind != KIND_BOUNDARY or self.values.ndim != 1:
+            raise ValueError("densities are scalar samples on boundary grids")
         if self.mean_free:
-            total = abs(float(np.sum(self.grid.weights * values)))
+            total = abs(float(np.sum(self.grid.weights * self.values)))
             if total >= _MEAN_FREE_TOL:
                 raise ValueError(f"density marked mean-free integrates to {total:.2e}")
-        values.setflags(write=False)
 
 
 def geodesic_curvature(cap: SphericalCap) -> float:
@@ -226,9 +223,7 @@ def _log_quadrature_weights(m: int) -> np.ndarray:
     return weights
 
 
-def solve_inp(
-    grid: QuadratureGrid, boundary_values, compat_tol: float = _COMPAT_TOL
-) -> BoundarySolution:
+def solve_inp(grid: QuadratureGrid, boundary_values) -> BoundarySolution:
     """Second-kind boundary equation of the Neumann problem on a cap.
 
     Collocating the normal derivative of the single-layer ansatz gives
@@ -240,11 +235,7 @@ def solve_inp(
     layer to stay harmonic, so the data is required to integrate to zero.
     """
     f = boundary_data(grid, boundary_values)
-    total = float(np.sum(grid.weights * f))
-    if abs(total) > compat_tol:
-        raise ValueError(
-            f"Neumann boundary data violates solvability: integral {total:.3e}"
-        )
+    total = _neumann_total(grid, f)
     q = -2.0 * (f - total / float(np.sum(grid.weights)))
     return BoundarySolution(DensitySamples(grid, q, mean_free=True), "neumann")
 

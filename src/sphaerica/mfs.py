@@ -25,10 +25,9 @@ from .kernels import FOUR_PI
 from .quadrature import QuadratureGrid, boundary_data
 
 VARIANT_GK = "gk"
-VARIANT_GK_NORMAL = "gk-normal"
 VARIANT_GK_MOD = "gk-mod"
 VARIANT_INNER = "inner-harmonic"
-_VARIANTS = (VARIANT_GK, VARIANT_GK_NORMAL, VARIANT_GK_MOD, VARIANT_INNER)
+_VARIANTS = (VARIANT_GK, VARIANT_GK_MOD, VARIANT_INNER)
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,7 @@ class FundamentalSystem:
 
     @property
     def size(self) -> int:
-        n = self.sources.shape[0] if self.variant != VARIANT_INNER else len(
-            self.sources
-        )
-        return n + (1 if self.include_constant else 0)
+        return len(self.sources) + (1 if self.include_constant else 0)
 
 
 def sources_on_circle(
@@ -164,8 +160,8 @@ def mfs_fit(
     The M x K collocation matrix A and the data f are factored once: a
     Householder QR of [A | f] gives R and Q^T f without forming Q, and the
     SVD R = U S V^T gives condition = s_0 / s_-1. mode "interpolation"
-    solves the square system directly (requires as many collocation points
-    as basis elements and fails loudly on numerically singular systems);
+    solves the square system (as many collocation points as basis elements)
+    as V diag(1 / s) U^T Q^T f and fails loudly on numerically singular ones;
     "tikhonov" minimizes |A a - f|^2 + ridge |a|^2 as
     V diag(s / (s^2 + ridge)) U^T Q^T f, zeroing the filter factors where
     sqrt(s^2 + ridge) <= eps (M + K) sqrt(s_0^2 + ridge): the cut-off of a
@@ -192,7 +188,7 @@ def mfs_fit(
             raise np.linalg.LinAlgError(
                 "collocation matrix numerically singular; use tikhonov mode"
             )
-        coeffs = np.linalg.solve(a_mat, f)
+        filt = 1.0 / sv
     else:
         damped = sv**2 + ridge
         keep = np.sqrt(damped) > (
@@ -200,7 +196,7 @@ def mfs_fit(
         )
         filt = np.zeros_like(sv)
         filt[keep] = sv[keep] / damped[keep]
-        coeffs = vt_mat.T @ (filt * (u_mat.T @ r_full[:n_basis, n_basis]))
+    coeffs = vt_mat.T @ (filt * (u_mat.T @ r_full[:n_basis, n_basis]))
     residual = float(np.abs(a_mat @ coeffs - f).max())
     return MfsSolution(system, coeffs, mode, residual, condition)
 

@@ -91,14 +91,13 @@ class FieldSamples:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape[0] != len(self.grid):
-            raise ValueError(
-                f"{values.shape[0]} samples for {len(self.grid)} grid nodes"
-            )
+        n = len(self.grid)
+        if values.shape not in ((n,), (n, 3)):
+            raise ValueError(f"samples of shape {values.shape} for {n} grid nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
         if self.tangential:
-            if values.ndim != 2 or values.shape[1] != 3:
+            if values.ndim != 2:
                 raise ValueError("tangential samples must be 3-vectors")
             radial = np.abs(np.sum(values * self.grid.nodes, axis=1))
             if radial.max(initial=0.0) >= 1e-10:
@@ -160,20 +159,29 @@ def boundary_data(grid: QuadratureGrid, data) -> np.ndarray:
     """Values of boundary data at the nodes of a boundary grid.
 
     data is FieldSamples on that grid, a callable on the stacked nodes, or
-    an array with one value per node.
+    an array with one value per node. Each form must give one finite scalar
+    per node.
     """
     if grid.kind != KIND_BOUNDARY:
         raise ValueError("boundary data needs a boundary grid")
     if isinstance(data, FieldSamples):
         if data.grid is not grid:
             raise ValueError("boundary data must live on the collocation grid")
-        return data.values
+        data = data.values
     values = np.asarray(data(grid.nodes) if callable(data) else data, dtype=float)
     if values.shape != (len(grid),):
         raise ValueError("boundary data shape does not match the grid")
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary data must be finite")
     return values
+
+
+def _neumann_total(grid: QuadratureGrid, values: np.ndarray) -> float:
+    """Boundary integral of Neumann data; solvability requires it to vanish."""
+    total = float(np.sum(grid.weights * values))
+    if abs(total) > 1e-8:
+        raise ValueError(f"Neumann data violates solvability: integral {total:.3e}")
+    return total
 
 
 def sample(grid: QuadratureGrid, fn, tangential: bool = False) -> FieldSamples:

@@ -31,17 +31,12 @@ import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, unit_vector
-from .kernels import (
-    KIND_FUNDAMENTAL,
-    KIND_NEUMANN,
-    KIND_NEUMANN_REG,
-    KernelSpec,
-    kernel_value_matrix,
-)
+from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
 from .quadrature import (
     KIND_SPHERE,
     FieldSamples,
     QuadratureGrid,
+    _neumann_total,
     boundary_data,
     build_boundary_grid,
     build_cap_grid,
@@ -149,6 +144,19 @@ def poisson_solve_cap(
     return base - np.log(1.0 - t_bar) / area * total
 
 
+def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
+    """Samples of a cap solver's data: FieldSamples on a boundary grid of this
+    cap (equal radius and center), or other boundary data on m new nodes."""
+    if isinstance(boundary_values, FieldSamples):
+        grid = boundary_values.grid
+        own = grid.cap is not None and grid.cap.radius == cap.radius
+        if not (own and np.array_equal(grid.cap.center, cap.center)):
+            raise ValueError("boundary samples must lie on the solver's cap boundary")
+    else:
+        grid = build_boundary_grid(cap, m)
+    return FieldSamples(grid, boundary_data(grid, boundary_values))
+
+
 def dirichlet_solve_cap(
     cap: SphericalCap,
     boundary_values,
@@ -158,15 +166,11 @@ def dirichlet_solve_cap(
 ) -> float | np.ndarray:
     """Closed-form Poisson-type integral for the cap Dirichlet problem.
 
-    boundary_values is either FieldSamples on a boundary grid or a callable
-    on stacked boundary nodes; xi must be strictly interior
+    boundary_values is either FieldSamples on a boundary grid of the cap or
+    a callable on stacked boundary nodes; xi must be strictly interior
     (1 - xi . center < radius - margin).
     """
-    if isinstance(boundary_values, FieldSamples):
-        grid = boundary_values.grid
-    else:
-        grid = build_boundary_grid(cap, m)
-    samples = FieldSamples(grid, boundary_data(grid, boundary_values))
+    samples = _cap_boundary_samples(cap, boundary_values, m)
     s = cap.boundary_sine
     kernel = lambda x, eta: 1.0 / (1.0 - x @ eta.T)
 
@@ -185,7 +189,6 @@ def neumann_solve_cap(
     mean_val: float,
     xi,
     m: int = 512,
-    compat_tol: float = 1e-8,
 ) -> float | np.ndarray:
     """Single-integral representation of the cap Neumann problem.
 
@@ -195,24 +198,10 @@ def neumann_solve_cap(
     kernel is the Neumann cap Green function, which for eta on the boundary
     is ln(1 - xi . eta)/2pi + (1 - rho) ln(2 - rho)/(2 pi rho).
     """
-    if isinstance(boundary_values, FieldSamples):
-        grid = boundary_values.grid
-    else:
-        grid = build_boundary_grid(cap, m)
-    samples = FieldSamples(grid, boundary_data(grid, boundary_values))
-    total = integrate(grid, samples)
-    if abs(total) > compat_tol:
-        raise ValueError(
-            f"Neumann data violates the solvability condition: integral {total:.3e}"
-        )
+    samples = _cap_boundary_samples(cap, boundary_values, m)
+    _neumann_total(samples.grid, samples.values)
     kernel = partial(kernel_value_matrix, KernelSpec(KIND_NEUMANN, cap))
-
-    def evaluate(pts):
-        if not np.all(cap.contains(pts)):
-            raise ValueError("evaluation points must lie inside the cap")
-        return mean_val - apply_kernel(kernel, samples, pts)
-
-    return on_points(xi, evaluate)
+    return on_points(xi, lambda pts: mean_val - apply_kernel(kernel, samples, pts))
 
 
 def invert_gradient(
@@ -236,10 +225,8 @@ def invert_gradient(
     grid = samples.grid
     if scale is None:
         scale = default_scale(grid)
-    if grid.kind == KIND_SPHERE:
-        spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
-    else:
-        spec = KernelSpec(KIND_NEUMANN_REG, cap=grid.cap, scale=scale)
+    kind = KIND_FUNDAMENTAL if grid.kind == KIND_SPHERE else KIND_NEUMANN
+    spec = KernelSpec(kind, cap=grid.cap, scale=scale)
     curl = mode == "curl"
     return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
 

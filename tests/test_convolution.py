@@ -18,7 +18,7 @@ from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import (
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
-    KIND_NEUMANN_REG,
+    KIND_NEUMANN,
     KernelSpec,
     kernel_grad_dot,
     kernel_value_matrix,
@@ -80,11 +80,13 @@ def _cases():
         kinds = [KernelSpec(KIND_FUNDAMENTAL, scale=SCALE)]
         if name == "cap":
             kinds += [
-                KernelSpec(KIND_NEUMANN_REG, cap=CAP, scale=SCALE),
+                KernelSpec(KIND_NEUMANN, cap=CAP, scale=SCALE),
                 KernelSpec(KIND_DIRICHLET, cap=CAP, scale=SCALE),
             ]
         for spec in kinds:
-            tag = f"{name}-{spec.kind}"
+            # with its scale set, the Neumann cap kernel is the regularized one
+            regularized = "-regularized" if spec.kind == KIND_NEUMANN else ""
+            tag = f"{name}-{spec.kind}{regularized}"
             cases.append((f"{tag}-value", name, _value(spec), _scalar, False))
             cases.append((f"{tag}-grad", name, _grad(spec, False), _vector, False))
             cases.append((f"{tag}-curl", name, _grad(spec, True), _vector, False))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, fd_tangent_derivative, tangent_basis
+from sphaerica import cli
 from sphaerica.geometry import (
     SphericalCap,
     boundary_frame,
@@ -13,7 +14,6 @@ from sphaerica.kernels import (
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
     KIND_NEUMANN,
-    KIND_NEUMANN_REG,
     KernelSpec,
     SingularityError,
     dirichlet_green,
@@ -222,7 +222,7 @@ def test_kernel_matrix_against_scalar_paths(rng):
         (KernelSpec(KIND_DIRICHLET, CAP), lambda a, b: dirichlet_green(CAP, a, b)),
         (KernelSpec(KIND_NEUMANN, CAP), lambda a, b: neumann_green(CAP, a, b)),
         (
-            KernelSpec(KIND_NEUMANN_REG, CAP, scale=12),
+            KernelSpec(KIND_NEUMANN, CAP, scale=12),
             lambda a, b: neumann_green_regularized(CAP, a, b, 12),
         ),
     ):
@@ -265,7 +265,7 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(KIND_DIRICHLET)
     with pytest.raises(ValueError):
-        KernelSpec(KIND_NEUMANN_REG, CAP)
+        neumann_green_regularized(CAP, cap_point(CAP, 0.3, 0.4), CAP.center, None)
 
 
 def test_scalar_derivatives_are_kernel_grad_dot_rows(rng):
@@ -278,7 +278,7 @@ def test_scalar_derivatives_are_kernel_grad_dot_rows(rng):
         ),
         (KernelSpec(KIND_NEUMANN, CAP), lambda a, b, m: neumann_green(CAP, a, b, m)),
         (
-            KernelSpec(KIND_NEUMANN_REG, CAP, scale=6),
+            KernelSpec(KIND_NEUMANN, CAP, scale=6),
             lambda a, b, m: neumann_green_regularized(CAP, a, b, 6, m),
         ),
     )
@@ -317,3 +317,19 @@ def test_scalar_modes_validate_arguments():
     ):
         with pytest.raises(SingularityError):
             call()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN, "poisson", "helmholtz", "hardy-hodge"],
+)
+def test_negative_scale_is_rejected(case, tmp_path):
+    # J >= 0 for every kernel kind; the CLI reports a negative --J as a
+    # validation error and writes nothing
+    if case in cli.COMMANDS:
+        argv = [case, "--nt", "16", "--nphi", "32", "--J", "-1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert not list(tmp_path.iterdir())
+    else:
+        with pytest.raises(ValueError, match="scale J"):
+            KernelSpec(case, CAP, scale=-1)

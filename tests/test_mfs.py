@@ -65,7 +65,7 @@ def test_modified_basis_is_harmonic():
 
 def test_normal_derivative_mode():
     grid = build_boundary_grid(CAP, 32)
-    system = FundamentalSystem(sources_on_circle(CAP, 8, 0.3), "gk-normal")
+    system = FundamentalSystem(sources_on_circle(CAP, 8, 0.3), "gk")
     value = basis_eval(
         system, 2, grid.nodes[5], mode="normal-derivative", normal=grid.normals[5]
     )
@@ -197,7 +197,7 @@ def _column_loop(system, pts, mode="value", nu=None):
 
 @pytest.mark.parametrize(
     "variant, mode",
-    [("gk", "value"), ("gk-normal", "value"), ("gk-normal", "normal-derivative"),
+    [("gk", "value"), ("gk", "normal-derivative"),
      ("gk-mod", "value"), ("gk-mod", "normal-derivative")],
 )
 def test_basis_block_matches_column_loop_and_basis_eval(variant, mode, rng):

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import coefficients_from_entries, sh_eval
-from sphaerica.layers import DensitySamples
+from sphaerica.layers import DensitySamples, solve_idp, solve_inp
+from sphaerica.mfs import FundamentalSystem, mfs_fit, sources_on_circle
 from sphaerica.quadrature import (
     FieldSamples,
     boundary_data,
@@ -15,7 +16,7 @@ from sphaerica.quadrature import (
     mean_value,
     sample,
 )
-from sphaerica.solvers import SolveReport
+from sphaerica.solvers import SolveReport, dirichlet_solve_cap
 
 CAP = SphericalCap(unit_vector([0.3, -0.1, 0.9]), 0.7)
 
@@ -179,6 +180,14 @@ def test_containers_reject_non_finite_values(container, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "shape", [(), (len(_AREA), 2), (len(_AREA), 3, 1)], ids=["0-d", "two-columns", "3-d"]
+)
+def test_field_samples_take_one_scalar_or_3_vector_per_node(shape):
+    with pytest.raises(ValueError, match="shape"):
+        FieldSamples(_AREA, np.ones(shape))
+
+
 def test_boundary_data_inputs_and_rejections():
     grid = build_boundary_grid(CAP, 16)
     values = grid.nodes[:, 0]
@@ -195,3 +204,18 @@ def test_boundary_data_inputs_and_rejections():
         boundary_data(grid, lambda p: p)
     with pytest.raises(ValueError, match="finite"):
         boundary_data(grid, lambda p: np.full(len(p), np.inf))
+
+
+@pytest.mark.parametrize("consumer", ["dirichlet_solve_cap", "solve_idp", "solve_inp", "mfs_fit"])
+def test_vector_boundary_samples_are_rejected(consumer):
+    grid = build_boundary_grid(CAP, 16)
+    vector = FieldSamples(grid, grid.nodes)
+    system = FundamentalSystem(sources_on_circle(CAP, 8), "gk")
+    calls = {
+        "dirichlet_solve_cap": lambda: dirichlet_solve_cap(CAP, vector, CAP.center),
+        "solve_idp": lambda: solve_idp(grid, vector),
+        "solve_inp": lambda: solve_inp(grid, vector),
+        "mfs_fit": lambda: mfs_fit(system, grid, vector),
+    }
+    with pytest.raises(ValueError, match="boundary data shape"):
+        calls[consumer]()

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
+from sphaerica.apps import vd_reconstruct
+from sphaerica.decomposition import decompose_cap_at
 from sphaerica.geometry import SphericalCap, boundary_nodes, unit_vector
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
@@ -395,3 +397,39 @@ class TestGreenFormulas:
             )
             rep = mean_term + volume + double - single
             assert rep == pytest.approx(sh_eval(c, xi), abs=1e-4)
+
+
+@pytest.mark.parametrize("call", ["invert_gradient", "decompose_cap_at", "vd_reconstruct"])
+def test_cap_kernels_reject_points_outside_the_cap(call):
+    polar = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5)
+    grid = build_cap_grid(polar, 8, 16)
+    field = FieldSamples(grid, np.cross(grid.nodes, polar.center), tangential=True)
+    probe = np.array([[np.sqrt(0.75), 0.0, -0.5]])  # t = -0.5, outside the cap
+    calls = {
+        "invert_gradient": lambda: invert_gradient(field, "grad", 6, probe),
+        "decompose_cap_at": lambda: decompose_cap_at(field, probe, m=32),
+        "vd_reconstruct": lambda: vd_reconstruct(field, 6, 0.0, probe),
+    }
+    with pytest.raises(ValueError, match="inside the cap"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("differs", ["radius", "center"])
+@pytest.mark.parametrize("solver", ["dirichlet", "neumann"])
+def test_cap_solvers_reject_samples_of_another_cap(solver, differs):
+    def solve(cap):
+        grid = build_boundary_grid(cap, 64)
+        data = FieldSamples(grid, np.cos(grid.phis))
+        xi = cap_point(CAP, 0.3, 1.0)
+        if solver == "dirichlet":
+            return dirichlet_solve_cap(CAP, data, xi)
+        return neumann_solve_cap(CAP, data, 0.0, xi)
+
+    # an equal cap built separately is the solver's cap
+    solve(SphericalCap(CAP.center.copy(), CAP.radius))
+    if differs == "radius":
+        other = SphericalCap(CAP.center, 0.8)
+    else:
+        other = SphericalCap(unit_vector([0.0, 0.2, 1.0]), CAP.radius)
+    with pytest.raises(ValueError, match="cap boundary"):
+        solve(other)
