@@ -6,6 +6,12 @@ lon_deg,lat_deg,vx,vy,vz. Values are written with 17 significant digits
 newline-delimited. A leading comment line carries the grid construction
 parameters so a load can rebuild the exact grid; files without it load as
 bare samples.
+
+A save formats the whole table with one %-format ("%.17g" per cell, the
+same text as format(x, ".17g")). A load checks that every non-blank row has
+the schema's comma count, then parses all cells with one join, one split
+and one float conversion; a table with a bad row is parsed again row by row,
+which names that row in the CsvFormatError.
 """
 
 from __future__ import annotations
@@ -98,19 +104,52 @@ def save_field_csv(path, samples: FieldSamples) -> None:
     """Write samples in grid index order; lossless and reproducible."""
     grid = samples.grid
     lon, lat = _lonlat_of(grid.nodes)
-    vector = samples.values.ndim == 2
     meta = _grid_metadata(grid)
     meta_line = "# grid " + " ".join(f"{k}={format_value(v)}" for k, v in meta.items())
-    lines = [meta_line, _VECTOR_HEADER if vector else _SCALAR_HEADER]
-    for i in range(len(grid)):
-        cells = [_format(lon[i]), _format(lat[i])]
-        if vector:
-            cells.extend(_format(v) for v in samples.values[i])
-        else:
-            cells.append(_format(samples.values[i]))
-        lines.append(",".join(cells))
+    header = _VECTOR_HEADER if samples.values.ndim == 2 else _SCALAR_HEADER
+    table = np.column_stack([lon, lat, samples.values])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{meta_line}\n{header}\n{body}")
+
+
+def _parse_rows(lines: list[str], width: int) -> np.ndarray:
+    """Parse the lines after the header (row 2 on) one by one, naming the
+    first bad row."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise CsvFormatError(f"row {lineno}: expected {width} columns")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise CsvFormatError(f"row {lineno}: {exc}") from None
+        if not all(np.isfinite(rows[-1])):
+            raise CsvFormatError(f"row {lineno}: non-finite value")
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def _parse_table(lines: list[str], width: int) -> np.ndarray:
+    """Parse the data lines (blank ones skipped) into an (n, width) array.
+
+    Once every row has width - 1 commas (so that a short row and a long row
+    cannot make up for each other), all cells go through one join, one split
+    and one float conversion. A table with a bad row, or with no rows, goes
+    through _parse_rows instead.
+    """
+    body = [line for line in lines if line.strip()]
+    if all(line.count(",") == width - 1 for line in body):
+        try:
+            data = np.array(list(map(float, ",".join(body).split(","))))
+        except ValueError:
+            return _parse_rows(lines, width)
+        if np.all(np.isfinite(data)):
+            return data.reshape(len(body), width)
+    return _parse_rows(lines, width)
 
 
 def load_field_csv(path) -> LoadedField:
@@ -135,28 +174,14 @@ def load_field_csv(path) -> LoadedField:
         width, vector = 5, True
     else:
         raise CsvFormatError(f"unrecognized header {header!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise CsvFormatError(f"row {lineno}: expected {width} columns")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise CsvFormatError(f"row {lineno}: {exc}") from None
-        if not all(np.isfinite(rows[-1])):
-            raise CsvFormatError(f"row {lineno}: non-finite value")
-    data = np.array(rows, dtype=float).reshape(len(rows), width)
+    data = _parse_table(lines[1:], width)
     lons, lats = data[:, 0], data[:, 1]
-    pairs = {(lo, la) for lo, la in zip(lons, lats)}
-    if len(pairs) != len(rows):
+    if len(set(zip(lons.tolist(), lats.tolist()))) != len(data):
         raise CsvFormatError("duplicate nodes")
     values = data[:, 2:] if vector else data[:, 2]
     grid = _rebuild_grid(meta) if meta else None
     samples = None
-    if grid is not None and len(grid) == len(rows):
+    if grid is not None and len(grid) == len(data):
         glon, glat = _lonlat_of(grid.nodes)
         if np.abs(glon - lons).max() < 1e-9 and np.abs(glat - lats).max() < 1e-9:
             samples = FieldSamples(grid, values)

@@ -86,86 +86,93 @@ def synth_field(
     return ShCoefficients(n_max, c, seed=seed)
 
 
-def _trig_orders(phi: np.ndarray, l_max: int):
-    """cos(m phi), sin(m phi) for m = 0..l_max, shapes (L+1, N)."""
-    n_pts = phi.shape[0]
-    cos_m = np.empty((l_max + 1, n_pts))
-    sin_m = np.empty((l_max + 1, n_pts))
-    cos_m[0] = 1.0
-    sin_m[0] = 0.0
-    if l_max >= 1:
-        cos_m[1] = np.cos(phi)
-        sin_m[1] = np.sin(phi)
-    for m in range(2, l_max + 1):
-        cos_m[m] = cos_m[m - 1] * cos_m[1] - sin_m[m - 1] * sin_m[1]
-        sin_m[m] = sin_m[m - 1] * cos_m[1] + cos_m[m - 1] * sin_m[1]
-    return cos_m, sin_m
-
-
 def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     """Shared evaluation core; returns (values, gradients or None).
 
-    Recurses the fully normalized associated Legendre functions over n for
-    each order m and accumulates coefficient-weighted contributions. The
-    gradient path uses d/dtheta via the degree-lowering relation and the
-    m/sin(theta) azimuthal factor; it degrades within ~1e-8 of the poles.
+    Works one azimuthal order m at a time. The fully normalized associated
+    Legendre functions P_nm, n = m..L, are recurred over n into one (L+1, N)
+    buffer, divided by sin(theta) when m >= 1, and reduced by one small
+    matrix product with the order's coefficient rows: the rows as they are
+    for the values and, for the gradient, the rows times n, times the
+    degree-lowering factor e_nm (shifted down one degree) and times m.
+    cos(m phi) and sin(m phi) advance by one rotation per order, and the
+    (N, 3) gradient is built once from its theta and phi parts.
+
+    sin(theta) is hypot(x, y) and no term divides by it; the theta-derivative
+    of the m = 0 terms is -sqrt(n (n+1)) P_n1. So the gradient keeps full
+    accuracy up to the poles. At a pole the frame takes phi = 0, where the
+    m = 1 terms give the Cartesian limit of the gradient.
     """
     L = c.l_max
+    n_pts = points.shape[0]
+    x, y = points[:, 0], points[:, 1]
     z = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.sqrt(np.clip(1.0 - z * z, 1e-30, None))
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    cos_m, sin_m = _trig_orders(phi, L)
+    sin_t = np.hypot(x, y)
+    on_axis = sin_t == 0.0
+    safe = np.where(on_axis, 1.0, sin_t)
+    cos_p = np.where(on_axis, 1.0, x / safe)
+    sin_p = y / safe
 
-    values = np.zeros(points.shape[0])
-    grads = np.zeros_like(points) if want_grad else None
-    if want_grad:
-        cos_p = points[:, 0] / sin_t
-        sin_p = points[:, 1] / sin_t
-        theta_hat = np.stack([z * cos_p, z * sin_p, -sin_t], axis=1)
-        phi_hat = np.stack([-sin_p, cos_p, np.zeros_like(z)], axis=1)
-
-    inv_sqrt4pi = 0.5 / np.sqrt(np.pi)
-    pmm = np.full(points.shape[0], inv_sqrt4pi)
     sqrt2 = np.sqrt(2.0)
+    buf = np.empty((L + 1, n_pts))
+    tmp = np.empty(n_pts)
+    rest = np.zeros(n_pts)  # the m >= 1 terms over sin(theta)
+    # d/dtheta of the m >= 1 terms is z * acc[0] - acc[1] and acc[2] is the
+    # phi component of the gradient; d/dtheta of the m = 0 terms is
+    # sin(theta) * d_zonal
+    acc = np.zeros((3, n_pts))
+    d_zonal = np.zeros(n_pts)
+    cos_m, sin_m = np.ones(n_pts), np.zeros(n_pts)
+    pmm = np.full(n_pts, 0.5 / np.sqrt(np.pi))
     for m in range(L + 1):
         if m > 0:
-            pmm = pmm * sin_t * np.sqrt((2 * m + 1.0) / (2 * m))
-        p_prev = np.zeros_like(pmm)  # P(n-1, m)
-        p_curr = pmm
-        for n in range(m, L + 1):
-            cc = c.coeffs[n, n + m] if m <= n else 0.0
-            cs = c.coeffs[n, n - m] if m > 0 else 0.0
-            azim = sqrt2 if m > 0 else 1.0
-            combo = cc * cos_m[m] + cs * sin_m[m]
-            if cc != 0.0 or cs != 0.0:
-                values += azim * p_curr * combo
-                if want_grad:
-                    e = (
-                        np.sqrt((2 * n + 1.0) * (n * n - m * m) / (2 * n - 1.0))
-                        if n > m
-                        else 0.0
-                    )
-                    dp_dtheta = (n * z * p_curr - e * p_prev) / sin_t
-                    grads += (azim * dp_dtheta * combo)[:, None] * theta_hat
-                    if m > 0:
-                        dcombo = m * (cs * cos_m[m] - cc * sin_m[m])
-                        grads += (azim * p_curr / sin_t * dcombo)[:, None] * phi_hat
-            if n < L:
-                alpha = np.sqrt(
-                    (4.0 * (n + 1) ** 2 - 1.0) / ((n + 1) ** 2 - m * m)
-                )
-                beta = (
-                    np.sqrt(
-                        (2.0 * n + 3.0)
-                        * (n - m)
-                        * (n + m)
-                        / ((2.0 * n - 1.0) * ((n + 1) ** 2 - m * m))
-                    )
-                    if n > m
-                    else 0.0
-                )
-                p_next = alpha * z * p_curr - beta * p_prev
-                p_prev, p_curr = p_curr, p_next
+            pmm = (pmm * sin_t if m > 1 else pmm) * np.sqrt((2 * m + 1.0) / (2 * m))
+        p = buf[m:]
+        p[0] = pmm
+        n = np.arange(m, L + 1.0)
+        lo, hi2 = n[:-1], (n[:-1] + 1.0) ** 2 - m * m
+        alpha = np.sqrt((4.0 * (lo + 1.0) ** 2 - 1.0) / hi2)
+        beta = np.sqrt(
+            (2.0 * lo + 3.0) * (lo - m) * (lo + m) / ((2.0 * lo - 1.0) * hi2)
+        )
+        # P_{n+1} = alpha z P_n - beta P_{n-1}, in place in the buffer
+        for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist()), start=1):
+            np.multiply(z, a, out=p[i])
+            p[i] *= p[i - 1]
+            if i > 1:
+                p[i] -= np.multiply(p[i - 2], b, out=tmp)
+        rows = np.arange(m, L + 1)
+        cc = c.coeffs[rows, rows + m]
+        if m == 0:
+            zonal = cc @ p  # the m = 0 terms
+            continue
+        if m == 1 and want_grad:
+            d_zonal = (-np.sqrt(n * (n + 1.0)) * c.coeffs[rows, rows]) @ p
+        cs = c.coeffs[rows, rows - m]
+        cos_m, sin_m = cos_m * cos_p - sin_m * sin_p, sin_m * cos_p + cos_m * sin_p
+        # the values get a product of their own, so that they do not depend
+        # on want_grad
+        r = (sqrt2 * np.stack([cc, cs])) @ p
+        rest += r[0] * cos_m + r[1] * sin_m
+        if want_grad:
+            e = np.sqrt((2.0 * n + 1.0) * (n * n - m * m) / (2.0 * n - 1.0))
+            ecc, ecs = (np.append((e * v)[1:], 0.0) for v in (cc, cs))
+            w = sqrt2 * np.stack([n * cc, ecc, m * cs, n * cs, ecs, -m * cc])
+            g = w @ p
+            acc += g[:3] * cos_m + g[3:] * sin_m
+    values = zonal + sin_t * rest
+    if not want_grad:
+        return values, None
+    d_theta = z * acc[0] - acc[1] + sin_t * d_zonal
+    d_phi = acc[2]
+    grads = np.stack(
+        [
+            z * cos_p * d_theta - sin_p * d_phi,
+            z * sin_p * d_theta + cos_p * d_phi,
+            -sin_t * d_theta,
+        ],
+        axis=1,
+    )
     return values, grads
 
 

@@ -33,6 +33,8 @@ from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, unit_vector
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
 from .quadrature import (
+    KIND_BOUNDARY,
+    KIND_CAP,
     KIND_SPHERE,
     FieldSamples,
     QuadratureGrid,
@@ -119,6 +121,16 @@ def beltrami_fd(evaluator, xi, h: float = 1e-3) -> float:
     return float((vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (h * h))
 
 
+def _on_cap(grid: QuadratureGrid, cap: SphericalCap, kind: str) -> bool:
+    """Whether grid is a grid of this kind on cap (equal radius and center)."""
+    return (
+        grid.kind == kind
+        and grid.cap is not None
+        and grid.cap.radius == cap.radius
+        and np.array_equal(grid.cap.center, cap.center)
+    )
+
+
 def poisson_solve_cap(
     cap: SphericalCap,
     samples: FieldSamples,
@@ -130,8 +142,10 @@ def poisson_solve_cap(
 
     Returns the potential of the demeaned right-hand side plus the correction
     -(1/|cap|) ln(1 - xi . xi_bar) * integral(H), with xi_bar a fixed point
-    outside the closed cap.
+    outside the closed cap. samples must lie on an area grid of this cap.
     """
+    if not _on_cap(samples.grid, cap, KIND_CAP):
+        raise ValueError("samples must lie on an area grid of the solver's cap")
     xi_bar = unit_vector(np.asarray(xi_bar, dtype=float))
     if cap.contains(xi_bar) or 1.0 - float(xi_bar @ cap.center) <= cap.radius:
         raise ValueError("xi_bar must lie outside the closed cap")
@@ -146,11 +160,10 @@ def poisson_solve_cap(
 
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
     """Samples of a cap solver's data: FieldSamples on a boundary grid of this
-    cap (equal radius and center), or other boundary data on m new nodes."""
+    cap, or other boundary data on m new nodes."""
     if isinstance(boundary_values, FieldSamples):
         grid = boundary_values.grid
-        own = grid.cap is not None and grid.cap.radius == cap.radius
-        if not (own and np.array_equal(grid.cap.center, cap.center)):
+        if not _on_cap(grid, cap, KIND_BOUNDARY):
             raise ValueError("boundary samples must lie on the solver's cap boundary")
     else:
         grid = build_boundary_grid(cap, m)

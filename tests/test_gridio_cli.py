@@ -13,10 +13,47 @@ from sphaerica.cli import (
     run,
 )
 from sphaerica.geometry import SphericalCap, unit_vector
-from sphaerica.gridio import CsvFormatError, load_field_csv, save_field_csv
-from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid, sample
+from sphaerica.gridio import (
+    CsvFormatError,
+    _grid_metadata,
+    _lonlat_of,
+    format_value,
+    load_field_csv,
+    save_field_csv,
+)
+from sphaerica.quadrature import (
+    FieldSamples,
+    build_boundary_grid,
+    build_cap_grid,
+    build_sphere_grid,
+    sample,
+)
 
 CAP = SphericalCap(unit_vector([0.2, -0.3, 0.95]), 0.6)
+# -0.0, the smallest subnormal, a subnormal and a normal near the subnormal
+# range, and values near the top of the float range
+EDGE_VALUES = [-0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e300, -1e300]
+
+
+def _per_cell_csv(samples: FieldSamples) -> bytes:
+    """A field CSV written one format(x, ".17g") call per cell."""
+    lon, lat = _lonlat_of(samples.grid.nodes)
+    meta = _grid_metadata(samples.grid)
+    lines = ["# grid " + " ".join(f"{k}={format_value(v)}" for k, v in meta.items())]
+    vector = samples.values.ndim == 2
+    lines.append("lon_deg,lat_deg,vx,vy,vz" if vector else "lon_deg,lat_deg,value")
+    for i in range(len(lon)):
+        cells = [lon[i], lat[i], *np.atleast_1d(samples.values[i])]
+        lines.append(",".join(format(float(x), ".17g") for x in cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _edge_samples(grid, vector: bool) -> FieldSamples:
+    rng = np.random.default_rng(len(grid))
+    values = rng.normal(size=(len(grid), 3) if vector else len(grid))
+    flat = values.reshape(-1)
+    flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    return FieldSamples(grid, values)
 
 
 class TestCsv:
@@ -60,6 +97,60 @@ class TestCsv:
         path.write_text("lon_deg,lat_deg,value\n0,10\n")
         with pytest.raises(CsvFormatError, match="columns"):
             load_field_csv(path)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_sphere_grid(4, 8),
+            build_cap_grid(CAP, 6, 8),
+            build_boundary_grid(CAP, 16),
+        ],
+        ids=["sphere", "cap", "boundary"],
+    )
+    def test_save_matches_per_cell_format(self, tmp_path, grid, vector):
+        samples = _edge_samples(grid, vector)
+        path = tmp_path / "field.csv"
+        save_field_csv(path, samples)
+        assert path.read_bytes() == _per_cell_csv(samples)
+        loaded = load_field_csv(path)
+        assert loaded.samples is not None
+        assert np.array_equal(loaded.values, samples.values)
+        assert np.array_equal(np.signbit(loaded.values), np.signbit(samples.values))
+
+    BAD_FLOAT = "could not convert string to float"
+
+    @pytest.mark.parametrize(
+        "header,rows,message",
+        [
+            ("value", "0,10,1.0\n5,10\n", "row 3: expected 3 columns"),
+            ("vx,vy,vz", "0,10,1,2\n", "row 2: expected 5 columns"),
+            # a short row and a long row: as many commas in all as two good rows
+            ("value", "0,10\n5,10,1.0,2.0\n", "row 2: expected 3 columns"),
+            ("value", "0,10,1.0\n5,10,abc\n", f"row 3: {BAD_FLOAT}: 'abc'"),
+            ("value", "0,10,x\n5,10\n", f"row 2: {BAD_FLOAT}: 'x'"),
+            ("value", "0,10,1.0\n5,10,nan\n", "row 3: non-finite value"),
+            ("vx,vy,vz", "0,10,1,-inf,2\n", "row 2: non-finite value"),
+            ("value", "0,10,1.0\n0,10,2.0\n", "duplicate nodes"),
+            ("value", "\n0,10,1.0\n \n5,10,x\n", f"row 5: {BAD_FLOAT}: 'x'"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, header, rows, message):
+        path = tmp_path / "bad.csv"
+        meta = "# grid kind=sphere-area nt=2 nphi=4"
+        path.write_text(f"{meta}\nlon_deg,lat_deg,{header}\n{rows}")
+        with pytest.raises(CsvFormatError) as info:
+            load_field_csv(path)
+        assert str(info.value) == message
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("lon_deg,lat_deg,value\n\n0,10,1.0\n  \n5,10,2.0\n\n")
+        loaded = load_field_csv(path)
+        assert loaded.values.tolist() == [1.0, 2.0]
+        assert loaded.lats.tolist() == [10.0, 10.0]
+        path.write_text("lon_deg,lat_deg,value\n\n")
+        assert load_field_csv(path).values.shape == (0,)
 
     def test_file_without_metadata_loads_bare(self, tmp_path):
         path = tmp_path / "bare.csv"

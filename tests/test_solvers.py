@@ -131,6 +131,24 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_solve_cap(CAP, zeros, CAP.center, CAP.center)
 
+    def test_samples_of_another_cap_rejected(self):
+        # constant data on the polar rho = 0.5 cap: with that cap the value at
+        # the pole is -0.6931; a wider cap of the same center, another center
+        # or a boundary grid of the cap must not give a finite wrong number
+        pole = np.array([0.0, 0.0, 1.0])
+        cap = SphericalCap(pole, 0.5)
+        ones = sample(build_cap_grid(cap, 16, 32), lambda p: np.ones(len(p)))
+        assert poisson_solve_cap(cap, ones, -pole, pole) == pytest.approx(
+            -np.log(2.0), abs=1e-12
+        )
+        others = [SphericalCap(pole, 0.9), SphericalCap(unit_vector([0, 0.1, 1]), 0.5)]
+        for other in others:
+            with pytest.raises(ValueError, match="solver's cap"):
+                poisson_solve_cap(other, ones, -pole, pole)
+        edge = FieldSamples(build_boundary_grid(cap, 16), np.ones(16))
+        with pytest.raises(ValueError, match="solver's cap"):
+            poisson_solve_cap(cap, edge, -pole, pole)
+
     def test_fd_laplacian_matches_rhs(self, rng):
         # matched regime: FD step, regularization ball, and node spacing all
         # comparable; robust accuracy is a few percent of the data scale
