@@ -11,8 +11,8 @@ from the grid and the targets:
   longitude rule about one axis, and every kernel convolved here is
   invariant under rotation about that axis, so between two rings the kernel
   matrix is circulant in longitude. Each ring that holds a target needs its
-  first node's kernel row against all N nodes and a batch of rFFT products
-  over the source rings: O(n_t N) kernel evaluations plus
+  first node's kernel row (two for vector samples) against all N nodes and
+  rFFT products over the source rings: O(n_t N) kernel evaluations plus
   O(n_t^2 n_phi log n_phi) FFT work instead of O(P N) kernel pairs.
 - any other targets, and every target of a boundary grid, use the dense
   path: (P, N) kernel blocks, chunked so each temporary holds at most
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import kernel_grad_dot
-from .quadrature import KIND_BOUNDARY
+from .quadrature import KIND_BOUNDARY, FieldSamples
 
 _CHUNK_DOUBLES = 8_000_000
 
@@ -48,8 +48,8 @@ def apply_kernel(kernel, samples, points: np.ndarray, centers=None) -> np.ndarra
     A = K h, or A = K (h - centers_i) when centers are given (singular
     subtraction against the integrand at the evaluation points). Vector
     samples f: kernel(xi, eta, field) returns the rows (D_eta K) . field
-    (P, N) and A = (D_eta K) . f. The kernel must be invariant under
-    rotations about the grid's ring axis (grid.polar_frame[:, 2]).
+    (P, N) for a tangential D_eta and A = (D_eta K) . f. The kernel must be
+    invariant under rotations about the grid's ring axis (polar_frame[:, 2]).
     """
     idx = _node_indices(samples.grid, points)
     if idx is None:
@@ -67,10 +67,13 @@ def _node_indices(grid, points):
 
 
 def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:
-    """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j for the KernelSpec K."""
-    return -apply_kernel(
-        lambda x, eta, f: kernel_grad_dot(spec, x, eta, f, curl=curl), samples, points
-    )
+    """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j for the KernelSpec K; with curl,
+    D = eta x grad, summed as the gradient against f x eta (same product)."""
+    if curl:
+        grid = samples.grid
+        samples = FieldSamples(grid, np.cross(samples.values, grid.nodes))
+    kernel = lambda x, eta, f: kernel_grad_dot(spec, x, eta, f)
+    return -apply_kernel(kernel, samples, points)
 
 
 def _dense(kernel, samples, points, centers):
@@ -95,8 +98,9 @@ def _dense(kernel, samples, points, centers):
 
 def _ring_fields(grid, h):
     """Fields to evaluate the kernel against, and the weighted coefficient
-    of each: a vector field splits onto the local (e_t, e_phi, radial)
-    frame, which rotates with the nodes about the ring axis."""
+    of each: a vector field splits onto the local (e_t, e_phi) frame, which
+    rotates with the nodes about the ring axis. Vector kernels are tangential
+    gradients, so the radial component would only add zero rows."""
     w = grid.weights
     if h.ndim == 1:
         return [(None, w * h)]
@@ -104,7 +108,7 @@ def _ring_fields(grid, h):
     e_phi = np.cross(grid.polar_frame[:, 2], nodes)
     e_phi /= np.linalg.norm(e_phi, axis=1, keepdims=True)
     e_t = np.cross(e_phi, nodes)
-    return [(e, w * np.sum(h * e, axis=1)) for e in (e_t, e_phi, nodes)]
+    return [(e, w * np.sum(h * e, axis=1)) for e in (e_t, e_phi)]
 
 
 def _ring(kernel, samples, idx, centers):

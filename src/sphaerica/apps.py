@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SphericalCap, on_points, rotation_to_pole
-from .harmonics import ShCoefficients, sh_curl_eval, sh_eval, sh_grad_eval
+from .harmonics import ShCoefficients, _sh_accumulate
 from .kernels import (
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
@@ -98,8 +98,8 @@ def vd_forward(
     The deflection-style field is -(R/GM) grad T, tangential by
     construction.
     """
-    t_vals = sh_eval(potential, grid.nodes)
-    theta = -(constants.radius / constants.gm) * sh_grad_eval(potential, grid.nodes)
+    t_vals, grad = _sh_accumulate(potential, grid.nodes, want_grad=True)
+    theta = -(constants.radius / constants.gm) * grad
     return FieldSamples(grid, t_vals), FieldSamples(grid, theta, tangential=True)
 
 
@@ -134,9 +134,9 @@ def geo_forward(
     """
     z = grid.nodes[:, 2]
     _require_offequator(cap)
-    h_vals = sh_eval(height, grid.nodes)
+    h_vals, grad = _sh_accumulate(height, grid.nodes, want_grad=True)
     coef = constants.gravity / (2.0 * constants.radius * constants.rotation_rate)
-    v = coef * sh_curl_eval(height, grid.nodes) / z[:, None]
+    v = coef * np.cross(grid.nodes, grad) / z[:, None]
     return FieldSamples(grid, h_vals), FieldSamples(grid, v, tangential=True)
 
 

@@ -45,6 +45,7 @@ from .geometry import SphericalCap, lonlat_vector
 from .gridio import CsvFormatError, format_value, load_field_csv, save_field_csv
 from .harmonics import (
     InnerHarmonicIndex,
+    _sh_accumulate,
     inner_harmonic_eval,
     inner_harmonic_grad,
     scale_degrees,
@@ -332,11 +333,8 @@ def cmd_helmholtz(cfg: RunConfig, report: Report) -> int:
 def cmd_hardy_hodge(cfg: RunConfig, report: Report) -> int:
     grid = build_sphere_grid(cfg.nt, cfg.nphi)
     p_coeffs = synth_field(cfg.seed, 1, min(cfg.nmax, 8))
-    f = FieldSamples(
-        grid,
-        grid.nodes * sh_eval(p_coeffs, grid.nodes)[:, None]
-        + sh_grad_eval(p_coeffs, grid.nodes),
-    )
+    values, grad = _sh_accumulate(p_coeffs, grid.nodes, want_grad=True)
+    f = FieldSamples(grid, grid.nodes * values[:, None] + grad)
     hh = hardy_hodge_decompose_sphere(f, scale=cfg.scale)
     _save(cfg, "hardy_hodge_f1", hh.f1)
     _save(cfg, "hardy_hodge_f2", hh.f2)

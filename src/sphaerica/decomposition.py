@@ -53,16 +53,11 @@ _SQRT_SING_FLOOR = 1e-300
 @dataclass(frozen=True)
 class DecompositionScalars:
     """Scalars of one field split: radial, curl-free and divergence-free
-    (Helmholtz) or inner, outer and surface sources (Hardy-Hodge).
-
-    normalization records which gauge fixed the free constants (demeaned
-    scalars, boundary data used for the divergence-free part on caps).
-    """
+    (Helmholtz) or inner, outer and surface sources (Hardy-Hodge)."""
 
     f1: FieldSamples
     f2: FieldSamples
     f3: FieldSamples
-    normalization: dict
 
 
 def helmholtz_compose(
@@ -100,7 +95,6 @@ def helmholtz_decompose_sphere(
         FieldSamples(grid, f1),
         FieldSamples(grid, f2.values - mean_value(f2)),
         FieldSamples(grid, f3.values - mean_value(f3)),
-        normalization={"mean_f2": 0.0, "mean_f3": 0.0, "scale": scale},
     )
 
 
@@ -122,7 +116,6 @@ def helmholtz_decompose_cap(
     at the grid nodes; decompose_cap_at evaluates at other interior points.
     boundary_field, when given, supplies exact field values on the boundary
     for the tangential boundary term (otherwise nearest-node transfer).
-    normalization records the scale as passed (None: the grid default).
     """
     grid = samples.grid
     f1 = np.sum(samples.values * grid.nodes, axis=1)
@@ -135,10 +128,7 @@ def helmholtz_decompose_cap(
         m=m,
     )
     return DecompositionScalars(
-        FieldSamples(grid, f1),
-        FieldSamples(grid, f2),
-        FieldSamples(grid, f3),
-        normalization={"mean_f2": 0.0, "boundary_m": m, "scale": scale},
+        FieldSamples(grid, f1), FieldSamples(grid, f2), FieldSamples(grid, f3)
     )
 
 
@@ -256,31 +246,22 @@ def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.where(u < 1e-14, 0.0, k)
 
 
-def hardy_hodge_combine(f1, f2, f3, d_inv_f1, d_inv_f2):
-    """hh recombination: (F1, F2, F3) -> (half D^-1 F1 + quarter D^-1 F2
-    -+ half F2, same with +, F3)."""
-    tilde1 = 0.5 * d_inv_f1 + 0.25 * d_inv_f2 - 0.5 * f2
-    tilde2 = 0.5 * d_inv_f1 + 0.25 * d_inv_f2 + 0.5 * f2
-    return tilde1, tilde2, f3
-
-
 def hardy_hodge_decompose_sphere(
     samples: FieldSamples, scale: int | None = None
 ) -> DecompositionScalars:
-    """Global source split via the Helmholtz scalars and the convolution
-    inverse of the shifted square-root operator."""
+    """Global source split via the Helmholtz scalars (F1, F2, F3) and the
+    convolution inverse of the shifted square-root operator D.
+
+    The inner and outer scalars are D^-1 (F1/2 + F2/4) -+ F2/2; D^-1 is
+    linear, so one convolution serves both. F3 passes through.
+    """
     helm = helmholtz_decompose_sphere(samples, scale=scale)
     grid = samples.grid
-    d1 = d_inv_convolve(helm.f1, np.arange(len(grid)))
-    d2 = d_inv_convolve(helm.f2, np.arange(len(grid)))
-    t1, t2, t3 = hardy_hodge_combine(
-        helm.f1.values, helm.f2.values, helm.f3.values, d1, d2
-    )
+    f2 = helm.f2.values
+    mixed = FieldSamples(grid, 0.5 * helm.f1.values + 0.25 * f2)
+    d = d_inv_convolve(mixed, np.arange(len(grid)))
     return DecompositionScalars(
-        FieldSamples(grid, t1),
-        FieldSamples(grid, t2),
-        FieldSamples(grid, t3),
-        normalization={"mean_f3": 0.0, "mean_f1_minus_f2": 0.0},
+        FieldSamples(grid, d - 0.5 * f2), FieldSamples(grid, d + 0.5 * f2), helm.f3
     )
 
 

@@ -166,10 +166,11 @@ def _pair(spec: KernelSpec, xi, eta, mode: str):
     eta = np.asarray(eta, dtype=float)
     if mode == "value":
         return float(kernel_value_matrix(spec, xi, eta)[0, 0])
-    if mode not in ("grad", "curl"):
+    if mode == "curl":
+        return np.cross(eta, _pair(spec, xi, eta, "grad"))
+    if mode != "grad":
         raise ValueError(f"unknown mode {mode!r}")
-    rows = np.tile(eta, (3, 1))
-    return kernel_grad_dot(spec, xi, rows, np.eye(3), curl=mode == "curl")[0]
+    return kernel_grad_dot(spec, xi, np.tile(eta, (3, 1)), np.eye(3))[0]
 
 
 def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -186,23 +187,19 @@ def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np
 
 
 def kernel_grad_dot(
-    spec: KernelSpec,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    field: np.ndarray,
-    curl: bool = False,
+    spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, field: np.ndarray
 ) -> np.ndarray:
     """Rows of sum-ready (D_eta K(xi_i, eta_j)) . field_j, shape (P, N).
 
-    D is the tangential gradient, or the surface curl gradient when curl is
-    set (computed by dotting the gradient with field x eta). The log branch
-    uses the spec's regularization scale when present. The arithmetic below
-    reuses buffers; these products dominate the cost of every convolution
-    solver, so the number of (P, N) temporaries matters.
+    D is the tangential gradient; for the surface curl gradient pass the
+    rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
+    branch uses the spec's regularization scale when present. The arithmetic
+    below reuses buffers; these products dominate the cost of every
+    convolution solver, so the number of (P, N) temporaries matters.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    f = np.cross(field, eta) if curl else np.asarray(field, dtype=float)
+    f = np.asarray(field, dtype=float)
     radial = np.sum(f * eta, axis=1)
 
     def block(points: np.ndarray, scale: int | None, log_branch: bool):

@@ -82,7 +82,12 @@ class QuadratureGrid:
 
 @dataclass(frozen=True)
 class FieldSamples:
-    """Scalar or 3-vector values co-indexed with a quadrature grid."""
+    """Scalar or 3-vector values co-indexed with a quadrature grid.
+
+    tangential marks 3-vector samples whose radial part is at rounding
+    level: |f . xi| < 1e-10 max(1, sup |f|) at every node, a bound relative
+    to the field's size, so rescaling a tangential field keeps it tangential.
+    """
 
     grid: QuadratureGrid
     values: np.ndarray
@@ -100,7 +105,8 @@ class FieldSamples:
             if values.ndim != 2:
                 raise ValueError("tangential samples must be 3-vectors")
             radial = np.abs(np.sum(values * self.grid.nodes, axis=1))
-            if radial.max(initial=0.0) >= 1e-10:
+            sup = np.linalg.norm(values, axis=1).max(initial=0.0)
+            if radial.max(initial=0.0) >= 1e-10 * max(1.0, sup):
                 raise ValueError("samples marked tangential have radial part")
         values.setflags(write=False)
 

@@ -128,6 +128,23 @@ class TestGeostrophic:
         )
         assert report.diagnostics["rel_l2_error"] < 0.02
 
+    def test_large_gravity_only_rescales(self, rng):
+        # the constants rescale the flow linearly; a flow of size ~1e12
+        # stays tangential and recovers the same height
+        cap = SphericalCap(unit_vector([0.25, -0.2, 0.95]), 0.5)
+        grid = build_cap_grid(cap, 24, 48)
+        c = synth_field(8, 3, 10)
+        pts = random_interior_points(cap, rng, 20)
+        errors = []
+        for constants in (PhysicalConstants(), PhysicalConstants(gravity=1e12)):
+            h_samples, flow = geo_forward(c, cap, grid, constants)
+            report = geo_reconstruct(
+                flow, 8, mean_value(h_samples), pts, constants,
+                oracle=lambda p: sh_eval(c, p),
+            )
+            errors.append(report.diagnostics["rel_l2_error"])
+        assert errors[1] == pytest.approx(errors[0], rel=1e-12)
+
 
 class TestVortices:
     def test_vortex_set_validation(self):

@@ -65,12 +65,26 @@ def _vector(grid):
     )
 
 
+def _rotated(grid):
+    # curl sums run as gradient sums of f x eta, as grad_convolution does
+    return FieldSamples(grid, np.cross(_vector(grid).values, grid.nodes))
+
+
+def _with_radial(grid):
+    # xi P + grad P: the ring path drops the radial part, the dense path
+    # sums its (zero) rows
+    p = synth_field(6, 0, 6)
+    return FieldSamples(
+        grid, grid.nodes * sh_eval(p, grid.nodes)[:, None] + sh_grad_eval(p, grid.nodes)
+    )
+
+
 def _value(spec):
     return lambda xi, eta: kernel_value_matrix(spec, xi, eta)
 
 
-def _grad(spec, curl):
-    return lambda xi, eta, f: kernel_grad_dot(spec, xi, eta, f, curl=curl)
+def _grad(spec):
+    return lambda xi, eta, f: kernel_grad_dot(spec, xi, eta, f)
 
 
 def _cases():
@@ -88,8 +102,9 @@ def _cases():
             regularized = "-regularized" if spec.kind == KIND_NEUMANN else ""
             tag = f"{name}-{spec.kind}{regularized}"
             cases.append((f"{tag}-value", name, _value(spec), _scalar, False))
-            cases.append((f"{tag}-grad", name, _grad(spec, False), _vector, False))
-            cases.append((f"{tag}-curl", name, _grad(spec, True), _vector, False))
+            cases.append((f"{tag}-grad", name, _grad(spec), _vector, False))
+            cases.append((f"{tag}-curl", name, _grad(spec), _rotated, False))
+            cases.append((f"{tag}-grad-radial", name, _grad(spec), _with_radial, False))
         cases.append((f"{name}-fundamental-subtracted", name, _value(kinds[0]), _scalar, True))
         cases.append((f"{name}-d-inv", name, _d_inv_kernel, _scalar, True))
     return cases
@@ -188,7 +203,7 @@ def test_chunks_never_leave_a_single_row(monkeypatch):
 @pytest.mark.parametrize("name", GRIDS)
 def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     grid = GRIDS[name]
-    kernel = _grad(KernelSpec(KIND_FUNDAMENTAL, scale=SCALE), False)
+    kernel = _grad(KernelSpec(KIND_FUNDAMENTAL, scale=SCALE))
     samples = _vector(grid)
     idx = _target_sets(grid)["subset"]
     nudged = grid.nodes[idx] + 1e-9 * np.array([0.6, -0.8, 0.0])

@@ -315,6 +315,30 @@ class TestHardyHodge:
         helm = helmholtz_decompose_sphere(f, scale=10)
         assert_allclose(hh.f3.values, helm.f3.values, atol=1e-15)
 
+    def test_one_convolution_matches_two_pass_form(self):
+        # D^-1 is linear: one convolution of F1/2 + F2/4 gives the scalars
+        # of convolving F1 and F2 apart, up to rounding
+        p, s = synth_field(41, 1, 6), synth_field(42, 1, 6)
+        f = FieldSamples(
+            GRID,
+            GRID.nodes * sh_eval(p, GRID.nodes)[:, None]
+            + sh_grad_eval(p, GRID.nodes)
+            + sh_curl_eval(s, GRID.nodes),
+        )
+        hh = hardy_hodge_decompose_sphere(f, scale=10)
+        helm = helmholtz_decompose_sphere(f, scale=10)
+        idx = np.arange(len(GRID))
+        d1 = d_inv_convolve(helm.f1, idx)
+        d2 = d_inv_convolve(helm.f2, idx)
+        f2 = helm.f2.values
+        two_pass = (
+            0.5 * d1 + 0.25 * d2 - 0.5 * f2,
+            0.5 * d1 + 0.25 * d2 + 0.5 * f2,
+            helm.f3.values,
+        )
+        for got, want in zip((hh.f1, hh.f2, hh.f3), two_pass):
+            assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_spectral_composition_consistency(self, rng):
         f1 = synth_field(31, 0, 4)
         f2 = synth_field(32, 1, 4)

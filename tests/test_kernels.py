@@ -251,7 +251,8 @@ def test_kernel_grad_dot_matches_scalar_gradients():
         ),
     ):
         rows = kernel_grad_dot(spec, xi, eta, field)
-        curls = kernel_grad_dot(spec, xi, eta, field, curl=True)
+        # curl rows are the gradient rows of the rotated field f x eta
+        curls = kernel_grad_dot(spec, xi, eta, np.cross(field, eta))
         for j in range(2):
             grad = grad_fn(xi[0], eta[j])
             assert rows[0, j] == pytest.approx(float(grad @ field[j]), abs=1e-13)
@@ -287,11 +288,28 @@ def test_scalar_derivatives_are_kernel_grad_dot_rows(rng):
         eta = cap_point(CAP, 1.2 * rng.random(), rng.uniform(0, 2 * np.pi))
         rows = np.tile(eta, (3, 1))
         for spec, scalar in kernels:
-            for mode in ("grad", "curl"):
-                expected = kernel_grad_dot(
-                    spec, xi[None, :], rows, np.eye(3), curl=mode == "curl"
-                )[0]
-                assert np.array_equal(scalar(xi, eta, mode), expected)
+            grad = kernel_grad_dot(spec, xi[None, :], rows, np.eye(3))[0]
+            assert np.array_equal(scalar(xi, eta, "grad"), grad)
+            assert np.array_equal(scalar(xi, eta, "curl"), np.cross(eta, grad))
+
+
+def test_kernel_grad_dot_radial_rows_vanish(rng):
+    # the tangential gradient is orthogonal to eta, so rows against the
+    # radial field eta itself are rounding; the ring path drops them. The
+    # row scale is the largest factor min(1 / (1 - xi . eta), 2^J) / 4 pi
+    # by which the rows multiply a unit field.
+    xi = np.array([cap_point(CAP, 0.8 * rng.random(), rng.uniform(0, 2 * np.pi))
+                   for _ in range(6)])
+    eta = np.array([cap_point(CAP, rng.random(), rng.uniform(0, 2 * np.pi))
+                    for _ in range(40)])
+    row_scale = np.minimum(1.0 / (1.0 - xi @ eta.T), 2.0**10).max() / (4 * np.pi)
+    for spec in (
+        KernelSpec(KIND_FUNDAMENTAL, scale=10),
+        KernelSpec(KIND_DIRICHLET, CAP, scale=10),
+        KernelSpec(KIND_NEUMANN, CAP, scale=10),
+    ):
+        radial = kernel_grad_dot(spec, xi, eta, eta)
+        assert np.abs(radial).max() <= 1e-14 * row_scale
 
 
 def test_scalar_modes_validate_arguments():

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphaerica.geometry import SphericalCap, unit_vector
-from sphaerica.harmonics import coefficients_from_entries, sh_eval
+from sphaerica.harmonics import coefficients_from_entries, sh_eval, sh_grad_eval, synth_field
 from sphaerica.layers import DensitySamples, solve_idp, solve_inp
 from sphaerica.mfs import FundamentalSystem, mfs_fit, sources_on_circle
 from sphaerica.quadrature import (
@@ -97,6 +97,18 @@ def test_field_samples_validation():
         FieldSamples(grid, radial, tangential=True)
     tangent = np.cross(grid.nodes, np.array([0.0, 0.0, 1.0]))
     FieldSamples(grid, tangent, tangential=True)
+
+
+def test_tangential_bound_is_relative_to_the_field():
+    # a large tangential field carries a radial part of rounding size
+    # relative to its magnitude, not below an absolute 1e-10
+    grid = build_cap_grid(CAP, 16, 32)
+    big = 1e8 * sh_grad_eval(synth_field(4, 1, 10), grid.nodes)
+    assert np.abs(np.sum(big * grid.nodes, axis=1)).max() >= 1e-10
+    FieldSamples(grid, big, tangential=True)
+    sup = np.linalg.norm(big, axis=1).max()
+    with pytest.raises(ValueError, match="radial part"):
+        FieldSamples(grid, big + 1e-6 * sup * grid.nodes, tangential=True)
 
 
 def test_quadrature_convergence_smooth_integrand():
