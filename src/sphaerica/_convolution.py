@@ -87,12 +87,8 @@ def _dense(kernel, samples, points, centers):
             out[i0:i1] = np.sum(w[None, :] * rows, axis=1)
             continue
         k = kernel(points[i0:i1], grid.nodes)
-        if centers is None:
-            out[i0:i1] = np.sum(w[None, :] * k * h[None, :], axis=1)
-        else:
-            out[i0:i1] = np.sum(
-                w[None, :] * k * (h[None, :] - centers[i0:i1, None]), axis=1
-            )
+        c = 0.0 if centers is None else centers[i0:i1, None]
+        out[i0:i1] = np.sum(w[None, :] * k * (h[None, :] - c), axis=1)
     return out
 
 

@@ -69,12 +69,11 @@ class VortexSet:
             raise ValueError("vortex centers must be pairwise distinct")
 
 
-def random_vortices(
-    cap: SphericalCap, count: int, seed: int, interior_fraction: float = 0.6
-) -> VortexSet:
-    """Seeded vortex set, area-uniform inside the shrunk cap."""
+def random_vortices(cap: SphericalCap, count: int, seed: int) -> VortexSet:
+    """Seeded vortex set, area-uniform inside the concentric cap of radius
+    0.6 rho."""
     rng = np.random.default_rng(seed)
-    t = 1.0 - cap.radius * interior_fraction * rng.random(count)
+    t = 1.0 - cap.radius * 0.6 * rng.random(count)
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
     fr = rotation_to_pole(cap.center)
     sin_t = np.sqrt(1.0 - t * t)
@@ -225,24 +224,22 @@ def vortex_mfs(
     radius_offset: float = 0.005,
     ridge: float = 1e-12,
     probes: np.ndarray | None = None,
-    collocation_factor: int = 4,
 ) -> SolveReport:
     """Reconstruct the vortex stream function by boundary collocation.
 
     Boundary data (singular part of the stream function plus the harmonic
     regularization term) is fitted with the harmonic log-difference basis:
     n_sources basis elements (constant plus sources on the enlarged cap
-    boundary), least squares over collocation_factor * n_sources equidistant
-    boundary nodes. The reconstruction subtracts the fit from the data part;
-    the report compares against the closed-form stream function at the
-    probes.
+    boundary), least squares over 4 n_sources equidistant boundary nodes.
+    The reconstruction subtracts the fit from the data part; the report
+    compares against the closed-form stream function at the probes.
     """
     data = vortex_boundary_data(vortices)
     sources = sources_on_circle(cap, n_sources - 1, radius_offset)
     system = FundamentalSystem(
         sources, "gk-mod", regularization_point=vortices.regularization_point
     )
-    colloc = build_boundary_grid(cap, collocation_factor * n_sources)
+    colloc = build_boundary_grid(cap, 4 * n_sources)
     fit = mfs_fit(system, colloc, data, mode="tikhonov", ridge=ridge)
     if probes is None:
         probes = np.array([cap.center])

@@ -158,8 +158,9 @@ def decompose_cap_at(
     boundary_field, when given, evaluates the vector field on stacked
     boundary nodes exactly (used for the tau . f boundary term); otherwise
     the field is transferred from the nearest grid nodes. With demean, F2 is
-    shifted by its cap mean computed on the sample grid, which costs one
-    evaluation pass over all grid nodes; callers fixing the constant gauge
+    shifted by its cap mean computed on the sample grid, which costs one F2
+    pass over all grid nodes when points are not grid.nodes itself (F3 is
+    only ever evaluated at points); callers fixing the constant gauge
     themselves can skip it. A grid without a cap, or a boundary field that
     is not one finite vector per boundary node, raises ValueError.
     """
@@ -188,22 +189,18 @@ def decompose_cap_at(
     value_d = partial(kernel_value_matrix, spec_d)
     normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
 
-    def evaluate(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def f2_at(target: np.ndarray) -> np.ndarray:
         f2 = grad_convolution(samples, spec_n, target, curl=False)
-        f3 = grad_convolution(samples, spec_d, target, curl=True)
-        f2 = f2 + apply_kernel(tangent_n, trace, target)
-        f3 = f3 + apply_kernel(value_d, tau_f, target)
-        f3 = f3 + apply_kernel(normal_d, trace, target)
-        return f2, f3
+        return f2 + apply_kernel(tangent_n, trace, target)
 
-    f2, f3 = evaluate(pts)
-    if not demean:
-        return f2, f3
-    if pts is grid.nodes:
-        f2_nodes = f2
-    else:
-        f2_nodes, _ = evaluate(grid.nodes)
-    return f2 - mean_value(FieldSamples(grid, f2_nodes)), f3
+    f2 = f2_at(pts)
+    f3 = grad_convolution(samples, spec_d, pts, curl=True)
+    f3 = f3 + apply_kernel(value_d, tau_f, pts)
+    f3 = f3 + apply_kernel(normal_d, trace, pts)
+    if demean:
+        f2_nodes = f2 if pts is grid.nodes else f2_at(grid.nodes)
+        f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))
+    return f2, f3
 
 
 def d_apply(c: ShCoefficients, power: int) -> ShCoefficients:

@@ -39,16 +39,20 @@ from .quadrature import (
     FieldSamples,
     QuadratureGrid,
     _neumann_total,
+    _zero_integral,
     boundary_data,
 )
 
 _FUNDAMENTAL = KernelSpec(KIND_FUNDAMENTAL)
-_MEAN_FREE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DensitySamples(FieldSamples):
-    """Boundary density: FieldSamples of scalar values on a boundary grid."""
+    """Boundary density: FieldSamples of scalar values on a boundary grid.
+
+    mean_free marks densities whose integral is at rounding level:
+    |integral| <= 1e-10 max(1, sup |q|).
+    """
 
     mean_free: bool = False
 
@@ -57,9 +61,9 @@ class DensitySamples(FieldSamples):
         if self.grid.kind != KIND_BOUNDARY or self.values.ndim != 1:
             raise ValueError("densities are scalar samples on boundary grids")
         if self.mean_free:
-            total = abs(float(np.sum(self.grid.weights * self.values)))
-            if total >= _MEAN_FREE_TOL:
-                raise ValueError(f"density marked mean-free integrates to {total:.2e}")
+            _zero_integral(
+                self.grid, self.values, 1e-10, "density marked mean-free integrates to"
+            )
 
 
 def geodesic_curvature(cap: SphericalCap) -> float:

@@ -182,17 +182,26 @@ def boundary_data(grid: QuadratureGrid, data) -> np.ndarray:
     return values
 
 
-def _neumann_total(grid: QuadratureGrid, values: np.ndarray) -> float:
-    """Boundary integral of Neumann data; solvability requires it to vanish."""
+def _zero_integral(
+    grid: QuadratureGrid, values: np.ndarray, tol: float, what: str
+) -> float:
+    """Integral of samples that must vanish, to tol max(1, sup |v|): relative
+    to the data's size, so rescaled valid data stays valid."""
     total = float(np.sum(grid.weights * values))
-    if abs(total) > 1e-8:
-        raise ValueError(f"Neumann data violates solvability: integral {total:.3e}")
+    if abs(total) > tol * max(1.0, np.abs(values).max(initial=0.0)):
+        raise ValueError(f"{what} {total:.3e}")
     return total
 
 
-def sample(grid: QuadratureGrid, fn, tangential: bool = False) -> FieldSamples:
-    """Evaluate a vectorized node function into FieldSamples."""
-    return FieldSamples(grid, np.asarray(fn(grid.nodes), dtype=float), tangential)
+def _neumann_total(grid: QuadratureGrid, values: np.ndarray) -> float:
+    """Boundary integral of Neumann data; solvability requires it to vanish."""
+    message = "Neumann data violates solvability: integral"
+    return _zero_integral(grid, values, 1e-8, message)
+
+
+def sample(grid: QuadratureGrid, fn) -> FieldSamples:
+    """Evaluate a vectorized node function into (non-tangential) FieldSamples."""
+    return FieldSamples(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
 def integrate(grid: QuadratureGrid, samples: FieldSamples):

@@ -8,17 +8,8 @@ zero spherical mean on full-sphere grids: when the integrand's value at the
 evaluation point is available, the singular part is subtracted and the
 quadrature error drops by more than an order of magnitude.
 
-Both area convolutions pick their summation from the evaluation points.
-When every point is a grid node (bitwise equal to grid.nodes[idx]), ring-FFT
-summation applies: the grid is a product of rings about one axis and the
-kernels are invariant under rotation about it, so the kernel is circulant in
-longitude between two rings. That costs O(n_t N) kernel evaluations plus
-O(n_t^2 n_phi log n_phi) FFT work for n_t rings of n_phi nodes, instead of
-one kernel pair per point and node. Any other points, off-grid probes
-included, are summed densely in bounded chunks.
-
-The Dirichlet and Neumann cap solvers sum their boundary integrals through
-the same primitive; boundary grids always take its dense path.
+Every area and boundary sum here runs through _convolution.apply_kernel,
+which picks ring-FFT or dense summation from the evaluation points.
 """
 
 from __future__ import annotations
@@ -175,20 +166,19 @@ def dirichlet_solve_cap(
     boundary_values,
     xi,
     m: int = 512,
-    margin: float = 1e-6,
 ) -> float | np.ndarray:
     """Closed-form Poisson-type integral for the cap Dirichlet problem.
 
     boundary_values is either FieldSamples on a boundary grid of the cap or
     a callable on stacked boundary nodes; xi must be strictly interior
-    (1 - xi . center < radius - margin).
+    (1 - xi . center < radius - 1e-6).
     """
     samples = _cap_boundary_samples(cap, boundary_values, m)
     s = cap.boundary_sine
     kernel = lambda x, eta: 1.0 / (1.0 - x @ eta.T)
 
     def evaluate(pts):
-        if not np.all(cap.contains(pts, margin=margin)):
+        if not np.all(cap.contains(pts, margin=1e-6)):
             raise ValueError("evaluation points must be strictly interior")
         front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * s)
         return front * apply_kernel(kernel, samples, pts)
@@ -244,48 +234,36 @@ def invert_gradient(
     return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
 
 
-def mvp_residual(
-    evaluator,
-    probe_cap: SphericalCap,
-    which: str,
-    n_t: int = 24,
-    n_phi: int = 48,
-    m: int = 128,
-) -> float:
+def mvp_residual(evaluator, probe_cap: SphericalCap, which: str) -> float:
     """Residual of a mean value identity for a harmonic function.
 
     which = "I": |F(center) - area-term - weighted boundary term| with the
     interior average over the probe cap; which = "II": |F(center) - boundary
     average|. Both vanish for functions harmonic on the closed probe cap.
+    The area term uses a 24x48 cap grid, the boundary term 128 nodes.
     """
     center = probe_cap.center
     rho = probe_cap.radius
     f_center = float(np.asarray(evaluator(center[None, :]))[0])
-    bgrid = build_boundary_grid(probe_cap, m)
+    bgrid = build_boundary_grid(probe_cap, 128)
     bvals = np.asarray(evaluator(bgrid.nodes), dtype=float)
     bint = float(np.sum(bgrid.weights * bvals))
     if which == "II":
         return abs(f_center - bint / (2.0 * np.pi * probe_cap.boundary_sine))
     if which != "I":
         raise ValueError("which must be 'I' or 'II'")
-    agrid = build_cap_grid(probe_cap, n_t, n_phi)
+    agrid = build_cap_grid(probe_cap, 24, 48)
     avals = np.asarray(evaluator(agrid.nodes), dtype=float)
     aint = float(np.sum(agrid.weights * avals))
     coef = np.sqrt(2.0 - rho) / (4.0 * np.pi * np.sqrt(rho))
     return abs(f_center - aint / (4.0 * np.pi) - coef * bint)
 
 
-def max_principle_check(
-    evaluator,
-    cap: SphericalCap,
-    n_t: int = 32,
-    n_phi: int = 64,
-    m: int = 256,
-    slack: float = 1e-12,
-) -> bool:
-    """sup |F| over an interior grid <= sup |F| over the boundary + slack."""
-    agrid = build_cap_grid(cap, n_t, n_phi)
-    bgrid = build_boundary_grid(cap, m)
+def max_principle_check(evaluator, cap: SphericalCap) -> bool:
+    """sup |F| over a 32x64 interior grid <= sup |F| over 256 boundary nodes
+    + 1e-12."""
+    agrid = build_cap_grid(cap, 32, 64)
+    bgrid = build_boundary_grid(cap, 256)
     interior = np.abs(np.asarray(evaluator(agrid.nodes), dtype=float)).max()
     boundary = np.abs(np.asarray(evaluator(bgrid.nodes), dtype=float)).max()
-    return bool(interior <= boundary + slack)
+    return bool(interior <= boundary + 1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_interior_points
 from sphaerica.decomposition import (
     d_apply,
     d_inv_convolve,
@@ -21,7 +22,12 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
-from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid
+from sphaerica.quadrature import (
+    FieldSamples,
+    build_cap_grid,
+    build_sphere_grid,
+    mean_value,
+)
 
 GRID = build_sphere_grid(32, 64)  # shared across the sphere-path tests
 
@@ -185,6 +191,19 @@ class TestCapDecomposition:
             atol=1e-15,
         )
         assert abs(np.sum(grid.weights * helm.f2.values)) < 1e-10
+
+    def test_demean_at_off_grid_probes_shifts_only_f2(self, rng):
+        grid = build_cap_grid(self.CAP, 24, 48)
+        _, _, samples, boundary_field, trace = self._field(grid)
+        pts = random_interior_points(self.CAP, rng, 30)
+        opts = dict(boundary_field=boundary_field, boundary_f3=trace, scale=7, m=128)
+        f2, f3 = decompose_cap_at(samples, pts, demean=True, **opts)
+        raw2, raw3 = decompose_cap_at(samples, pts, demean=False, **opts)
+        nodes2, _ = decompose_cap_at(samples, grid.nodes, demean=False, **opts)
+        # F3 has no gauge freedom on a cap: the demean pass leaves it alone
+        assert np.array_equal(f3, raw3)
+        gauge = mean_value(FieldSamples(grid, nodes2))
+        assert np.abs(f2 - (raw2 - gauge)).max() <= 1e-15 * np.abs(f2).max()
 
     @pytest.mark.parametrize(
         "trace",

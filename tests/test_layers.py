@@ -21,8 +21,8 @@ from sphaerica.layers import (
     solve_idp,
     solve_inp,
 )
-from sphaerica.quadrature import build_boundary_grid
-from sphaerica.solvers import beltrami_fd, dirichlet_solve_cap
+from sphaerica.quadrature import FieldSamples, build_boundary_grid
+from sphaerica.solvers import beltrami_fd, dirichlet_solve_cap, neumann_solve_cap
 
 CAP = SphericalCap(unit_vector([0.0, 0.1, 1.0]), 0.5)
 
@@ -167,6 +167,45 @@ class TestNeumannEquation:
         truth = inner_harmonic_eval(idx, pts)
         deviation = (recovered - truth) - np.mean(recovered - truth)
         assert np.abs(deviation).max() < 1e-6
+
+
+class TestZeroIntegralBound:
+    """Solvability and mean-free checks bound the integral relative to the
+    data's size: tol max(1, sup |v|)."""
+
+    POLAR = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9)
+
+    def _data(self):
+        # normal derivative of inner harmonic (1, 1): its integral is at
+        # rounding level (about -4e-16)
+        grid = build_boundary_grid(self.POLAR, 512)
+        idx = InnerHarmonicIndex(self.POLAR, 1, 1)
+        data = np.sum(grid.normals * inner_harmonic_grad(idx, grid.nodes), axis=1)
+        return grid, data
+
+    @pytest.mark.parametrize("factor", [1e6, 1e9, 1e12])
+    def test_scaled_data_accepted(self, factor):
+        grid, data = self._data()
+        xi = cap_point(self.POLAR, 0.4, 0.7)
+        base = solve_inp(grid, data)(xi)
+        scaled = solve_inp(grid, factor * data)
+        assert abs(scaled(xi) / factor - base) <= 1e-12 * abs(base)
+        solve = lambda v: neumann_solve_cap(self.POLAR, FieldSamples(grid, v), 0.0, xi)
+        base = solve(data)
+        assert abs(solve(factor * data) / factor - base) <= 1e-12 * abs(base)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e9])
+    def test_offset_data_rejected(self, factor):
+        grid, data = self._data()
+        shifted = factor * (data + 1e-6 * np.abs(data).max())
+        with pytest.raises(ValueError, match="violates solvability"):
+            solve_inp(grid, shifted)
+        with pytest.raises(ValueError, match="violates solvability"):
+            neumann_solve_cap(
+                self.POLAR, FieldSamples(grid, shifted), 0.0, self.POLAR.center
+            )
+        with pytest.raises(ValueError, match="mean-free"):
+            DensitySamples(grid, shifted, mean_free=True)
 
 
 def test_boundary_log_quadrature_eigenvalues():
