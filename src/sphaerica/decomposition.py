@@ -155,6 +155,8 @@ def decompose_cap_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F2, F3) of the cap decomposition at interior evaluation points.
 
+    boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
+    FieldSamples on the m boundary nodes of the cap (build_boundary_grid).
     boundary_field, when given, evaluates the vector field on stacked
     boundary nodes exactly (used for the tau . f boundary term); otherwise
     the field is transferred from the nearest grid nodes. With demean, F2 is

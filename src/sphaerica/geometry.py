@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 _ANTIPODE_TOL = 1e-14
@@ -109,7 +107,7 @@ def rotation_to_pole(zeta) -> np.ndarray:
     The first column is normalize(E3 x zeta) x zeta, which fixes the
     in-plane orientation reproducibly; the construction stays numerically
     orthonormal arbitrarily close to the poles, and snaps to the identity
-    (north) or the rotation by pi about E1 (south) only when the cross
+    (north) or the rotation by pi about the x axis (south) only when the cross
     product is too short to normalize. It satisfies rotation_to_pole(-zeta)
     = rotation_to_pole(zeta) @ diag(1, -1, -1), so charts of antipodal caps
     stay mirror-aligned.

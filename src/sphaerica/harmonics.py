@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _ANTIPODE_TOL,
     AntipodeError,
     SphericalCap,
     on_points,
@@ -23,7 +24,6 @@ from .geometry import (
 )
 
 MAX_DEGREE = 128
-_ANTIPODE_TOL = 1e-14
 
 
 @dataclass(frozen=True)

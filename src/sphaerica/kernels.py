@@ -202,31 +202,27 @@ def kernel_grad_dot(
     f = np.asarray(field, dtype=float)
     radial = np.sum(f * eta, axis=1)
 
-    def block(points: np.ndarray, scale: int | None, log_branch: bool):
-        # ((points_i . f_j) - t_ij (eta_j . f_j)) / (1 - t_ij), with the
-        # factor capped at 2^scale on the regularized log branch
+    def block(points: np.ndarray, scale: int | None):
+        # ((points_i . f_j) - t_ij (eta_j . f_j)) / (1 - t_ij); with a scale
+        # 1 - t is floored at 2^-scale, which caps the factor at 2^scale
         t = points @ eta.T
         rows = points @ f.T
         rows -= t * radial[None, :]
         np.subtract(1.0, t, out=t)
-        if log_branch:
-            np.maximum(t, 1e-300, out=t)
+        if scale is not None:
+            np.maximum(t, 2.0**-scale, out=t)
         elif np.any(t < _SING_TOL):
             raise SingularityError("kernel gradient at its singularity")
         np.reciprocal(t, out=t)
-        if log_branch and scale is not None:
-            np.minimum(t, 2.0**scale, out=t)
-        elif log_branch and np.any(t > 1.0 / _SING_TOL):
-            raise SingularityError("kernel gradient at its singularity")
         rows *= t
         return rows
 
-    out = block(xi, spec.scale, log_branch=True)
+    out = block(xi, spec.scale)
     out *= -1.0 / FOUR_PI
     if spec.kind == KIND_FUNDAMENTAL:
         return out
     check, _ = _reflect_many(spec.cap, xi)
-    refl = block(check, None, log_branch=False)
+    refl = block(check, None)
     sign = 1.0 if spec.kind == KIND_DIRICHLET else -1.0
     refl *= sign / FOUR_PI
     out += refl

@@ -161,18 +161,24 @@ def build_boundary_grid(cap: SphericalCap, m: int) -> QuadratureGrid:
     )
 
 
+def _on_grid(samples: FieldSamples, grid: QuadratureGrid) -> bool:
+    """Whether samples belong to grid: their nodes are the grid's nodes. A
+    grid built the same way counts, as its weights and frames follow."""
+    return np.array_equal(samples.grid.nodes, grid.nodes)
+
+
 def boundary_data(grid: QuadratureGrid, data) -> np.ndarray:
     """Values of boundary data at the nodes of a boundary grid.
 
-    data is FieldSamples on that grid, a callable on the stacked nodes, or
-    an array with one value per node. Each form must give one finite scalar
-    per node.
+    data is FieldSamples on that grid (its nodes are the grid's nodes), a
+    callable on the stacked nodes, or an array with one value per node. Each
+    form must give one finite scalar per node.
     """
     if grid.kind != KIND_BOUNDARY:
         raise ValueError("boundary data needs a boundary grid")
     if isinstance(data, FieldSamples):
-        if data.grid is not grid:
-            raise ValueError("boundary data must live on the collocation grid")
+        if not _on_grid(data, grid):
+            raise ValueError("samples must lie on the collocation grid (cap boundary)")
         data = data.values
     values = np.asarray(data(grid.nodes) if callable(data) else data, dtype=float)
     if values.shape != (len(grid),):
@@ -206,12 +212,7 @@ def sample(grid: QuadratureGrid, fn) -> FieldSamples:
 
 def integrate(grid: QuadratureGrid, samples: FieldSamples):
     """Weighted sum over the grid in fixed index order (pairwise reduction)."""
-    other = samples.grid
-    if other is not grid and not (
-        other.kind == grid.kind
-        and other.shape == grid.shape
-        and np.array_equal(other.nodes, grid.nodes)
-    ):
+    if not _on_grid(samples, grid):
         raise ValueError("samples do not belong to this grid")
     v = samples.values
     if v.ndim == 1:

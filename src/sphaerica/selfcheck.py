@@ -28,7 +28,6 @@ from .harmonics import (
 from .kernels import fundamental, fundamental_deriv, neumann_green
 from .layers import DensitySamples, double_layer, solve_idp, solve_inp
 from .quadrature import (
-    FieldSamples,
     build_boundary_grid,
     build_cap_grid,
     build_sphere_grid,

@@ -24,12 +24,12 @@ from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, unit_vector
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
 from .quadrature import (
-    KIND_BOUNDARY,
     KIND_CAP,
     KIND_SPHERE,
     FieldSamples,
     QuadratureGrid,
     _neumann_total,
+    _on_grid,
     boundary_data,
     build_boundary_grid,
     build_cap_grid,
@@ -112,16 +112,6 @@ def beltrami_fd(evaluator, xi, h: float = 1e-3) -> float:
     return float((vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (h * h))
 
 
-def _on_cap(grid: QuadratureGrid, cap: SphericalCap, kind: str) -> bool:
-    """Whether grid is a grid of this kind on cap (equal radius and center)."""
-    return (
-        grid.kind == kind
-        and grid.cap is not None
-        and grid.cap.radius == cap.radius
-        and np.array_equal(grid.cap.center, cap.center)
-    )
-
-
 def poisson_solve_cap(
     cap: SphericalCap,
     samples: FieldSamples,
@@ -135,14 +125,15 @@ def poisson_solve_cap(
     -(1/|cap|) ln(1 - xi . xi_bar) * integral(H), with xi_bar a fixed point
     outside the closed cap. samples must lie on an area grid of this cap.
     """
-    if not _on_cap(samples.grid, cap, KIND_CAP):
+    grid = samples.grid
+    if grid.kind != KIND_CAP or not _on_grid(samples, build_cap_grid(cap, *grid.shape)):
         raise ValueError("samples must lie on an area grid of the solver's cap")
     xi_bar = unit_vector(np.asarray(xi_bar, dtype=float))
     if cap.contains(xi_bar) or 1.0 - float(xi_bar @ cap.center) <= cap.radius:
         raise ValueError("xi_bar must lie outside the closed cap")
     area = 2.0 * np.pi * cap.radius
-    total = integrate(samples.grid, samples)
-    demeaned = FieldSamples(samples.grid, samples.values - total / area)
+    total = integrate(grid, samples)
+    demeaned = FieldSamples(grid, samples.values - total / area)
     base = surface_potential(demeaned, xi, scale=scale)
     xi = np.asarray(xi, dtype=float)
     t_bar = xi @ xi_bar
@@ -150,14 +141,11 @@ def poisson_solve_cap(
 
 
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
-    """Samples of a cap solver's data: FieldSamples on a boundary grid of this
-    cap, or other boundary data on m new nodes."""
+    """Samples of a cap solver's data on a boundary grid of this cap, with as
+    many nodes as FieldSamples data (whose nodes must be its own) or m."""
     if isinstance(boundary_values, FieldSamples):
-        grid = boundary_values.grid
-        if not _on_cap(grid, cap, KIND_BOUNDARY):
-            raise ValueError("boundary samples must lie on the solver's cap boundary")
-    else:
-        grid = build_boundary_grid(cap, m)
+        m = len(boundary_values.grid)
+    grid = build_boundary_grid(cap, m)
     return FieldSamples(grid, boundary_data(grid, boundary_values))
 
 

@@ -24,6 +24,7 @@ from sphaerica.harmonics import (
 )
 from sphaerica.quadrature import (
     FieldSamples,
+    build_boundary_grid,
     build_cap_grid,
     build_sphere_grid,
     mean_value,
@@ -243,6 +244,20 @@ class TestCapDecomposition:
                 samples, scale=6, m=64, boundary_field=boundary_field
             )
 
+    def test_boundary_trace_as_field_samples(self):
+        # FieldSamples on the split's own boundary nodes act as the array form
+        grid = build_cap_grid(self.CAP, 12, 24)
+        _, _, samples, _, trace = self._field(grid)
+        bgrid = build_boundary_grid(self.CAP, 64)
+        values = trace(bgrid.nodes)
+        pts = grid.nodes[:5]
+        as_array = decompose_cap_at(samples, pts, boundary_f3=values, scale=6, m=64)
+        as_samples = decompose_cap_at(
+            samples, pts, boundary_f3=FieldSamples(bgrid, values), scale=6, m=64
+        )
+        for got, want in zip(as_samples, as_array):
+            assert np.array_equal(got, want)
+
     def test_grid_without_cap_raises(self):
         grid = build_sphere_grid(8, 16)
         samples = FieldSamples(grid, np.cross(grid.nodes, [0.0, 0.0, 1.0]))
@@ -278,6 +293,18 @@ class TestHalfShiftOperator:
         values = d_inv_convolve(samples, idx)
         truth = sh_eval(c, grid.nodes[idx]) / (n + 0.5)
         assert np.abs(values - truth).max() < 1e-3
+
+    def test_spectral_action_rejects_other_powers(self):
+        with pytest.raises(ValueError, match="power must be"):
+            d_apply(coefficients_from_entries(1, {(1, 2): 1.0}), 2)
+
+    def test_sphere_paths_reject_cap_grids(self):
+        grid = build_cap_grid(TestCapDecomposition.CAP, 8, 16)
+        field = FieldSamples(grid, np.cross(grid.nodes, [0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="needs a sphere grid"):
+            helmholtz_decompose_sphere(field)
+        with pytest.raises(ValueError, match="needs a sphere grid"):
+            d_inv_convolve(FieldSamples(grid, np.ones(len(grid))), 0)
 
     def test_convolution_requires_node_alignment(self):
         ones = FieldSamples(GRID, np.ones(len(GRID)))

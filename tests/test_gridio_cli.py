@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sphaerica import cli
+from sphaerica.apps import vd_forward
 from sphaerica.cli import (
     COMMANDS,
     RunConfig,
@@ -21,6 +23,9 @@ from sphaerica.gridio import (
     load_field_csv,
     save_field_csv,
 )
+from sphaerica.harmonics import synth_field
+from sphaerica.layers import solve_idp, solve_inp
+from sphaerica.mfs import FundamentalSystem, mfs_fit, sources_on_circle
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -28,6 +33,7 @@ from sphaerica.quadrature import (
     build_sphere_grid,
     sample,
 )
+from sphaerica.solvers import dirichlet_solve_cap, neumann_solve_cap
 
 CAP = SphericalCap(unit_vector([0.2, -0.3, 0.95]), 0.6)
 # -0.0, the smallest subnormal, a subnormal and a normal near the subnormal
@@ -159,6 +165,34 @@ class TestCsv:
         assert loaded.samples is None
         assert loaded.values.tolist() == [1.0, 2.0]
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# grid kind=sphere-area nt=2 nphi=4\n")
+        with pytest.raises(CsvFormatError, match="empty file"):
+            load_field_csv(path)
+
+    @pytest.mark.parametrize(
+        "consumer", ["solve_idp", "solve_inp", "mfs_fit", "dirichlet", "neumann"]
+    )
+    def test_loaded_boundary_samples_match_the_originals(self, tmp_path, consumer):
+        # the loaded samples sit on a grid rebuilt from the metadata line, not
+        # on the original object; its nodes are the same, so it is accepted
+        grid = build_boundary_grid(CAP, 64)
+        original = FieldSamples(grid, np.cos(2.0 * grid.phis))
+        save_field_csv(tmp_path / "trace.csv", original)
+        loaded = load_field_csv(tmp_path / "trace.csv").samples
+        assert loaded.grid is not grid
+        system = FundamentalSystem(sources_on_circle(CAP, 16), "gk")
+        probes = build_cap_grid(SphericalCap(CAP.center, 0.5 * CAP.radius), 4, 8).nodes
+        solve = {
+            "solve_idp": lambda data: solve_idp(grid, data).density.values,
+            "solve_inp": lambda data: solve_inp(grid, data).density.values,
+            "mfs_fit": lambda data: mfs_fit(system, grid, data).coefficients,
+            "dirichlet": lambda data: dirichlet_solve_cap(CAP, data, probes),
+            "neumann": lambda data: neumann_solve_cap(CAP, data, 0.0, probes),
+        }[consumer]
+        assert np.array_equal(solve(loaded), solve(original))
+
 
 class TestConfig:
     def test_config_file_parsing(self, tmp_path):
@@ -222,6 +256,53 @@ class TestRuns:
 
     def test_unknown_command_exit_two(self, tmp_path):
         assert run(RunConfig("nonsense", out_dir=str(tmp_path))) == 2
+
+    def test_missing_config_file_exit_two(self, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        assert main(["dirichlet", "--config", str(missing), "--out", str(tmp_path)]) == 2
+
+    def test_numerical_failure_exit_three_without_report(self, tmp_path, monkeypatch):
+        def fail(cfg, report):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setitem(cli._DISPATCH, "dirichlet", fail)
+        assert run(RunConfig("dirichlet", out_dir=str(tmp_path))) == 3
+        assert not (tmp_path / "dirichlet_report.txt").exists()
+
+    VD_SIZES = ["--nt", "16", "--nphi", "32", "--J", "8"]
+
+    def _theta_csv(self, tmp_path):
+        """theta of vertical-deflections at VD_SIZES, written as the CLI reads it."""
+        cfg = config_from_args(["vertical-deflections", *self.VD_SIZES])
+        cap = cfg.cap()
+        coeffs = synth_field(cfg.seed, cfg.nmin, cfg.nmax)
+        _, theta = vd_forward(coeffs, cap, build_cap_grid(cap, cfg.nt, cfg.nphi))
+        path = tmp_path / "theta.csv"
+        save_field_csv(path, theta)
+        return path
+
+    def test_vertical_deflections_from_input_file(self, tmp_path):
+        theta = self._theta_csv(tmp_path)
+        direct, loaded = tmp_path / "direct", tmp_path / "loaded"
+        argv = ["vertical-deflections", *self.VD_SIZES]
+        assert main([*argv, "--out", str(direct)]) == 0
+        assert main([*argv, "--in", str(theta), "--out", str(loaded)]) == 0
+        name = "vertical_deflections_tj.csv"
+        assert (loaded / name).read_bytes() == (direct / name).read_bytes()
+
+    def test_input_file_without_grid_line_exit_two(self, tmp_path):
+        theta = self._theta_csv(tmp_path)
+        theta.write_text(theta.read_text().split("\n", 1)[1])
+        argv = ["vertical-deflections", *self.VD_SIZES, "--in", str(theta)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+
+    def test_hardy_hodge_split_matches_the_synthetic_potential(self, tmp_path):
+        # the field is xi P + grad P, so tilde F2 - tilde F1 = F2 = P - mean P
+        argv = ["hardy-hodge", "--nt", "32", "--nphi", "64", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = (tmp_path / "hardy_hodge_report.txt").read_text().splitlines()
+        report = dict(line.split(" = ", 1) for line in lines)
+        assert float(report["f2_sup_error"]) < 1e-2
 
     def test_dirichlet_run_writes_grid_and_report(self, tmp_path):
         cfg = RunConfig("dirichlet", nt=16, nphi=32, m=128, out_dir=str(tmp_path))

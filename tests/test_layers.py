@@ -11,6 +11,7 @@ from sphaerica.harmonics import (
 )
 from sphaerica.layers import (
     DensitySamples,
+    _log_quadrature_weights,
     double_layer,
     geodesic_curvature,
     idp_residual,
@@ -114,6 +115,20 @@ class TestJumpRelations:
         with pytest.raises(ValueError):
             jump_probe(density, 0, [0.25, 0.125, 1e-4], "double", "value")
 
+    @pytest.mark.parametrize(
+        "taus,potential,quantity,message",
+        [
+            ([0.25, 0.125], "double", "value", "at least three displacements"),
+            ([0.5, 0.25, 0.125], "triple", "value", "potential must be"),
+            ([0.5, 0.25, 0.125], "double", "flux", "quantity must be"),
+        ],
+    )
+    def test_probe_rejects_bad_requests(self, taus, potential, quantity, message):
+        # 1024 nodes put the resolution floor below the smallest tau
+        density = DensitySamples(build_boundary_grid(CAP, 1024), np.ones(1024))
+        with pytest.raises(ValueError, match=message):
+            jump_probe(density, 0, taus, potential, quantity)
+
 
 class TestDirichletEquation:
     def test_constant_data_gives_constant_potential(self, rng):
@@ -206,6 +221,11 @@ class TestZeroIntegralBound:
             )
         with pytest.raises(ValueError, match="mean-free"):
             DensitySamples(grid, shifted, mean_free=True)
+
+
+def test_log_quadrature_needs_an_even_node_count():
+    with pytest.raises(ValueError, match="even node count"):
+        _log_quadrature_weights(15)
 
 
 def test_boundary_log_quadrature_eigenvalues():

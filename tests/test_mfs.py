@@ -148,6 +148,26 @@ def test_interpolation_rejects_singular_and_mismatched_systems():
         mfs_fit(system, small, np.zeros(16))  # fewer points than basis elements
 
 
+@pytest.mark.parametrize(
+    "variant,message",
+    [
+        ("gk-bogus", "unknown basis variant"),
+        ("gk-mod", "needs a regularization point"),
+        ("inner-harmonic", "needs a cap"),
+    ],
+)
+def test_system_rejects_incomplete_variants(variant, message):
+    with pytest.raises(ValueError, match=message):
+        FundamentalSystem(sources_on_circle(CAP, 8), variant)
+
+
+def test_fit_rejects_unknown_mode():
+    system = FundamentalSystem(sources_on_circle(CAP, 8), "gk")
+    grid = build_boundary_grid(CAP, 32)
+    with pytest.raises(ValueError, match="mode must be"):
+        mfs_fit(system, grid, lambda p: p[:, 0], mode="lsq")
+
+
 def test_zero_coefficients_evaluate_to_zero():
     system = FundamentalSystem(
         sources_on_circle(CAP, 7, 0.1), "gk-mod", regularization_point=-CAP.center

@@ -180,6 +180,9 @@ _CONTAINERS = {
         _AREA.nodes, _spoil(np.ones(len(_AREA)), bad), {}
     ),
     "report-vector": lambda bad: SolveReport(_AREA.nodes, _spoil(_AREA.nodes, bad), {}),
+    "report-diagnostic": lambda bad: SolveReport(
+        _AREA.nodes, np.ones(len(_AREA)), {"residual": 0.5 * bad}
+    ),
 }
 
 
@@ -206,10 +209,15 @@ def test_boundary_data_inputs_and_rejections():
     assert np.array_equal(boundary_data(grid, lambda p: p[:, 0]), values)
     assert np.array_equal(boundary_data(grid, values), values)
     assert np.array_equal(boundary_data(grid, FieldSamples(grid, values)), values)
+    # samples belong to a grid whose nodes are theirs: one built the same way
+    equal = FieldSamples(build_boundary_grid(CAP, 16), values)
+    assert np.array_equal(boundary_data(grid, equal), values)
     with pytest.raises(ValueError, match="boundary grid"):
         boundary_data(build_cap_grid(CAP, 4, 8), values)
-    with pytest.raises(ValueError, match="collocation grid"):
-        boundary_data(grid, FieldSamples(build_boundary_grid(CAP, 16), values))
+    other_cap = SphericalCap(CAP.center, 0.5 * CAP.radius)
+    for other in (build_boundary_grid(CAP, 32), build_boundary_grid(other_cap, 16)):
+        with pytest.raises(ValueError, match="collocation grid"):
+            boundary_data(grid, FieldSamples(other, other.nodes[:, 0]))
     with pytest.raises(ValueError, match="shape"):
         boundary_data(grid, values[:-1])
     with pytest.raises(ValueError, match="shape"):

@@ -297,6 +297,14 @@ class TestInvertGradient:
         fine = build_cap_grid(CAP, 120, 240)
         assert default_scale(fine) == default_scale(coarse) + 2
 
+    def test_rejects_unknown_mode_and_boundary_scale(self):
+        grid = build_cap_grid(CAP, 8, 16)
+        zeros = FieldSamples(grid, np.zeros((len(grid), 3)), tangential=True)
+        with pytest.raises(ValueError, match="mode must be"):
+            invert_gradient(zeros, "div", 8, CAP.center)
+        with pytest.raises(ValueError, match="needs an area grid"):
+            default_scale(build_boundary_grid(CAP, 16))
+
 
 class TestMeanValueAndMaximum:
     def test_constants_satisfy_both_properties(self):
