@@ -6,14 +6,15 @@ integrals (layer potentials, the cap solvers' representation integrals and
 the boundary terms of the cap split) on boundary grids. The backend follows
 from the grid and the targets:
 
-- targets that are grid nodes (bitwise equal to grid.nodes[idx]) use
-  ring-FFT summation. Area grids are products of Gauss rings and a uniform
-  longitude rule about one axis, and every kernel convolved here is
-  invariant under rotation about that axis, so between two rings the kernel
-  matrix is circulant in longitude. Each ring that holds a target needs its
-  first node's kernel row (two for vector samples) against all N nodes and
-  rFFT products over the source rings: O(n_t N) kernel evaluations plus
-  O(n_t^2 n_phi log n_phi) FFT work instead of O(P N) kernel pairs.
+- targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule
+  of QuadratureGrid.node_indices) use ring-FFT summation. Area grids are
+  products of Gauss rings and a uniform longitude rule about one axis, and
+  every kernel convolved here is invariant under rotation about that axis,
+  so between two rings the kernel matrix is circulant in longitude. Each
+  ring that holds a target needs its first node's kernel row (two for
+  vector samples) against all N nodes and rFFT products over the source
+  rings: O(n_t N) kernel evaluations plus O(n_t^2 n_phi log n_phi) FFT work
+  instead of O(P N) kernel pairs.
 - any other targets, and every target of a boundary grid, use the dense
   path: (P, N) kernel blocks, chunked so each temporary holds at most
   _CHUNK_DOUBLES values.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import kernel_grad_dot
-from .quadrature import KIND_BOUNDARY, FieldSamples
+from .quadrature import FieldSamples
 
 _CHUNK_DOUBLES = 8_000_000
 
@@ -51,19 +52,10 @@ def apply_kernel(kernel, samples, points: np.ndarray, centers=None) -> np.ndarra
     (P, N) for a tangential D_eta and A = (D_eta K) . f. The kernel must be
     invariant under rotations about the grid's ring axis (polar_frame[:, 2]).
     """
-    idx = _node_indices(samples.grid, points)
+    idx = samples.grid.node_indices(points)
     if idx is None:
         return _dense(kernel, samples, points, centers)
     return _ring(kernel, samples, idx, centers)
-
-
-def _node_indices(grid, points):
-    """Grid indices of the points if every one is bitwise a node, else None."""
-    if len(points) and grid.kind != KIND_BOUNDARY:
-        idx = grid.node_lookup(points)
-        if np.array_equal(grid.nodes[idx], points):
-            return idx
-    return None
 
 
 def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:

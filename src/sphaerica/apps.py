@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, on_points, rotation_to_pole
+from .geometry import SphericalCap, circle_points, on_points, rotation_to_pole
 from .harmonics import ShCoefficients, _sh_accumulate
 from .kernels import (
     KIND_DIRICHLET,
@@ -75,13 +75,7 @@ def random_vortices(cap: SphericalCap, count: int, seed: int) -> VortexSet:
     rng = np.random.default_rng(seed)
     t = 1.0 - cap.radius * 0.6 * rng.random(count)
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    fr = rotation_to_pole(cap.center)
-    sin_t = np.sqrt(1.0 - t * t)
-    centers = (
-        t[:, None] * cap.center
-        + sin_t[:, None]
-        * (np.cos(phi)[:, None] * fr[:, 0] + np.sin(phi)[:, None] * fr[:, 1])
-    )
+    centers = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phi)
     strengths = rng.uniform(-1.0, 1.0, count)
     return VortexSet(centers, strengths, -cap.center)
 

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from ._convolution import apply_kernel, grad_convolution
+from ._convolution import _ring, apply_kernel, grad_convolution
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
@@ -40,7 +40,6 @@ from .quadrature import (
     KIND_BOUNDARY,
     KIND_SPHERE,
     FieldSamples,
-    QuadratureGrid,
     boundary_data,
     build_boundary_grid,
     mean_value,
@@ -115,7 +114,7 @@ def helmholtz_decompose_cap(
     two boundary terms. F2 is demeaned over the cap. Scalars are returned
     at the grid nodes; decompose_cap_at evaluates at other interior points.
     boundary_field, when given, supplies exact field values on the boundary
-    for the tangential boundary term (otherwise nearest-node transfer).
+    for the tangential boundary term (else grid.node_lookup's nearest node).
     """
     grid = samples.grid
     f1 = np.sum(samples.values * grid.nodes, axis=1)
@@ -130,18 +129,6 @@ def helmholtz_decompose_cap(
     return DecompositionScalars(
         FieldSamples(grid, f1), FieldSamples(grid, f2), FieldSamples(grid, f3)
     )
-
-
-def samples_on_boundary(samples: FieldSamples, bgrid: QuadratureGrid) -> np.ndarray:
-    """Nearest-node transfer of a sampled field onto boundary nodes.
-
-    The boundary terms of the cap decomposition need tau . f on the curve;
-    sampled fields carry no off-node evaluator, so the transfer uses the
-    value at the nearest grid node. Callers with an analytic field should
-    prefer decompose_cap_at and pass exact boundary values.
-    """
-    idx = np.argmax(samples.grid.nodes @ bgrid.nodes.T, axis=0)
-    return samples.values[idx]
 
 
 def decompose_cap_at(
@@ -159,12 +146,12 @@ def decompose_cap_at(
     FieldSamples on the m boundary nodes of the cap (build_boundary_grid).
     boundary_field, when given, evaluates the vector field on stacked
     boundary nodes exactly (used for the tau . f boundary term); otherwise
-    the field is transferred from the nearest grid nodes. With demean, F2 is
-    shifted by its cap mean computed on the sample grid, which costs one F2
-    pass over all grid nodes when points are not grid.nodes itself (F3 is
-    only ever evaluated at points); callers fixing the constant gauge
-    themselves can skip it. A grid without a cap, or a boundary field that
-    is not one finite vector per boundary node, raises ValueError.
+    each boundary node takes its nearest grid node's sample (node_lookup).
+    With demean, F2 is shifted by its cap mean on the sample grid, at the
+    cost of one F2 pass over all grid nodes unless points equal grid.nodes
+    (F3 is only ever evaluated at points); callers fixing the constant
+    gauge themselves can skip it. A grid without a cap, or a boundary field
+    that is not one finite vector per boundary node, raises ValueError.
     """
     grid = samples.grid
     cap = grid.cap
@@ -177,7 +164,7 @@ def decompose_cap_at(
         bgrid, np.zeros(m) if boundary_f3 is None else boundary_data(bgrid, boundary_f3)
     )
     if boundary_field is None:
-        f_bnd = samples_on_boundary(samples, bgrid)
+        f_bnd = samples.values[grid.node_lookup(bgrid.nodes)]
     else:
         f_bnd = np.asarray(boundary_field(bgrid.nodes), dtype=float)
         if f_bnd.shape != (m, 3) or not np.all(np.isfinite(f_bnd)):
@@ -200,7 +187,7 @@ def decompose_cap_at(
     f3 = f3 + apply_kernel(value_d, tau_f, pts)
     f3 = f3 + apply_kernel(normal_d, trace, pts)
     if demean:
-        f2_nodes = f2 if pts is grid.nodes else f2_at(grid.nodes)
+        f2_nodes = f2 if np.array_equal(pts, grid.nodes) else f2_at(grid.nodes)
         f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))
     return f2, f3
 
@@ -218,22 +205,26 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     Kernel 1/(2 pi sqrt(2 (1 - xi . eta))); the singularity is subtracted
     against the analytic kernel integral, which equals 2:
     integral k (F - F(xi)) + 2 F(xi). xi must be grid nodes (their values
-    feed the subtraction); pass indices or points matching grid nodes.
+    feed the subtraction): indices, or points bitwise equal to nodes
+    (grid.node_indices), with the same bits; other points raise ValueError.
     """
     grid = samples.grid
     if grid.kind != KIND_SPHERE:
         raise ValueError("the convolution path needs a sphere grid")
 
+    def at_nodes(idx):
+        centers = samples.values[idx]
+        return _ring(_d_inv_kernel, samples, idx, centers) + 2.0 * centers
+
     def evaluate(pts):
-        match = grid.node_lookup(pts)
-        if np.any(np.sum(pts * grid.nodes[match], axis=1) < 1.0 - 1e-12):
+        idx = grid.node_indices(pts)
+        if idx is None:
             raise ValueError("evaluation points must coincide with grid nodes")
-        centers = samples.values[match]
-        return apply_kernel(_d_inv_kernel, samples, pts, centers) + 2.0 * centers
+        return at_nodes(idx)
 
     xi = np.asarray(xi)
     if xi.dtype.kind in "iu":
-        out = evaluate(grid.nodes[np.atleast_1d(xi)])
+        out = at_nodes(np.atleast_1d(xi))
         return float(out[0]) if xi.ndim == 0 else out
     return on_points(xi, evaluate)
 

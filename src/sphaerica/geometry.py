@@ -2,9 +2,9 @@
 
 Points are plain numpy unit vectors of shape (3,) (or stacked (N, 3) arrays).
 This module supplies spherical caps, the deterministic rotation that carries
-the north pole onto a cap center, stereographic projection, parameterized
-boundary frames of cap boundaries, and the Kelvin-type reflection of an
-interior point across a cap boundary.
+the north pole onto a cap center, the circles of a cap in that frame,
+stereographic projection, parameterized frames of cap boundaries, and the
+Kelvin-type reflection of an interior point across a cap boundary.
 """
 
 from __future__ import annotations
@@ -165,24 +165,32 @@ class BoundaryPoint:
     phi: float
 
 
+def circle_points(frame: np.ndarray, t, sin_t, phis) -> np.ndarray:
+    """Points t zeta + sin_t (cos phi a1 + sin phi a2), for (a1, a2, zeta)
+    the columns of frame and t, sin_t, phis broadcast together (a last axis
+    of 3 is added). Every circle of a cap (area rings, boundary nodes, MFS
+    sources, vortex centres) is built here in rotation_to_pole(cap.center).
+    """
+    t, sin_t, phis = (np.asarray(a, dtype=float)[..., None] for a in (t, sin_t, phis))
+    a1, a2, zeta = frame.T
+    return t * zeta + sin_t * (np.cos(phis) * a1 + np.sin(phis) * a2)
+
+
 def boundary_nodes(
     cap: SphericalCap, phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized boundary frames: (positions, tangents, normals), each (m, 3).
 
     eta(phi) = (1 - rho) zeta + s (cos phi a1 + sin phi a2) with
-    s = sqrt(rho (2 - rho)); nu = ((1 - rho) eta - zeta) / s; tau = eta x nu.
+    s = sqrt(rho (2 - rho)); nu = ((1 - rho) eta - zeta) / s; tau = eta x nu,
+    in the area grids' frame (a1, a2, zeta) = rotation_to_pole(cap.center).
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     rho = cap.radius
     s = cap.boundary_sine
-    t = rotation_to_pole(cap.center)
-    a1, a2 = t[:, 0], t[:, 1]
-    pos = (
-        (1.0 - rho) * cap.center
-        + s * (np.cos(phis)[:, None] * a1 + np.sin(phis)[:, None] * a2)
-    )
-    nor = ((1.0 - rho) * pos - cap.center) / s
+    frame = rotation_to_pole(cap.center)
+    pos = circle_points(frame, 1.0 - rho, s, phis)
+    nor = ((1.0 - rho) * pos - frame[:, 2]) / s
     tan = np.cross(pos, nor)
     return pos, tan, nor
 

@@ -16,6 +16,7 @@ which names that row in the CsvFormatError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,19 +83,25 @@ def _grid_metadata(grid: QuadratureGrid) -> dict:
     return meta
 
 
-def _rebuild_grid(meta: dict) -> QuadratureGrid | None:
+def _rebuild_grid(meta: dict, rows: int) -> QuadratureGrid | None:
+    """The grid the metadata names, or None. Its size is checked against the
+    row count first, so a wrong line allocates nothing."""
     kind = meta.get("kind")
+    keys = ("m",) if kind == KIND_BOUNDARY else ("nt", "nphi")
     try:
+        sizes = [int(meta[k]) for k in keys]
+        if math.prod(sizes) != rows:
+            return None
         if kind == KIND_SPHERE:
-            return build_sphere_grid(int(meta["nt"]), int(meta["nphi"]))
+            return build_sphere_grid(*sizes)
         center = np.array(
             [float(meta["cx"]), float(meta["cy"]), float(meta["cz"])]
         )
         cap = SphericalCap(center, float(meta["rho"]))
         if kind == KIND_CAP:
-            return build_cap_grid(cap, int(meta["nt"]), int(meta["nphi"]))
+            return build_cap_grid(cap, *sizes)
         if kind == KIND_BOUNDARY:
-            return build_boundary_grid(cap, int(meta["m"]))
+            return build_boundary_grid(cap, *sizes)
     except (KeyError, ValueError):
         return None
     return None
@@ -179,9 +186,9 @@ def load_field_csv(path) -> LoadedField:
     if len(set(zip(lons.tolist(), lats.tolist()))) != len(data):
         raise CsvFormatError("duplicate nodes")
     values = data[:, 2:] if vector else data[:, 2]
-    grid = _rebuild_grid(meta) if meta else None
+    grid = _rebuild_grid(meta, len(data)) if meta else None
     samples = None
-    if grid is not None and len(grid) == len(data):
+    if grid is not None:
         glon, glat = _lonlat_of(grid.nodes)
         if np.abs(glon - lons).max() < 1e-9 and np.abs(glat - lats).max() < 1e-9:
             samples = FieldSamples(grid, values)

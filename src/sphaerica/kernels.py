@@ -5,7 +5,7 @@ Green functions with Dirichlet or Neumann boundary behavior (built from the
 cap reflection), and closed-form tangential derivatives of all of them.
 
 A KernelSpec names one of three kinds (fundamental, Dirichlet cap, Neumann
-cap) and an optional scale J >= 0 for every kind: with a scale, the
+cap) and an optional scale 0 <= J <= 53 for every kind: with a scale, the
 singular log branch continues linearly inside 1 - xi . eta < 2^-J. The cap
 kernels reject xi outside their cap with ValueError (the reflection is only
 defined inside it).
@@ -52,8 +52,10 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind != KIND_FUNDAMENTAL and self.cap is None:
             raise ValueError("cap kernels require a cap")
-        if self.scale is not None and self.scale < 0:
-            raise ValueError(f"scale J must be >= 0, got {self.scale}")
+        # 2^-53 is the least positive 1 - t for doubles t: a finer scale only
+        # regularizes coincident points, and from J = 1075 on 2^-J is 0
+        if self.scale is not None and not 0 <= self.scale <= 53:
+            raise ValueError(f"scale J must lie in [0, 53], got {self.scale}")
 
 
 def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, boundary_nodes, rotation_to_pole
+from .geometry import E3, SphericalCap, boundary_nodes, circle_points, rotation_to_pole
 
 KIND_CAP = "cap-area"
 KIND_SPHERE = "sphere-area"
@@ -56,16 +56,17 @@ class QuadratureGrid:
 
     @property
     def polar_frame(self) -> np.ndarray:
-        """Columns (a1, a2, zeta) of the product rule: zeta is the ring axis
-        and longitude 0 lies along a1."""
-        return _polar_frame(self.cap)
+        """Columns (a1, a2, zeta) = rotation_to_pole(cap center, or E3) of the
+        product rule: zeta is the ring axis and longitude 0 lies along a1."""
+        return rotation_to_pole(E3 if self.cap is None else self.cap.center)
 
     def node_lookup(self, points: np.ndarray) -> np.ndarray:
         """Index of the area-grid node nearest in ring and longitude, per point.
 
-        O(P): the ring comes from t = xi . zeta, the longitude index from
-        rounding phi n_phi / 2 pi. Points on or within ~1e-6 of a node get
-        that node; callers confirm a match against grid.nodes[index].
+        The nearest-node rule: O(P), the ring comes from t = xi . zeta, the
+        longitude index from rounding phi n_phi / 2 pi. Every point gets a
+        node, including points off the grid and boundary nodes of the cap
+        (the outermost ring); node_indices keeps only exact matches.
         """
         if self.kind == KIND_BOUNDARY:
             raise ValueError("node lookup needs an area grid")
@@ -78,6 +79,15 @@ class QuadratureGrid:
         phi = np.arctan2(points @ a2, points @ a1)
         lon = np.rint(phi * (n_phi / (2.0 * np.pi))).astype(int) % n_phi
         return ring * n_phi + lon
+
+    def node_indices(self, points: np.ndarray) -> np.ndarray | None:
+        """The exact-node rule: node_lookup of the points if every point is
+        bitwise equal to its node, else None (also for boundary grids and
+        for no points)."""
+        if len(points) == 0 or self.kind == KIND_BOUNDARY:
+            return None
+        idx = self.node_lookup(points)
+        return idx if np.array_equal(self.nodes[idx], points) else None
 
 
 @dataclass(frozen=True)
@@ -111,23 +121,16 @@ class FieldSamples:
         values.setflags(write=False)
 
 
-def _polar_frame(cap: SphericalCap | None) -> np.ndarray:
-    return np.eye(3) if cap is None else rotation_to_pole(cap.center)
-
-
-def _polar_product_grid(cap: SphericalCap | None, t_lo: float, n_t: int, n_phi: int):
-    """Nodes/weights of the Gauss-Legendre x uniform product rule on [t_lo, 1]."""
+def _polar_product_grid(zeta: np.ndarray, t_lo: float, n_t: int, n_phi: int):
+    """Nodes/weights of the Gauss-Legendre x uniform product rule, t in [t_lo, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_t)
     half = 0.5 * (1.0 - t_lo)
     t = t_lo + half * (x + 1.0)
     wt = w * half
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
-    frame = _polar_frame(cap)
-    a1, a2, zeta = frame[:, 0], frame[:, 1], frame[:, 2]
     sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    circ = np.cos(phis)[None, :, None] * a1 + np.sin(phis)[None, :, None] * a2
-    nodes = t[:, None, None] * zeta + sin_t[:, None, None] * circ
+    nodes = circle_points(rotation_to_pole(zeta), t[:, None], sin_t[:, None], phis)
     weights = np.broadcast_to((wt * wphi)[:, None], (n_t, n_phi))
     return nodes.reshape(-1, 3), np.ascontiguousarray(weights).reshape(-1)
 
@@ -136,7 +139,7 @@ def build_cap_grid(cap: SphericalCap, n_t: int, n_phi: int) -> QuadratureGrid:
     """Product rule over a cap; total weight is the cap area 2 pi rho."""
     if n_t < 2 or n_phi < 4:
         raise ValueError("cap grid needs n_t >= 2 and n_phi >= 4")
-    nodes, weights = _polar_product_grid(cap, 1.0 - cap.radius, n_t, n_phi)
+    nodes, weights = _polar_product_grid(cap.center, 1.0 - cap.radius, n_t, n_phi)
     return QuadratureGrid(KIND_CAP, nodes, weights, (n_t, n_phi), cap=cap)
 
 
@@ -145,7 +148,7 @@ def build_sphere_grid(n_t: int, n_phi: int) -> QuadratureGrid:
     degree <= min(2 n_t - 1, n_phi - 1)."""
     if n_t < 2 or n_phi < 4:
         raise ValueError("sphere grid needs n_t >= 2 and n_phi >= 4")
-    nodes, weights = _polar_product_grid(None, -1.0, n_t, n_phi)
+    nodes, weights = _polar_product_grid(E3, -1.0, n_t, n_phi)
     return QuadratureGrid(KIND_SPHERE, nodes, weights, (n_t, n_phi))
 
 

@@ -13,6 +13,7 @@ from .geometry import (
     SphericalCap,
     boundary_nodes,
     cap_metrics,
+    circle_points,
     reflect,
     rotation_to_pole,
     unit_vector,
@@ -59,11 +60,8 @@ def _check_reflection(rng):
         pos, _, _ = boundary_nodes(cap, phis)
         for _ in range(5):
             t = 1.0 - rho * rng.random()
-            fr = rotation_to_pole(cap.center)
             ang = rng.uniform(0.0, 2.0 * np.pi)
-            xi = t * cap.center + np.sqrt(1 - t * t) * (
-                np.cos(ang) * fr[:, 0] + np.sin(ang) * fr[:, 1]
-            )
+            xi = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1 - t * t), ang)
             ref = reflect(cap, xi)
             res = np.abs((1.0 - pos @ xi) - ref.scale * (1.0 - pos @ ref.point))
             worst = max(worst, float(res.max()))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -206,6 +208,25 @@ class TestCapDecomposition:
         gauge = mean_value(FieldSamples(grid, nodes2))
         assert np.abs(f2 - (raw2 - gauge)).max() <= 1e-15 * np.abs(f2).max()
 
+    def test_nearest_node_transfer_is_light(self, rng):
+        # without boundary_field, each boundary node takes its nearest grid
+        # node's sample (node_lookup): no (N, m) block of dot products, and
+        # the split matches the exact-field one
+        grid = build_cap_grid(self.CAP, 96, 192)
+        _, _, samples, boundary_field, _ = self._field(grid)
+        pts = random_interior_points(self.CAP, rng, 10)
+        opts = dict(scale=12, m=512, demean=False)
+        tracemalloc.start()
+        try:
+            got = decompose_cap_at(samples, pts, **opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        want = decompose_cap_at(samples, pts, boundary_field=boundary_field, **opts)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max()
+
     @pytest.mark.parametrize(
         "trace",
         [
@@ -315,15 +336,18 @@ class TestHalfShiftOperator:
         samples = FieldSamples(GRID, sh_eval(synth_field(3, 0, 4), GRID.nodes))
         idx = np.arange(5, len(GRID), 97)
         shift = np.array([0.6, -0.8, 0.0])
-        # within 1e-12 of a node in xi . eta: accepted, centered on that node
+        # node points give the bits of their indices
+        assert np.array_equal(
+            d_inv_convolve(samples, GRID.nodes[idx]), d_inv_convolve(samples, idx)
+        )
+        # a point off its node is rejected, however close (1 - xi . eta
+        # is below 1e-12 at this offset)
         near = unit_vector(GRID.nodes[idx] + 1e-8 * shift)
         assert np.all(np.sum(near * GRID.nodes[idx], axis=1) >= 1.0 - 1e-12)
-        assert_allclose(
-            d_inv_convolve(samples, near), d_inv_convolve(samples, idx), atol=1e-8
-        )
-        # beyond it: rejected
-        with pytest.raises(ValueError):
-            d_inv_convolve(samples, unit_vector(GRID.nodes[idx] + 1e-5 * shift))
+        far = unit_vector(GRID.nodes[idx] + 1e-5 * shift)
+        for pts in (near, far):
+            with pytest.raises(ValueError, match="coincide with grid nodes"):
+                d_inv_convolve(samples, pts)
 
 
 class TestHardyHodge:

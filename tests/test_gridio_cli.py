@@ -296,6 +296,19 @@ class TestRuns:
         argv = ["vertical-deflections", *self.VD_SIZES, "--in", str(theta)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
 
+    def test_input_file_with_oversized_grid_line_exit_two(self, tmp_path, capsys):
+        # 3 rows under a grid line naming 10^14 nodes: the sizes are checked
+        # against the rows before any grid is built
+        theta = self._theta_csv(tmp_path)
+        meta, header, *rows = theta.read_text().splitlines()
+        huge = meta.replace(" nt=16 nphi=32 ", " nt=10000000 nphi=10000000 ")
+        assert huge != meta
+        theta.write_text("\n".join([huge, header, *rows[:3]]) + "\n")
+        assert load_field_csv(theta).samples is None
+        argv = ["vertical-deflections", *self.VD_SIZES, "--in", str(theta)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "metadata missing or inconsistent" in capsys.readouterr().err
+
     def test_hardy_hodge_split_matches_the_synthetic_potential(self, tmp_path):
         # the field is xi P + grad P, so tilde F2 - tilde F1 = F2 = P - mean P
         argv = ["hardy-hodge", "--nt", "32", "--nphi", "64", "--out", str(tmp_path)]

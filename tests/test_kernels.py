@@ -337,17 +337,25 @@ def test_scalar_modes_validate_arguments():
             call()
 
 
+SCALE_CASES = [KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN, "poisson", "helmholtz", "hardy-hodge"]
+
+
 @pytest.mark.parametrize(
-    "case",
-    [KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN, "poisson", "helmholtz", "hardy-hodge"],
+    "case, J",
+    [
+        pytest.param(case, J, id=case if J == -1 else f"{case}-J{J}")
+        for J in (-1, 54, 1100)
+        for case in SCALE_CASES
+    ],
 )
-def test_negative_scale_is_rejected(case, tmp_path):
-    # J >= 0 for every kernel kind; the CLI reports a negative --J as a
-    # validation error and writes nothing
+def test_negative_scale_is_rejected(case, J, tmp_path, capsys):
+    # 0 <= J <= 53 for every kernel kind (2^-1100 underflows to 0); the CLI
+    # reports any other --J as a validation error and writes nothing
     if case in cli.COMMANDS:
-        argv = [case, "--nt", "16", "--nphi", "32", "--J", "-1", "--out", str(tmp_path)]
+        argv = [case, "--nt", "16", "--nphi", "32", "--J", str(J), "--out", str(tmp_path)]
         assert cli.main(argv) == 2
+        assert "scale J" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
     else:
         with pytest.raises(ValueError, match="scale J"):
-            KernelSpec(case, CAP, scale=-1)
+            KernelSpec(case, CAP, scale=J)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphaerica.geometry import SphericalCap, unit_vector
+from sphaerica.geometry import SphericalCap, lonlat_vector, unit_vector
 from sphaerica.harmonics import coefficients_from_entries, sh_eval, sh_grad_eval, synth_field
 from sphaerica.layers import DensitySamples, solve_idp, solve_inp
 from sphaerica.mfs import FundamentalSystem, mfs_fit, sources_on_circle
@@ -156,6 +156,23 @@ def test_node_lookup_finds_every_node():
         assert np.array_equal(grid.node_lookup(nudged), idx)
     with pytest.raises(ValueError):
         build_boundary_grid(CAP, 16).node_lookup(CAP.center[None, :])
+
+
+def test_cap_circles_share_the_area_grids_axis():
+    # the CLI's default cap: rotation_to_pole snaps its center
+    # (6.1e-17, 0, 1) to E3, the axis of its area grids; the boundary nodes
+    # and the MFS sources are circles about that axis, bit for bit
+    cap = SphericalCap(lonlat_vector(0.0, 90.0), 0.9)
+    assert cap.center[0] != 0.0
+    assert np.array_equal(build_cap_grid(cap, 16, 32).polar_frame, np.eye(3))
+    for rho, pts in (
+        (cap.radius, build_boundary_grid(cap, 512).nodes),
+        (cap.radius + 0.005, sources_on_circle(cap, 64)),
+    ):
+        phis = 2.0 * np.pi * np.arange(len(pts)) / len(pts)
+        circle = np.sqrt(rho * (2.0 - rho)) * np.column_stack([np.cos(phis), np.sin(phis)])
+        assert np.all(pts[:, 2] == 1.0 - rho)
+        assert np.array_equal(pts[:, :2], circle)
 
 
 def _spoil(values, bad):
