@@ -155,8 +155,15 @@ def _interior_grid(cfg: RunConfig):
     return cap, build_cap_grid(inner, max(cfg.nt // 2, 8), max(cfg.nphi // 2, 16))
 
 
+def _out_path(cfg: RunConfig, filename: str) -> str:
+    """Path of one output file. The directory is made with the first file, so
+    a run that fails validation before it writes leaves no directory behind."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, filename)
+
+
 def _save(cfg: RunConfig, name: str, samples: FieldSamples) -> None:
-    save_field_csv(os.path.join(cfg.out_dir, f"{name}.csv"), samples)
+    save_field_csv(_out_path(cfg, f"{name}.csv"), samples)
 
 
 def _report_errors(report: Report, stats: dict) -> None:
@@ -451,8 +458,9 @@ def run(cfg: RunConfig) -> int:
         if field_.name not in ("command", "out_dir"):
             report.add(f"config.{field_.name}", getattr(cfg, field_.name))
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         status = _DISPATCH[cfg.command](cfg, report)
+        name = cfg.command.replace("-", "_")
+        report.write(_out_path(cfg, f"{name}_report.txt"))
     # LinAlgError is a ValueError, so the numerical failures come first
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -460,8 +468,6 @@ def run(cfg: RunConfig) -> int:
     except (ValueError, CsvFormatError, NotImplementedError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    name = cfg.command.replace("-", "_")
-    report.write(os.path.join(cfg.out_dir, f"{name}_report.txt"))
     return status
 
 

@@ -67,11 +67,17 @@ def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
         if np.any(u < _SING_TOL):
             raise SingularityError("kernel evaluated at its singularity")
         return np.log(u) / FOUR_PI + _G_CONST
+    # the log branch of max(u, 2^-J) at every pair, in place; the linear
+    # branch only at the few pairs inside 2^-J, which it overwrites
     delta = 2.0 ** (-scale)
-    with np.errstate(divide="ignore"):
-        log_branch = np.log(np.maximum(u, 1e-300)) / FOUR_PI
-    lin_branch = (u / delta - scale * np.log(2.0) - 1.0) / FOUR_PI
-    return np.where(u >= delta, log_branch, lin_branch) + _G_CONST
+    near = np.nonzero(u < delta)
+    u_near = u[near]
+    np.maximum(u, delta, out=u)
+    np.log(u, out=u)
+    u /= FOUR_PI
+    u += _G_CONST
+    u[near] = (u_near / delta - scale * np.log(2.0) - 1.0) / FOUR_PI + _G_CONST
+    return u
 
 
 def _cap_terms_value(
@@ -195,42 +201,41 @@ def kernel_grad_dot(
 
     D is the tangential gradient; for the surface curl gradient pass the
     rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
-    branch uses the spec's regularization scale when present. The arithmetic
-    below reuses buffers; these products dominate the cost of every
-    convolution solver, so the number of (P, N) temporaries matters.
+    branch uses the spec's regularization scale when present. These products
+    dominate the cost of every convolution solver, so the O(N) work is done
+    once per node: the field is projected onto the tangent plane and scaled
+    by each log term's factor -+1/4pi. A log term then holds two (P, N)
+    temporaries, 1 - xi . eta and the rows, and costs two matrix products
+    and three elementwise passes (1 - t, its floor or singularity check,
+    one division); the reflected term is added in place.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     f = np.asarray(field, dtype=float)
-    radial = np.sum(f * eta, axis=1)
+    # (xi - t eta) . f = xi . f_tan for the tangential part f_tan of f
+    f_tan = f - np.sum(f * eta, axis=1)[:, None] * eta
 
-    def block(points: np.ndarray, scale: int | None):
-        # ((points_i . f_j) - t_ij (eta_j . f_j)) / (1 - t_ij); with a scale
-        # 1 - t is floored at 2^-scale, which caps the factor at 2^scale
+    def block(points: np.ndarray, g: np.ndarray, scale: int | None):
+        # (points_i . g_j) / (1 - t_ij); with a scale 1 - t is floored at
+        # 2^-scale, which caps the factor at 2^scale
         t = points @ eta.T
-        rows = points @ f.T
-        rows -= t * radial[None, :]
+        rows = points @ g.T
         np.subtract(1.0, t, out=t)
         if scale is not None:
             np.maximum(t, 2.0**-scale, out=t)
         elif np.any(t < _SING_TOL):
             raise SingularityError("kernel gradient at its singularity")
-        np.reciprocal(t, out=t)
-        rows *= t
+        rows /= t
         return rows
 
-    out = block(xi, spec.scale)
-    out *= -1.0 / FOUR_PI
+    out = block(xi, f_tan * (-1.0 / FOUR_PI), spec.scale)
     if spec.kind == KIND_FUNDAMENTAL:
         return out
     check, _ = _reflect_many(spec.cap, xi)
-    refl = block(check, None)
     sign = 1.0 if spec.kind == KIND_DIRICHLET else -1.0
-    refl *= sign / FOUR_PI
-    out += refl
+    out += block(check, f_tan * (sign / FOUR_PI), None)
     if spec.kind == KIND_NEUMANN:
         c = _center_cosine(spec.cap, eta)
-        zeta_dot = (spec.cap.center @ f.T - c * radial) / (1.0 + c)
         coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)
-        out += coef * zeta_dot[None, :]
+        out += (coef * (f_tan @ spec.cap.center) / (1.0 + c))[None, :]
     return out

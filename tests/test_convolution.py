@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_interior_points
 from sphaerica import _convolution
-from sphaerica._convolution import _dense, _ring, apply_kernel
+from sphaerica._convolution import _dense, _ring, apply_kernel, grad_convolution
 from sphaerica.decomposition import _d_inv_kernel, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
@@ -190,6 +191,42 @@ def test_boundary_sums_bit_identical_across_chunks(case, monkeypatch):
     # one would be merged)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * 64)
     assert np.array_equal(evaluate(pts), whole)
+
+
+OFF_GRID_SPECS = [
+    KernelSpec(kind, cap=None if kind == KIND_FUNDAMENTAL else CAP, scale=scale)
+    for kind in (KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN)
+    for scale in (None, SCALE)
+]
+
+
+def _off_grid_points():
+    """50 points inside the 0.8 rho cap, none a grid node (dense path)."""
+    return random_interior_points(CAP, np.random.default_rng(2718), 50)
+
+
+@pytest.mark.parametrize(
+    "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
+)
+@pytest.mark.parametrize("curl", [False, True], ids=["grad", "curl"])
+def test_off_grid_area_sums_bit_identical_across_chunks(spec, curl, monkeypatch):
+    pts = _off_grid_points()
+    assert CAP_GRID.node_indices(pts) is None
+    samples = _vector(CAP_GRID)
+    whole = grad_convolution(samples, spec, pts, curl)
+    # three points per chunk on the 512-node area grid
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
+    assert np.array_equal(grad_convolution(samples, spec, pts, curl), whole)
+
+
+def test_off_grid_surface_potential_bit_identical_across_chunks(monkeypatch):
+    # the fundamental kernel with a scale, summed as the poisson command does
+    pts = _off_grid_points()
+    assert CAP_GRID.node_indices(pts) is None
+    samples = _scalar(CAP_GRID)
+    whole = surface_potential(samples, pts, scale=SCALE)
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
+    assert np.array_equal(surface_potential(samples, pts, scale=SCALE), whole)
 
 
 def test_chunks_never_leave_a_single_row(monkeypatch):

@@ -11,11 +11,14 @@ from sphaerica.geometry import (
     unit_vector,
 )
 from sphaerica.kernels import (
+    FOUR_PI,
     KIND_DIRICHLET,
     KIND_FUNDAMENTAL,
     KIND_NEUMANN,
+    _G_CONST,
     KernelSpec,
     SingularityError,
+    _fundamental_many,
     dirichlet_green,
     fundamental,
     fundamental_deriv,
@@ -312,6 +315,67 @@ def test_kernel_grad_dot_radial_rows_vanish(rng):
         assert np.abs(radial).max() <= 1e-14 * row_scale
 
 
+SPECS = [
+    KernelSpec(KIND_FUNDAMENTAL),
+    KernelSpec(KIND_FUNDAMENTAL, scale=10),
+    KernelSpec(KIND_DIRICHLET, CAP),
+    KernelSpec(KIND_DIRICHLET, CAP, scale=10),
+    KernelSpec(KIND_NEUMANN, CAP),
+    KernelSpec(KIND_NEUMANN, CAP, scale=10),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", SPECS, ids=[f"{s.kind}-J{s.scale}" for s in SPECS]
+)
+def test_kernel_grad_dot_ignores_the_radial_part_of_the_field(spec, rng):
+    # D_eta K is tangential, so adding a_j eta_j to f_j moves the rows by
+    # rounding only; the row scale is as in the test above
+    xi = np.array([cap_point(CAP, 0.8 * rng.random(), rng.uniform(0, 2 * np.pi))
+                   for _ in range(6)])
+    eta = np.array([cap_point(CAP, rng.random(), rng.uniform(0, 2 * np.pi))
+                    for _ in range(40)])
+    f = rng.normal(size=(40, 3))
+    a = 3.0 * rng.normal(size=40)
+    factor = 1.0 / (1.0 - xi @ eta.T)
+    if spec.scale is not None:
+        factor = np.minimum(factor, 2.0**spec.scale)
+    row_scale = factor.max() * np.abs(f).max() / (4 * np.pi)
+    rows = kernel_grad_dot(spec, xi, eta, f)
+    shifted = kernel_grad_dot(spec, xi, eta, f + a[:, None] * eta)
+    assert np.abs(shifted - rows).max() <= 1e-14 * row_scale
+
+
+def _fundamental_where(t, scale):
+    """The two-branch formula that _fundamental_many patches in place."""
+    u = 1.0 - t
+    delta = 2.0 ** (-scale)
+    with np.errstate(divide="ignore"):
+        log_branch = np.log(np.maximum(u, 1e-300)) / FOUR_PI
+    lin_branch = (u / delta - scale * np.log(2.0) - 1.0) / FOUR_PI
+    return np.where(u >= delta, log_branch, lin_branch) + _G_CONST
+
+
+@pytest.mark.parametrize("J", [0, 1, 9, 12, 30, 52, 53])
+def test_regularized_fundamental_matches_the_two_branch_formula(J):
+    # t across the seam: u = 1 - t from below 0 (t one ulp above 1) through
+    # 0 and 2^-J exactly to u = 2, with the neighbours of 1 - 2^-J
+    delta = 2.0**-J
+    u = np.concatenate([
+        delta * np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 8.0]),
+        np.geomspace(1e-17, 2.0, 200),
+    ])
+    t = np.concatenate([
+        1.0 - u,
+        [1.0, np.nextafter(1.0, 2.0), 1.0 - delta, -1.0],
+        np.nextafter(1.0 - delta, [0.0, 2.0]),
+    ])
+    assert np.count_nonzero(1.0 - t == delta) >= 2
+    assert np.any(1.0 - t == 0.0)
+    t = t.reshape(2, -1)
+    assert np.array_equal(_fundamental_many(t, J), _fundamental_where(t, J))
+
+
 def test_scalar_modes_validate_arguments():
     xi = cap_point(CAP, 0.5, 0.0)
     eta = cap_point(CAP, 0.3, 2.0)
@@ -350,9 +414,11 @@ SCALE_CASES = [KIND_FUNDAMENTAL, KIND_DIRICHLET, KIND_NEUMANN, "poisson", "helmh
 )
 def test_negative_scale_is_rejected(case, J, tmp_path, capsys):
     # 0 <= J <= 53 for every kernel kind (2^-1100 underflows to 0); the CLI
-    # reports any other --J as a validation error and writes nothing
+    # reports any other --J as a validation error, writes nothing and leaves
+    # no --out directory behind
     if case in cli.COMMANDS:
-        argv = [case, "--nt", "16", "--nphi", "32", "--J", str(J), "--out", str(tmp_path)]
+        out = str(tmp_path / "out")
+        argv = [case, "--nt", "16", "--nphi", "32", "--J", str(J), "--out", out]
         assert cli.main(argv) == 2
         assert "scale J" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
