@@ -71,7 +71,9 @@ class VortexSet:
 
 def random_vortices(cap: SphericalCap, count: int, seed: int) -> VortexSet:
     """Seeded vortex set, area-uniform inside the concentric cap of radius
-    0.6 rho."""
+    0.6 rho. count must be at least 1."""
+    if count < 1:
+        raise ValueError(f"vortex count N must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     t = 1.0 - cap.radius * 0.6 * rng.random(count)
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -211,6 +213,33 @@ def vortex_boundary_data(vortices: VortexSet):
     return data
 
 
+def mfs_layout(
+    cap: SphericalCap,
+    n_sources: int,
+    radius_offset: float,
+    regularization_point: np.ndarray,
+) -> tuple[FundamentalSystem, QuadratureGrid]:
+    """Harmonic log-difference system and collocation grid of the MFS fits.
+
+    n_sources basis elements: the constant and n_sources - 1 sources
+    equispaced on the cap boundary enlarged by radius_offset, against
+    8 (n_sources - 1) equispaced boundary nodes. Sources and nodes share
+    the circle frame of the cap and the source count divides the node
+    count, so with a regularization point on the cap's axis (the vortex
+    sets' and mfs-fit's -cap.center) mfs_fit takes its ring path.
+    """
+    if n_sources < 2:
+        raise ValueError(
+            f"source count M must be at least 2 (the constant and one source), "
+            f"got {n_sources}"
+        )
+    sources = sources_on_circle(cap, n_sources - 1, radius_offset)
+    system = FundamentalSystem(
+        sources, "gk-mod", regularization_point=regularization_point
+    )
+    return system, build_boundary_grid(cap, 8 * (n_sources - 1))
+
+
 def vortex_mfs(
     cap: SphericalCap,
     vortices: VortexSet,
@@ -222,18 +251,17 @@ def vortex_mfs(
     """Reconstruct the vortex stream function by boundary collocation.
 
     Boundary data (singular part of the stream function plus the harmonic
-    regularization term) is fitted with the harmonic log-difference basis:
-    n_sources basis elements (constant plus sources on the enlarged cap
-    boundary), least squares over 4 n_sources equidistant boundary nodes.
-    The reconstruction subtracts the fit from the data part; the report
-    compares against the closed-form stream function at the probes.
+    regularization term) is fitted with the harmonic log-difference basis of
+    mfs_layout: n_sources basis elements (constant plus sources on the
+    enlarged cap boundary), least squares over 8 (n_sources - 1) equidistant
+    boundary nodes. The reconstruction subtracts the fit from the data part;
+    the report compares against the closed-form stream function at the
+    probes.
     """
     data = vortex_boundary_data(vortices)
-    sources = sources_on_circle(cap, n_sources - 1, radius_offset)
-    system = FundamentalSystem(
-        sources, "gk-mod", regularization_point=vortices.regularization_point
+    system, colloc = mfs_layout(
+        cap, n_sources, radius_offset, vortices.regularization_point
     )
-    colloc = build_boundary_grid(cap, 4 * n_sources)
     fit = mfs_fit(system, colloc, data, mode="tikhonov", ridge=ridge)
     if probes is None:
         probes = np.array([cap.center])

@@ -29,6 +29,7 @@ from .apps import (
     _error_stats,
     geo_forward,
     geo_reconstruct,
+    mfs_layout,
     random_vortices,
     vd_forward,
     vd_reconstruct,
@@ -54,7 +55,7 @@ from .harmonics import (
     synth_field,
 )
 from .layers import DensitySamples, inp_residual, idp_residual, jump_probe, solve_idp, solve_inp
-from .mfs import FundamentalSystem, mfs_eval, mfs_fit, sources_on_circle
+from .mfs import mfs_eval, mfs_fit
 from .quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -412,9 +413,7 @@ def cmd_mfs_fit(cfg: RunConfig, report: Report) -> int:
     offset = _source_offset(cfg, cap)
     idx = InnerHarmonicIndex(cap, 3, 1)
     data = lambda p: inner_harmonic_eval(idx, p)
-    sources = sources_on_circle(cap, cfg.n_sources - 1, offset)
-    system = FundamentalSystem(sources, "gk-mod", regularization_point=-cap.center)
-    colloc = build_boundary_grid(cap, 4 * cfg.n_sources)
+    system, colloc = mfs_layout(cap, cfg.n_sources, offset, -cap.center)
     fit = mfs_fit(system, colloc, data, mode="tikhonov", ridge=cfg.ridge)
     report.add("boundary_residual", fit.boundary_residual)
     report.add("condition", fit.condition)

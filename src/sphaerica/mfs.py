@@ -3,14 +3,27 @@
 Harmonic trial functions anchored at source points outside the target
 region: shifted log kernels, their boundary-normal derivatives, the
 log-kernel difference that is harmonic inside the region, and cap inner
-harmonics. Dense collocation systems are solved by plain interpolation or
+harmonics. Collocation systems are solved by plain interpolation or
 Tikhonov-regularized least squares; plain interpolation of near-boundary
 sources conditions badly, so the regularized path is the default choice in
 the applications.
 
-Each collocation system is factored once: a Householder QR of [A | f] and
-one SVD of its triangle give the condition number and the Tikhonov
-filter-factor solution, with the cut-off described in mfs_fit.
+mfs_fit solves each collocation system on one of two paths, chosen from the
+layout alone:
+
+- the ring path, for Tikhonov fits of the log-kernel bases whose K sources
+  lie equispaced on a circle concentric with the m equispaced collocation
+  nodes (the layout of sources_on_circle and build_boundary_grid), with K
+  dividing m. The kernel then depends on the azimuth difference only, so
+  FFTs on both sides split A into K blocks of r = m / K rows (the circulant
+  MFS of Smyrlis and Karageorghis, J. Sci. Comput. 16, 2001): one kernel
+  column and its FFT, O(m) logs and O(m log m) work, without forming the
+  collocation matrix.
+- the factored path, for every other system: a Householder QR of [A | f]
+  and one SVD of its triangle.
+
+Both give the condition number and the Tikhonov filter-factor solution with
+the same filter factors and cut-off, described in mfs_fit.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, boundary_nodes, on_points
+from .geometry import SphericalCap, boundary_nodes, circle_points, on_points
 from .harmonics import InnerHarmonicIndex, inner_harmonic_eval
 from .kernels import FOUR_PI
 from .quadrature import QuadratureGrid, boundary_data
@@ -157,32 +170,50 @@ def mfs_fit(
 ) -> MfsSolution:
     """Fit basis coefficients to boundary data at the collocation nodes.
 
-    The M x K collocation matrix A and the data f are factored once: a
-    Householder QR of [A | f] gives R and Q^T f without forming Q, and the
-    SVD R = U S V^T gives condition = s_0 / s_-1. mode "interpolation"
-    solves the square system (as many collocation points as basis elements)
-    as V diag(1 / s) U^T Q^T f and fails loudly on numerically singular ones;
-    "tikhonov" minimizes |A a - f|^2 + ridge |a|^2 as
-    V diag(s / (s^2 + ridge)) U^T Q^T f, zeroing the filter factors where
-    sqrt(s^2 + ridge) <= eps (M + K) sqrt(s_0^2 + ridge): the cut-off of a
-    rank-revealing solve of the stacked system [A; sqrt(ridge) I]. ridge
-    must be finite and non-negative; ridge = 0 gives the minimum-norm
-    least-squares solution.
+    mode "interpolation" solves the square system (as many collocation
+    points as basis elements) as A^-1 f and fails loudly on numerically
+    singular ones; "tikhonov" minimizes |A a - f|^2 + ridge |a|^2 for the
+    m x n collocation matrix A (m nodes, n basis elements) as
+    V diag(s / (s^2 + ridge)) U^T f, from the SVD A = U S V^T, zeroing the
+    filter factors where sqrt(s^2 + ridge) <= eps (m + n) sqrt(s_0^2 + ridge):
+    the cut-off of a rank-revealing solve of the stacked system
+    [A; sqrt(ridge) I]. ridge must be finite and non-negative; ridge = 0
+    gives the minimum-norm least-squares solution. condition is s_0 / s_-1.
+
+    Tikhonov fits take the ring path when the layout is circulant: the
+    variant is gk, or gk-mod with the regularization point on the axis
+    zeta = rotation_to_pole(collocation.cap.center)[:, 2]; the K sources lie
+    at one height along zeta at azimuths 2 pi j / K in that frame, as
+    sources_on_circle builds them; and K divides the m collocation nodes.
+    Source points are checked against that lattice, and the regularization
+    point against the axis, to 1e-13 (rounding level: the points are not
+    rebuilt bit for bit). With r = m / K, source mode q couples only to
+    collocation modes q, q + K, ..., q + (r - 1) K, so after FFTs A is K
+    blocks of r x 1 (r x 2 for mode 0, which also carries the constant).
+    Their norms, and one small SVD, are the singular values of A; the
+    coefficients come back by an inverse FFT, and the boundary residual from
+    FFT products, without forming A.
+
+    Every other system takes the factored path: a Householder QR of [A | f]
+    gives R and Q^T f without forming Q, and the SVD of R gives S, V and
+    U^T Q^T f.
     """
     if not (np.isfinite(ridge) and ridge >= 0.0):
         raise ValueError(f"ridge must be finite and non-negative, got {ridge!r}")
     f = boundary_data(collocation, boundary_values)
-    a_mat = _basis_columns(system, collocation.nodes)
-    n_pts, n_basis = a_mat.shape
+    n_pts, n_basis = len(collocation), system.size
     if n_pts < n_basis:
         raise ValueError(f"{n_pts} collocation points for {n_basis} basis elements")
     if mode not in ("interpolation", "tikhonov"):
         raise ValueError("mode must be 'interpolation' or 'tikhonov'")
     if mode == "interpolation" and n_pts != n_basis:
         raise ValueError("interpolation needs a square system")
+    if mode == "tikhonov" and _is_ring_layout(system, collocation):
+        coeffs, residual, sv = _ring_fit(system, collocation, f, ridge)
+        return MfsSolution(system, coeffs, mode, residual, _condition(sv))
+    a_mat = _basis_columns(system, collocation.nodes)
     r_full = np.linalg.qr(np.column_stack([a_mat, f]), mode="r")
     u_mat, sv, vt_mat = np.linalg.svd(r_full[:n_basis, :n_basis])
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
     if mode == "interpolation":
         if sv[-1] <= n_basis * np.finfo(float).eps * sv[0]:
             raise np.linalg.LinAlgError(
@@ -190,15 +221,85 @@ def mfs_fit(
             )
         filt = 1.0 / sv
     else:
-        damped = sv**2 + ridge
-        keep = np.sqrt(damped) > (
-            np.finfo(float).eps * (n_pts + n_basis) * np.sqrt(damped[0])
-        )
-        filt = np.zeros_like(sv)
-        filt[keep] = sv[keep] / damped[keep]
+        filt = _filter_factors(sv, ridge, n_pts + n_basis)
     coeffs = vt_mat.T @ (filt * (u_mat.T @ r_full[:n_basis, n_basis]))
     residual = float(np.abs(a_mat @ coeffs - f).max())
-    return MfsSolution(system, coeffs, mode, residual, condition)
+    return MfsSolution(system, coeffs, mode, residual, _condition(sv))
+
+
+def _condition(sv: np.ndarray) -> float:
+    return float(sv.max() / sv.min()) if sv.min() > 0.0 else np.inf
+
+
+def _filter_factors(sv: np.ndarray, ridge: float, n_rows: int) -> np.ndarray:
+    """Tikhonov filter factors s / (s^2 + ridge), zero below the cut-off
+    sqrt(s^2 + ridge) <= eps n_rows sqrt(s_0^2 + ridge)."""
+    damped = sv**2 + ridge
+    keep = np.sqrt(damped) > np.finfo(float).eps * n_rows * np.sqrt(damped.max())
+    filt = np.zeros_like(sv)
+    filt[keep] = sv[keep] / damped[keep]
+    return filt
+
+
+_RING_TOL = 1e-13
+
+
+def _is_ring_layout(system: FundamentalSystem, collocation: QuadratureGrid) -> bool:
+    """Whether the log-kernel sources sit on the circulant lattice of the
+    collocation circle, to _RING_TOL (the rule stated in mfs_fit)."""
+    sources = system.sources
+    n_src = len(sources)
+    if system.variant == VARIANT_INNER or not n_src or len(collocation) % n_src:
+        return False
+    frame = collocation.polar_frame
+    if system.variant == VARIANT_GK_MOD:
+        off_axis = np.cross(system.regularization_point, frame[:, 2])
+        if np.abs(off_axis).max() > _RING_TOL:
+            return False
+    height, a1, a2 = sources[0] @ frame[:, [2, 0, 1]]
+    lattice = circle_points(
+        frame, height, np.hypot(a1, a2), 2.0 * np.pi * np.arange(n_src) / n_src
+    )
+    return bool(np.abs(sources - lattice).max() <= _RING_TOL)
+
+
+def _ring_fit(system, collocation, f, ridge):
+    """Tikhonov fit on a ring layout: (coefficients, residual, singular
+    values). Unitary DFTs of the m nodes and the K sources turn A into the
+    blocks b_q[l] = kernel_hat[q + l K] / sqrt(r) of the kernel column."""
+    n_src = len(system.sources)
+    n_pts = len(collocation)
+    ratio = n_pts // n_src
+    nodes = collocation.nodes
+    column = _log_part(nodes, system.sources[0], "value", None)
+    if system.variant == VARIANT_GK_MOD:
+        column -= _log_part(nodes, system.regularization_point, "value", None)
+    kernel_hat = np.fft.fft(column)
+    # row l, column q: collocation mode q + l K
+    blocks = kernel_hat.reshape(ratio, n_src) / np.sqrt(ratio)
+    data = np.fft.fft(f).reshape(ratio, n_src) / np.sqrt(n_pts)
+    block0 = blocks[:, :1]
+    if system.include_constant:
+        # the constant column 1 / 4 pi is sqrt(m) / 4 pi times collocation mode 0
+        const = np.zeros((ratio, 1))
+        const[0, 0] = np.sqrt(n_pts) / FOUR_PI
+        block0 = np.hstack([const, block0])
+    u0, sv0, vt0 = np.linalg.svd(block0, full_matrices=False)
+    norms = np.linalg.norm(blocks[:, 1:], axis=0)
+    sv = np.concatenate([sv0, norms])
+    filt = _filter_factors(sv, ridge, n_pts + system.size)
+    # block 0's coefficients: the constant's (if any), then source mode 0's
+    lead = vt0.conj().T @ (filt[: len(sv0)] * (u0.conj().T @ data[:, 0]))
+    # b_q^H f_q / s_q is u_q^H f_q for the unit vector u_q = b_q / s_q
+    proj = np.sum(blocks[:, 1:].conj() * data[:, 1:], axis=0)
+    scale = np.divide(filt[len(sv0) :], norms, out=np.zeros_like(norms), where=norms > 0)
+    spectrum = np.concatenate([lead[-1:], scale * proj])
+    weights = np.sqrt(n_src) * np.fft.ifft(spectrum).real
+    fitted = np.fft.ifft(kernel_hat * np.tile(np.fft.fft(weights), ratio)).real
+    if system.include_constant:
+        fitted += lead[0].real / FOUR_PI
+        weights = np.concatenate([[lead[0].real], weights])
+    return weights, float(np.abs(fitted - f).max()), sv
 
 
 def mfs_eval(solution: MfsSolution, xi) -> float | np.ndarray:

@@ -8,6 +8,7 @@ from sphaerica.apps import (
     VortexSet,
     geo_forward,
     geo_reconstruct,
+    mfs_layout,
     random_vortices,
     vd_forward,
     vd_reconstruct,
@@ -156,6 +157,18 @@ class TestVortices:
             )
         with pytest.raises(ValueError):
             VortexSet(np.array([[0, 0, 1.0]]), np.array([1.0, 2.0]), -np.eye(3)[2])
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_random_vortices_rejects_counts_below_one(self, count):
+        with pytest.raises(ValueError, match="vortex count N"):
+            random_vortices(POLAR, count, 1)
+
+    def test_mfs_layout_sizes_and_minimum(self):
+        system, grid = mfs_layout(POLAR, 200, 0.005, -POLAR.center)
+        assert system.size == 200 and len(system.sources) == 199
+        assert len(grid) == 8 * 199
+        with pytest.raises(ValueError, match="source count M"):
+            mfs_layout(POLAR, 1, 0.005, -POLAR.center)
 
     def test_random_vortices_deterministic_and_interior(self):
         a = random_vortices(POLAR, 5, 42)

@@ -245,6 +245,20 @@ class TestRuns:
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("command", ["vortex", "mfs-fit"])
+    def test_single_basis_element_exit_two(self, tmp_path, capfd, command):
+        argv = [command, "--M", "1", "--nt", "16", "--nphi", "32"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capfd.readouterr().err
+        assert "source count M must be at least 2" in err and "m >= 8" not in err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_vortex_count_below_one_exit_two(self, tmp_path, capfd, count):
+        argv = ["vortex", "--N", count, "--M", "40", "--nt", "16", "--nphi", "32"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "vortex count N must be at least 1" in capfd.readouterr().err
+        assert not (tmp_path / "vortex_report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["vortex", "mfs-fit"])
     @pytest.mark.parametrize("ridge", ["-1", "nan"])
     def test_bad_ridge_exit_two_before_lapack(self, tmp_path, capfd, command, ridge):
         argv = [command, "--lambda", ridge, "--M", "40", "--nt", "16", "--nphi", "32"]

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
-from sphaerica.geometry import SphericalCap, unit_vector
+from sphaerica.apps import random_vortices, vortex_mfs
+from sphaerica.geometry import SphericalCap, boundary_nodes, lonlat_vector, unit_vector
 from sphaerica.harmonics import InnerHarmonicIndex, inner_harmonic_eval
 from sphaerica.mfs import (
     FundamentalSystem,
@@ -275,8 +276,18 @@ def _stacked_least_squares(a_mat, f, ridge):
         (_gk_mod(199, 5e-6), 800, 1e-12),
         # two coincident sources: rank deficient, minimum-norm solution
         (_duplicated_source_system(), 64, 0.0),
+        # K = 32 divides m = 128: the ring path
+        (_gk_mod(32, 0.1), 128, 1e-12),
+        (_gk_mod(32, 0.1), 128, 1e-3),
     ],
-    ids=["separated", "separated-heavy-ridge", "near-boundary", "rank-deficient"],
+    ids=[
+        "separated",
+        "separated-heavy-ridge",
+        "near-boundary",
+        "rank-deficient",
+        "commensurate",
+        "commensurate-heavy-ridge",
+    ],
 )
 def test_tikhonov_fit_matches_stacked_least_squares(system, n_colloc, ridge):
     idx = InnerHarmonicIndex(CAP, 3, 1)
@@ -331,8 +342,177 @@ def test_tikhonov_cut_off_matches_stacked_least_squares(monkeypatch, rng, ridge,
     assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "ridge, tol",
+    [
+        (0.0, 1e-13),
+        # the kept filter factor ~ s_-1 / ridge reads an eps-sized rounding of
+        # s_-1 = 1500 eps, in the FFT of the column and in the reference SVD
+        # alike: up to 1 / 1500 relative (measured 1.0e-4 of the largest
+        # coefficient)
+        ((4000 * EPS) ** 2, 1e-3),
+    ],
+    ids=["cut", "kept-by-ridge"],
+)
+def test_ring_cut_off_matches_stacked_least_squares(monkeypatch, rng, ridge, tol):
+    # the ring path's filter and cut-off on a designed kernel spectrum: block
+    # q holds kernel modes q and m - (K - q), so with a real symmetric
+    # spectrum its norm is s_q = sqrt(2 / r) amp_q; s_0 = 1 and the smallest
+    # pair is 1500 eps, below the cut-off 2007 eps
+    n_src, ratio = 9, 222
+    n_pts = n_src * ratio
+    amps = np.sqrt(ratio / 2.0) * np.array([1.0, 1e-1, 1e-2, 1500 * EPS])
+    amps = np.concatenate([amps, amps[::-1]])
+    spectrum = np.zeros(n_pts)
+    spectrum[1:n_src] = amps
+    spectrum[n_pts - n_src + 1 :] = amps[::-1]
+    spectrum[[0, n_src, n_pts - n_src]] = 0.5 * np.sqrt(ratio)
+    column = np.fft.ifft(spectrum).real
+    monkeypatch.setattr("sphaerica.mfs._log_part", lambda *args: column.copy())
+    system = FundamentalSystem(
+        sources_on_circle(CAP, n_src, 0.05), "gk", include_constant=False
+    )
+    a_mat = np.column_stack([np.roll(column, ratio * j) for j in range(n_src)])
+    f = a_mat @ rng.standard_normal(n_src) + 1e-3 * rng.standard_normal(n_pts)
+    _forbid_qr(monkeypatch)
+    fit = mfs_fit(system, build_boundary_grid(CAP, n_pts), f, ridge=ridge)
+    reference = _stacked_least_squares(a_mat, f, ridge)
+    assert_allclose(
+        fit.coefficients, reference, rtol=0, atol=tol * np.abs(reference).max()
+    )
+    sv = np.linalg.svd(a_mat, compute_uv=False)
+    assert sv[-1] == pytest.approx(1500 * EPS, rel=1e-2)
+    assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=1e-3)
+
+
 @pytest.mark.parametrize("ridge", [-1.0, -1e-300, np.nan, np.inf])
 def test_fit_rejects_negative_or_non_finite_ridge(ridge):
     grid = build_boundary_grid(CAP, 32)
     with pytest.raises(ValueError, match="ridge"):
         mfs_fit(_gk_mod(8, 0.05), grid, np.ones(32), ridge=ridge)
+
+
+# the ring path of mfs_fit: its layout rule, pinned by which factorization
+# runs, and its results against the stacked reference on polar, tilted and
+# snapped south caps
+RING_CAPS = {
+    "polar": CAP,
+    "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    # rotation_to_pole snaps this center to diag(1, -1, -1)
+    "south": SphericalCap(lonlat_vector(0.0, -90.0), 0.7),
+}
+
+
+class _QrCalled(Exception):
+    pass
+
+
+def _forbid_qr(monkeypatch):
+    def qr(*args, **kwargs):
+        raise _QrCalled
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+
+
+def _rotated_sources(cap, count, offset, shift):
+    outer = SphericalCap(cap.center, cap.radius + offset)
+    return boundary_nodes(outer, 2.0 * np.pi * (np.arange(count) + shift) / count)[0]
+
+
+def _factored_layout(case, cap):
+    """(system, number of collocation nodes, mode) of a layout that must
+    take the QR + SVD path."""
+    gk_mod = lambda sources, xbar=-cap.center: FundamentalSystem(
+        sources, "gk-mod", regularization_point=xbar
+    )
+    if case == "k-not-dividing-m":
+        return _gk_mod(31, 0.1, cap), 128, "tikhonov"
+    if case == "source-moved":
+        sources = sources_on_circle(cap, 32, 0.1).copy()
+        sources[5] = unit_vector(sources[5] + 1e-9 * cap.center)
+        return gk_mod(sources), 128, "tikhonov"
+    if case == "half-step-rotation":
+        return gk_mod(_rotated_sources(cap, 32, 0.1, 0.5)), 128, "tikhonov"
+    if case == "off-axis-regularization":
+        xbar = unit_vector(-cap.center + [0.1, 0.0, 0.0])
+        return gk_mod(sources_on_circle(cap, 32, 0.1), xbar), 128, "tikhonov"
+    if case == "inner-harmonic":
+        system = FundamentalSystem(np.zeros((16, 3)), "inner-harmonic", cap=cap)
+        return system, 64, "tikhonov"
+    # interpolation: a square system of 16 sources on 16 nodes
+    system = FundamentalSystem(
+        sources_on_circle(cap, 16, 0.15), "gk", include_constant=False
+    )
+    return system, 16, "interpolation"
+
+
+@pytest.mark.parametrize("cap_name", RING_CAPS)
+@pytest.mark.parametrize(
+    "case",
+    [
+        "k-not-dividing-m",
+        "source-moved",
+        "half-step-rotation",
+        "off-axis-regularization",
+        "inner-harmonic",
+        "interpolation",
+    ],
+)
+def test_off_lattice_layouts_take_the_factored_path(monkeypatch, cap_name, case):
+    cap = RING_CAPS[cap_name]
+    system, n_colloc, mode = _factored_layout(case, cap)
+    grid = build_boundary_grid(cap, n_colloc)
+    f = inner_harmonic_eval(InnerHarmonicIndex(cap, 2, 1), grid.nodes)
+    _forbid_qr(monkeypatch)
+    with pytest.raises(_QrCalled):
+        mfs_fit(system, grid, f, mode=mode)
+
+
+@pytest.mark.parametrize("cap_name", RING_CAPS)
+@pytest.mark.parametrize(
+    "variant, include_constant, count, n_colloc",
+    [("gk-mod", True, 32, 128), ("gk", True, 16, 64), ("gk", False, 16, 48)],
+    ids=["gk-mod", "gk", "gk-no-constant"],
+)
+def test_ring_layouts_match_stacked_least_squares_without_qr(
+    monkeypatch, cap_name, variant, include_constant, count, n_colloc
+):
+    cap = RING_CAPS[cap_name]
+    system = FundamentalSystem(
+        sources_on_circle(cap, count, 0.1),
+        variant,
+        regularization_point=-cap.center,
+        include_constant=include_constant,
+    )
+    grid = build_boundary_grid(cap, n_colloc)
+    f = inner_harmonic_eval(InnerHarmonicIndex(cap, 3, 1), grid.nodes)
+    _forbid_qr(monkeypatch)
+    fit = mfs_fit(system, grid, f, ridge=1e-12)
+    a_mat = _basis_columns(system, grid.nodes)
+    reference = _stacked_least_squares(a_mat, f, 1e-12)
+    scale = np.abs(reference).max()
+    assert_allclose(fit.coefficients, reference, rtol=0, atol=1e-11 * scale)
+    assert_allclose(a_mat @ fit.coefficients, a_mat @ reference, rtol=0, atol=1e-13)
+    sv = np.linalg.svd(a_mat, compute_uv=False)
+    assert fit.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+    residual = np.abs(a_mat @ fit.coefficients - f).max()
+    assert fit.boundary_residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("offset", [5e-3, 5e-4, 5e-5, 5e-6])
+def test_snug_ring_path_matches_the_factored_path_on_the_vortex_oracle(
+    monkeypatch, rng, offset
+):
+    # at snug circles A is circulant only up to the rounding of 1 - xi . eta
+    # (7e-7 of max |A| at offset 5e-6), so the two paths are compared through
+    # the oracle error, not entry by entry
+    vortices = random_vortices(CAP, 5, 42)
+    pts = random_interior_points(CAP, rng, 60)
+    run = lambda: vortex_mfs(
+        CAP, vortices, n_sources=200, radius_offset=offset, probes=pts
+    ).diagnostics["rel_sup_error"]
+    with monkeypatch.context() as patch:
+        _forbid_qr(patch)
+        ring = run()
+    monkeypatch.setattr("sphaerica.mfs._is_ring_layout", lambda *args: False)
+    assert ring == pytest.approx(run(), rel=1e-3)
