@@ -15,7 +15,6 @@ nonlocal operator does not restrict to subdomains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,17 +33,9 @@ from .kernels import (
     KIND_NEUMANN,
     KernelSpec,
     kernel_grad_dot,
-    kernel_value_matrix,
 )
-from .quadrature import (
-    KIND_BOUNDARY,
-    KIND_SPHERE,
-    FieldSamples,
-    boundary_data,
-    build_boundary_grid,
-    mean_value,
-)
-from .solvers import default_scale
+from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
+from .solvers import _cap_boundary_samples, default_scale
 
 _SQRT_SING_FLOOR = 1e-300
 
@@ -102,7 +93,6 @@ def helmholtz_decompose_cap(
     boundary_f3=None,
     scale: int | None = None,
     m: int = 512,
-    boundary_field=None,
 ) -> DecompositionScalars:
     """Cap decomposition with Dirichlet data for the divergence-free scalar.
 
@@ -111,20 +101,14 @@ def helmholtz_decompose_cap(
     of the wrong length or with non-finite values raises ValueError. F2
     convolves the Neumann cap kernel and carries a boundary correction
     weighted by the trace; F3 convolves the Dirichlet cap kernel plus its
-    two boundary terms. F2 is demeaned over the cap. Scalars are returned
-    at the grid nodes; decompose_cap_at evaluates at other interior points.
-    boundary_field, when given, supplies exact field values on the boundary
-    for the tangential boundary term (else grid.node_lookup's nearest node).
+    one boundary term, the trace against the kernel's normal derivative. F2
+    is demeaned over the cap. Scalars are returned at the grid nodes;
+    decompose_cap_at evaluates at other interior points.
     """
     grid = samples.grid
     f1 = np.sum(samples.values * grid.nodes, axis=1)
     f2, f3 = decompose_cap_at(
-        samples,
-        grid.nodes,
-        boundary_field=boundary_field,
-        boundary_f3=boundary_f3,
-        scale=scale,
-        m=m,
+        samples, grid.nodes, boundary_f3=boundary_f3, scale=scale, m=m
     )
     return DecompositionScalars(
         FieldSamples(grid, f1), FieldSamples(grid, f2), FieldSamples(grid, f3)
@@ -143,15 +127,13 @@ def decompose_cap_at(
     """(F2, F3) of the cap decomposition at interior evaluation points.
 
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
-    FieldSamples on the m boundary nodes of the cap (build_boundary_grid).
-    boundary_field, when given, evaluates the vector field on stacked
-    boundary nodes exactly (used for the tau . f boundary term); otherwise
-    each boundary node takes its nearest grid node's sample (node_lookup).
+    FieldSamples on a boundary grid of the cap, whose node count then
+    replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
+    boundary_field is ignored; it goes once the benchmark stops passing it.
     With demean, F2 is shifted by its cap mean on the sample grid, at the
     cost of one F2 pass over all grid nodes unless points equal grid.nodes
     (F3 is only ever evaluated at points); callers fixing the constant
-    gauge themselves can skip it. A grid without a cap, or a boundary field
-    that is not one finite vector per boundary node, raises ValueError.
+    gauge themselves can skip it. A grid without a cap raises ValueError.
     """
     grid = samples.grid
     cap = grid.cap
@@ -159,23 +141,15 @@ def decompose_cap_at(
         raise ValueError("the cap decomposition needs a cap area grid")
     if scale is None:
         scale = default_scale(grid)
-    bgrid = build_boundary_grid(cap, m)
-    trace = FieldSamples(
-        bgrid, np.zeros(m) if boundary_f3 is None else boundary_data(bgrid, boundary_f3)
+    trace = _cap_boundary_samples(
+        cap, np.zeros(m) if boundary_f3 is None else boundary_f3, m
     )
-    if boundary_field is None:
-        f_bnd = samples.values[grid.node_lookup(bgrid.nodes)]
-    else:
-        f_bnd = np.asarray(boundary_field(bgrid.nodes), dtype=float)
-        if f_bnd.shape != (m, 3) or not np.all(np.isfinite(f_bnd)):
-            raise ValueError("boundary_field must give one finite vector per node")
-    tau_f = FieldSamples(bgrid, np.sum(bgrid.tangents * f_bnd, axis=1))
+    bgrid = trace.grid
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
     tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
-    value_d = partial(kernel_value_matrix, spec_d)
     normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
 
     def f2_at(target: np.ndarray) -> np.ndarray:
@@ -184,7 +158,6 @@ def decompose_cap_at(
 
     f2 = f2_at(pts)
     f3 = grad_convolution(samples, spec_d, pts, curl=True)
-    f3 = f3 + apply_kernel(value_d, tau_f, pts)
     f3 = f3 + apply_kernel(normal_d, trace, pts)
     if demean:
         f2_nodes = f2 if np.array_equal(pts, grid.nodes) else f2_at(grid.nodes)

@@ -60,16 +60,13 @@ class QuadratureGrid:
         product rule: zeta is the ring axis and longitude 0 lies along a1."""
         return rotation_to_pole(E3 if self.cap is None else self.cap.center)
 
-    def node_lookup(self, points: np.ndarray) -> np.ndarray:
-        """Index of the area-grid node nearest in ring and longitude, per point.
-
-        The nearest-node rule: O(P), the ring comes from t = xi . zeta, the
-        longitude index from rounding phi n_phi / 2 pi. Every point gets a
-        node, including points off the grid and boundary nodes of the cap
-        (the outermost ring); node_indices keeps only exact matches.
-        """
-        if self.kind == KIND_BOUNDARY:
-            raise ValueError("node lookup needs an area grid")
+    def node_indices(self, points: np.ndarray) -> np.ndarray | None:
+        """Indices of the area-grid nodes the points are, or None unless
+        every point is bitwise equal to its node (also for boundary grids and
+        for no points). O(P): the ring comes from t = xi . zeta, the
+        longitude index from rounding phi n_phi / 2 pi."""
+        if len(points) == 0 or self.kind == KIND_BOUNDARY:
+            return None
         n_t, n_phi = self.shape
         a1, a2, zeta = self.polar_frame.T
         ring_t = self.nodes[::n_phi] @ zeta
@@ -78,15 +75,7 @@ class QuadratureGrid:
         ring -= t - ring_t[ring - 1] < ring_t[ring] - t
         phi = np.arctan2(points @ a2, points @ a1)
         lon = np.rint(phi * (n_phi / (2.0 * np.pi))).astype(int) % n_phi
-        return ring * n_phi + lon
-
-    def node_indices(self, points: np.ndarray) -> np.ndarray | None:
-        """The exact-node rule: node_lookup of the points if every point is
-        bitwise equal to its node, else None (also for boundary grids and
-        for no points)."""
-        if len(points) == 0 or self.kind == KIND_BOUNDARY:
-            return None
-        idx = self.node_lookup(points)
+        idx = ring * n_phi + lon
         return idx if np.array_equal(self.nodes[idx], points) else None
 
 

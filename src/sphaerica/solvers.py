@@ -141,8 +141,9 @@ def poisson_solve_cap(
 
 
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
-    """Samples of a cap solver's data on a boundary grid of this cap, with as
-    many nodes as FieldSamples data (whose nodes must be its own) or m."""
+    """Boundary data of a cap solver or of the cap split's F3 trace on a
+    boundary grid of this cap, with as many nodes as FieldSamples data
+    (whose nodes must be its own) or m."""
     if isinstance(boundary_values, FieldSamples):
         m = len(boundary_values.grid)
     grid = build_boundary_grid(cap, m)

@@ -385,7 +385,6 @@ def test_criterion_09_helmholtz_round_trips():
     f2, f3 = decompose_cap_at(
         cap_samples,
         pts,
-        boundary_field=lambda q: sh_grad_eval(p_cap, q) + sh_curl_eval(s_cap, q),
         boundary_f3=lambda q: sh_eval(s_cap, q),
         scale=12,
         m=512,

@@ -138,13 +138,12 @@ class TestCapDecomposition:
         s = synth_field(22, 0, 5, 1.0)
         values = sh_grad_eval(p, grid.nodes) + sh_curl_eval(s, grid.nodes)
         samples = FieldSamples(grid, values, tangential=True)
-        boundary_field = lambda pts: sh_grad_eval(p, pts) + sh_curl_eval(s, pts)
         trace = lambda pts: sh_eval(s, pts)
-        return p, s, samples, boundary_field, trace
+        return p, s, samples, trace
 
     def test_round_trip_at_interior_probes(self, rng):
         grid = build_cap_grid(self.CAP, 96, 192)
-        p, s, samples, boundary_field, trace = self._field(grid)
+        p, s, samples, trace = self._field(grid)
         inner = SphericalCap(self.CAP.center, 0.8 * self.CAP.radius)
         keep = np.flatnonzero(inner.contains(grid.nodes))
         weights = grid.weights[keep] / grid.weights[keep].sum()
@@ -153,7 +152,6 @@ class TestCapDecomposition:
         f2, f3 = decompose_cap_at(
             samples,
             pts,
-            boundary_field=boundary_field,
             boundary_f3=trace,
             scale=12,
             m=512,
@@ -166,7 +164,7 @@ class TestCapDecomposition:
 
     def test_zero_trace_forces_boundary_zero(self):
         grid = build_cap_grid(self.CAP, 64, 128)
-        p, _, _, _, _ = self._field(grid)
+        p, _, _, _ = self._field(grid)
         grad_only = FieldSamples(
             grid, sh_grad_eval(p, grid.nodes), tangential=True
         )
@@ -175,19 +173,18 @@ class TestCapDecomposition:
         _, f3 = decompose_cap_at(
             grad_only,
             grid.nodes[ring],
-            boundary_field=lambda pts: sh_grad_eval(p, pts),
             scale=10,
             m=512,
             demean=False,
         )
+        # these targets lie 3.1e-4 from the rim, inside 2^-10, where the
+        # regularized kernels are least accurate: max |F3| reads 1.6e-2
         assert np.abs(f3).max() < 2e-2
 
     def test_node_level_api_radial_part(self):
         grid = build_cap_grid(self.CAP, 24, 48)
-        _, _, samples, boundary_field, trace = self._field(grid)
-        helm = helmholtz_decompose_cap(
-            samples, boundary_f3=trace, scale=7, m=128, boundary_field=boundary_field
-        )
+        _, _, samples, trace = self._field(grid)
+        helm = helmholtz_decompose_cap(samples, boundary_f3=trace, scale=7, m=128)
         assert_allclose(
             helm.f1.values,
             np.sum(samples.values * grid.nodes, axis=1),
@@ -197,9 +194,9 @@ class TestCapDecomposition:
 
     def test_demean_at_off_grid_probes_shifts_only_f2(self, rng):
         grid = build_cap_grid(self.CAP, 24, 48)
-        _, _, samples, boundary_field, trace = self._field(grid)
+        _, _, samples, trace = self._field(grid)
         pts = random_interior_points(self.CAP, rng, 30)
-        opts = dict(boundary_field=boundary_field, boundary_f3=trace, scale=7, m=128)
+        opts = dict(boundary_f3=trace, scale=7, m=128)
         f2, f3 = decompose_cap_at(samples, pts, demean=True, **opts)
         raw2, raw3 = decompose_cap_at(samples, pts, demean=False, **opts)
         nodes2, _ = decompose_cap_at(samples, grid.nodes, demean=False, **opts)
@@ -208,24 +205,25 @@ class TestCapDecomposition:
         gauge = mean_value(FieldSamples(grid, nodes2))
         assert np.abs(f2 - (raw2 - gauge)).max() <= 1e-15 * np.abs(f2).max()
 
-    def test_nearest_node_transfer_is_light(self, rng):
-        # without boundary_field, each boundary node takes its nearest grid
-        # node's sample (node_lookup): no (N, m) block of dot products, and
-        # the split matches the exact-field one
+    def test_boundary_field_is_ignored(self, rng):
+        # the split reads no field values on the boundary: boundary_field
+        # changes no bit, and no (N, m) or (P, m) block of field transfers
+        # is held
         grid = build_cap_grid(self.CAP, 96, 192)
-        _, _, samples, boundary_field, _ = self._field(grid)
+        p, s, samples, _ = self._field(grid)
+        field = lambda pts: sh_grad_eval(p, pts) + sh_curl_eval(s, pts)
         pts = random_interior_points(self.CAP, rng, 10)
         opts = dict(scale=12, m=512, demean=False)
         tracemalloc.start()
         try:
-            got = decompose_cap_at(samples, pts, **opts)
+            got = decompose_cap_at(samples, pts, boundary_field=field, **opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        want = decompose_cap_at(samples, pts, boundary_field=boundary_field, **opts)
+        want = decompose_cap_at(samples, pts, **opts)
         for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max()
+            assert np.array_equal(g, w)
 
     @pytest.mark.parametrize(
         "trace",
@@ -238,46 +236,33 @@ class TestCapDecomposition:
     )
     def test_bad_boundary_trace_raises(self, trace):
         grid = build_cap_grid(self.CAP, 12, 24)
-        _, _, samples, _, _ = self._field(grid)
+        _, _, samples, _ = self._field(grid)
         with pytest.raises(ValueError):
             decompose_cap_at(samples, grid.nodes[:5], boundary_f3=trace, scale=6, m=64)
         with pytest.raises(ValueError):
             helmholtz_decompose_cap(samples, boundary_f3=trace, scale=6, m=64)
 
-    @pytest.mark.parametrize(
-        "boundary_field",
-        [
-            lambda pts: np.array([[1.0, 0.0, 0.0]]),
-            lambda pts: pts[:, :2],
-            lambda pts: np.full(pts.shape, np.nan),
-        ],
-        ids=["one-row", "two-columns", "nan"],
-    )
-    def test_bad_boundary_field_raises(self, boundary_field):
-        grid = build_cap_grid(self.CAP, 12, 24)
-        _, _, samples, _, _ = self._field(grid)
-        with pytest.raises(ValueError, match="boundary_field"):
-            decompose_cap_at(
-                samples, grid.nodes[:5], boundary_field=boundary_field, scale=6, m=64
-            )
-        with pytest.raises(ValueError, match="boundary_field"):
-            helmholtz_decompose_cap(
-                samples, scale=6, m=64, boundary_field=boundary_field
-            )
-
     def test_boundary_trace_as_field_samples(self):
-        # FieldSamples on the split's own boundary nodes act as the array form
+        # FieldSamples on a boundary grid of the cap act as the array form,
+        # and bring their own node count, which replaces m (the cap solvers'
+        # rule); samples on another cap's boundary are rejected
         grid = build_cap_grid(self.CAP, 12, 24)
-        _, _, samples, _, trace = self._field(grid)
-        bgrid = build_boundary_grid(self.CAP, 64)
-        values = trace(bgrid.nodes)
+        _, _, samples, trace = self._field(grid)
         pts = grid.nodes[:5]
-        as_array = decompose_cap_at(samples, pts, boundary_f3=values, scale=6, m=64)
-        as_samples = decompose_cap_at(
-            samples, pts, boundary_f3=FieldSamples(bgrid, values), scale=6, m=64
-        )
-        for got, want in zip(as_samples, as_array):
-            assert np.array_equal(got, want)
+        for m in (64, 128):
+            bgrid = build_boundary_grid(self.CAP, m)
+            values = trace(bgrid.nodes)
+            as_array = decompose_cap_at(samples, pts, boundary_f3=values, scale=6, m=m)
+            as_samples = decompose_cap_at(
+                samples, pts, boundary_f3=FieldSamples(bgrid, values), scale=6, m=64
+            )
+            for got, want in zip(as_samples, as_array):
+                assert np.array_equal(got, want)
+        other = build_boundary_grid(SphericalCap(self.CAP.center, 0.8), 128)
+        with pytest.raises(ValueError, match="collocation grid"):
+            decompose_cap_at(
+                samples, pts, boundary_f3=FieldSamples(other, values), scale=6, m=128
+            )
 
     def test_grid_without_cap_raises(self):
         grid = build_sphere_grid(8, 16)

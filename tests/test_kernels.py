@@ -8,6 +8,7 @@ from sphaerica.geometry import (
     SphericalCap,
     boundary_frame,
     boundary_nodes,
+    lonlat_vector,
     unit_vector,
 )
 from sphaerica.kernels import (
@@ -27,6 +28,7 @@ from sphaerica.kernels import (
     neumann_green,
     neumann_green_regularized,
 )
+from sphaerica.quadrature import build_boundary_grid
 
 CAP = SphericalCap(unit_vector([0.3, 0.1, 0.95]), 0.5)
 
@@ -121,6 +123,38 @@ def test_dirichlet_green_boundary_zero_and_symmetry(rng):
         assert dirichlet_green(CAP, a, b) == pytest.approx(
             dirichlet_green(CAP, b, a), abs=1e-10
         )
+
+
+# polar, tilted and snapped south (rotation_to_pole gives diag(1, -1, -1))
+RIM_CENTERS = {
+    "polar": np.array([0.0, 0.0, 1.0]),
+    "tilted": unit_vector([0.2, -0.1, 1.0]),
+    "south": lonlat_vector(0.0, -90.0),
+}
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.4])
+@pytest.mark.parametrize("center", list(RIM_CENTERS), ids=list(RIM_CENTERS))
+def test_regularized_dirichlet_kernel_vanishes_on_the_boundary(center, rho):
+    # why the cap split has no boundary term in G_D: at interior targets
+    # with 1 - xi . eta >= 2^-J to every boundary node, the regularized
+    # G_D is zero there up to the rounding of 1 - xi . eta
+    cap = SphericalCap(RIM_CENTERS[center], rho)
+    bgrid = build_boundary_grid(cap, 512)
+    fractions = np.r_[0.0, np.linspace(0.05, 0.999, 40), 1 - 1e-4, 1 - 1e-5]
+    pts = np.array([cap_point(cap, f, 0.3 + 1.7 * k) for k, f in enumerate(fractions)])
+    u_min = (1.0 - pts @ bgrid.nodes.T).min(axis=1)
+    for J in (9, 12):
+        values = kernel_value_matrix(KernelSpec(KIND_DIRICHLET, cap, J), pts, bgrid.nodes)
+        sup = np.abs(values).max(axis=1)
+        far = u_min >= 2.0**-J
+        assert far.sum() >= 36
+        # what is left is the rounding of 1 - xi . eta, relative eps / u
+        assert np.all(sup[far] <= np.finfo(float).eps / u_min[far])
+        assert J > 9 or sup[far].max() <= 2e-14
+        assert sup[fractions <= 0.8].max() <= 2e-15
+        # inside 2^-J the linear branch breaks the reflection identity
+        assert sup[-1] > 0.1 and not far[-1]
 
 
 def test_dirichlet_green_rejects_bad_arguments():

@@ -146,16 +146,18 @@ def test_grid_size_preconditions():
         build_boundary_grid(CAP, 4)
 
 
-def test_node_lookup_finds_every_node():
+def test_node_indices_finds_every_node():
     tilted = SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9)
     for grid in (build_sphere_grid(24, 48), build_cap_grid(tilted, 24, 48)):
         idx = np.arange(len(grid))
-        assert np.array_equal(grid.node_lookup(grid.nodes), idx)
-        # points a little off a node still resolve to it
+        assert np.array_equal(grid.node_indices(grid.nodes), idx)
+        assert np.array_equal(grid.node_indices(grid.nodes[::-7]), idx[::-7])
+        # a point a little off its node is no node
         nudged = unit_vector(grid.nodes + 1e-7 * np.array([0.6, -0.8, 0.0]))
-        assert np.array_equal(grid.node_lookup(nudged), idx)
-    with pytest.raises(ValueError):
-        build_boundary_grid(CAP, 16).node_lookup(CAP.center[None, :])
+        assert grid.node_indices(nudged) is None
+        assert grid.node_indices(nudged[:1]) is None
+    bgrid = build_boundary_grid(CAP, 16)
+    assert bgrid.node_indices(bgrid.nodes) is None
 
 
 def test_cap_circles_share_the_area_grids_axis():
