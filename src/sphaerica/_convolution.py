@@ -14,7 +14,8 @@ from the grid and the targets:
   ring that holds a target needs its first node's kernel row (two for
   vector samples) against all N nodes and rFFT products over the source
   rings: O(n_t N) kernel evaluations plus O(n_t^2 n_phi log n_phi) FFT work
-  instead of O(P N) kernel pairs.
+  instead of O(P N) kernel pairs. Given the kernel's integral, they also
+  subtract the singular part against the sample at the target.
 - any other targets, and every target of a boundary grid, use the dense
   path: (P, N) kernel blocks, chunked so each temporary holds at most
   _CHUNK_DOUBLES values. A kernel block takes several elementwise passes
@@ -48,22 +49,23 @@ def _chunks(n_points: int, n_nodes: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def apply_kernel(kernel, samples, points: np.ndarray, centers=None) -> np.ndarray:
+def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarray:
     """sum_j w_j A(xi_i, eta_j) over the sample grid, for stacked points xi.
 
     samples is FieldSamples (DensitySamples is a subclass).
     Scalar samples h: kernel(xi, eta) returns kernel values K (P, N) and
-    A = K h, or A = K (h - centers_i) when centers are given (singular
-    subtraction against the integrand at the evaluation points). Vector
-    samples f: kernel(xi, eta, field) returns the rows (D_eta K) . field
-    (P, N) for a tangential D_eta and A = (D_eta K) . f. The kernel must be
-    invariant under rotations about the grid's ring axis (polar_frame[:, 2]),
-    and must return a new array: the dense path weights the rows in place.
+    A = K h, or, at node targets when integral (the exact integral of
+    K(xi, .) over the grid's domain) is given, A = K (h - h(xi)) and
+    integral h(xi) is added to the sum. Vector samples f: kernel(xi, eta,
+    field) returns the rows (D_eta K) . field (P, N) for a tangential D_eta
+    and A = (D_eta K) . f. The kernel must be invariant under rotations
+    about the grid's ring axis (polar_frame[:, 2]), and must return a new
+    array: the dense path weights the rows in place.
     """
     idx = samples.grid.node_indices(points)
     if idx is None:
-        return _dense(kernel, samples, points, centers)
-    return _ring(kernel, samples, idx, centers)
+        return _dense(kernel, samples, points)
+    return _ring(kernel, samples, idx, integral)
 
 
 def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:
@@ -76,7 +78,7 @@ def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarra
     return -apply_kernel(kernel, samples, points)
 
 
-def _dense(kernel, samples, points, centers):
+def _dense(kernel, samples, points):
     grid = samples.grid
     h = samples.values
     w = grid.weights
@@ -84,10 +86,10 @@ def _dense(kernel, samples, points, centers):
     for i0, i1 in _chunks(points.shape[0], len(grid)):
         pts = points[i0:i1]
         rows = kernel(pts, grid.nodes, h) if h.ndim == 2 else kernel(pts, grid.nodes)
-        # weighted in place, in the order (w K)(h - c) of the scalar sum
+        # weighted in place, in the order (w K) h of the scalar sum
         rows *= w
         if h.ndim == 1:
-            rows *= h if centers is None else h - centers[i0:i1, None]
+            rows *= h
         out[i0:i1] = np.sum(rows, axis=1)
     return out
 
@@ -107,7 +109,7 @@ def _ring_fields(grid, h):
     return [(e, w * np.sum(h * e, axis=1)) for e in (e_t, e_phi)]
 
 
-def _ring(kernel, samples, idx, centers):
+def _ring(kernel, samples, idx, integral):
     grid = samples.grid
     n_t, n_phi = grid.shape
     fields = [
@@ -129,9 +131,11 @@ def _ring(kernel, samples, idx, centers):
         values = np.fft.irfft(acc, n=n_phi, axis=1)
         sel = (slot >= r0) & (slot < r1)
         out[sel] = values[slot[sel] - r0, lon[sel]]
-        if centers is not None:
+        if integral is not None:
             # scalar samples: every node of a ring shares the weighted row
             # sum of the ring's first node
             row_sums = rows @ grid.weights
-            out[sel] -= centers[sel] * row_sums[slot[sel] - r0]
+            out[sel] -= samples.values[idx[sel]] * row_sums[slot[sel] - r0]
+    if integral:
+        out += integral * samples.values[idx]
     return out

@@ -185,19 +185,15 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     if grid.kind != KIND_SPHERE:
         raise ValueError("the convolution path needs a sphere grid")
 
-    def at_nodes(idx):
-        centers = samples.values[idx]
-        return _ring(_d_inv_kernel, samples, idx, centers) + 2.0 * centers
-
     def evaluate(pts):
         idx = grid.node_indices(pts)
         if idx is None:
             raise ValueError("evaluation points must coincide with grid nodes")
-        return at_nodes(idx)
+        return _ring(_d_inv_kernel, samples, idx, 2.0)
 
     xi = np.asarray(xi)
     if xi.dtype.kind in "iu":
-        out = at_nodes(np.atleast_1d(xi))
+        out = _ring(_d_inv_kernel, samples, np.atleast_1d(xi), 2.0)
         return float(out[0]) if xi.ndim == 0 else out
     return on_points(xi, evaluate)
 

@@ -2,12 +2,14 @@
 
 The single layer integrates the fundamental solution against a boundary
 density, the double layer its boundary-normal derivative. On cap boundaries
-both admit closed kernel structure: the double-layer kernel restricted to
-the curve is one constant (geodesic curvature over 4 pi), which makes the
-second-kind Dirichlet equation a rank-one perturbation of the identity, and
-the single-layer kernel depends on the parameter difference only, which
-makes the Neumann equation circulant and solvable by FFT after splitting off
-the periodic log singularity with spectral quadrature weights.
+both admit closed kernel structure. The double-layer kernel restricted to
+the curve, and the observation-side normal derivative of the single layer,
+are one constant (geodesic curvature over 4 pi), so both second-kind
+equations solve in closed form: the Dirichlet one as a rank-one perturbation
+of the identity, the Neumann one as Q = -2 F on its mean-free branch. The
+single-layer kernel on the curve depends on the parameter difference only,
+so single_layer_on_boundary evaluates it by FFT after splitting off the
+periodic log singularity with spectral quadrature weights.
 
 Off the curve both potentials are trapezoidal sums through
 _convolution.apply_kernel, which takes its dense path on boundary grids and

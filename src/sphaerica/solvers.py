@@ -4,9 +4,10 @@ Quadrature of singular kernels follows two strategies. Gradient-kernel
 convolutions (invert_gradient and everything built on it) integrate the
 scale-J regularized kernel directly; J defaults to a value tied to the grid
 resolution. The scalar surface potential additionally exploits the kernel's
-zero spherical mean on full-sphere grids: when the integrand's value at the
-evaluation point is available, the singular part is subtracted and the
-quadrature error drops by more than an order of magnitude.
+zero spherical mean on full-sphere grids: at grid nodes, where the
+integrand's value at the evaluation point is a sample, the singular part is
+subtracted and the quadrature error drops by more than an order of
+magnitude. Off-node points take the plain sum.
 
 Every area and boundary sum here runs through _convolution.apply_kernel,
 which picks ring-FFT or dense summation from the evaluation points.
@@ -70,26 +71,18 @@ def surface_potential(
     """Quadrature of G(xi . eta) H(eta) over the sample grid.
 
     Nodes with 1 - xi . eta < 2^-scale use the linear continuation of the log
-    kernel. On full-sphere grids with xi_values supplied (the integrand at
-    the evaluation points), the zero-mean identity of the kernel turns the
-    integrand into G(xi . eta)(H(eta) - H(xi)), which removes the singular
-    contribution entirely. xi_values on another grid, of a length other than
-    the number of points, or with non-finite entries raise ValueError.
+    kernel. When every xi is a node of a full-sphere grid, the zero-mean
+    identity of the kernel turns the integrand into
+    G(xi . eta)(H(eta) - H(xi)), which removes the singular contribution
+    entirely; other points take the plain sum. xi_values is ignored; it goes
+    once the benchmark stops passing it.
     """
     grid = samples.grid
     if scale is None:
         scale = default_scale(grid)
     kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=scale))
-    centers = None
-    if xi_values is not None:
-        if grid.kind != KIND_SPHERE:
-            raise ValueError("xi_values need a sphere grid")
-        centers = np.atleast_1d(np.asarray(xi_values, dtype=float))
-        if centers.shape != (len(np.atleast_2d(xi)),):
-            raise ValueError("xi_values need one value per evaluation point")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("xi_values must be finite")
-    return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts, centers))
+    integral = 0.0 if grid.kind == KIND_SPHERE else None
+    return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts, integral))
 
 
 def beltrami_fd(evaluator, xi, h: float = 1e-3) -> float:

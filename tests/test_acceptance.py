@@ -99,7 +99,7 @@ def test_criterion_01_fundamental_solution_suite():
     ones = sample(grid, lambda p: np.ones(len(p)))
     rng = np.random.default_rng(101)
     probes = grid.nodes[rng.choice(len(grid), 8, replace=False)]
-    operator = surface_potential(ones, probes, scale=12, xi_values=np.ones(8))
+    operator = surface_potential(ones, probes, scale=12)
     assert np.abs(operator).max() < 1e-10
     # closed-form point value
     assert abs(fundamental(-1.0) - 1.0 / (4 * np.pi)) < 1e-15
@@ -154,9 +154,7 @@ def test_criterion_03_spectral_inversion():
             c = coefficients_from_entries(n, {(n, j): 1.0})
             values = sh_eval(c, grid.nodes)
             samples = FieldSamples(grid, values)
-            out = surface_potential(
-                samples, grid.nodes[sel], scale=12, xi_values=values[sel]
-            )
+            out = surface_potential(samples, grid.nodes[sel], scale=12)
             worst = max(
                 worst, float(np.abs(out + values[sel] / (n * (n + 1))).max())
             )
@@ -173,9 +171,7 @@ def test_criterion_03_spectral_inversion():
             mask = keep[block]
             if not mask.any():
                 continue
-            out = surface_potential(
-                samples, grid.nodes[block], scale=12, xi_values=values[block]
-            )
+            out = surface_potential(samples, grid.nodes[block], scale=12)
             err = np.abs(out + values[block] / 30.0)
             worst = max(worst, float(err[mask].max()))
     assert worst < 1e-6

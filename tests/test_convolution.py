@@ -128,11 +128,16 @@ def _target_sets(grid):
 
 def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
-    centers = samples.values[idx] if subtract else None
-    fast = apply_kernel(kernel, samples, pts, centers)
+    integral = 0.0 if subtract else None
+    fast = apply_kernel(kernel, samples, pts, integral)
     # node targets take the ring path
-    assert np.array_equal(fast, _ring(kernel, samples, idx, centers))
-    ref = _dense(kernel, samples, pts, centers)
+    assert np.array_equal(fast, _ring(kernel, samples, idx, integral))
+    if subtract:
+        h = samples.values
+        rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
+        ref = np.sum(rows, axis=1)
+    else:
+        ref = _dense(kernel, samples, pts)
     err = np.abs(fast - ref) / np.abs(ref).max()
     inner = INNER.contains(pts) if grid.cap is not None else np.ones(len(idx), bool)
     assert err[inner].max(initial=0.0) <= REL_TOL
@@ -245,7 +250,7 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     idx = _target_sets(grid)["subset"]
     nudged = grid.nodes[idx] + 1e-9 * np.array([0.6, -0.8, 0.0])
     pts = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
-    expected = _dense(kernel, samples, pts, None)
+    expected = _dense(kernel, samples, pts)
 
     def refuse(*args):
         raise AssertionError("off-node targets must not take the ring path")
@@ -256,7 +261,7 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     mixed = grid.nodes[idx].copy()
     mixed[0] = pts[0]
     assert np.array_equal(
-        apply_kernel(kernel, samples, mixed), _dense(kernel, samples, mixed, None)
+        apply_kernel(kernel, samples, mixed), _dense(kernel, samples, mixed)
     )
 
 

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
+from sphaerica._convolution import _dense
 from sphaerica.apps import vd_reconstruct
 from sphaerica.decomposition import decompose_cap_at
 from sphaerica.geometry import SphericalCap, boundary_nodes, unit_vector
@@ -16,6 +19,7 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
+from sphaerica.kernels import KIND_FUNDAMENTAL, KernelSpec, kernel_value_matrix
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -49,7 +53,7 @@ class TestSurfacePotential:
     def test_annihilates_constants_on_sphere(self):
         grid = build_sphere_grid(32, 64)
         ones = sample(grid, lambda p: np.ones(len(p)))
-        value = surface_potential(ones, grid.nodes[100], scale=12, xi_values=1.0)
+        value = surface_potential(ones, grid.nodes[100], scale=12)
         assert abs(value) < 1e-14
 
     def test_spectral_inversion_on_sphere(self, rng):
@@ -58,22 +62,26 @@ class TestSurfacePotential:
         h = sample(grid, lambda p: sh_eval(c, p))
         idx = rng.choice(len(grid), 24, p=grid.weights / (4 * np.pi), replace=False)
         pts = grid.nodes[idx]
-        values = surface_potential(h, pts, scale=12, xi_values=h.values[idx])
+        values = surface_potential(h, pts, scale=12)
         assert np.abs(values + sh_eval(c, pts) / 6.0).max() < 5e-6
 
-    @pytest.mark.parametrize(
-        "grid, xi_values",
-        [
-            (build_cap_grid(CAP, 8, 16), np.ones(4)),
-            (build_sphere_grid(8, 16), np.ones(3)),
-            (build_sphere_grid(8, 16), np.array([1.0, np.nan, 1.0, 1.0])),
-        ],
-        ids=["cap-grid", "wrong-length", "non-finite"],
-    )
-    def test_rejects_bad_xi_values(self, grid, xi_values):
-        ones = sample(grid, lambda p: np.ones(len(p)))
-        with pytest.raises(ValueError, match="xi_values"):
-            surface_potential(ones, grid.nodes[:4], scale=8, xi_values=xi_values)
+    def test_subtracts_at_sphere_nodes_and_ignores_xi_values(self):
+        grid = build_sphere_grid(8, 16)
+        h = sample(grid, lambda p: sh_eval(synth_field(3, 0, 4), p))
+        idx = np.arange(0, len(grid), 5)
+        pts = grid.nodes[idx]
+        values = surface_potential(h, pts, scale=8)
+        for xi_values in (h.values[idx], np.ones(3), np.full(len(idx), np.nan)):
+            again = surface_potential(h, pts, scale=8, xi_values=xi_values)
+            assert np.array_equal(again, values)
+        kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=8))
+        subtracted = h.values - h.values[idx][:, None]
+        ref = np.sum(kernel(pts, grid.nodes) * grid.weights * subtracted, axis=1)
+        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+        # off the nodes there is no sample to subtract: the plain sum
+        off = pts + 1e-3 * np.array([0.6, -0.8, 0.0])
+        off /= np.linalg.norm(off, axis=1, keepdims=True)
+        assert np.array_equal(surface_potential(h, off, scale=8), _dense(kernel, h, off))
 
     def test_cap_exterior_laplacian_identity(self):
         grid = build_cap_grid(CAP, 48, 96)
@@ -425,7 +433,9 @@ class TestGreenFormulas:
             assert rep == pytest.approx(sh_eval(c, xi), abs=1e-4)
 
 
-@pytest.mark.parametrize("call", ["invert_gradient", "decompose_cap_at", "vd_reconstruct"])
+@pytest.mark.parametrize(
+    "call", ["invert_gradient", "decompose_cap_at", "vd_reconstruct", "neumann_solve_cap"]
+)
 def test_cap_kernels_reject_points_outside_the_cap(call):
     polar = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5)
     grid = build_cap_grid(polar, 8, 16)
@@ -435,6 +445,10 @@ def test_cap_kernels_reject_points_outside_the_cap(call):
         "invert_gradient": lambda: invert_gradient(field, "grad", 6, probe),
         "decompose_cap_at": lambda: decompose_cap_at(field, probe, m=32),
         "vd_reconstruct": lambda: vd_reconstruct(field, 6, 0.0, probe),
+        # mean-free Neumann data: x integrates to zero on the polar circle
+        "neumann_solve_cap": lambda: neumann_solve_cap(
+            polar, lambda p: p[:, 0], 0.0, probe, m=32
+        ),
     }
     with pytest.raises(ValueError, match="inside the cap"):
         calls[call]()
