@@ -180,22 +180,18 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     integral k (F - F(xi)) + 2 F(xi). xi must be grid nodes (their values
     feed the subtraction): indices, or points bitwise equal to nodes
     (grid.node_indices), with the same bits; other points raise ValueError.
+    A scalar index or a single (3,) point gives a float, stacks an array.
     """
     grid = samples.grid
     if grid.kind != KIND_SPHERE:
         raise ValueError("the convolution path needs a sphere grid")
-
-    def evaluate(pts):
-        idx = grid.node_indices(pts)
-        if idx is None:
-            raise ValueError("evaluation points must coincide with grid nodes")
-        return _ring(_d_inv_kernel, samples, idx, 2.0)
-
     xi = np.asarray(xi)
-    if xi.dtype.kind in "iu":
-        out = _ring(_d_inv_kernel, samples, np.atleast_1d(xi), 2.0)
-        return float(out[0]) if xi.ndim == 0 else out
-    return on_points(xi, evaluate)
+    by_index = xi.dtype.kind in "iu"
+    idx = np.atleast_1d(xi) if by_index else grid.node_indices(np.atleast_2d(xi))
+    if idx is None:
+        raise ValueError("evaluation points must coincide with grid nodes")
+    out = _ring(_d_inv_kernel, samples, idx, 2.0)
+    return float(out[0]) if xi.ndim == (0 if by_index else 1) else out
 
 
 def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

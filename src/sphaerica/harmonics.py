@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _ANTIPODE_TOL,
-    AntipodeError,
     SphericalCap,
     on_points,
     rotation_to_pole,
@@ -244,11 +242,8 @@ def _inner_harmonic_grad(idx: InnerHarmonicIndex, pts: np.ndarray) -> np.ndarray
     n = idx.degree
     R = _inner_radius(idx.cap)
 
+    p1, p2 = stereographic_project(zeta, pts).T
     denom = 1.0 + pts @ zeta
-    if np.any(denom < _ANTIPODE_TOL):
-        raise AntipodeError("inner harmonic gradient at the antipode of the cap")
-    p1 = 2.0 * (pts @ a1) / denom
-    p2 = 2.0 * (pts @ a2) / denom
     w = (p1 + 1j * p2) / R
     dw = n * w ** max(n - 1, 0) / R if n > 0 else np.zeros_like(w)
     # planar gradient: for Re(w^n) it is (Re dw, -Im dw), for Im(w^n)

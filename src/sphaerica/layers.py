@@ -142,32 +142,26 @@ def jump_probe(
             f"displacement {taus.min():.3e} below the resolution floor {floor:.3e};"
             " refine the boundary grid"
         )
+    layer = {"double": double_layer, "single": single_layer}.get(potential)
+    if layer is None:
+        raise ValueError("potential must be 'single' or 'double'")
+    if quantity not in ("value", "normal-derivative"):
+        raise ValueError("quantity must be 'value' or 'normal-derivative'")
     xi = grid.nodes[boundary_index]
     nu = grid.normals[boundary_index]
-    if potential == "double":
-        evaluate = lambda pts: double_layer(density, pts)
-    elif potential == "single":
-        evaluate = lambda pts: single_layer(density, pts)
-    else:
-        raise ValueError("potential must be 'single' or 'double'")
-
-    def along(alphas: np.ndarray) -> np.ndarray:
-        return np.outer(np.cos(alphas), xi) + np.outer(np.sin(alphas), nu)
-
     alphas = np.arctan(taus)
-    if quantity == "value":
-        outside = evaluate(along(alphas))
-        inside = evaluate(along(-alphas))
-    elif quantity == "normal-derivative":
-        h = alphas / 16.0
-        outside = (evaluate(along(alphas + h)) - evaluate(along(alphas - h))) / (
-            2.0 * h
-        )
-        inside = (evaluate(along(-alphas + h)) - evaluate(along(-alphas - h))) / (
-            2.0 * h
-        )
-    else:
-        raise ValueError("quantity must be 'value' or 'normal-derivative'")
+    h = alphas / 16.0
+
+    def at(a: np.ndarray) -> np.ndarray:
+        return layer(density, np.outer(np.cos(a), xi) + np.outer(np.sin(a), nu))
+
+    def side(a: np.ndarray) -> np.ndarray:
+        if quantity == "value":
+            return at(a)
+        return (at(a + h) - at(a - h)) / (2.0 * h)
+
+    outside = side(alphas)
+    inside = side(-alphas)
     diffs = outside - inside
     return JumpReport(
         taus=taus,

@@ -321,10 +321,15 @@ class TestHalfShiftOperator:
         samples = FieldSamples(GRID, sh_eval(synth_field(3, 0, 4), GRID.nodes))
         idx = np.arange(5, len(GRID), 97)
         shift = np.array([0.6, -0.8, 0.0])
-        # node points give the bits of their indices
-        assert np.array_equal(
-            d_inv_convolve(samples, GRID.nodes[idx]), d_inv_convolve(samples, idx)
-        )
+        # node points give the bits of their indices: a stack gives an array,
+        # a scalar index and its single (3,) node the same float
+        stacked = d_inv_convolve(samples, GRID.nodes[idx])
+        assert isinstance(stacked, np.ndarray) and stacked.shape == idx.shape
+        assert np.array_equal(stacked, d_inv_convolve(samples, idx))
+        one = d_inv_convolve(samples, int(idx[3]))
+        assert type(one) is float
+        assert type(d_inv_convolve(samples, GRID.nodes[idx[3]])) is float
+        assert d_inv_convolve(samples, GRID.nodes[idx[3]]) == one
         # a point off its node is rejected, however close (1 - xi . eta
         # is below 1e-12 at this offset)
         near = unit_vector(GRID.nodes[idx] + 1e-8 * shift)

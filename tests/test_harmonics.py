@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import cap_point, fd_tangent_derivative, tangent_basis
 from sphaerica.geometry import (
+    AntipodeError,
     SphericalCap,
     boundary_nodes,
     stereographic_project,
@@ -145,6 +146,18 @@ def test_inner_harmonic_gradient_fd(rng):
 def test_inner_harmonic_gradient_vanishes_at_center_for_high_degree():
     idx = InnerHarmonicIndex(CAP, 3, 1)
     assert_allclose(inner_harmonic_grad(idx, CAP.center), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("degree,order", [(0, 1), (2, 1), (3, 2)])
+def test_inner_harmonics_reject_the_antipode(degree, order):
+    # value and gradient share the chart of stereographic_project, and so
+    # its antipode check, alone or inside a stack
+    idx = InnerHarmonicIndex(CAP, degree, order)
+    stack = np.array([CAP.center, -CAP.center])
+    for evaluate in (inner_harmonic_eval, inner_harmonic_grad):
+        for xi in (-CAP.center, stack):
+            with pytest.raises(AntipodeError, match="at the antipode"):
+                evaluate(idx, xi)
 
 
 def test_tangential_derivative_closed_loop():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sphaerica.layers as layers
 from conftest import cap_point, random_interior_points
 from sphaerica.geometry import SphericalCap, boundary_frame, unit_vector
 from sphaerica.harmonics import (
@@ -11,6 +12,7 @@ from sphaerica.harmonics import (
 )
 from sphaerica.layers import (
     DensitySamples,
+    _extrapolate,
     _log_quadrature_weights,
     double_layer,
     geodesic_curvature,
@@ -114,6 +116,75 @@ class TestJumpRelations:
         density = DensitySamples(grid, np.ones(64))
         with pytest.raises(ValueError):
             jump_probe(density, 0, [0.25, 0.125, 1e-4], "double", "value")
+
+    @staticmethod
+    def _two_branch_probe(density, boundary_index, taus, potential, quantity):
+        # the one- and two-sided sums written out per potential and per
+        # side, as jump_probe once did; its report must keep these bits
+        taus = np.asarray(sorted(np.atleast_1d(taus), reverse=True), dtype=float)
+        grid = density.grid
+        xi = grid.nodes[boundary_index]
+        nu = grid.normals[boundary_index]
+        if potential == "double":
+            evaluate = lambda pts: double_layer(density, pts)
+        else:
+            evaluate = lambda pts: single_layer(density, pts)
+
+        def along(alphas):
+            return np.outer(np.cos(alphas), xi) + np.outer(np.sin(alphas), nu)
+
+        alphas = np.arctan(taus)
+        if quantity == "value":
+            outside = evaluate(along(alphas))
+            inside = evaluate(along(-alphas))
+        else:
+            h = alphas / 16.0
+            outside = (evaluate(along(alphas + h)) - evaluate(along(alphas - h))) / (
+                2.0 * h
+            )
+            inside = (evaluate(along(-alphas + h)) - evaluate(along(-alphas - h))) / (
+                2.0 * h
+            )
+        return taus, outside, inside, outside - inside
+
+    @pytest.mark.parametrize("potential", ["double", "single"])
+    @pytest.mark.parametrize("quantity", ["value", "normal-derivative"])
+    def test_probe_keeps_the_two_branch_bits(self, potential, quantity):
+        grid = build_boundary_grid(CAP, 1024)
+        q = 0.4 * np.cos(grid.phis) - 0.3 * np.sin(3 * grid.phis)
+        density = DensitySamples(grid, q, mean_free=True)
+        taus = [0.3, 0.5, 0.2, 0.4]
+        report = jump_probe(density, 101, taus, potential, quantity)
+        taus, outside, inside, diffs = self._two_branch_probe(
+            density, 101, taus, potential, quantity
+        )
+        for got, want in (
+            (report.taus, taus),
+            (report.outside, outside),
+            (report.inside, inside),
+            (report.differences, diffs),
+        ):
+            assert np.array_equal(got, want)
+        assert report.jump == _extrapolate(taus, diffs)
+        assert report.outside_limit == _extrapolate(taus, outside)
+        assert report.inside_limit == _extrapolate(taus, inside)
+
+    def test_probe_checks_before_evaluating_the_module_layer(self, monkeypatch):
+        # the potential is looked up at call time, so a wrapper installed on
+        # the module is what runs; a bad quantity is rejected before any call
+        calls = []
+
+        def counted(density, pts):
+            calls.append(len(pts))
+            return single_layer(density, pts)
+
+        monkeypatch.setattr(layers, "single_layer", counted)
+        density = DensitySamples(build_boundary_grid(CAP, 1024), np.ones(1024))
+        with pytest.raises(ValueError, match="quantity must be"):
+            jump_probe(density, 0, [0.5, 0.25, 0.125], "single", "flux")
+        assert calls == []
+        jump_probe(density, 0, [0.5, 0.25, 0.125], "single", "normal-derivative")
+        assert calls == [3, 3, 3, 3]
 
     @pytest.mark.parametrize(
         "taus,potential,quantity,message",
