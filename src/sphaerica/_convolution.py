@@ -2,9 +2,9 @@
 
 apply_kernel sums a kernel against sampled values with the weights of a
 quadrature grid: area convolutions on cap and sphere grids, and boundary
-integrals (layer potentials, the cap solvers' representation integrals and
-the boundary terms of the cap split) on boundary grids. The backend follows
-from the grid and the targets:
+integrals (layer potentials, and the cap solvers' sums, which are also the
+cap split's boundary terms) on boundary grids. The backend follows from
+the grid and the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule
   of QuadratureGrid.node_indices) use ring-FFT summation. Area grids are
@@ -132,9 +132,10 @@ def _ring(kernel, samples, idx, integral):
         sel = (slot >= r0) & (slot < r1)
         out[sel] = values[slot[sel] - r0, lon[sel]]
         if integral is not None:
-            # scalar samples: every node of a ring shares the weighted row
-            # sum of the ring's first node
-            row_sums = rows @ grid.weights
+            # scalar samples: a ring's nodes share its first node's weighted
+            # row sum, summed per row (a gemv would round with the row count)
+            rows *= grid.weights
+            row_sums = np.sum(rows, axis=1)
             out[sel] -= samples.values[idx[sel]] * row_sums[slot[sel] - r0]
     if integral:
         out += integral * samples.values[idx]

@@ -101,23 +101,18 @@ class RunConfig:
         )
 
 
+# flag and config key of each RunConfig field: the name with dashes, or the
+# paper's symbol; the cast is the default's type (str for a None default)
+_RENAMED = {
+    "scale": "J", "n_sources": "M", "ridge": "lambda", "n_vortices": "N",
+    "in_path": "in", "out_dir": "out",
+}
 _CONFIG_KEYS = {
-    "cap-center-lon": ("cap_center_lon", float),
-    "cap-center-lat": ("cap_center_lat", float),
-    "cap-radius": ("cap_radius", float),
-    "nt": ("nt", int),
-    "nphi": ("nphi", int),
-    "m": ("m", int),
-    "J": ("scale", int),
-    "seed": ("seed", int),
-    "nmin": ("nmin", int),
-    "nmax": ("nmax", int),
-    "M": ("n_sources", int),
-    "rho-bar": ("rho_bar", float),
-    "lambda": ("ridge", float),
-    "N": ("n_vortices", int),
-    "in": ("in_path", str),
-    "out": ("out_dir", str),
+    _RENAMED.get(f.name, f.name.replace("_", "-")): (
+        f.name, str if f.default is None else type(f.default)
+    )
+    for f in fields(RunConfig)
+    if f.name != "command"
 }
 
 

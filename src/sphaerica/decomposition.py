@@ -4,7 +4,9 @@ A field splits into a radial part, a curl-free tangential part (surface
 gradient of a scalar), and a divergence-free tangential part (surface curl
 gradient of a scalar). The scalars are recovered by convolving the field
 with gradient kernels: the fundamental solution globally, the Neumann and
-Dirichlet cap kernels on caps. The Hardy-Hodge variant recombines the
+Dirichlet cap kernels on caps, plus the cap solvers' integrals of the F3
+trace there (neumann_solve_cap of its tangential derivative in F2,
+dirichlet_solve_cap of it in F3). The Hardy-Hodge variant recombines the
 Helmholtz scalars through the half-integer shifted square root of the
 (shifted) surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2)
 and pointwise as a weakly singular convolution; both paths are implemented
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._convolution import _ring, apply_kernel, grad_convolution
+from ._convolution import _ring, grad_convolution
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
@@ -27,15 +29,14 @@ from .harmonics import (
     sh_eval,
     sh_grad_eval,
 )
-from .kernels import (
-    KIND_DIRICHLET,
-    KIND_FUNDAMENTAL,
-    KIND_NEUMANN,
-    KernelSpec,
-    kernel_grad_dot,
-)
+from .kernels import KIND_DIRICHLET, KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
-from .solvers import _cap_boundary_samples, default_scale
+from .solvers import (
+    _cap_boundary_samples,
+    default_scale,
+    dirichlet_solve_cap,
+    neumann_solve_cap,
+)
 
 _SQRT_SING_FLOOR = 1e-300
 
@@ -99,11 +100,10 @@ def helmholtz_decompose_cap(
     boundary_f3 gives the boundary trace of F3 (callable on stacked boundary
     nodes, an array of m trace values, or None for the zero trace); a trace
     of the wrong length or with non-finite values raises ValueError. F2
-    convolves the Neumann cap kernel and carries a boundary correction
-    weighted by the trace; F3 convolves the Dirichlet cap kernel plus its
-    one boundary term, the trace against the kernel's normal derivative. F2
-    is demeaned over the cap. Scalars are returned at the grid nodes;
-    decompose_cap_at evaluates at other interior points.
+    and F3 convolve the Neumann and Dirichlet cap kernels and add the
+    boundary terms of decompose_cap_at, whose strict-interior rule the grid
+    nodes must meet. F2 is demeaned over the cap. Scalars are returned at
+    the grid nodes; decompose_cap_at evaluates at other interior points.
     """
     grid = samples.grid
     f1 = np.sum(samples.values * grid.nodes, axis=1)
@@ -126,6 +126,10 @@ def decompose_cap_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F2, F3) of the cap decomposition at interior evaluation points.
 
+    The F3 trace adds neumann_solve_cap of its d/dsigma (by parts, the rim
+    integral of d_tau G_N F3) to F2 and dirichlet_solve_cap of it to F3.
+    Points must lie 1e-6 inside the rim (the Dirichlet solver's rule; F2 is
+    summed first, so a point outside the cap fails in its area kernel).
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then
     replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
@@ -144,21 +148,21 @@ def decompose_cap_at(
     trace = _cap_boundary_samples(
         cap, np.zeros(m) if boundary_f3 is None else boundary_f3, m
     )
-    bgrid = trace.grid
+    n = len(trace.grid)
+    d_phi = np.fft.irfft(1j * np.arange(n // 2 + 1) * np.fft.rfft(trace.values), n=n)
+    flux = FieldSamples(trace.grid, d_phi / cap.boundary_sine)
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
-    tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
-    normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
 
     def f2_at(target: np.ndarray) -> np.ndarray:
         f2 = grad_convolution(samples, spec_n, target, curl=False)
-        return f2 + apply_kernel(tangent_n, trace, target)
+        return f2 + neumann_solve_cap(cap, flux, 0.0, target)
 
     f2 = f2_at(pts)
     f3 = grad_convolution(samples, spec_d, pts, curl=True)
-    f3 = f3 + apply_kernel(normal_d, trace, pts)
+    f3 = f3 + dirichlet_solve_cap(cap, trace, pts)
     if demean:
         f2_nodes = f2 if np.array_equal(pts, grid.nodes) else f2_at(grid.nodes)
         f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_interior_points
 from sphaerica import _convolution
 from sphaerica._convolution import _dense, _ring, apply_kernel, grad_convolution
-from sphaerica.decomposition import _d_inv_kernel, decompose_cap_at
+from sphaerica.decomposition import _d_inv_kernel, d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import (
@@ -232,6 +232,22 @@ def test_off_grid_surface_potential_bit_identical_across_chunks(monkeypatch):
     whole = surface_potential(samples, pts, scale=SCALE)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
     assert np.array_equal(surface_potential(samples, pts, scale=SCALE), whole)
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (48, 96), (64, 128)])
+def test_ring_node_value_does_not_depend_on_the_other_targets(shape):
+    # the subtracted row sums are summed row by row, so a node alone gives
+    # the bits it has inside a stack of nodes on many rings
+    grid = build_sphere_grid(*shape)
+    samples = FieldSamples(grid, sh_eval(synth_field(5, 0, 6), grid.nodes))
+    idx = np.arange(0, len(grid), 7)
+    for evaluate in (
+        lambda i: d_inv_convolve(samples, i),
+        lambda i: surface_potential(samples, grid.nodes[i], scale=SCALE),
+    ):
+        stack = evaluate(idx)
+        alone = np.array([evaluate(i) for i in idx[:, None]])[:, 0]
+        assert np.array_equal(alone, stack)
 
 
 def test_chunks_never_leave_a_single_row(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_interior_points
+from conftest import cap_point, random_interior_points
+from sphaerica._convolution import apply_kernel, grad_convolution
 from sphaerica.decomposition import (
     d_apply,
     d_inv_convolve,
@@ -24,8 +25,10 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
+from sphaerica.kernels import KIND_DIRICHLET, KIND_NEUMANN, KernelSpec, kernel_grad_dot
 from sphaerica.quadrature import (
     FieldSamples,
+    boundary_data,
     build_boundary_grid,
     build_cap_grid,
     build_sphere_grid,
@@ -130,6 +133,35 @@ class TestSphereDecomposition:
         assert np.abs(rebuilt - f_vals[probe_idx]).max() < 2e-2
 
 
+def _rim_kernel_split(samples, pts, trace_fn, scale, m):
+    """(F2, F3) with the boundary terms summed as rim kernels: the trace
+    against the tangential derivative of the Neumann kernel (F2) and against
+    the normal derivative of the Dirichlet kernel (F3)."""
+    cap = samples.grid.cap
+    bgrid = build_boundary_grid(cap, m)
+    trace = FieldSamples(bgrid, boundary_data(bgrid, trace_fn))
+    spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
+    spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
+    tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
+    normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
+    f2 = grad_convolution(samples, spec_n, pts, curl=False)
+    f3 = grad_convolution(samples, spec_d, pts, curl=True)
+    return (
+        f2 + apply_kernel(tangent_n, trace, pts),
+        f3 + apply_kernel(normal_d, trace, pts),
+    )
+
+
+# polar, tilted, wide, and snapped south (rotation_to_pole gives
+# diag(1, -1, -1))
+PIN_CAPS = {
+    "polar-0.5": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5),
+    "tilted-0.9": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    "wide-1.4": SphericalCap(unit_vector([0.3, 0.5, -0.2]), 1.4),
+    "south-0.7": SphericalCap(np.array([0.0, 0.0, -1.0]), 0.7),
+}
+
+
 class TestCapDecomposition:
     CAP = SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9)
 
@@ -161,6 +193,37 @@ class TestCapDecomposition:
         err2 = (f2 - p_ref) - np.mean(f2 - p_ref)
         assert np.abs(err2).max() < 1.5e-3
         assert np.abs(f3 - sh_eval(s, pts)).max() < 1.5e-3
+
+    @pytest.mark.parametrize("name", PIN_CAPS)
+    @pytest.mark.parametrize("m", [64, 65, 512])
+    def test_boundary_terms_match_the_rim_kernel_sums(self, name, m):
+        # the rim kernels' trapezoid sums and the solvers' sums approximate
+        # the same integrals, and agree once both have converged: within
+        # 0.8 rho at m = 512, within 0.4 rho at m = 64 and 65 (at 0.8 rho
+        # there they differ by their quadrature errors, up to 5e-5)
+        cap = PIN_CAPS[name]
+        grid = build_cap_grid(cap, 16, 32)
+        _, _, samples, trace = self._field(grid)
+        reach = 0.8 if m == 512 else 0.4
+        pts = random_interior_points(cap, np.random.default_rng(m), 40, reach)
+        got = decompose_cap_at(
+            samples, pts, boundary_f3=trace, scale=10, m=m, demean=False
+        )
+        want = _rim_kernel_split(samples, pts, trace, 10, m)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_probe_at_the_rim_raises(self):
+        # the F3 boundary term is dirichlet_solve_cap's, with its strict
+        # interior rule; F2 runs first, so a probe outside the cap still
+        # fails in the area kernel
+        grid = build_cap_grid(self.CAP, 12, 24)
+        _, _, samples, trace = self._field(grid)
+        rho = self.CAP.radius
+        near = cap_point(self.CAP, (rho - 5e-7) / rho, 0.3)[None, :]
+        assert 1.0 - near @ self.CAP.center == pytest.approx(rho - 5e-7, abs=1e-12)
+        with pytest.raises(ValueError, match="strictly interior"):
+            decompose_cap_at(samples, near, boundary_f3=trace, scale=6, m=64)
 
     def test_zero_trace_forces_boundary_zero(self):
         grid = build_cap_grid(self.CAP, 64, 128)

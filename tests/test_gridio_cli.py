@@ -213,6 +213,29 @@ class TestConfig:
         assert cfg.seed == 9
         assert cfg.nt == 10
 
+    def test_flag_table_follows_run_config(self):
+        # a literal copy of the flags and config keys: their order, fields
+        # and casts, which --help, flags and config files depend on
+        table = {
+            "cap-center-lon": ("cap_center_lon", float),
+            "cap-center-lat": ("cap_center_lat", float),
+            "cap-radius": ("cap_radius", float),
+            "nt": ("nt", int),
+            "nphi": ("nphi", int),
+            "m": ("m", int),
+            "J": ("scale", int),
+            "seed": ("seed", int),
+            "nmin": ("nmin", int),
+            "nmax": ("nmax", int),
+            "M": ("n_sources", int),
+            "rho-bar": ("rho_bar", float),
+            "lambda": ("ridge", float),
+            "N": ("n_vortices", int),
+            "in": ("in_path", str),
+            "out": ("out_dir", str),
+        }
+        assert list(cli._CONFIG_KEYS.items()) == list(table.items())
+
     def test_cap_construction(self):
         cfg = RunConfig("selfcheck", cap_center_lon=30.0, cap_center_lat=0.0)
         cap = cfg.cap()

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("scale_study.py", ["--nt", "24", "--nphi", "48", "--scales", "4", "6"], 2),
         ("vortex_study.py", ["--counts", "20", "40"], 3),
+        ("rim_study.py", ["--nt", "24", "--nphi", "48", "--m", "128", "--rings", "4"], 4),
     ],
 )
 def test_study_script_prints_its_table(script, args, rows):
