@@ -6,8 +6,14 @@ seed 21 plus the surface curl of seed 22, degrees 0-5, on the tilted
 rho = 0.9 cap) with helmholtz_decompose_cap and prints, for the outermost
 rings, the sup error of F2 (cap-demeaned) and of F3 on the ring over the
 sup of the true scalar on the grid. The boundary integrals are trapezoid
-sums over the rim nodes, so the outermost rings show how far their error
-reaches into the cap.
+the cap solvers' rim series, so the outermost rings show what error is
+left near the rim: the area sums'.
+
+It then sweeps both cap solvers towards the rim of the same cap: for a sum
+of the cap's inner harmonics of degrees 0-9 it prints the sup error of
+dirichlet_solve_cap (of its rim values) and of neumann_solve_cap (of its
+normal derivative and cap mean) over the sup of the function, at 64
+off-lattice longitudes of the ring 1 - xi . center = rho (1 - delta).
 """
 
 import argparse
@@ -15,9 +21,52 @@ import argparse
 import numpy as np
 
 from sphaerica.decomposition import helmholtz_decompose_cap
-from sphaerica.geometry import SphericalCap, unit_vector
-from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
-from sphaerica.quadrature import FieldSamples, build_cap_grid, mean_value
+from sphaerica.geometry import SphericalCap, circle_points, rotation_to_pole, unit_vector
+from sphaerica.harmonics import (
+    InnerHarmonicIndex,
+    inner_harmonic_eval,
+    inner_harmonic_grad,
+    sh_curl_eval,
+    sh_eval,
+    sh_grad_eval,
+    synth_field,
+)
+from sphaerica.quadrature import (
+    FieldSamples,
+    build_boundary_grid,
+    build_cap_grid,
+    mean_value,
+)
+from sphaerica.solvers import dirichlet_solve_cap, neumann_solve_cap
+
+DELTAS = (0.2, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+def solver_sweep(cap, grid, m):
+    """(delta, Dirichlet error, Neumann error) over the sup, per ring."""
+    rng = np.random.default_rng(9)
+    terms = [
+        (InnerHarmonicIndex(cap, n, order), rng.normal())
+        for n in range(10)
+        for order in (1, 2)
+        if n > 0 or order == 1
+    ]
+    value = lambda q: sum(a * inner_harmonic_eval(i, q) for i, a in terms)
+    grad = lambda q: sum(a * inner_harmonic_grad(i, q) for i, a in terms)
+    rim = build_boundary_grid(cap, m)
+    flux = FieldSamples(rim, np.sum(rim.normals * grad(rim.nodes), axis=1))
+    mean = mean_value(FieldSamples(grid, value(grid.nodes)))
+    sup = np.abs(value(rim.nodes)).max()
+    phis = 2.0 * np.pi * (np.arange(64) + 0.37) / 64
+    rows = []
+    for delta in DELTAS:
+        t = 1.0 - cap.radius * (1.0 - delta)
+        pts = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phis)
+        truth = value(pts)
+        err_d = np.abs(dirichlet_solve_cap(cap, value, pts, m=m) - truth).max()
+        err_n = np.abs(neumann_solve_cap(cap, flux, mean, pts) - truth).max()
+        rows.append((delta, err_d / sup, err_n / sup))
+    return rows
 
 
 def main() -> None:
@@ -54,6 +103,9 @@ def main() -> None:
     print(f"{'ring':>4s} {'F2/sup':>10s} {'F3/sup':>10s}")
     for ring, r in enumerate(order):
         print(f"{ring:4d} {err2[r]:10.2e} {err3[r]:10.2e}")
+    print(f"{'delta':>7s} {'dirichlet':>10s} {'neumann':>10s}")
+    for delta, err_d, err_n in solver_sweep(cap, grid, args.m):
+        print(f"{delta:7.0e} {err_d:10.2e} {err_n:10.2e}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """The one quadrature sum behind every kernel integral of the package.
 
-apply_kernel sums a kernel against sampled values with the weights of a
-quadrature grid: area convolutions on cap and sphere grids, and boundary
-integrals (layer potentials, and the cap solvers' sums, which are also the
-cap split's boundary terms) on boundary grids. The backend follows from
-the grid and the targets:
+apply_kernel sums a kernel against scalar samples with the weights of a
+quadrature grid: area convolutions on cap and sphere grids, and the layer
+potentials on boundary grids. grad_convolution sums a KernelSpec's
+gradient against vector samples. The backend follows from the grid and
+the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule
   of QuadratureGrid.node_indices) use ring-FFT summation. Area grids are
@@ -17,22 +17,30 @@ the grid and the targets:
   instead of O(P N) kernel pairs. Given the kernel's integral, they also
   subtract the singular part against the sample at the target.
 - any other targets, and every target of a boundary grid, use the dense
-  path: (P, N) kernel blocks, chunked so each temporary holds at most
-  _CHUNK_DOUBLES values. A kernel block takes several elementwise passes
-  (a gradient block: 1 - xi . eta, then the rows divided by it, per log
-  term; a scalar block: the kernel values), and the rows are then weighted
-  in place and summed. The chunk is sized for the cache, 2 MiB: a block
-  that stays in a core's L2 between passes is not streamed from memory on
-  each one. On a 2-core Xeon with 2 MiB of L2 per core, decompose_cap_at
-  at 250 off-grid probes of a 96x192 grid took 0.29 s with 64 MB chunks and
-  0.15 s with 2 MiB; chunks of a few rows pay Python overhead per chunk.
+  path in chunks of at most _CHUNK_DOUBLES kernel values. A scalar chunk
+  holds the (P, N) kernel values, weighted in place and summed. A gradient
+  sum forms no kernel rows: each log term is (x . g_j) Q_ij with
+  Q = 1/(1 - x . eta) (kernels.grad_terms, kernels.log_gap), so the sum is
+  x . (Q F) with F = w g formed once per call. One chunk-sized Q buffer
+  serves every chunk and both log terms, and the Neumann centre column is
+  summed once, to a scalar. Each target gets one (N,) @ (N, 3) product: a
+  product over the whole chunk would round differently with the chunk's
+  height. The chunk is sized for the cache, 2 MiB: a block that stays in a
+  core's L2 between passes is not streamed from memory on each one. On a
+  2-core Xeon with 2 MiB of L2 per core, decompose_cap_at at 250 off-grid
+  probes of a 96x192 grid took 0.29 s with 64 MB chunks and 0.15 s with
+  2 MiB, before the gradient sums were contracted; chunks of a few rows pay
+  Python overhead per chunk. Reusing one buffer also keeps the gradient
+  sums from handing a 2 MiB temporary back to the allocator on every chunk,
+  which glibc unmaps and faults in again unless something earlier in the
+  process freed a larger block and so raised its mmap threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import kernel_grad_dot
+from .kernels import grad_terms, kernel_grad_dot, log_gap, term_points
 from .quadrature import FieldSamples
 
 _CHUNK_DOUBLES = 262_144
@@ -50,17 +58,14 @@ def _chunks(n_points: int, n_nodes: int):
 
 
 def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarray:
-    """sum_j w_j A(xi_i, eta_j) over the sample grid, for stacked points xi.
+    """sum_j w_j K(xi_i, eta_j) h_j over the sample grid, for stacked points xi.
 
-    samples is FieldSamples (DensitySamples is a subclass).
-    Scalar samples h: kernel(xi, eta) returns kernel values K (P, N) and
-    A = K h, or, at node targets when integral (the exact integral of
-    K(xi, .) over the grid's domain) is given, A = K (h - h(xi)) and
-    integral h(xi) is added to the sum. Vector samples f: kernel(xi, eta,
-    field) returns the rows (D_eta K) . field (P, N) for a tangential D_eta
-    and A = (D_eta K) . f. The kernel must be invariant under rotations
-    about the grid's ring axis (polar_frame[:, 2]), and must return a new
-    array: the dense path weights the rows in place.
+    samples is scalar FieldSamples h (DensitySamples is a subclass), and
+    kernel(xi, eta) returns the kernel values K (P, N) as a new array (the
+    dense path weights it in place). At node targets, when integral (the
+    exact integral of K(xi, .) over the grid's domain) is given, the sum is
+    K (h - h(xi)) plus integral h(xi). The kernel must be invariant under
+    rotations about the grid's ring axis (polar_frame[:, 2]).
     """
     idx = samples.grid.node_indices(points)
     if idx is None:
@@ -71,26 +76,50 @@ def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarr
 def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:
     """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j for the KernelSpec K; with curl,
     D = eta x grad, summed as the gradient against f x eta (same product)."""
+    grid = samples.grid
     if curl:
-        grid = samples.grid
         samples = FieldSamples(grid, np.cross(samples.values, grid.nodes))
+    idx = grid.node_indices(points)
+    if idx is None:
+        return -_dense_grad(spec, samples, points)
     kernel = lambda x, eta, f: kernel_grad_dot(spec, x, eta, f)
-    return -apply_kernel(kernel, samples, points)
+    return -_ring(kernel, samples, idx, None)
 
 
 def _dense(kernel, samples, points):
     grid = samples.grid
-    h = samples.values
-    w = grid.weights
     out = np.empty(points.shape[0])
     for i0, i1 in _chunks(points.shape[0], len(grid)):
-        pts = points[i0:i1]
-        rows = kernel(pts, grid.nodes, h) if h.ndim == 2 else kernel(pts, grid.nodes)
-        # weighted in place, in the order (w K) h of the scalar sum
-        rows *= w
-        if h.ndim == 1:
-            rows *= h
+        rows = kernel(points[i0:i1], grid.nodes)
+        # weighted in place, in the order (w K) h
+        rows *= grid.weights
+        rows *= samples.values
         out[i0:i1] = np.sum(rows, axis=1)
+    return out
+
+
+def _dense_grad(spec, samples, points):
+    """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j, contracted term by term as
+    x_i . (Q F) without forming the rows (module docstring)."""
+    grid = samples.grid
+    nodes, w = grid.nodes, grid.weights
+    terms, centre = grad_terms(spec, nodes, samples.values)
+    fields = [(reflected, w[:, None] * g, scale) for reflected, g, scale in terms]
+    base = 0.0 if centre is None else np.sum(w * centre)
+    bounds = list(_chunks(points.shape[0], len(grid)))
+    # sized for the tallest chunk: _chunks may merge a one-row tail into it
+    buffer = np.empty(max((i1 - i0 for i0, i1 in bounds), default=0) * len(grid))
+    out = np.empty(points.shape[0])
+    for i0, i1 in bounds:
+        q_rows = buffer[: (i1 - i0) * len(grid)].reshape(i1 - i0, len(grid))
+        acc = base
+        for reflected, f, scale in fields:
+            x = term_points(spec, points[i0:i1], reflected)
+            q = log_gap(x, nodes, scale, out=q_rows)
+            np.divide(1.0, q, out=q)
+            qf = np.matmul(q[:, None, :], f)[:, 0, :]
+            acc = acc + np.sum(x * qf, axis=1)
+        out[i0:i1] = acc
     return out
 
 

@@ -131,10 +131,14 @@ def stereographic_project(zeta, xi) -> np.ndarray:
     zeta = unit_vector(zeta)
     t = rotation_to_pole(zeta)
     xi = np.asarray(xi, dtype=float)
-    denom = 1.0 + xi @ zeta
+    # one (P, 3) @ (3, 3) product gives xi . a1, xi . a2 and xi . zeta: it
+    # rounds each row as a single point does, where a matrix-vector product
+    # for xi . zeta would not
+    proj = xi @ np.column_stack([t[:, :2], zeta])
+    denom = 1.0 + proj[..., 2]
     if np.any(denom < _ANTIPODE_TOL):
         raise AntipodeError("stereographic projection evaluated at the antipode")
-    plane = xi @ t[:, :2]
+    plane = proj[..., :2]
     return 2.0 * plane / denom[..., None] if xi.ndim > 1 else 2.0 * plane / denom
 
 

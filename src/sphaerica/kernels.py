@@ -11,11 +11,14 @@ kernels reject xi outside their cap with ValueError (the reflection is only
 defined inside it).
 
 Each formula is written once, in the vectorized core: kernel_value_matrix
-and kernel_grad_dot evaluate a KernelSpec for stacked points, and every
-solver and convolution calls them. The scalar entry points (fundamental,
-fundamental_deriv, dirichlet_green, neumann_green, neumann_green_regularized)
-evaluate one (xi, eta) pair through that same core, so the finite-difference
-tests of the scalar APIs check the arithmetic the solvers run.
+evaluates a KernelSpec for stacked points, and its gradient is grad_terms
+(per-node factors) over log_gap (1 - x . eta, floored or checked), which
+kernel_grad_dot assembles into rows and the dense gradient sum of
+_convolution contracts without forming them. The scalar entry points
+(fundamental, fundamental_deriv, dirichlet_green, neumann_green,
+neumann_green_regularized) evaluate one (xi, eta) pair through that same
+core, so the finite-difference tests of the scalar APIs check the
+arithmetic the solvers run.
 """
 
 from __future__ import annotations
@@ -194,6 +197,53 @@ def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np
     return out
 
 
+def log_gap(
+    points: np.ndarray, eta: np.ndarray, scale: int | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """1 - points . eta, shape (P, N), the denominator of every log term of a
+    kernel gradient. With a scale it is floored at 2^-scale, which caps the
+    term's factor at 2^scale; without one, a gap below _SING_TOL raises
+    SingularityError. out, a C-contiguous (P, N) buffer, receives it: the
+    matrix product, 1 - t and the floor run in place.
+    """
+    gap = np.matmul(points, eta.T, out=out)
+    np.subtract(1.0, gap, out=gap)
+    if scale is not None:
+        np.maximum(gap, 2.0**-scale, out=gap)
+    elif np.any(gap < _SING_TOL):
+        raise SingularityError("kernel gradient at its singularity")
+    return gap
+
+
+def grad_terms(spec: KernelSpec, eta: np.ndarray, field: np.ndarray):
+    """Per-node factors of (D_eta K(xi, eta_j)) . field_j for a KernelSpec.
+
+    Returns (terms, centre). Each log term is (reflected, g, scale): its
+    value at (xi, eta_j) is (x . g_j) / log_gap(x, eta_j) at that scale,
+    with x = xi, or its cap reflection when reflected, and g the
+    tangential part of the field scaled by the term's -+1/4pi, since
+    (x - t eta) . f = x . f_tan. centre is the Neumann kernel's
+    xi-independent column (N,), else None.
+    """
+    f = np.asarray(field, dtype=float)
+    f_tan = f - np.sum(f * eta, axis=1)[:, None] * eta
+    terms = [(False, f_tan * (-1.0 / FOUR_PI), spec.scale)]
+    if spec.kind == KIND_FUNDAMENTAL:
+        return terms, None
+    sign = 1.0 if spec.kind == KIND_DIRICHLET else -1.0
+    terms.append((True, f_tan * (sign / FOUR_PI), None))
+    if spec.kind != KIND_NEUMANN:
+        return terms, None
+    c = _center_cosine(spec.cap, eta)
+    coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)
+    return terms, coef * (f_tan @ spec.cap.center) / (1.0 + c)
+
+
+def term_points(spec: KernelSpec, xi: np.ndarray, reflected: bool) -> np.ndarray:
+    """The points x of a grad_terms log term: xi, or its cap reflection."""
+    return _reflect_many(spec.cap, xi)[0] if reflected else xi
+
+
 def kernel_grad_dot(
     spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, field: np.ndarray
 ) -> np.ndarray:
@@ -201,41 +251,31 @@ def kernel_grad_dot(
 
     D is the tangential gradient; for the surface curl gradient pass the
     rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
-    branch uses the spec's regularization scale when present. These products
-    dominate the cost of every convolution solver, so the O(N) work is done
-    once per node: the field is projected onto the tangent plane and scaled
-    by each log term's factor -+1/4pi. A log term then holds two (P, N)
-    temporaries, 1 - xi . eta and the rows, and costs two matrix products
-    and three elementwise passes (1 - t, its floor or singularity check,
-    one division); the reflected term is added in place.
+    branch uses the spec's regularization scale when present. The O(N)
+    work is done once per node (grad_terms), and each log term's rows are
+    (x . g) / log_gap: two (P, N) temporaries, two matrix products and
+    three elementwise passes; the reflected term and the Neumann centre
+    column are added in place. The ring path of grad_convolution sums these
+    rows; at other targets it contracts the same terms without forming
+    them.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    f = np.asarray(field, dtype=float)
-    # (xi - t eta) . f = xi . f_tan for the tangential part f_tan of f
-    f_tan = f - np.sum(f * eta, axis=1)[:, None] * eta
+    terms, centre = grad_terms(spec, eta, field)
 
-    def block(points: np.ndarray, g: np.ndarray, scale: int | None):
-        # (points_i . g_j) / (1 - t_ij); with a scale 1 - t is floored at
-        # 2^-scale, which caps the factor at 2^scale
-        t = points @ eta.T
-        rows = points @ g.T
-        np.subtract(1.0, t, out=t)
-        if scale is not None:
-            np.maximum(t, 2.0**-scale, out=t)
-        elif np.any(t < _SING_TOL):
-            raise SingularityError("kernel gradient at its singularity")
-        rows /= t
-        return rows
-
-    out = block(xi, f_tan * (-1.0 / FOUR_PI), spec.scale)
-    if spec.kind == KIND_FUNDAMENTAL:
+    def rows(reflected, g, scale):
+        # the gap first, freed on return: which of these large temporaries
+        # glibc hands back to the OS depends on their allocation order, and
+        # another order doubled the ring path's page faults
+        points = term_points(spec, xi, reflected)
+        gap = log_gap(points, eta, scale)
+        out = points @ g.T
+        out /= gap
         return out
-    check, _ = _reflect_many(spec.cap, xi)
-    sign = 1.0 if spec.kind == KIND_DIRICHLET else -1.0
-    out += block(check, f_tan * (sign / FOUR_PI), None)
-    if spec.kind == KIND_NEUMANN:
-        c = _center_cosine(spec.cap, eta)
-        coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)
-        out += (coef * (f_tan @ spec.cap.center) / (1.0 + c))[None, :]
+
+    out = rows(*terms[0])
+    for term in terms[1:]:
+        out += rows(*term)
+    if centre is not None:
+        out += centre[None, :]
     return out

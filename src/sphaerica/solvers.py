@@ -9,8 +9,12 @@ integrand's value at the evaluation point is a sample, the singular part is
 subtracted and the quadrature error drops by more than an order of
 magnitude. Off-node points take the plain sum.
 
-Every area and boundary sum here runs through _convolution.apply_kernel,
-which picks ring-FFT or dense summation from the evaluation points.
+Every area sum here runs through _convolution (apply_kernel, or
+grad_convolution for gradient kernels), which picks ring-FFT or dense
+summation from the evaluation points. The cap boundary solvers are not
+kernel sums: they evaluate their integrals exactly on the trigonometric
+interpolant of the rim data, as a power series in the stereographic chart
+(_rim_series), which stays accurate up to the rim.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from functools import partial
 import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
-from .geometry import SphericalCap, on_points, unit_vector
+from .geometry import SphericalCap, on_points, stereographic_project, unit_vector
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
 from .quadrature import (
+    KIND_BOUNDARY,
     KIND_CAP,
     KIND_SPHERE,
     FieldSamples,
@@ -136,11 +141,61 @@ def poisson_solve_cap(
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
     """Boundary data of a cap solver or of the cap split's F3 trace on a
     boundary grid of this cap, with as many nodes as FieldSamples data
-    (whose nodes must be its own) or m."""
+    (whose nodes must be its own) or m. FieldSamples on a boundary grid of
+    this cap keep their grid: every boundary grid comes from
+    build_boundary_grid, so an equal cap has the same nodes."""
     if isinstance(boundary_values, FieldSamples):
-        m = len(boundary_values.grid)
-    grid = build_boundary_grid(cap, m)
+        grid = boundary_values.grid
+        own = (
+            grid.kind == KIND_BOUNDARY
+            and grid.cap.radius == cap.radius
+            and np.array_equal(grid.cap.center, cap.center)
+        )
+        if not own:
+            grid = build_boundary_grid(cap, len(grid))
+    else:
+        grid = build_boundary_grid(cap, m)
     return FieldSamples(grid, boundary_data(grid, boundary_values))
+
+
+def _rim_coefficients(values: np.ndarray) -> np.ndarray:
+    """c_k with sum_k Re(c_k e^{ik phi}) the trigonometric interpolant of m
+    equispaced rim values: rfft / m, the terms 0 < k < m/2 doubled (an even
+    m's Nyquist term is not)."""
+    c = np.fft.rfft(values) / len(values)
+    c[1 : (len(values) + 1) // 2] *= 2.0
+    return c
+
+
+def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Re sum_k c_k w^k by Horner's rule, at w = stereographic_project /
+    R_b in complex form, R_b = 2 sqrt(rho/(2 - rho)) the chart's rim radius.
+
+    The chart is conformal, so harmonic functions of the cap are harmonic
+    in the unit disc of w, and boundary nodes are built in the same frame
+    (rotation_to_pole(cap.center)): rim node j sits at exp(2 pi i j/m).
+    Each point is summed on its own, so a point gives the same bits alone
+    as inside a stack.
+    """
+    rho = cap.radius
+    p = stereographic_project(cap.center, pts) / (2.0 * np.sqrt(rho / (2.0 - rho)))
+    u, v = p[:, 0], p[:, 1]
+    # in real arithmetic: numpy's complex product rounds a vector's body and
+    # tail differently
+    re, im = np.full(len(pts), c[-1].real), np.full(len(pts), c[-1].imag)
+    t1, t2 = np.empty(len(pts)), np.empty(len(pts))
+    for ck in c[-2::-1]:
+        # (re + i im)(u + i v) + ck
+        np.multiply(re, u, out=t1)
+        np.multiply(im, v, out=t2)
+        t1 -= t2
+        np.multiply(re, v, out=t2)
+        im *= u
+        im += t2
+        re, t1 = t1, re
+        re += ck.real
+        im += ck.imag
+    return re
 
 
 def dirichlet_solve_cap(
@@ -153,17 +208,18 @@ def dirichlet_solve_cap(
 
     boundary_values is either FieldSamples on a boundary grid of the cap or
     a callable on stacked boundary nodes; xi must be strictly interior
-    (1 - xi . center < radius - 1e-6).
+    (1 - xi . center < radius - 1e-6). The Poisson integral is evaluated
+    exactly on the trigonometric interpolant of the m rim values (product
+    integration): in the stereographic chart it is the series
+    Re sum_k c_k w^k (_rim_series), uniformly accurate up to the rim.
     """
     samples = _cap_boundary_samples(cap, boundary_values, m)
-    s = cap.boundary_sine
-    kernel = lambda x, eta: 1.0 / (1.0 - x @ eta.T)
+    c = _rim_coefficients(samples.values)
 
     def evaluate(pts):
         if not np.all(cap.contains(pts, margin=1e-6)):
             raise ValueError("evaluation points must be strictly interior")
-        front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * s)
-        return front * apply_kernel(kernel, samples, pts)
+        return _rim_series(cap, c, pts)
 
     return on_points(xi, evaluate)
 
@@ -181,12 +237,25 @@ def neumann_solve_cap(
     integrate to zero (solvability). mean_val supplies the cap mean of the
     solution, which fixes the free additive constant. The representation
     kernel is the Neumann cap Green function, which for eta on the boundary
-    is ln(1 - xi . eta)/2pi + (1 - rho) ln(2 - rho)/(2 pi rho).
+    is ln(1 - xi . eta)/2pi + (1 - rho) ln(2 - rho)/(2 pi rho). Integrated
+    term by term against the trigonometric interpolant of the data, it is
+    the series of dirichlet_solve_cap with c_k scaled by R_b/(k lambda) =
+    boundary_sine/k, lambda = 2/(2 - rho) the chart's rim factor, and
+    c_0 = mean_val: a harmonic function's cap mean is its value at the
+    centre. Points must lie inside the cap.
     """
     samples = _cap_boundary_samples(cap, boundary_values, m)
     _neumann_total(samples.grid, samples.values)
-    kernel = partial(kernel_value_matrix, KernelSpec(KIND_NEUMANN, cap))
-    return on_points(xi, lambda pts: mean_val - apply_kernel(kernel, samples, pts))
+    c = _rim_coefficients(samples.values)
+    c[1:] *= cap.boundary_sine / np.arange(1, len(c))
+    c[0] = mean_val
+
+    def evaluate(pts):
+        if not np.all(cap.contains(pts)):
+            raise ValueError("evaluation points must lie inside the cap")
+        return _rim_series(cap, c, pts)
+
+    return on_points(xi, evaluate)
 
 
 def invert_gradient(

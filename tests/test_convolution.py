@@ -1,8 +1,9 @@
 """The convolution primitive: ring-FFT summation against the dense path.
 
 Targets that are grid nodes take the ring path; the dense path stays the
-reference. Agreement is measured relative to the largest dense value of
-each convolution.
+reference: the chunked kernel sum for scalar samples, the contracted sum
+x . (Q F) for gradient sums. Agreement is measured relative to the largest
+dense value of each convolution.
 """
 
 import numpy as np
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import random_interior_points
 from sphaerica import _convolution
-from sphaerica._convolution import _dense, _ring, apply_kernel, grad_convolution
+from sphaerica._convolution import (
+    _dense,
+    _dense_grad,
+    _ring,
+    apply_kernel,
+    grad_convolution,
+)
 from sphaerica.decomposition import _d_inv_kernel, d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
@@ -89,7 +96,8 @@ def _grad(spec):
 
 
 def _cases():
-    """(id, grid name, kernel, samples builder, subtract) per kernel and mode."""
+    """(id, grid name, kernel, samples builder, subtract) per kernel and
+    mode; a gradient case's kernel is its KernelSpec."""
     cases = []
     for name in GRIDS:
         kinds = [KernelSpec(KIND_FUNDAMENTAL, scale=SCALE)]
@@ -103,9 +111,9 @@ def _cases():
             regularized = "-regularized" if spec.kind == KIND_NEUMANN else ""
             tag = f"{name}-{spec.kind}{regularized}"
             cases.append((f"{tag}-value", name, _value(spec), _scalar, False))
-            cases.append((f"{tag}-grad", name, _grad(spec), _vector, False))
-            cases.append((f"{tag}-curl", name, _grad(spec), _rotated, False))
-            cases.append((f"{tag}-grad-radial", name, _grad(spec), _with_radial, False))
+            cases.append((f"{tag}-grad", name, spec, _vector, False))
+            cases.append((f"{tag}-curl", name, spec, _rotated, False))
+            cases.append((f"{tag}-grad-radial", name, spec, _with_radial, False))
         cases.append((f"{name}-fundamental-subtracted", name, _value(kinds[0]), _scalar, True))
         cases.append((f"{name}-d-inv", name, _d_inv_kernel, _scalar, True))
     return cases
@@ -129,15 +137,20 @@ def _target_sets(grid):
 def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
     integral = 0.0 if subtract else None
-    fast = apply_kernel(kernel, samples, pts, integral)
-    # node targets take the ring path
-    assert np.array_equal(fast, _ring(kernel, samples, idx, integral))
-    if subtract:
-        h = samples.values
-        rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
-        ref = np.sum(rows, axis=1)
+    if isinstance(kernel, KernelSpec):
+        # node targets take the ring path, other targets the contracted sum
+        fast = -grad_convolution(samples, kernel, pts, curl=False)
+        assert np.array_equal(fast, _ring(_grad(kernel), samples, idx, None))
+        ref = _dense_grad(kernel, samples, pts)
     else:
-        ref = _dense(kernel, samples, pts)
+        fast = apply_kernel(kernel, samples, pts, integral)
+        assert np.array_equal(fast, _ring(kernel, samples, idx, integral))
+        if subtract:
+            h = samples.values
+            rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
+            ref = np.sum(rows, axis=1)
+        else:
+            ref = _dense(kernel, samples, pts)
     err = np.abs(fast - ref) / np.abs(ref).max()
     inner = INNER.contains(pts) if grid.cap is not None else np.ones(len(idx), bool)
     assert err[inner].max(initial=0.0) <= REL_TOL
@@ -261,24 +274,46 @@ def test_chunks_never_leave_a_single_row(monkeypatch):
 @pytest.mark.parametrize("name", GRIDS)
 def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     grid = GRIDS[name]
-    kernel = _grad(KernelSpec(KIND_FUNDAMENTAL, scale=SCALE))
+    spec = KernelSpec(KIND_FUNDAMENTAL, scale=SCALE)
     samples = _vector(grid)
     idx = _target_sets(grid)["subset"]
     nudged = grid.nodes[idx] + 1e-9 * np.array([0.6, -0.8, 0.0])
     pts = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
-    expected = _dense(kernel, samples, pts)
+    expected = -_dense_grad(spec, samples, pts)
 
     def refuse(*args):
         raise AssertionError("off-node targets must not take the ring path")
 
     monkeypatch.setattr(_convolution, "_ring", refuse)
-    assert np.array_equal(apply_kernel(kernel, samples, pts), expected)
+    assert np.array_equal(grad_convolution(samples, spec, pts, False), expected)
     # one off-node point sends the whole set to the dense path
     mixed = grid.nodes[idx].copy()
     mixed[0] = pts[0]
     assert np.array_equal(
-        apply_kernel(kernel, samples, mixed), _dense(kernel, samples, mixed)
+        grad_convolution(samples, spec, mixed, False), -_dense_grad(spec, samples, mixed)
     )
+
+
+@pytest.mark.parametrize(
+    "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
+)
+def test_contracted_sum_with_a_merged_tail_chunk(spec, monkeypatch):
+    # 2 step + 1 targets: _chunks merges the one-row tail into the last
+    # chunk, so the reused Q buffer must hold its step + 1 rows
+    pts = random_interior_points(CAP, np.random.default_rng(1618), 7)
+    samples = _vector(CAP_GRID)
+    whole = _dense_grad(spec, samples, pts)
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
+    assert list(_convolution._chunks(7, len(CAP_GRID))) == [(0, 3), (3, 7)]
+    assert np.array_equal(_dense_grad(spec, samples, pts), whole)
+
+
+@pytest.mark.parametrize(
+    "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
+)
+def test_no_targets_give_an_empty_sum(spec):
+    out = grad_convolution(_vector(CAP_GRID), spec, np.empty((0, 3)), curl=False)
+    assert out.shape == (0,)
 
 
 @given(

@@ -11,6 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# row counts of the tables a script prints after its first: rim_study.py
+# follows its per-ring table with the cap solvers' rim sweep
+FOLLOWING_TABLES = {"rim_study.py": [5]}
+
+
 @pytest.mark.parametrize(
     "script, args, rows",
     [
@@ -31,8 +36,15 @@ def test_study_script_prints_its_table(script, args, rows):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1 + rows
-    for line in lines[1:]:
-        numbers = [float(cell) for cell in line.split()]
-        assert len(numbers) == 3
-        assert all(math.isfinite(x) for x in numbers)
+    tables = [rows] + FOLLOWING_TABLES.get(script, [])
+    assert len(lines) == sum(1 + n for n in tables)
+    start = 0
+    for n in tables:
+        # a header, then n rows of three finite numbers
+        with pytest.raises(ValueError):
+            float(lines[start].split()[0])
+        for line in lines[start + 1 : start + 1 + n]:
+            numbers = [float(cell) for cell in line.split()]
+            assert len(numbers) == 3
+            assert all(math.isfinite(x) for x in numbers)
+        start += 1 + n

@@ -8,7 +8,12 @@ from conftest import cap_point, random_interior_points
 from sphaerica._convolution import _dense
 from sphaerica.apps import vd_reconstruct
 from sphaerica.decomposition import decompose_cap_at
-from sphaerica.geometry import SphericalCap, boundary_nodes, unit_vector
+from sphaerica.geometry import (
+    SphericalCap,
+    boundary_nodes,
+    stereographic_inverse,
+    unit_vector,
+)
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     ShCoefficients,
@@ -30,6 +35,7 @@ from sphaerica.quadrature import (
     sample,
 )
 from sphaerica.solvers import (
+    _cap_boundary_samples,
     beltrami_fd,
     default_scale,
     dirichlet_solve_cap,
@@ -251,6 +257,146 @@ class TestNeumann:
         expected = 0.5 - np.sum(grid.weights[None, :] * kernel * f[None, :], axis=1)
         vals = neumann_solve_cap(cap, FieldSamples(grid, f), 0.5, pts)
         assert np.abs(vals - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+# polar, tilted, and snapped south (rotation_to_pole gives diag(1, -1, -1))
+SERIES_CAPS = {
+    "polar-0.5": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5),
+    "tilted-0.9": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    "south-0.7": SphericalCap(np.array([0.0, 0.0, -1.0]), 0.7),
+}
+DELTAS = [0.2, 1e-2, 1e-3, 1e-4, 1e-5]
+
+
+def _rim_ring(cap, delta, count=64):
+    """count points with 1 - xi . center = rho (1 - delta), at longitudes
+    off the lattice of every rim grid used here."""
+    phis = 2.0 * np.pi * (np.arange(count) + 0.37) / count
+    return np.array([cap_point(cap, 1.0 - delta, phi) for phi in phis])
+
+
+def _harmonic(cap):
+    """A sum of the cap's inner harmonics of degrees 0-9 and its gradient."""
+    rng = np.random.default_rng(9)
+    terms = [
+        (InnerHarmonicIndex(cap, n, order), rng.normal())
+        for n in range(10)
+        for order in (1, 2)
+        if n > 0 or order == 1
+    ]
+    value = lambda p: sum(a * inner_harmonic_eval(i, p) for i, a in terms)
+    grad = lambda p: sum(a * inner_harmonic_grad(i, p) for i, a in terms)
+    return value, grad
+
+
+def _trapezoid_sums(cap, grid, values, pts):
+    """The cap solvers' sums before the rim series: the Poisson kernel and
+    the rim log kernel of the Neumann Green function, by the trapezoid rule
+    over the rim nodes."""
+    gap = 1.0 - pts @ grid.nodes.T
+    front = (pts @ cap.center + cap.radius - 1.0) / (2.0 * np.pi * cap.boundary_sine)
+    dirichlet = front * np.sum(grid.weights * values / gap, axis=1)
+    const = (1.0 - cap.radius) / (2.0 * np.pi * cap.radius) * np.log(2.0 - cap.radius)
+    kernel = np.log(gap) / (2.0 * np.pi) + const
+    neumann = 0.5 - np.sum(grid.weights * kernel * values, axis=1)
+    return dirichlet, neumann
+
+
+class TestRimSeries:
+    """Both cap solvers sum the rim series of the trigonometric interpolant
+    of their data, exact for it at every interior point."""
+
+    @pytest.mark.parametrize("name", SERIES_CAPS)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_uniform_up_to_the_rim(self, name, delta):
+        # the trapezoid sums erred up to 2.8 (Dirichlet) and 4.3e-2
+        # (Neumann) of the sup on these rings; the series errs 4e-15
+        cap = SERIES_CAPS[name]
+        value, grad = _harmonic(cap)
+        grid = build_boundary_grid(cap, 512)
+        sup = np.abs(value(grid.nodes)).max()
+        flux = np.sum(grid.normals * grad(grid.nodes), axis=1)
+        mean = mean_value(sample(build_cap_grid(cap, 32, 64), value))
+        pts = _rim_ring(cap, delta)
+        truth = value(pts)
+        dirichlet = dirichlet_solve_cap(cap, value, pts, m=512)
+        neumann = neumann_solve_cap(cap, FieldSamples(grid, flux), mean, pts)
+        assert np.abs(dirichlet - truth).max() <= 1e-12 * sup
+        assert np.abs(neumann - truth).max() <= 1e-12 * sup
+
+    @pytest.mark.parametrize("name", SERIES_CAPS)
+    @pytest.mark.parametrize("m", [64, 65, 512])
+    def test_matches_the_trapezoid_sums_inside(self, name, m):
+        # an odd m has no Nyquist term. The trapezoid sums converge like
+        # |w|^m: at m = 512 they have converged at delta = 0.2, at m = 64
+        # and 65 they still err up to 2e-4 there, and are pinned at 0.6
+        cap = SERIES_CAPS[name]
+        grid = build_boundary_grid(cap, m)
+        h = np.cos(grid.phis) + 0.4 * np.sin(3.0 * grid.phis) + 0.2 * np.cos(7.0 * grid.phis)
+        h = h - np.sum(grid.weights * h) / np.sum(grid.weights)
+        pts = _rim_ring(cap, 0.2 if m == 512 else 0.6)
+        want_d, want_n = _trapezoid_sums(cap, grid, h, pts)
+        got_d = dirichlet_solve_cap(cap, FieldSamples(grid, h), pts)
+        got_n = neumann_solve_cap(cap, FieldSamples(grid, h), 0.5, pts)
+        assert np.abs(got_d - want_d).max() <= 1e-12 * np.abs(want_d).max()
+        assert np.abs(got_n - want_n).max() <= 1e-12 * np.abs(want_n).max()
+
+    @pytest.mark.parametrize("name", SERIES_CAPS)
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_order_32_term(self, name, m):
+        # cos(32 phi) at the rim nodes: at m = 64 it is the Nyquist term
+        # (-1)^j, whose interpolant is cos(32 phi), not doubled; at m = 65 an
+        # ordinary term. Either way the Dirichlet solution is r^32 cos(32
+        # theta) in the chart w = r e^{i theta}, and the Neumann one s/32
+        # times it, s the boundary sine
+        cap = SERIES_CAPS[name]
+        grid = build_boundary_grid(cap, m)
+        data = FieldSamples(grid, np.cos(32.0 * grid.phis))
+        r, theta = 0.9, 0.1 + np.arange(8) * 0.7
+        rim = 2.0 * np.sqrt(cap.radius / (2.0 - cap.radius))
+        w = rim * r * np.exp(1j * theta)
+        pts = stereographic_inverse(cap.center, np.stack([w.real, w.imag], axis=1))
+        want = r**32 * np.cos(32.0 * theta)
+        assert np.abs(dirichlet_solve_cap(cap, data, pts) - want).max() <= 1e-14
+        neumann = neumann_solve_cap(cap, data, 0.5, pts)
+        assert np.abs(neumann - 0.5 - cap.boundary_sine / 32.0 * want).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", SERIES_CAPS)
+    def test_a_point_alone_gives_its_bits_in_a_stack(self, name):
+        cap = SERIES_CAPS[name]
+        grid = build_boundary_grid(cap, 512)
+        noise = np.random.default_rng(3).normal(size=512)
+        data = FieldSamples(grid, noise - noise.mean())
+        pts = np.concatenate([_rim_ring(cap, delta, 16) for delta in DELTAS])
+        for solve in (
+            lambda p: dirichlet_solve_cap(cap, data, p),
+            lambda p: neumann_solve_cap(cap, data, 0.5, p),
+        ):
+            stack = solve(pts)
+            assert np.array_equal(np.array([solve(p) for p in pts]), stack)
+            assert np.array_equal(np.array([solve(p[None])[0] for p in pts]), stack)
+
+    def test_rejections_at_and_beyond_the_rim(self):
+        rho = CAP.radius
+        grid = build_boundary_grid(CAP, 64)
+        data = FieldSamples(grid, np.cos(grid.phis))
+        near = cap_point(CAP, (rho - 5e-7) / rho, 0.3)
+        with pytest.raises(ValueError, match="strictly interior"):
+            dirichlet_solve_cap(CAP, data, near)
+        outside = cap_point(CAP, (rho + 1e-9) / rho, 0.3)
+        with pytest.raises(ValueError, match="inside the cap"):
+            neumann_solve_cap(CAP, data, 0.0, outside)
+        # the Neumann solver accepts the points Dirichlet's margin excludes
+        assert np.isfinite(neumann_solve_cap(CAP, data, 0.0, near))
+
+    def test_samples_on_an_own_boundary_grid_keep_it(self):
+        grid = build_boundary_grid(CAP, 64)
+        data = FieldSamples(grid, np.cos(grid.phis))
+        equal = SphericalCap(CAP.center.copy(), CAP.radius)
+        assert _cap_boundary_samples(equal, data, 512).grid is grid
+        other = build_boundary_grid(SphericalCap(CAP.center, 0.8), 64)
+        with pytest.raises(ValueError, match="cap boundary"):
+            _cap_boundary_samples(CAP, FieldSamples(other, data.values), 512)
 
 
 class TestInvertGradient:
