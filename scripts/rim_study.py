@@ -14,6 +14,12 @@ of the cap's inner harmonics of degrees 0-9 it prints the sup error of
 dirichlet_solve_cap (of its rim values) and of neumann_solve_cap (of its
 normal derivative and cap mean) over the sup of the function, at 64
 off-lattice longitudes of the ring 1 - xi . center = rho (1 - delta).
+
+Last it sweeps both layer potentials across the rim, delta > 0 inside the
+cap and delta < 0 outside it: for a density of degrees 0-9 on m rim nodes
+it prints the sup errors of double_layer and single_layer over the sup of
+the density, against the exact values from the density's harmonic
+extension to each side (Re and Im w^n in that side's stereographic chart).
 """
 
 import argparse
@@ -21,7 +27,13 @@ import argparse
 import numpy as np
 
 from sphaerica.decomposition import helmholtz_decompose_cap
-from sphaerica.geometry import SphericalCap, circle_points, rotation_to_pole, unit_vector
+from sphaerica.geometry import (
+    SphericalCap,
+    circle_points,
+    rotation_to_pole,
+    stereographic_project,
+    unit_vector,
+)
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     inner_harmonic_eval,
@@ -31,6 +43,7 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
+from sphaerica.layers import DensitySamples, double_layer, geodesic_curvature, single_layer
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -66,6 +79,46 @@ def solver_sweep(cap, grid, m):
         err_d = np.abs(dirichlet_solve_cap(cap, value, pts, m=m) - truth).max()
         err_n = np.abs(neumann_solve_cap(cap, flux, mean, pts) - truth).max()
         rows.append((delta, err_d / sup, err_n / sup))
+    return rows
+
+
+def _ring_points(cap, delta):
+    """64 points with 1 - xi . center = rho (1 - delta), off every lattice."""
+    t = 1.0 - cap.radius * (1.0 - delta)
+    phis = 2.0 * np.pi * (np.arange(64) + 0.37) / 64
+    return circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phis)
+
+
+def layer_sweep(cap, m):
+    """(signed delta, double-layer error, single-layer error) over the sup
+    of the density, per ring on either side of the rim."""
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=10), rng.normal(size=10)
+    b[0] = 0.0
+    n = np.arange(10)
+    rim = build_boundary_grid(cap, m)
+    q = np.cos(np.outer(rim.phis, n)) @ a + np.sin(np.outer(rim.phis, n)) @ b
+    density = DensitySamples(rim, q)
+    s = cap.boundary_sine
+    charge = s * a[0] / 2.0  # the density's integral over 4 pi
+    sup = np.abs(q).max()
+    rows = []
+    for delta in DELTAS + tuple(-d for d in reversed(DELTAS)):
+        pts = _ring_points(cap, delta)
+        # the complement's chart mirrors the rim angle: sine modes flip
+        chart, sign = (cap, 1.0) if delta > 0 else (cap.complement, -1.0)
+        rho = chart.radius
+        w = stereographic_project(chart.center, pts) / (2.0 * np.sqrt(rho / (2.0 - rho)))
+        wn = (w[:, 0] + 1j * w[:, 1])[:, None] ** n[1:]
+        cos_n, sin_n = wn.real, sign * wn.imag
+        ext = cos_n @ a[1:] + sin_n @ b[1:]
+        logs = (cos_n / n[1:]) @ a[1:] + (sin_n / n[1:]) @ b[1:]
+        double = geodesic_curvature(cap) * charge + 0.5 * sign * (a[0] + ext)
+        const = np.log(rho) - 2.0 * np.log(2.0) + 1.0
+        single = charge * (np.log1p(pts @ chart.center) + const) - 0.5 * s * logs
+        err_d = np.abs(double_layer(density, pts) - double).max()
+        err_s = np.abs(single_layer(density, pts) - single).max()
+        rows.append((delta, err_d / sup, err_s / sup))
     return rows
 
 
@@ -106,6 +159,9 @@ def main() -> None:
     print(f"{'delta':>7s} {'dirichlet':>10s} {'neumann':>10s}")
     for delta, err_d, err_n in solver_sweep(cap, grid, args.m):
         print(f"{delta:7.0e} {err_d:10.2e} {err_n:10.2e}")
+    print(f"{'delta':>7s} {'double':>10s} {'single':>10s}")
+    for delta, err_d, err_s in layer_sweep(cap, args.m):
+        print(f"{delta:7.0e} {err_d:10.2e} {err_s:10.2e}")
 
 
 if __name__ == "__main__":

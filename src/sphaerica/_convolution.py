@@ -1,10 +1,10 @@
-"""The one quadrature sum behind every kernel integral of the package.
+"""The one quadrature sum behind every area integral of the package.
 
 apply_kernel sums a kernel against scalar samples with the weights of a
-quadrature grid: area convolutions on cap and sphere grids, and the layer
-potentials on boundary grids. grad_convolution sums a KernelSpec's
-gradient against vector samples. The backend follows from the grid and
-the targets:
+cap or sphere grid; grad_convolution sums a KernelSpec's gradient against
+vector samples. Boundary integrals never come here: the cap solvers and
+the layer potentials are rim series (solvers._rim_series). The backend
+follows from the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule
   of QuadratureGrid.node_indices) use ring-FFT summation. Area grids are
@@ -16,12 +16,12 @@ the targets:
   rings: O(n_t N) kernel evaluations plus O(n_t^2 n_phi log n_phi) FFT work
   instead of O(P N) kernel pairs. Given the kernel's integral, they also
   subtract the singular part against the sample at the target.
-- any other targets, and every target of a boundary grid, use the dense
-  path in chunks of at most _CHUNK_DOUBLES kernel values. A scalar chunk
-  holds the (P, N) kernel values, weighted in place and summed. A gradient
-  sum forms no kernel rows: each log term is (x . g_j) Q_ij with
-  Q = 1/(1 - x . eta) (kernels.grad_terms, kernels.log_gap), so the sum is
-  x . (Q F) with F = w g formed once per call. One chunk-sized Q buffer
+- any other targets use the dense path in chunks of at most
+  _CHUNK_DOUBLES kernel values. A scalar chunk holds the (P, N) kernel
+  values, weighted in place and summed. A gradient sum forms no kernel
+  rows: each log term is (x . g_j) Q_ij with Q = 1/(1 - x . eta)
+  (kernels.grad_terms, kernels.log_gap), so the sum is x . (Q F) with
+  F = w g formed once per call. One chunk-sized Q buffer
   serves every chunk and both log terms, and the Neumann centre column is
   summed once, to a scalar. Each target gets one (N,) @ (N, 3) product: a
   product over the whole chunk would round differently with the chunk's
@@ -60,10 +60,10 @@ def _chunks(n_points: int, n_nodes: int):
 def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarray:
     """sum_j w_j K(xi_i, eta_j) h_j over the sample grid, for stacked points xi.
 
-    samples is scalar FieldSamples h (DensitySamples is a subclass), and
-    kernel(xi, eta) returns the kernel values K (P, N) as a new array (the
-    dense path weights it in place). At node targets, when integral (the
-    exact integral of K(xi, .) over the grid's domain) is given, the sum is
+    samples is scalar FieldSamples h on an area grid, and kernel(xi, eta)
+    returns the kernel values K (P, N) as a new array (the dense path
+    weights it in place). At node targets, when integral (the exact
+    integral of K(xi, .) over the grid's domain) is given, the sum is
     K (h - h(xi)) plus integral h(xi). The kernel must be invariant under
     rotations about the grid's ring axis (polar_frame[:, 2]).
     """

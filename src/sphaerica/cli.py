@@ -288,13 +288,10 @@ def cmd_inp(cfg: RunConfig, report: Report) -> int:
 def cmd_jump_test(cfg: RunConfig, report: Report) -> int:
     cap = cfg.cap()
     taus = [2.0**-k for k in range(4, 10)]
-    needed = int(np.ceil(10.0 * 2.0 * np.pi * cap.boundary_sine / min(taus)))
-    m = max(cfg.m, 1 << int(np.ceil(np.log2(needed))))
-    bgrid = build_boundary_grid(cap, m)
-    report.add("m", m)
+    bgrid = build_boundary_grid(cap, cfg.m)
     q = 0.8 + 0.5 * np.cos(bgrid.phis) - 0.3 * np.sin(2.0 * bgrid.phis)
     density = DensitySamples(bgrid, q)
-    node = m // 5
+    node = cfg.m // 5
     rep = jump_probe(density, node, taus, potential="double", quantity="value")
     report.add("double_value_jump", rep.jump)
     report.add("double_value_expected", -q[node])

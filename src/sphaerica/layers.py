@@ -1,19 +1,17 @@
 """Curve potentials on cap boundaries and their boundary integral equations.
 
 The single layer integrates the fundamental solution against a boundary
-density, the double layer its boundary-normal derivative. On cap boundaries
-both admit closed kernel structure. The double-layer kernel restricted to
-the curve, and the observation-side normal derivative of the single layer,
-are one constant (geodesic curvature over 4 pi), so both second-kind
-equations solve in closed form: the Dirichlet one as a rank-one perturbation
-of the identity, the Neumann one as Q = -2 F on its mean-free branch. The
-single-layer kernel on the curve depends on the parameter difference only,
-so single_layer_on_boundary evaluates it by FFT after splitting off the
-periodic log singularity with spectral quadrature weights.
-
-Off the curve both potentials are trapezoidal sums through
-_convolution.apply_kernel, which takes its dense path on boundary grids and
-holds at most a bounded block of kernel values at a time.
+density, the double layer its boundary-normal derivative. Both are exact on
+the density's trigonometric interpolant, as rim series (solvers._rim_series)
+in the stereographic chart of the cap inside it and of the complement cap
+outside it. The chart is conformal and the rim a circle in it, so the
+double-layer kernel is the disc's Poisson kernel plus a constant, and the
+single layer's log singularity a power series: both hold up to the curve
+from either side, at any node count. On the curve the double-layer kernel,
+and the observation-side normal derivative of the single layer, are one
+constant (geodesic curvature over 4 pi), so both second-kind equations
+solve in closed form: the Dirichlet one as a rank-one perturbation of the
+identity, the Neumann one as Q = -2 F on its mean-free branch.
 
 jump_probe measures the classical limit and jump behavior of the potentials
 across the boundary by evaluating at points displaced along the boundary
@@ -23,19 +21,11 @@ normal and extrapolating the displacement to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._convolution import apply_kernel
 from .geometry import SphericalCap, on_points
-from .kernels import (
-    FOUR_PI,
-    KIND_FUNDAMENTAL,
-    KernelSpec,
-    kernel_grad_dot,
-    kernel_value_matrix,
-)
+from .kernels import FOUR_PI
 from .quadrature import (
     KIND_BOUNDARY,
     FieldSamples,
@@ -44,8 +34,7 @@ from .quadrature import (
     _zero_integral,
     boundary_data,
 )
-
-_FUNDAMENTAL = KernelSpec(KIND_FUNDAMENTAL)
+from .solvers import _rim_coefficients, _rim_series
 
 
 @dataclass(frozen=True)
@@ -73,25 +62,70 @@ def geodesic_curvature(cap: SphericalCap) -> float:
     return (1.0 - cap.radius) / cap.boundary_sine
 
 
+def _sides(cap: SphericalCap, c: np.ndarray, pts: np.ndarray):
+    """(sigma, t, E) per point: sigma = +1 inside the cap, -1 outside, 0 on
+    the curve (1 - t within 1e-14 of rho); t = xi . zeta, summed row by row
+    so that a point gives the same bits alone as in a stack; E the harmonic
+    extension Re sum_k c_k w^k of the rim series c to the point's side, in
+    the cap's chart inside and on the curve, else in the complement cap's,
+    whose frame flips a2 (rotation_to_pole), mirroring the rim angle: so
+    its coefficients are conjugated."""
+    t = np.sum(pts * cap.center, axis=1)
+    gap = cap.radius - (1.0 - t)
+    sigma = np.where(np.abs(gap) <= 1e-14, 0.0, np.sign(gap))
+    inside = sigma >= 0.0
+    ext = np.empty(len(pts))
+    ext[inside] = _rim_series(cap, c, pts[inside])
+    ext[~inside] = _rim_series(cap.complement, c.conj(), pts[~inside])
+    return sigma, t, ext
+
+
 def single_layer(density: DensitySamples, xi) -> float | np.ndarray:
     """Boundary integral of G(xi . eta) against the density.
 
-    Plain trapezoidal quadrature; accuracy degrades within about one node
-    spacing of the curve and the kernel blows up on node collision.
+    For eta on the rim, ln(1 - xi . eta) = ln|w - e^{i phi}|^2 + ln rho
+    + ln(1 + t) - ln 2 in the chart w of xi, and inside the disc
+    ln|w - e^{i phi}|^2 = -2 Re sum_k (w e^{-i phi})^k / k. On the
+    density's interpolant c, S = (Q/4 pi) ln((1 + t)/(2 - rho)) + E[a] with
+    Q the density's integral, s the boundary sine, a_k = -s c_k/(2k) and
+    a_0 = (s/2)(ln s^2 - 2 ln 2 + 1) c_0 (_sides). Outside, the complement's
+    chart turns t into -t and rho into 2 - rho; on the curve both agree.
     """
-    kernel = partial(kernel_value_matrix, _FUNDAMENTAL)
-    return on_points(xi, lambda pts: apply_kernel(kernel, density, pts))
+    grid = density.grid
+    cap = grid.cap
+    s = cap.boundary_sine
+    a = _rim_coefficients(density.values)
+    a[1:] *= -s / (2.0 * np.arange(1, len(a)))
+    a[0] *= 0.5 * s * (np.log(s * s) - 2.0 * np.log(2.0) + 1.0)
+    charge = float(np.sum(grid.weights * density.values)) / FOUR_PI
+
+    def evaluate(pts):
+        sigma, t, ext = _sides(cap, a, pts)
+        side = np.where(sigma < 0.0, -1.0, 1.0)
+        return charge * (np.log1p(side * t) - np.log1p(side * (1.0 - cap.radius))) + ext
+
+    return on_points(xi, evaluate)
 
 
 def double_layer(density: DensitySamples, xi) -> float | np.ndarray:
     """Boundary integral of the normal-derivative kernel against the density.
 
     The kernel is the eta-gradient of G(xi . eta) dotted with the outward
-    boundary normal at eta.
+    boundary normal at eta. In the chart it is the constant kappa_g / 4 pi
+    plus half the disc's Poisson kernel, so on the density's interpolant
+    D = K + (sigma/2) E (_sides), K = kappa_g / 4 pi times the density's
+    integral. On the curve the kernel is the constant and D = K.
     """
-    normals = density.grid.normals
-    kernel = lambda pts, eta: kernel_grad_dot(_FUNDAMENTAL, pts, eta, normals)
-    return on_points(xi, lambda pts: apply_kernel(kernel, density, pts))
+    grid = density.grid
+    cap = grid.cap
+    c = _rim_coefficients(density.values)
+    k = geodesic_curvature(cap) / FOUR_PI * float(np.sum(grid.weights * density.values))
+
+    def evaluate(pts):
+        sigma, _, ext = _sides(cap, c, pts)
+        return k + 0.5 * sigma * ext
+
+    return on_points(xi, evaluate)
 
 
 @dataclass(frozen=True)
@@ -128,20 +162,16 @@ def jump_probe(
     Evaluation points are (xi +- tau nu)/sqrt(1 + tau^2), i.e. rotations of
     the node xi by arctan(tau) along its normal great circle. quantity
     "normal-derivative" differentiates along that circle with a centered
-    step tau/16. The reported jump extrapolates the last three displacements
-    to zero with a quadratic fit; convergence in tau is first order, so the
-    extrapolation is heuristic rather than certified.
+    step tau/16. Both potentials are exact on the density's interpolant at
+    any displacement, so no tau is too small for the grid. The reported jump
+    extrapolates the last three displacements to zero with a quadratic fit;
+    convergence in tau is first order, so the extrapolation is heuristic
+    rather than certified.
     """
     taus = np.asarray(sorted(np.atleast_1d(taus), reverse=True), dtype=float)
     if taus.size < 3:
         raise ValueError("need at least three displacements to extrapolate")
     grid = density.grid
-    floor = 10.0 * 2.0 * np.pi * grid.cap.boundary_sine / len(grid)
-    if taus.min() < floor:
-        raise ValueError(
-            f"displacement {taus.min():.3e} below the resolution floor {floor:.3e};"
-            " refine the boundary grid"
-        )
     layer = {"double": double_layer, "single": single_layer}.get(potential)
     if layer is None:
         raise ValueError("potential must be 'single' or 'double'")
@@ -205,24 +235,6 @@ def solve_idp(grid: QuadratureGrid, boundary_values) -> BoundarySolution:
     return BoundarySolution(DensitySamples(grid, q), "dirichlet")
 
 
-def _log_quadrature_weights(m: int) -> np.ndarray:
-    """Spectral weights for int_0^{2pi} ln(4 sin^2(t/2)) f(t) dt on m nodes.
-
-    Exact for trigonometric polynomials of degree below m/2; the weights sum
-    to zero, matching the vanishing mean of the periodic log kernel.
-    """
-    if m % 2 != 0:
-        raise ValueError("log quadrature needs an even node count")
-    j = np.arange(m)
-    t = 2.0 * np.pi * j / m
-    k = np.arange(1, m // 2)
-    weights = -(4.0 * np.pi / m) * np.sum(
-        np.cos(np.outer(t, k)) / k[None, :], axis=1
-    )
-    weights -= (4.0 * np.pi / m**2) * np.cos(0.5 * m * t)
-    return weights
-
-
 def solve_inp(grid: QuadratureGrid, boundary_values) -> BoundarySolution:
     """Second-kind boundary equation of the Neumann problem on a cap.
 
@@ -238,23 +250,6 @@ def solve_inp(grid: QuadratureGrid, boundary_values) -> BoundarySolution:
     total = _neumann_total(grid, f)
     q = -2.0 * (f - total / float(np.sum(grid.weights)))
     return BoundarySolution(DensitySamples(grid, q, mean_free=True), "neumann")
-
-
-def single_layer_on_boundary(density: DensitySamples) -> np.ndarray:
-    """Values of the single-layer potential at its own boundary nodes.
-
-    On the curve the kernel depends only on the parameter difference:
-    G = ln(4 sin^2(delta/2))/4pi plus a constant, so the log part is
-    integrated with the spectral periodic-log weights and the remainder by
-    the trapezoid rule; the resulting circulant product is evaluated by FFT.
-    """
-    grid = density.grid
-    cap = grid.cap
-    m = len(grid)
-    s = cap.boundary_sine
-    c0 = (np.log(s * s) - 2.0 * np.log(2.0) + 1.0) / FOUR_PI
-    row = s * (_log_quadrature_weights(m) / FOUR_PI + (2.0 * np.pi / m) * c0)
-    return np.fft.irfft(np.fft.rfft(row) * np.fft.rfft(density.values), n=m)
 
 
 def idp_residual(solution: BoundarySolution, boundary_values) -> float:

@@ -14,7 +14,8 @@ grad_convolution for gradient kernels), which picks ring-FFT or dense
 summation from the evaluation points. The cap boundary solvers are not
 kernel sums: they evaluate their integrals exactly on the trigonometric
 interpolant of the rim data, as a power series in the stereographic chart
-(_rim_series), which stays accurate up to the rim.
+(_rim_series), which stays accurate up to the rim. The layer potentials
+(layers) sum the same series on both sides of it.
 """
 
 from __future__ import annotations
@@ -161,10 +162,13 @@ def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSa
 def _rim_coefficients(values: np.ndarray) -> np.ndarray:
     """c_k with sum_k Re(c_k e^{ik phi}) the trigonometric interpolant of m
     equispaced rim values: rfft / m, the terms 0 < k < m/2 doubled (an even
-    m's Nyquist term is not)."""
+    m's Nyquist term is not). Trailing c_k at most eps max |c| are dropped:
+    past the data's bandwidth they are rounding noise, and each kept term
+    costs _rim_series a pass over the targets."""
     c = np.fft.rfft(values) / len(values)
     c[1 : (len(values) + 1) // 2] *= 2.0
-    return c
+    kept = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())
+    return c[: kept[-1] + 1 if kept.size else 1]
 
 
 def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray) -> np.ndarray:

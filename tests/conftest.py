@@ -24,6 +24,14 @@ def cap_point(cap: SphericalCap, t_fraction: float, phi: float) -> np.ndarray:
     )
 
 
+def rim_ring(cap: SphericalCap, delta: float, count: int = 64) -> np.ndarray:
+    """count points with 1 - xi . center = rho (1 - delta), inside the cap for
+    delta > 0 and outside for delta < 0, at longitudes off the lattice of
+    every rim grid the tests use."""
+    phis = 2.0 * np.pi * (np.arange(count) + 0.37) / count
+    return np.array([cap_point(cap, 1.0 - delta, phi) for phi in phis])
+
+
 def random_interior_points(cap, rng, count, max_fraction=0.8):
     pts = [
         cap_point(cap, max_fraction * rng.random(), rng.uniform(0.0, 2.0 * np.pi))

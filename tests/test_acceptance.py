@@ -278,7 +278,8 @@ def test_criterion_07_jump_relations():
     watch = Stopwatch(30.0)
     cap = SphericalCap(unit_vector([0.0, 0.1, 1.0]), 0.5)
     taus = [2.0**-k for k in range(4, 10)]
-    # boundary resolution chosen to honor the 10-spacings displacement floor
+    # any m would do, the layers being exact on the density's interpolant:
+    # 32768 nodes exercise the rim series' trimming to the density's band
     m = 32768
     grid = build_boundary_grid(cap, m)
     q = 0.7 + 0.4 * np.cos(grid.phis) - 0.25 * np.sin(2 * grid.phis)

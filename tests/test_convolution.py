@@ -175,7 +175,9 @@ def test_ring_matches_dense_across_chunks(case, monkeypatch):
 
 
 def _boundary_sums():
-    """(id, evaluator) for each boundary integral summed by apply_kernel."""
+    """(id, evaluator) for each boundary integral and the cap split, whose
+    results must not depend on the chunk size: the boundary integrals are
+    rim series summed point by point, the split's area sums are chunked."""
     bgrid = build_boundary_grid(CAP, 64)
     density = DensitySamples(bgrid, np.cos(bgrid.phis) + 0.3 * np.sin(2 * bgrid.phis))
     trace = lambda p: p[:, 0] * p[:, 1] + 0.2
@@ -204,9 +206,8 @@ def test_boundary_sums_bit_identical_across_chunks(case, monkeypatch):
     pts = INNER.contains(CAP_GRID.nodes)
     pts = CAP_GRID.nodes[np.flatnonzero(pts)[::7]]
     whole = evaluate(pts)
-    # three points per chunk on the 64-node boundary grid; two points or
-    # rings per chunk on the 512-node area grid (51 points: a last chunk of
-    # one would be merged)
+    # two points or rings per chunk on the 512-node area grid (51 points: a
+    # last chunk of one would be merged)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * 64)
     assert np.array_equal(evaluate(pts), whole)
 

@@ -3,8 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sphaerica.layers as layers
-from conftest import cap_point, random_interior_points
-from sphaerica.geometry import SphericalCap, boundary_frame, unit_vector
+from conftest import cap_point, random_interior_points, rim_ring
+from sphaerica.geometry import (
+    SphericalCap,
+    boundary_frame,
+    boundary_nodes,
+    stereographic_project,
+    unit_vector,
+)
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     inner_harmonic_eval,
@@ -13,14 +19,12 @@ from sphaerica.harmonics import (
 from sphaerica.layers import (
     DensitySamples,
     _extrapolate,
-    _log_quadrature_weights,
     double_layer,
     geodesic_curvature,
     idp_residual,
     inp_residual,
     jump_probe,
     single_layer,
-    single_layer_on_boundary,
     solve_idp,
     solve_inp,
 )
@@ -78,6 +82,93 @@ class TestLayerPotentials:
         assert abs(fd) < 1e-3
 
 
+SIDE_CAPS = {
+    "polar-0.5": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5),
+    "tilted-0.9": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    "south-0.7": SphericalCap(np.array([0.0, 0.0, -1.0]), 0.7),
+}
+# delta > 0 inside the cap (1 - xi . center = rho (1 - delta)), < 0 outside
+SIGNED_DELTAS = [0.2, 1e-2, 1e-3, 1e-4, 1e-5, -1e-5, -1e-4, -1e-3, -1e-2, -0.2]
+# (n, a_n, b_n) of the density sum_n a_n cos(n phi) + b_n sin(n phi)
+MODES = [(0, 0.6, 0.0), (1, 1.0, -0.2), (2, 0.0, -0.4), (3, 0.3, 0.25)]
+
+
+def _exact_layers(cap, pts, inside):
+    """D and S of the MODES density on one side of the rim, from its exact
+    harmonic extension: Re w^n and Im w^n in the side's chart, w the
+    stereographic image over the rim radius. The complement cap's chart
+    mirrors the rim angle, so a sine mode changes sign there."""
+    chart, sign = (cap, 1.0) if inside else (cap.complement, -1.0)
+    rho = chart.radius
+    w = stereographic_project(chart.center, pts) / (2.0 * np.sqrt(rho / (2.0 - rho)))
+    w = w[:, 0] + 1j * w[:, 1]
+    s = cap.boundary_sine
+    charge = 2.0 * np.pi * s * MODES[0][1]
+    t = pts @ chart.center
+    double = geodesic_curvature(cap) / (4.0 * np.pi) * charge + 0.5 * sign * MODES[0][1]
+    single = charge / (4.0 * np.pi) * (np.log(1.0 + t) + np.log(rho) - 2.0 * np.log(2.0) + 1.0)
+    for n, a, b in MODES[1:]:
+        ext = a * (w**n).real + sign * b * (w**n).imag
+        double = double + 0.5 * sign * ext
+        single = single - s / (2.0 * n) * ext
+    return double, single
+
+
+class TestBothSidesOfTheRim:
+    """Both layers are exact on the density's interpolant up to the curve,
+    from inside through the cap's chart and from outside through the
+    complement cap's."""
+
+    @pytest.mark.parametrize("name", SIDE_CAPS)
+    @pytest.mark.parametrize("m", [64, 65, 128])
+    def test_exact_up_to_the_rim(self, name, m):
+        cap = SIDE_CAPS[name]
+        grid = build_boundary_grid(cap, m)
+        q = sum(a * np.cos(n * grid.phis) + b * np.sin(n * grid.phis) for n, a, b in MODES)
+        density = DensitySamples(grid, q)
+        sup = np.abs(q).max()
+        for delta in SIGNED_DELTAS:
+            pts = rim_ring(cap, delta)
+            want_d, want_s = _exact_layers(cap, pts, delta > 0)
+            assert np.abs(double_layer(density, pts) - want_d).max() <= 1e-13 * sup
+            assert np.abs(single_layer(density, pts) - want_s).max() <= 1e-13 * sup
+
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_double_layer_on_the_curve_is_the_constant(self, m):
+        grid = build_boundary_grid(CAP, m)
+        density = DensitySamples(grid, 0.7 + np.cos(grid.phis) - 0.3 * np.sin(5 * grid.phis))
+        k = geodesic_curvature(CAP) / (4 * np.pi) * np.sum(grid.weights * density.values)
+        midpoints, _, _ = boundary_nodes(CAP, grid.phis + np.pi / m)
+        for pts in (grid.nodes, midpoints):
+            assert_allclose(double_layer(density, pts), k, rtol=0, atol=1e-15)
+
+    def test_single_layer_of_a_constant_at_centre_and_antipode(self):
+        # 1 - xi . eta is rho on the whole rim at the centre, 2 - rho at the
+        # antipode, so G is constant along the rim there
+        grid = build_boundary_grid(CAP, 64)
+        ones = DensitySamples(grid, np.ones(64))
+        length = 2 * np.pi * CAP.boundary_sine
+        for xi, gap in ((CAP.center, CAP.radius), (-CAP.center, 2 - CAP.radius)):
+            want = length * (np.log(gap) + 1 - np.log(2)) / (4 * np.pi)
+            assert single_layer(ones, xi) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("name", SIDE_CAPS)
+    def test_a_point_alone_gives_its_bits_in_a_stack(self, name):
+        cap = SIDE_CAPS[name]
+        grid = build_boundary_grid(cap, 128)
+        # a large mean makes the single layer's log term carry the bits of
+        # xi . zeta, which a matrix-vector product rounds with the stack
+        noise = np.random.default_rng(3).normal(size=128)
+        density = DensitySamples(grid, 4.0 + noise)
+        pts = np.concatenate(
+            [rim_ring(cap, delta, 8) for delta in SIGNED_DELTAS] + [grid.nodes[:8]]
+        )
+        for layer in (double_layer, single_layer):
+            stack = layer(density, pts)
+            assert np.array_equal(np.array([layer(density, p) for p in pts]), stack)
+            assert np.array_equal(np.array([layer(density, p[None])[0] for p in pts]), stack)
+
+
 class TestJumpRelations:
     def _grid(self, m=8192):
         return build_boundary_grid(CAP, m)
@@ -110,12 +201,6 @@ class TestJumpRelations:
         taus = [2.0**-k for k in range(3, 8)]
         report = jump_probe(density, 777, taus, "single", "normal-derivative")
         assert report.jump == pytest.approx(q[777], rel=0.02)
-
-    def test_resolution_floor_guard(self):
-        grid = build_boundary_grid(CAP, 64)
-        density = DensitySamples(grid, np.ones(64))
-        with pytest.raises(ValueError):
-            jump_probe(density, 0, [0.25, 0.125, 1e-4], "double", "value")
 
     @staticmethod
     def _two_branch_probe(density, boundary_index, taus, potential, quantity):
@@ -195,7 +280,6 @@ class TestJumpRelations:
         ],
     )
     def test_probe_rejects_bad_requests(self, taus, potential, quantity, message):
-        # 1024 nodes put the resolution floor below the smallest tau
         density = DensitySamples(build_boundary_grid(CAP, 1024), np.ones(1024))
         with pytest.raises(ValueError, match=message):
             jump_probe(density, 0, taus, potential, quantity)
@@ -294,19 +378,16 @@ class TestZeroIntegralBound:
             DensitySamples(grid, shifted, mean_free=True)
 
 
-def test_log_quadrature_needs_an_even_node_count():
-    with pytest.raises(ValueError, match="even node count"):
-        _log_quadrature_weights(15)
-
-
 def test_boundary_log_quadrature_eigenvalues():
-    # on-curve single layer acts on cos(k phi) with eigenvalue -s/(2k)
-    grid = build_boundary_grid(CAP, 256)
+    # on-curve single layer acts on cos(k phi) with eigenvalue -s/(2k), at
+    # even and odd node counts
     s = CAP.boundary_sine
-    for k in (1, 4, 11):
-        density = DensitySamples(grid, np.cos(k * grid.phis), mean_free=True)
-        on_curve = single_layer_on_boundary(density)
-        assert_allclose(on_curve, -s / (2 * k) * np.cos(k * grid.phis), atol=1e-13)
+    for m in (256, 255):
+        grid = build_boundary_grid(CAP, m)
+        for k in (1, 4, 11):
+            density = DensitySamples(grid, np.cos(k * grid.phis), mean_free=True)
+            on_curve = single_layer(density, grid.nodes)
+            assert_allclose(on_curve, -s / (2 * k) * np.cos(k * grid.phis), atol=1e-13)
 
 
 def test_double_layer_kernel_constant_matches_curvature():

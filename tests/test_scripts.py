@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # row counts of the tables a script prints after its first: rim_study.py
-# follows its per-ring table with the cap solvers' rim sweep
-FOLLOWING_TABLES = {"rim_study.py": [5]}
+# follows its per-ring table with the cap solvers' rim sweep and the layer
+# potentials' sweep across the rim
+FOLLOWING_TABLES = {"rim_study.py": [5, 10]}
 
 
 @pytest.mark.parametrize(

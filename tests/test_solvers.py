@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cap_point, random_interior_points
+from conftest import cap_point, random_interior_points, rim_ring
 from sphaerica._convolution import _dense
 from sphaerica.apps import vd_reconstruct
 from sphaerica.decomposition import decompose_cap_at
@@ -36,6 +36,8 @@ from sphaerica.quadrature import (
 )
 from sphaerica.solvers import (
     _cap_boundary_samples,
+    _rim_coefficients,
+    _rim_series,
     beltrami_fd,
     default_scale,
     dirichlet_solve_cap,
@@ -268,13 +270,6 @@ SERIES_CAPS = {
 DELTAS = [0.2, 1e-2, 1e-3, 1e-4, 1e-5]
 
 
-def _rim_ring(cap, delta, count=64):
-    """count points with 1 - xi . center = rho (1 - delta), at longitudes
-    off the lattice of every rim grid used here."""
-    phis = 2.0 * np.pi * (np.arange(count) + 0.37) / count
-    return np.array([cap_point(cap, 1.0 - delta, phi) for phi in phis])
-
-
 def _harmonic(cap):
     """A sum of the cap's inner harmonics of degrees 0-9 and its gradient."""
     rng = np.random.default_rng(9)
@@ -317,7 +312,7 @@ class TestRimSeries:
         sup = np.abs(value(grid.nodes)).max()
         flux = np.sum(grid.normals * grad(grid.nodes), axis=1)
         mean = mean_value(sample(build_cap_grid(cap, 32, 64), value))
-        pts = _rim_ring(cap, delta)
+        pts = rim_ring(cap, delta)
         truth = value(pts)
         dirichlet = dirichlet_solve_cap(cap, value, pts, m=512)
         neumann = neumann_solve_cap(cap, FieldSamples(grid, flux), mean, pts)
@@ -334,7 +329,7 @@ class TestRimSeries:
         grid = build_boundary_grid(cap, m)
         h = np.cos(grid.phis) + 0.4 * np.sin(3.0 * grid.phis) + 0.2 * np.cos(7.0 * grid.phis)
         h = h - np.sum(grid.weights * h) / np.sum(grid.weights)
-        pts = _rim_ring(cap, 0.2 if m == 512 else 0.6)
+        pts = rim_ring(cap, 0.2 if m == 512 else 0.6)
         want_d, want_n = _trapezoid_sums(cap, grid, h, pts)
         got_d = dirichlet_solve_cap(cap, FieldSamples(grid, h), pts)
         got_n = neumann_solve_cap(cap, FieldSamples(grid, h), 0.5, pts)
@@ -367,7 +362,7 @@ class TestRimSeries:
         grid = build_boundary_grid(cap, 512)
         noise = np.random.default_rng(3).normal(size=512)
         data = FieldSamples(grid, noise - noise.mean())
-        pts = np.concatenate([_rim_ring(cap, delta, 16) for delta in DELTAS])
+        pts = np.concatenate([rim_ring(cap, delta, 16) for delta in DELTAS])
         for solve in (
             lambda p: dirichlet_solve_cap(cap, data, p),
             lambda p: neumann_solve_cap(cap, data, 0.5, p),
@@ -375,6 +370,28 @@ class TestRimSeries:
             stack = solve(pts)
             assert np.array_equal(np.array([solve(p) for p in pts]), stack)
             assert np.array_equal(np.array([solve(p[None])[0] for p in pts]), stack)
+
+    def test_coefficients_stop_at_the_data_bandwidth(self):
+        grid = build_boundary_grid(CAP, 32768)
+        phi = grid.phis
+        data = 0.8 + 0.5 * np.cos(phi) - 0.3 * np.sin(2.0 * phi) + 0.1 * np.cos(3.0 * phi)
+        assert len(_rim_coefficients(data)) == 4
+        assert len(_rim_coefficients(np.zeros(64))) == 1
+
+    @pytest.mark.parametrize("name", SERIES_CAPS)
+    @pytest.mark.parametrize("data", ["random", "band-limited"])
+    def test_trimming_keeps_the_series(self, name, data):
+        cap = SERIES_CAPS[name]
+        phi = build_boundary_grid(cap, 512).phis
+        if data == "random":
+            values = np.random.default_rng(5).normal(size=512)
+        else:
+            values = np.cos(phi) + 0.4 * np.sin(3.0 * phi) + 0.2 * np.cos(7.0 * phi)
+        full = np.fft.rfft(values) / 512
+        full[1:256] *= 2.0
+        pts = np.concatenate([rim_ring(cap, delta, 16) for delta in DELTAS])
+        trimmed = _rim_series(cap, _rim_coefficients(values), pts)
+        assert np.abs(trimmed - _rim_series(cap, full, pts)).max() <= 1e-14 * np.abs(values).max()
 
     def test_rejections_at_and_beyond_the_rim(self):
         rho = CAP.radius
