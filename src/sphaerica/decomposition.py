@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._convolution import _ring, grad_convolution
+from ._convolution import _ring, grad_convolution, grad_convolutions
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
@@ -70,8 +70,9 @@ def helmholtz_decompose_sphere(
     """Global decomposition; scalars are produced at the field's own nodes.
 
     F2 and F3 are gradient/curl convolutions with the fundamental solution,
-    regularized at the given scale, and are demeaned (the global split fixes
-    them only up to constants). F1 is the pointwise radial part.
+    regularized at the given scale, from one set of kernel row spectra, and
+    are demeaned (the global split fixes them only up to constants). F1 is
+    the pointwise radial part.
     """
     grid = samples.grid
     if grid.kind != KIND_SPHERE:
@@ -80,8 +81,10 @@ def helmholtz_decompose_sphere(
         scale = default_scale(grid)
     spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
     f1 = np.sum(samples.values * grid.nodes, axis=1)
-    f2 = FieldSamples(grid, grad_convolution(samples, spec, grid.nodes, curl=False))
-    f3 = FieldSamples(grid, grad_convolution(samples, spec, grid.nodes, curl=True))
+    f2, f3 = (
+        FieldSamples(grid, f)
+        for f in grad_convolutions(samples, [(spec, False), (spec, True)], grid.nodes)
+    )
     return DecompositionScalars(
         FieldSamples(grid, f1),
         FieldSamples(grid, f2.values - mean_value(f2)),
@@ -128,8 +131,10 @@ def decompose_cap_at(
 
     The F3 trace adds neumann_solve_cap of its d/dsigma (by parts, the rim
     integral of d_tau G_N F3) to F2 and dirichlet_solve_cap of it to F3.
-    Points must lie 1e-6 inside the rim (the Dirichlet solver's rule; F2 is
-    summed first, so a point outside the cap fails in its area kernel).
+    Points must lie 1e-6 inside the rim (the Dirichlet solver's rule; the
+    area sums run first, so a point outside the cap fails in their kernels'
+    reflected term). Off the grid nodes the two area sums share one Q block
+    per log term (_convolution.grad_convolutions).
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then
     replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
@@ -156,15 +161,20 @@ def decompose_cap_at(
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
 
-    def f2_at(target: np.ndarray) -> np.ndarray:
-        f2 = grad_convolution(samples, spec_n, target, curl=False)
+    def with_flux(f2: np.ndarray, target: np.ndarray) -> np.ndarray:
         return f2 + neumann_solve_cap(cap, flux, 0.0, target)
 
-    f2 = f2_at(pts)
-    f3 = grad_convolution(samples, spec_d, pts, curl=True)
+    # one pass for both area sums: off the nodes they share each Q block
+    f2, f3 = grad_convolutions(samples, [(spec_n, False), (spec_d, True)], pts)
+    f2 = with_flux(f2, pts)
     f3 = f3 + dirichlet_solve_cap(cap, trace, pts)
     if demean:
-        f2_nodes = f2 if np.array_equal(pts, grid.nodes) else f2_at(grid.nodes)
+        nodes = grid.nodes
+        f2_nodes = (
+            f2
+            if np.array_equal(pts, nodes)
+            else with_flux(grad_convolution(samples, spec_n, nodes, curl=False), nodes)
+        )
         f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))
     return f2, f3
 

@@ -7,8 +7,11 @@ newline-delimited. A leading comment line carries the grid construction
 parameters so a load can rebuild the exact grid; files without it load as
 bare samples.
 
-A save formats the whole table with one %-format ("%.17g" per cell, the
-same text as format(x, ".17g")). A load checks that every non-blank row has
+A save writes every cell as "%.17g" text, the same text as
+format(x, ".17g"). Ring grids repeat their coordinates from ring to ring,
+so each distinct longitude and latitude is formatted once, by one
+%-format; a second %-format puts that text into a row template, and one
+more fills in all the values. A load checks that every non-blank row has
 the schema's comma count, then parses all cells with one join, one split
 and one float conversion; a table with a bad row is parsed again row by row,
 which names that row in the CsvFormatError.
@@ -107,6 +110,15 @@ def _rebuild_grid(meta: dict, rows: int) -> QuadratureGrid | None:
     return None
 
 
+def _distinct_text(x: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each entry of x, formatted once per distinct
+    value. Values are told apart by their bits, so 0.0 and -0.0 keep their
+    own text."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
+
+
 def save_field_csv(path, samples: FieldSamples) -> None:
     """Write samples in grid index order; lossless and reproducible."""
     grid = samples.grid
@@ -114,9 +126,13 @@ def save_field_csv(path, samples: FieldSamples) -> None:
     meta = _grid_metadata(grid)
     meta_line = "# grid " + " ".join(f"{k}={format_value(v)}" for k, v in meta.items())
     header = _VECTOR_HEADER if samples.values.ndim == 2 else _SCALAR_HEADER
-    table = np.column_stack([lon, lat, samples.values])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
+    values = samples.values.reshape(len(grid), -1)
+    # the coordinates go into the row template as text, then one %-format
+    # fills in the values
+    coords = np.column_stack([_distinct_text(lon), _distinct_text(lat)])
+    row = "%s,%s" + ",%%.17g" * values.shape[1] + "\n"
+    template = (row * len(values)) % tuple(coords.ravel().tolist())
+    body = template % tuple(values.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{meta_line}\n{header}\n{body}")
 

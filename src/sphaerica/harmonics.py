@@ -87,91 +87,85 @@ def synth_field(
 def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     """Shared evaluation core; returns (values, gradients or None).
 
-    Works one azimuthal order m at a time. The fully normalized associated
-    Legendre functions P_nm, n = m..L, are recurred over n into one (L+1, N)
-    buffer, divided by sin(theta) when m >= 1, and reduced by one small
-    matrix product with the order's coefficient rows: the rows as they are
-    for the values and, for the gradient, the rows times n, times the
-    degree-lowering factor e_nm (shifted down one degree) and times m.
-    cos(m phi) and sin(m phi) advance by one rotation per order, and the
-    (N, 3) gradient is built once from its theta and phi parts.
+    With w = x + i y = sin(theta) e^(i phi), the expansion is
+    Re sum_m D_m(z) w^m, where D_m = sum_n c_nm Qbar_nm(z): c_n0 the zonal
+    coefficients, sqrt(2) (a_nm - i b_nm) for the cosine and sine
+    coefficients of order m >= 1, and Qbar_nm = Pbar_nm / sin^m(theta) a
+    polynomial in z. Qbar_nm obeys the three-term recurrence of Pbar_nm in
+    n, so it is recurred once per distinct z, one order m at a time into
+    one (L+1, n_z) buffer, and reduced by one small matrix product with the
+    order's coefficient rows. The nodes of a ring grid share their ring's z,
+    so the recurrences cost O(L^2) per ring rather than per node. Each point
+    then sums over m by Horner's rule in w, O(L) per point.
 
-    sin(theta) is hypot(x, y) and no term divides by it; the theta-derivative
-    of the m = 0 terms is -sqrt(n (n+1)) P_n1. So the gradient keeps full
-    accuracy up to the poles. At a pole the frame takes phi = 0, where the
-    m = 1 terms give the Cartesian limit of the gradient.
+    The gradient is the tangential projection of the Cartesian gradient
+    (Re H1, -Im H1, Re H2) of Re sum_m D_m(z) (x + i y)^m, with
+    H1 = sum_m m D_m w^(m-1) and H2 = sum_m D'_m w^m. Since
+    dQbar_nm/dz = sqrt((n - m)(n + m + 1)) Qbar_n,m+1, D'_m is a product
+    with the order m + 1 buffer: no derivative recurrence, no division by
+    sin(theta) and no pole branch, so the gradient keeps full accuracy up
+    to the poles, where w = 0 leaves the m = 1 terms.
     """
     L = c.l_max
-    n_pts = points.shape[0]
-    x, y = points[:, 0], points[:, 1]
-    z = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.hypot(x, y)
-    on_axis = sin_t == 0.0
-    safe = np.where(on_axis, 1.0, sin_t)
-    cos_p = np.where(on_axis, 1.0, x / safe)
-    sin_p = y / safe
-
-    sqrt2 = np.sqrt(2.0)
-    buf = np.empty((L + 1, n_pts))
-    tmp = np.empty(n_pts)
-    rest = np.zeros(n_pts)  # the m >= 1 terms over sin(theta)
-    # d/dtheta of the m >= 1 terms is z * acc[0] - acc[1] and acc[2] is the
-    # phi component of the gradient; d/dtheta of the m = 0 terms is
-    # sin(theta) * d_zonal
-    acc = np.zeros((3, n_pts))
-    d_zonal = np.zeros(n_pts)
-    cos_m, sin_m = np.ones(n_pts), np.zeros(n_pts)
-    pmm = np.full(n_pts, 0.5 / np.sqrt(np.pi))
+    z, zi = np.unique(np.clip(points[:, 2], -1.0, 1.0), return_inverse=True)
+    buf = np.empty((L + 1, z.shape[0]))
+    tmp = np.empty(z.shape[0])
+    # D_m and, for the gradient, D'_m at the distinct z
+    d = np.empty((L + 1, z.shape[0]), dtype=complex)
+    d_z = np.zeros((L + 1, z.shape[0]), dtype=complex) if want_grad else None
+    qmm = 0.5 / np.sqrt(np.pi)
     for m in range(L + 1):
         if m > 0:
-            pmm = (pmm * sin_t if m > 1 else pmm) * np.sqrt((2 * m + 1.0) / (2 * m))
-        p = buf[m:]
-        p[0] = pmm
+            qmm *= np.sqrt((2 * m + 1.0) / (2 * m))
+        q = buf[m:]
+        q[0] = qmm
         n = np.arange(m, L + 1.0)
         lo, hi2 = n[:-1], (n[:-1] + 1.0) ** 2 - m * m
         alpha = np.sqrt((4.0 * (lo + 1.0) ** 2 - 1.0) / hi2)
         beta = np.sqrt(
             (2.0 * lo + 3.0) * (lo - m) * (lo + m) / ((2.0 * lo - 1.0) * hi2)
         )
-        # P_{n+1} = alpha z P_n - beta P_{n-1}, in place in the buffer
+        # Q_{n+1} = alpha z Q_n - beta Q_{n-1}, in place in the buffer
         for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist()), start=1):
-            np.multiply(z, a, out=p[i])
-            p[i] *= p[i - 1]
+            np.multiply(z, a, out=q[i])
+            q[i] *= q[i - 1]
             if i > 1:
-                p[i] -= np.multiply(p[i - 2], b, out=tmp)
-        rows = np.arange(m, L + 1)
-        cc = c.coeffs[rows, rows + m]
-        if m == 0:
-            zonal = cc @ p  # the m = 0 terms
-            continue
-        if m == 1 and want_grad:
-            d_zonal = (-np.sqrt(n * (n + 1.0)) * c.coeffs[rows, rows]) @ p
-        cs = c.coeffs[rows, rows - m]
-        cos_m, sin_m = cos_m * cos_p - sin_m * sin_p, sin_m * cos_p + cos_m * sin_p
-        # the values get a product of their own, so that they do not depend
-        # on want_grad
-        r = (sqrt2 * np.stack([cc, cs])) @ p
-        rest += r[0] * cos_m + r[1] * sin_m
-        if want_grad:
-            e = np.sqrt((2.0 * n + 1.0) * (n * n - m * m) / (2.0 * n - 1.0))
-            ecc, ecs = (np.append((e * v)[1:], 0.0) for v in (cc, cs))
-            w = sqrt2 * np.stack([n * cc, ecc, m * cs, n * cs, ecs, -m * cc])
-            g = w @ p
-            acc += g[:3] * cos_m + g[3:] * sin_m
-    values = zonal + sin_t * rest
+                q[i] -= np.multiply(q[i - 2], b, out=tmp)
+        d[m] = _order_sum(c, m, n, q)
+        if want_grad and m > 0:
+            d_z[m - 1] = _order_sum(c, m - 1, n, q, np.sqrt((n - m + 1.0) * (n + m)))
+    w = points[:, 0] + 1j * points[:, 1]
+    term = np.empty(points.shape[0], dtype=complex)
+
+    def horner(rows: np.ndarray) -> np.ndarray:
+        # sum_k rows[k](z) w^k at every point
+        acc = np.zeros(points.shape[0], dtype=complex)
+        for row in rows[::-1]:
+            acc *= w
+            acc += np.take(row, zi, out=term)
+        return acc
+
+    values = horner(d).real
     if not want_grad:
         return values, None
-    d_theta = z * acc[0] - acc[1] + sin_t * d_zonal
-    d_phi = acc[2]
-    grads = np.stack(
-        [
-            z * cos_p * d_theta - sin_p * d_phi,
-            z * sin_p * d_theta + cos_p * d_phi,
-            -sin_t * d_theta,
-        ],
-        axis=1,
-    )
-    return values, grads
+    h1 = horner(np.arange(1, L + 1)[:, None] * d[1:])
+    h2 = horner(d_z)
+    grad = np.stack([h1.real, -h1.imag, h2.real], axis=1)
+    grad -= np.sum(grad * points, axis=1)[:, None] * points
+    return values, grad
+
+
+def _order_sum(c: ShCoefficients, m: int, n: np.ndarray, q: np.ndarray, factor=1.0):
+    """sum_n c_nm factor_n q_n over the degrees n, with q the Qbar rows of
+    those degrees (at order m for D_m, at order m + 1 for D'_m): real for
+    m = 0, and for m >= 1 complex, sqrt(2) (a_nm - i b_nm) weighted."""
+    rows = n.astype(int)
+    cc = c.coeffs[rows, rows + m] * factor
+    if m == 0:
+        return cc @ q
+    cs = c.coeffs[rows, rows - m] * factor
+    r = (np.sqrt(2.0) * np.stack([cc, -cs])) @ q
+    return r[0] + 1j * r[1]
 
 
 def sh_eval(c: ShCoefficients, xi) -> float | np.ndarray:

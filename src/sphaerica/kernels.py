@@ -13,8 +13,9 @@ defined inside it).
 Each formula is written once, in the vectorized core: kernel_value_matrix
 evaluates a KernelSpec for stacked points, and its gradient is grad_terms
 (per-node factors) over log_gap (1 - x . eta, floored or checked), which
-kernel_grad_dot assembles into rows and the dense gradient sum of
-_convolution contracts without forming them. The scalar entry points
+kernel_grad_rows assembles into rows, one block per field sharing each
+term's gap, and the dense gradient sum of _convolution contracts without
+forming them. The scalar entry points
 (fundamental, fundamental_deriv, dirichlet_green, neumann_green,
 neumann_green_regularized) evaluate one (xi, eta) pair through that same
 core, so the finite-difference tests of the scalar APIs check the
@@ -251,31 +252,42 @@ def kernel_grad_dot(
 
     D is the tangential gradient; for the surface curl gradient pass the
     rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
-    branch uses the spec's regularization scale when present. The O(N)
-    work is done once per node (grad_terms), and each log term's rows are
-    (x . g) / log_gap: two (P, N) temporaries, two matrix products and
-    three elementwise passes; the reflected term and the Neumann centre
-    column are added in place. The ring path of grad_convolution sums these
-    rows; at other targets it contracts the same terms without forming
-    them.
+    branch uses the spec's regularization scale when present. This is
+    kernel_grad_rows for one field.
+    """
+    return kernel_grad_rows(spec, xi, eta, [field])[0]
+
+
+def kernel_grad_rows(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, fields) -> list:
+    """kernel_grad_dot's (P, N) rows for each of several (N, 3) fields.
+
+    The O(N) work is done once per node and field (grad_terms), and each
+    log term's rows are (x . g) / log_gap: the fields share the term's
+    points x and its gap block, so a term costs one gap block, one matrix
+    product per field and one elementwise pass per field. The reflected
+    term and the Neumann centre column are added in place. The ring path
+    of _convolution sums these rows; at other targets it contracts the
+    same terms without forming them.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    terms, centre = grad_terms(spec, eta, field)
-
-    def rows(reflected, g, scale):
-        # the gap first, freed on return: which of these large temporaries
-        # glibc hands back to the OS depends on their allocation order, and
-        # another order doubled the ring path's page faults
+    per_field = [grad_terms(spec, eta, f) for f in fields]
+    out = []
+    for k, (reflected, _, scale) in enumerate(per_field[0][0]):
+        # the gap first, freed before the next term's: which of these large
+        # temporaries glibc hands back to the OS depends on their allocation
+        # order, and another order doubled the ring path's page faults
         points = term_points(spec, xi, reflected)
         gap = log_gap(points, eta, scale)
-        out = points @ g.T
-        out /= gap
-        return out
-
-    out = rows(*terms[0])
-    for term in terms[1:]:
-        out += rows(*term)
-    if centre is not None:
-        out += centre[None, :]
+        for i, (terms, _) in enumerate(per_field):
+            rows = points @ terms[k][1].T
+            rows /= gap
+            if k == 0:
+                out.append(rows)
+            else:
+                out[i] += rows
+        del gap, rows
+    for rows, (_, centre) in zip(out, per_field):
+        if centre is not None:
+            rows += centre[None, :]
     return out

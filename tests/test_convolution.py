@@ -28,7 +28,7 @@ from sphaerica.kernels import (
     KIND_FUNDAMENTAL,
     KIND_NEUMANN,
     KernelSpec,
-    kernel_grad_dot,
+    kernel_grad_rows,
     kernel_value_matrix,
 )
 from sphaerica.layers import DensitySamples, double_layer, single_layer
@@ -92,7 +92,7 @@ def _value(spec):
 
 
 def _grad(spec):
-    return lambda xi, eta, f: kernel_grad_dot(spec, xi, eta, f)
+    return lambda xi, eta, fields: kernel_grad_rows(spec, xi, eta, fields)
 
 
 def _cases():

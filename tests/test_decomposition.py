@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
+from sphaerica import _convolution
 from sphaerica._convolution import apply_kernel, grad_convolution
 from sphaerica.decomposition import (
     d_apply,
@@ -25,7 +26,16 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
-from sphaerica.kernels import KIND_DIRICHLET, KIND_NEUMANN, KernelSpec, kernel_grad_dot
+from sphaerica.kernels import (
+    KIND_DIRICHLET,
+    KIND_FUNDAMENTAL,
+    KIND_NEUMANN,
+    KernelSpec,
+    grad_terms,
+    kernel_grad_dot,
+    log_gap,
+    term_points,
+)
 from sphaerica.quadrature import (
     FieldSamples,
     boundary_data,
@@ -34,8 +44,32 @@ from sphaerica.quadrature import (
     build_sphere_grid,
     mean_value,
 )
+from sphaerica.solvers import (
+    _cap_boundary_samples,
+    dirichlet_solve_cap,
+    neumann_solve_cap,
+)
 
 GRID = build_sphere_grid(32, 64)  # shared across the sphere-path tests
+
+
+def _separate_dense_sum(spec, samples, points):
+    """The contracted dense gradient sum of one spec alone, as each half of
+    the cap split once ran it: x . (Q F) term by term, chunk by chunk."""
+    grid = samples.grid
+    nodes, w = grid.nodes, grid.weights
+    terms, centre = grad_terms(spec, nodes, samples.values)
+    base = 0.0 if centre is None else np.sum(w * centre)
+    out = np.empty(points.shape[0])
+    for i0, i1 in _convolution._chunks(points.shape[0], len(grid)):
+        acc = base
+        for reflected, g, scale in terms:
+            x = term_points(spec, points[i0:i1], reflected)
+            q = 1.0 / log_gap(x, nodes, scale)
+            qf = np.matmul(q[:, None, :], w[:, None] * g)[:, 0, :]
+            acc = acc + np.sum(x * qf, axis=1)
+        out[i0:i1] = acc
+    return out
 
 
 def demeaned(grid, values):
@@ -109,6 +143,22 @@ class TestSphereDecomposition:
         helm = helmholtz_decompose_sphere(f, scale=10)
         for scalars in (helm.f2, helm.f3):
             assert abs(np.sum(GRID.weights * scalars.values)) < 1e-10
+
+    def test_one_pass_keeps_the_two_sums(self):
+        # both halves come from one set of row spectra: F2 keeps the bits
+        # of the gradient sum alone, F3 those of the gradient sum against
+        # the rotated field f x eta
+        p, s = synth_field(4, 1, 6), synth_field(5, 1, 6)
+        values = sh_grad_eval(p, GRID.nodes) + sh_curl_eval(s, GRID.nodes)
+        f = FieldSamples(GRID, values, tangential=True)
+        spec = KernelSpec(KIND_FUNDAMENTAL, scale=10)
+        helm = helmholtz_decompose_sphere(f, scale=10)
+        f2 = FieldSamples(GRID, grad_convolution(f, spec, GRID.nodes, curl=False))
+        assert np.array_equal(helm.f2.values, f2.values - mean_value(f2))
+        rotated = FieldSamples(GRID, np.cross(f.values, GRID.nodes))
+        f3 = FieldSamples(GRID, grad_convolution(rotated, spec, GRID.nodes, curl=False))
+        want = f3.values - mean_value(f3)
+        assert np.abs(helm.f3.values - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_full_round_trip_through_projection(self):
         # decompose, project the recovered scalars back onto harmonics,
@@ -193,6 +243,29 @@ class TestCapDecomposition:
         err2 = (f2 - p_ref) - np.mean(f2 - p_ref)
         assert np.abs(err2).max() < 1.5e-3
         assert np.abs(f3 - sh_eval(s, pts)).max() < 1.5e-3
+
+    def test_shared_q_blocks_keep_the_separate_sums(self, rng):
+        # off the nodes, F2 and F3 share one Q block per log term; each
+        # keeps the bits of its own contracted sum
+        grid = build_cap_grid(self.CAP, 24, 48)
+        _, _, samples, trace = self._field(grid)
+        pts = random_interior_points(self.CAP, rng, 30)
+        got = decompose_cap_at(
+            samples, pts, boundary_f3=trace, scale=10, m=64, demean=False
+        )
+        spec_n = KernelSpec(KIND_NEUMANN, cap=self.CAP, scale=10)
+        spec_d = KernelSpec(KIND_DIRICHLET, cap=self.CAP, scale=10)
+        rotated = FieldSamples(grid, np.cross(samples.values, grid.nodes))
+        trace_samples = _cap_boundary_samples(self.CAP, trace, 64)
+        rim = trace_samples.values
+        d_phi = np.fft.irfft(1j * np.arange(33) * np.fft.rfft(rim), n=64)
+        flux = FieldSamples(trace_samples.grid, d_phi / self.CAP.boundary_sine)
+        f2 = -_separate_dense_sum(spec_n, samples, pts)
+        f2 = f2 + neumann_solve_cap(self.CAP, flux, 0.0, pts)
+        f3 = -_separate_dense_sum(spec_d, rotated, pts)
+        f3 = f3 + dirichlet_solve_cap(self.CAP, trace_samples, pts)
+        assert np.array_equal(got[0], f2)
+        assert np.array_equal(got[1], f3)
 
     @pytest.mark.parametrize("name", PIN_CAPS)
     @pytest.mark.parametrize("m", [64, 65, 512])

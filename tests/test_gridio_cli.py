@@ -17,6 +17,7 @@ from sphaerica.cli import (
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.gridio import (
     CsvFormatError,
+    _distinct_text,
     _grid_metadata,
     _lonlat_of,
     format_value,
@@ -52,6 +53,15 @@ def _per_cell_csv(samples: FieldSamples) -> bytes:
         cells = [lon[i], lat[i], *np.atleast_1d(samples.values[i])]
         lines.append(",".join(format(float(x), ".17g") for x in cells))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _table_format_csv(samples: FieldSamples) -> bytes:
+    """A field CSV body written by one %-format over the whole table,
+    coordinates included, as save_field_csv once did."""
+    lon, lat = _lonlat_of(samples.grid.nodes)
+    table = np.column_stack([lon, lat, samples.values])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ((row * len(table)) % tuple(table.ravel().tolist())).encode("utf-8")
 
 
 def _edge_samples(grid, vector: bool) -> FieldSamples:
@@ -123,6 +133,30 @@ class TestCsv:
         assert loaded.samples is not None
         assert np.array_equal(loaded.values, samples.values)
         assert np.array_equal(np.signbit(loaded.values), np.signbit(samples.values))
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_sphere_grid(48, 96),
+            build_cap_grid(SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5), 64, 128),
+            build_cap_grid(SphericalCap(unit_vector([0.3, 0.2, 1.0]), 0.9), 96, 192),
+            build_boundary_grid(CAP, 512),
+        ],
+        ids=["sphere-48x96", "polar-64x128", "tilted-96x192", "boundary-512"],
+    )
+    def test_save_matches_the_table_format(self, tmp_path, grid, vector):
+        # coordinates formatted once per distinct value give the bytes of
+        # one %-format over the whole table
+        samples = _edge_samples(grid, vector)
+        path = tmp_path / "field.csv"
+        save_field_csv(path, samples)
+        body = path.read_bytes().split(b"\n", 2)[2]
+        assert body == _table_format_csv(samples)
+
+    def test_distinct_values_keep_their_own_text(self):
+        x = np.array([0.0, -0.0, 5e-324, -2.5e-310, 0.0, -0.0, 90.0, 5e-324])
+        assert list(_distinct_text(x)) == ["%.17g" % v for v in x.tolist()]
 
     BAD_FLOAT = "could not convert string to float"
 

@@ -333,3 +333,129 @@ def test_degree_one_gradient_at_the_poles(pole, angle):
     )
     xi = _near_pole(pole, angle)
     assert_allclose(sh_grad_eval(c, xi), a - (xi @ a) * xi, rtol=0, atol=1e-15)
+
+
+def _per_point_accumulate(c, points):
+    """The order-at-a-time core that recurred the Legendre functions at
+    every point, kept as a reference: it divides P_nm by sin(theta) rather
+    than sin^m(theta) and rotates cos(m phi), sin(m phi) point by point."""
+    L = c.l_max
+    n_pts = points.shape[0]
+    x, y = points[:, 0], points[:, 1]
+    z = np.clip(points[:, 2], -1.0, 1.0)
+    sin_t = np.hypot(x, y)
+    on_axis = sin_t == 0.0
+    safe = np.where(on_axis, 1.0, sin_t)
+    cos_p = np.where(on_axis, 1.0, x / safe)
+    sin_p = y / safe
+    sqrt2 = np.sqrt(2.0)
+    buf = np.empty((L + 1, n_pts))
+    tmp = np.empty(n_pts)
+    rest = np.zeros(n_pts)
+    acc = np.zeros((3, n_pts))
+    d_zonal = np.zeros(n_pts)
+    cos_m, sin_m = np.ones(n_pts), np.zeros(n_pts)
+    pmm = np.full(n_pts, 0.5 / np.sqrt(np.pi))
+    for m in range(L + 1):
+        if m > 0:
+            pmm = (pmm * sin_t if m > 1 else pmm) * np.sqrt((2 * m + 1.0) / (2 * m))
+        p = buf[m:]
+        p[0] = pmm
+        n = np.arange(m, L + 1.0)
+        lo, hi2 = n[:-1], (n[:-1] + 1.0) ** 2 - m * m
+        alpha = np.sqrt((4.0 * (lo + 1.0) ** 2 - 1.0) / hi2)
+        beta = np.sqrt(
+            (2.0 * lo + 3.0) * (lo - m) * (lo + m) / ((2.0 * lo - 1.0) * hi2)
+        )
+        for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist()), start=1):
+            np.multiply(z, a, out=p[i])
+            p[i] *= p[i - 1]
+            if i > 1:
+                p[i] -= np.multiply(p[i - 2], b, out=tmp)
+        rows = np.arange(m, L + 1)
+        cc = c.coeffs[rows, rows + m]
+        if m == 0:
+            zonal = cc @ p
+            continue
+        if m == 1:
+            d_zonal = (-np.sqrt(n * (n + 1.0)) * c.coeffs[rows, rows]) @ p
+        cs = c.coeffs[rows, rows - m]
+        cos_m, sin_m = cos_m * cos_p - sin_m * sin_p, sin_m * cos_p + cos_m * sin_p
+        r = (sqrt2 * np.stack([cc, cs])) @ p
+        rest += r[0] * cos_m + r[1] * sin_m
+        e = np.sqrt((2.0 * n + 1.0) * (n * n - m * m) / (2.0 * n - 1.0))
+        ecc, ecs = (np.append((e * v)[1:], 0.0) for v in (cc, cs))
+        w = sqrt2 * np.stack([n * cc, ecc, m * cs, n * cs, ecs, -m * cc])
+        g = w @ p
+        acc += g[:3] * cos_m + g[3:] * sin_m
+    values = zonal + sin_t * rest
+    d_theta = z * acc[0] - acc[1] + sin_t * d_zonal
+    d_phi = acc[2]
+    grads = np.stack(
+        [
+            z * cos_p * d_theta - sin_p * d_phi,
+            z * sin_p * d_theta + cos_p * d_phi,
+            -sin_t * d_theta,
+        ],
+        axis=1,
+    )
+    return values, grads
+
+
+def _per_z_points():
+    """Random points, the nodes of a sphere, a polar-cap and a tilted-cap
+    grid (only the tilted one has no repeated z), exact poles and points
+    1e-12 to 1e-2 from either pole."""
+    rng = np.random.default_rng(11)
+    random = rng.normal(size=(400, 3))
+    angles = np.concatenate([[0.0], np.logspace(-12, -2, 11)])
+    phis = rng.uniform(0.0, 2.0 * np.pi, angles.size)
+    s = np.sin(angles)
+    near = [
+        np.stack([s * np.cos(phis), s * np.sin(phis), pole * np.cos(angles)], axis=1)
+        for pole in (1.0, -1.0)
+    ]
+    polar = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5)
+    tilted = SphericalCap(unit_vector([0.3, 0.2, 1.0]), 0.9)
+    return {
+        "random": random / np.linalg.norm(random, axis=1, keepdims=True),
+        "sphere": build_sphere_grid(16, 32).nodes,
+        "polar-cap": build_cap_grid(polar, 16, 32).nodes,
+        "tilted-cap": build_cap_grid(tilted, 16, 32).nodes,
+        "poles": np.concatenate(near),
+    }
+
+
+PER_Z_POINTS = _per_z_points()
+
+
+@pytest.mark.parametrize(
+    "l_max,tol", [(0, 1e-13), (1, 1e-13), (8, 1e-13), (25, 1e-13), (MAX_DEGREE, 1e-12)]
+)
+@pytest.mark.parametrize("kind", list(PER_Z_POINTS))
+def test_per_z_synthesis_matches_the_per_point_recurrence(l_max, tol, kind):
+    points = PER_Z_POINTS[kind]
+    c = synth_field(l_max + 2, 0, l_max)
+    ref_values, ref_grads = _per_point_accumulate(c, points)
+    values, grads = _sh_accumulate(c, points, want_grad=True)
+    assert np.abs(values - ref_values).max() <= tol * np.abs(ref_values).max()
+    if l_max == 0:
+        assert np.array_equal(grads, np.zeros_like(points))
+    else:
+        assert np.abs(grads - ref_grads).max() <= tol * np.abs(ref_grads).max()
+
+
+def test_per_z_gradient_matches_finite_differences():
+    # tangential central differences along two directions, at random points
+    # and points 1e-6 from either pole
+    c = synth_field(13, 0, 8)
+    points = PER_Z_POINTS["random"][:20]
+    points = np.concatenate([points, [_near_pole(1.0, 1e-6), _near_pole(-1.0, 1e-6)]])
+    grads = sh_grad_eval(c, points)
+    for xi, grad in zip(points, grads):
+        fd = [
+            fd_tangent_derivative(lambda p: sh_eval(c, p), xi, d)
+            for d in tangent_basis(xi)
+        ]
+        exact = [float(grad @ d) for d in tangent_basis(xi)]
+        assert np.abs(np.subtract(fd, exact)).max() <= 1e-7 * np.abs(grads).max()

@@ -254,9 +254,28 @@ class TestJumpRelations:
         assert report.outside_limit == _extrapolate(taus, outside)
         assert report.inside_limit == _extrapolate(taus, inside)
 
+    @pytest.mark.parametrize("m", [512, 32768])
+    @pytest.mark.parametrize("potential", ["double", "single"])
+    @pytest.mark.parametrize("quantity", ["value", "normal-derivative"])
+    def test_one_stacked_call_keeps_the_per_side_bits(self, m, potential, quantity):
+        # jump_probe evaluates all of a probe's points in one layer call; a
+        # point of the stack must get the bits of the per-side calls, down
+        # to displacements far below the node spacing
+        grid = build_boundary_grid(CAP, m)
+        q = 0.8 + 0.5 * np.cos(grid.phis) - 0.3 * np.sin(2 * grid.phis)
+        density = DensitySamples(grid, q)
+        taus = np.logspace(-1, -9, 9)
+        report = jump_probe(density, m // 5, taus, potential, quantity)
+        _, outside, inside, _ = self._two_branch_probe(
+            density, m // 5, taus, potential, quantity
+        )
+        assert np.array_equal(report.outside, outside)
+        assert np.array_equal(report.inside, inside)
+
     def test_probe_checks_before_evaluating_the_module_layer(self, monkeypatch):
         # the potential is looked up at call time, so a wrapper installed on
-        # the module is what runs; a bad quantity is rejected before any call
+        # the module is what runs, once per probe with all its points; a bad
+        # quantity is rejected before any call
         calls = []
 
         def counted(density, pts):
@@ -269,7 +288,7 @@ class TestJumpRelations:
             jump_probe(density, 0, [0.5, 0.25, 0.125], "single", "flux")
         assert calls == []
         jump_probe(density, 0, [0.5, 0.25, 0.125], "single", "normal-derivative")
-        assert calls == [3, 3, 3, 3]
+        assert calls == [12]
 
     @pytest.mark.parametrize(
         "taus,potential,quantity,message",
