@@ -23,11 +23,12 @@ rim series (solvers._rim_series). The backend follows from the targets:
   sums of one kernel share the row spectra and differ only in the sample
   spectra they multiply: the sphere split's curl sum, a gradient sum
   against f x eta, costs the gradient sum's rows nothing more. A chunk of
-  rings is sized for all the row blocks it holds at once.
+  rings is sized for everything it holds at once: its row blocks, a
+  vector kernel's two work blocks and the row spectra.
 - any other targets use the dense path in chunks of at most
   _CHUNK_DOUBLES kernel values. A scalar chunk holds the (P, N) kernel
-  values, weighted in place and summed. A gradient sum forms no kernel
-  rows: each log term is (x . g_j) Q_ij with Q = 1/(1 - x . eta)
+  values, written, weighted in place and summed. A gradient sum forms no
+  kernel rows: each log term is (x . g_j) Q_ij with Q = 1/(1 - x . eta)
   (kernels.grad_terms, kernels.log_gap), so the sum is x . (Q F) with
   F = w g formed once per call. One chunk-sized Q buffer
   serves every chunk and every log term, and the Neumann centre column is
@@ -40,14 +41,20 @@ rim series (solvers._rim_series). The backend follows from the targets:
   2-core Xeon with 2 MiB of L2 per core, decompose_cap_at at 250 off-grid
   probes of a 96x192 grid took 0.29 s with 64 MB chunks and 0.15 s with
   2 MiB, before the gradient sums were contracted; chunks of a few rows pay
-  Python overhead per chunk. Reusing one buffer also keeps the gradient
-  sums from handing a 2 MiB temporary back to the allocator on every chunk,
-  which glibc unmaps and faults in again unless something earlier in the
-  process freed a larger block and so raised its mmap threshold.
+  Python overhead per chunk.
+
+Every path writes its chunks into one set of buffers allocated once per
+call (_chunk_blocks), and the kernels write their blocks into them (out=),
+so no chunk hands a temporary of its size back to the allocator, which
+glibc unmaps and faults in again on the next chunk unless something earlier
+in the process freed a larger block and so raised its mmap threshold. A
+kernel callable takes out= (scalar kernels) or returns a rows function that
+takes out= and work= (vector kernels, kernels.kernel_grad_rows).
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -69,15 +76,32 @@ def _chunks(n_points: int, n_nodes: int):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _chunk_blocks(n_points: int, *layout):
+    """(i0, i1, views) for each chunk of _chunks, over buffers allocated once.
+
+    layout gives each buffer as (count, row shape, dtype); views holds, per
+    buffer, a (count, i1 - i0, *row shape) view whose count blocks are
+    C-contiguous. The chunks are sized for every buffer together and the
+    buffers for the tallest chunk (_chunks may merge a one-row tail into
+    it), so each chunk reuses the memory of the last.
+    """
+    nbytes = sum(c * math.prod(shape) * np.dtype(t).itemsize for c, shape, t in layout)
+    bounds = list(_chunks(n_points, nbytes // 8))
+    tallest = max((i1 - i0 for i0, i1 in bounds), default=0)
+    buffers = [np.empty((c, tallest, *shape), t) for c, shape, t in layout]
+    for i0, i1 in bounds:
+        yield i0, i1, [buffer[:, : i1 - i0] for buffer in buffers]
+
+
 def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarray:
     """sum_j w_j K(xi_i, eta_j) h_j over the sample grid, for stacked points xi.
 
-    samples is scalar FieldSamples h on an area grid, and kernel(xi, eta)
-    returns the kernel values K (P, N) as a new array (the dense path
-    weights it in place). At node targets, when integral (the exact
-    integral of K(xi, .) over the grid's domain) is given, the sum is
-    K (h - h(xi)) plus integral h(xi). The kernel must be invariant under
-    rotations about the grid's ring axis (polar_frame[:, 2]).
+    samples is scalar FieldSamples h on an area grid, and kernel(xi, eta,
+    out=) writes the kernel values K (P, N) into the buffer out and returns
+    them (both paths work on them in place). At node targets, when
+    integral (the exact integral of K(xi, .) over the grid's domain) is
+    given, the sum is K (h - h(xi)) plus integral h(xi). The kernel must be
+    invariant under rotations about the grid's ring axis (polar_frame[:, 2]).
     """
     idx = samples.grid.node_indices(points)
     if idx is None:
@@ -120,12 +144,12 @@ def grad_convolutions(samples, sums, points: np.ndarray) -> list:
 def _dense(kernel, samples, points):
     grid = samples.grid
     out = np.empty(points.shape[0])
-    for i0, i1 in _chunks(points.shape[0], len(grid)):
-        rows = kernel(points[i0:i1], grid.nodes)
+    for i0, i1, [block] in _chunk_blocks(points.shape[0], (1, (len(grid),), float)):
+        rows = kernel(points[i0:i1], grid.nodes, out=block[0])
         # weighted in place, in the order (w K) h
         rows *= grid.weights
         rows *= samples.values
-        out[i0:i1] = np.sum(rows, axis=1)
+        np.sum(rows, axis=1, out=out[i0:i1])
     return out
 
 
@@ -147,12 +171,9 @@ def _dense_grads(sums, grid, points):
             terms.setdefault((reflected, scale), []).append((k, w[:, None] * g))
         bases.append(0.0 if centre is None else np.sum(w * centre))
     spec = sums[0][0]
-    bounds = list(_chunks(points.shape[0], len(grid)))
-    # sized for the tallest chunk: _chunks may merge a one-row tail into it
-    buffer = np.empty(max((i1 - i0 for i0, i1 in bounds), default=0) * len(grid))
     out = [np.empty(points.shape[0]) for _ in sums]
-    for i0, i1 in bounds:
-        q_rows = buffer[: (i1 - i0) * len(grid)].reshape(i1 - i0, len(grid))
+    for i0, i1, [block] in _chunk_blocks(points.shape[0], (1, (len(grid),), float)):
+        q_rows = block[0]
         acc = list(bases)
         for (reflected, scale), fields in terms.items():
             x = term_points(spec, points[i0:i1], reflected)
@@ -177,12 +198,14 @@ def _ring_frame(grid):
 def _ring(kernel, samples, idx, integral):
     """Ring-FFT sums at the node targets idx (module docstring).
 
-    Scalar samples: kernel(x, eta) gives the (P, N) kernel rows. Vector
-    samples split onto the ring frame, and kernel(x, eta, frame) gives one
-    row block per frame field; vector kernels are tangential gradients, so
-    the radial component would only add zero rows. samples may be a tuple
-    of FieldSamples on one grid, which share the row spectra and give a
-    list of sums.
+    Scalar samples: kernel(x, eta, out=) writes the (P, N) kernel rows into
+    out and returns them. Vector samples split onto the ring frame, and
+    kernel(eta, frame) returns rows(x, out=, work=), which writes one row
+    block per frame field into out using two work blocks
+    (kernels.kernel_grad_rows); vector kernels are tangential gradients,
+    so the radial component would only add zero rows. samples may be a
+    tuple of FieldSamples on one grid, which share the row spectra and give
+    a list of sums.
     """
     if isinstance(samples, FieldSamples):
         return _ring(kernel, (samples,), idx, integral)[0]
@@ -201,15 +224,22 @@ def _ring(kernel, samples, idx, integral):
     ring, lon = np.divmod(idx, n_phi)
     rings, slot = np.unique(ring, return_inverse=True)
     out = [np.empty(idx.shape[0]) for _ in samples]
-    # chunks sized for all the row blocks of a chunk, alive at once
-    for r0, r1 in _chunks(rings.shape[0], len(grid) * len(frame)):
+    rows_at = kernel(grid.nodes, frame) if vector else None
+    # a chunk's row blocks (and the vector kernels' work blocks) and their
+    # spectra: buffers allocated once per call, chunks sized for all of them
+    layout = (
+        (len(frame) + (2 if vector else 0), (len(grid),), float),
+        (len(frame), (n_t, n_phi // 2 + 1), complex),
+    )
+    for r0, r1, (real, spectra_out) in _chunk_blocks(rings.shape[0], *layout):
         firsts = grid.nodes[rings[r0:r1] * n_phi]
         if vector:
-            blocks = kernel(firsts, grid.nodes, frame)
+            blocks = rows_at(firsts, out=real[: len(frame)], work=real[len(frame) :])
         else:
-            blocks = [kernel(firsts, grid.nodes)]
+            blocks = [kernel(firsts, grid.nodes, out=real[0])]
         row_spectra = [
-            np.fft.rfft(rows.reshape(r1 - r0, n_t, n_phi), axis=2) for rows in blocks
+            np.fft.rfft(rows.reshape(r1 - r0, n_t, n_phi), axis=2, out=buffer)
+            for rows, buffer in zip(blocks, spectra_out)
         ]
         sel = (slot >= r0) & (slot < r1)
         for o, sample_spectra in zip(out, spectra):

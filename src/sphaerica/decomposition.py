@@ -208,11 +208,19 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     return float(out[0]) if xi.ndim == (0 if by_index else 1) else out
 
 
-def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """1/(2 pi sqrt(2 (1 - xi . eta))), zero at coincident points."""
-    u = np.maximum(1.0 - xi @ eta.T, _SQRT_SING_FLOOR)
-    k = 1.0 / (2.0 * np.pi * np.sqrt(2.0 * u))
-    return np.where(u < 1e-14, 0.0, k)
+def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray, out=None) -> np.ndarray:
+    """1/(2 pi sqrt(2 (1 - xi . eta))), zero at coincident points; out, a
+    C-contiguous (P, N) buffer, receives it, each step in place."""
+    u = np.matmul(xi, eta.T, out=out)
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, _SQRT_SING_FLOOR, out=u)
+    coincident = np.nonzero(u < 1e-14)
+    u *= 2.0
+    np.sqrt(u, out=u)
+    u *= 2.0 * np.pi
+    np.divide(1.0, u, out=u)
+    u[coincident] = 0.0
+    return u
 
 
 def hardy_hodge_decompose_sphere(

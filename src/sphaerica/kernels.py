@@ -15,7 +15,9 @@ evaluates a KernelSpec for stacked points, and its gradient is grad_terms
 (per-node factors) over log_gap (1 - x . eta, floored or checked), which
 kernel_grad_rows assembles into rows, one block per field sharing each
 term's gap, and the dense gradient sum of _convolution contracts without
-forming them. The scalar entry points
+forming them. kernel_value_matrix and kernel_grad_rows write their (P, N)
+blocks into caller buffers when given (out=), so that a chunked sum reuses
+one set of buffers for every chunk. The scalar entry points
 (fundamental, fundamental_deriv, dirichlet_green, neumann_green,
 neumann_green_regularized) evaluate one (xi, eta) pair through that same
 core, so the finite-difference tests of the scalar APIs check the
@@ -62,15 +64,20 @@ class KernelSpec:
             raise ValueError(f"scale J must lie in [0, 53], got {self.scale}")
 
 
-def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
+def _fundamental_many(
+    t: np.ndarray, scale: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized fundamental solution; with a scale, the log branch is
-    replaced by its linear continuation inside 1 - t < 2^-scale."""
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
+    replaced by its linear continuation inside 1 - t < 2^-scale. out, an
+    array of t's shape (t itself allowed), receives the values."""
+    u = np.subtract(1.0, np.asarray(t, dtype=float), out=out)
     if scale is None:
         if np.any(u < _SING_TOL):
             raise SingularityError("kernel evaluated at its singularity")
-        return np.log(u) / FOUR_PI + _G_CONST
+        np.log(u, out=u)
+        u /= FOUR_PI
+        u += _G_CONST
+        return u
     # the log branch of max(u, 2^-J) at every pair, in place; the linear
     # branch only at the few pairs inside 2^-J, which it overwrites
     delta = 2.0 ** (-scale)
@@ -85,19 +92,31 @@ def _fundamental_many(t: np.ndarray, scale: int | None = None) -> np.ndarray:
 
 
 def _cap_terms_value(
-    cap: SphericalCap, xi: np.ndarray, eta: np.ndarray, sign: float, scale: int | None
+    cap: SphericalCap,
+    xi: np.ndarray,
+    eta: np.ndarray,
+    sign: float,
+    scale: int | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """log(1 - xi.eta)/4pi (possibly regularized) + sign * reflected log term.
 
-    xi has shape (P, 3), eta (N, 3); returns (P, N). The reflected term is
-    smooth for xi inside the cap and carries no regularization.
+    xi has shape (P, 3), eta (N, 3); returns (P, N), in out when given. The
+    reflected term is smooth for xi inside the cap and carries no
+    regularization.
     """
-    t = xi @ eta.T
+    base = np.matmul(xi, eta.T, out=out)
     check, scale_arr = _reflect_many(cap, xi)
-    t_ref = check @ eta.T
-    base = _fundamental_many(t, scale) - _G_CONST
-    refl = (np.log(scale_arr)[:, None] + np.log(1.0 - t_ref)) / FOUR_PI
-    return base + sign * refl
+    refl = check @ eta.T
+    _fundamental_many(base, scale, out=base)
+    base -= _G_CONST
+    np.subtract(1.0, refl, out=refl)
+    np.log(refl, out=refl)
+    refl += np.log(scale_arr)[:, None]
+    refl /= FOUR_PI
+    refl *= sign
+    base += refl
+    return base
 
 
 def _neumann_zeta_term(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
@@ -116,7 +135,7 @@ def _center_cosine(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
 
 def fundamental(t: float) -> float:
     """Fundamental solution at t = xi . eta, singular as t -> 1."""
-    return float(_fundamental_many(float(t)))
+    return float(_fundamental_many(np.array([float(t)]))[0])
 
 
 def fundamental_deriv(xi, eta, mode: str = "grad"):
@@ -185,16 +204,24 @@ def _pair(spec: KernelSpec, xi, eta, mode: str):
     return kernel_grad_dot(spec, xi, np.tile(eta, (3, 1)), np.eye(3))[0]
 
 
-def kernel_value_matrix(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Kernel values for stacked xi (P, 3) against stacked eta (N, 3)."""
+def kernel_value_matrix(
+    spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel values for stacked xi (P, 3) against stacked eta (N, 3).
+
+    out, a C-contiguous (P, N) buffer, receives them: the fundamental kernel
+    forms no other (P, N) array, a cap kernel one more for its reflected
+    term.
+    """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     if spec.kind == KIND_FUNDAMENTAL:
-        return _fundamental_many(xi @ eta.T, spec.scale)
+        t = np.matmul(xi, eta.T, out=out)
+        return _fundamental_many(t, spec.scale, out=t)
     sign = -1.0 if spec.kind == KIND_DIRICHLET else 1.0
-    out = _cap_terms_value(spec.cap, xi, eta, sign, spec.scale)
+    out = _cap_terms_value(spec.cap, xi, eta, sign, spec.scale, out=out)
     if spec.kind == KIND_NEUMANN:
-        out = out + _neumann_zeta_term(spec.cap, eta)[None, :]
+        out += _neumann_zeta_term(spec.cap, eta)[None, :]
     return out
 
 
@@ -255,39 +282,45 @@ def kernel_grad_dot(
     branch uses the spec's regularization scale when present. This is
     kernel_grad_rows for one field.
     """
-    return kernel_grad_rows(spec, xi, eta, [field])[0]
+    return kernel_grad_rows(spec, eta, [field])(xi)[0]
 
 
-def kernel_grad_rows(spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, fields) -> list:
-    """kernel_grad_dot's (P, N) rows for each of several (N, 3) fields.
+def kernel_grad_rows(spec: KernelSpec, eta: np.ndarray, fields):
+    """kernel_grad_dot's (P, N) rows for each of several (N, 3) fields, as a
+    function rows(xi, out=None, work=None) of the stacked targets xi.
 
-    The O(N) work is done once per node and field (grad_terms), and each
-    log term's rows are (x . g) / log_gap: the fields share the term's
-    points x and its gap block, so a term costs one gap block, one matrix
-    product per field and one elementwise pass per field. The reflected
-    term and the Neumann centre column are added in place. The ring path
-    of _convolution sums these rows; at other targets it contracts the
-    same terms without forming them.
+    The O(N) work is done here, once per node and field (grad_terms), so
+    that calls for successive chunks of targets share it. Each log term's
+    rows are (x . g) / log_gap: the fields share the term's points x and its
+    gap block, so a term costs one gap block, one matrix product per field
+    and one elementwise pass per field. The reflected term and the Neumann
+    centre column are added in place. out, one C-contiguous (P, N) buffer
+    per field, receives the rows; work, two such buffers, holds the gap and
+    the reflected term's rows (the fundamental kernel uses only the first).
+    The ring path of _convolution sums these rows; at other targets it
+    contracts the same terms without forming them.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     per_field = [grad_terms(spec, eta, f) for f in fields]
-    out = []
-    for k, (reflected, _, scale) in enumerate(per_field[0][0]):
-        # the gap first, freed before the next term's: which of these large
-        # temporaries glibc hands back to the OS depends on their allocation
-        # order, and another order doubled the ring path's page faults
-        points = term_points(spec, xi, reflected)
-        gap = log_gap(points, eta, scale)
-        for i, (terms, _) in enumerate(per_field):
-            rows = points @ terms[k][1].T
-            rows /= gap
-            if k == 0:
-                out.append(rows)
-            else:
-                out[i] += rows
-        del gap, rows
-    for rows, (_, centre) in zip(out, per_field):
-        if centre is not None:
-            rows += centre[None, :]
-    return out
+
+    def rows(xi, out=None, work=None):
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        shape = (xi.shape[0], eta.shape[0])
+        if out is None:
+            out = [np.empty(shape) for _ in per_field]
+        if work is None:
+            work = [np.empty(shape) for _ in per_field[0][0]]
+        for k, (reflected, _, scale) in enumerate(per_field[0][0]):
+            points = term_points(spec, xi, reflected)
+            gap = log_gap(points, eta, scale, out=work[0])
+            for block, (terms, _) in zip(out, per_field):
+                part = np.matmul(points, terms[k][1].T, out=block if k == 0 else work[1])
+                part /= gap
+                if k:
+                    block += part
+        for block, (_, centre) in zip(out, per_field):
+            if centre is not None:
+                block += centre[None, :]
+        return out
+
+    return rows

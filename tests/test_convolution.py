@@ -6,6 +6,9 @@ x . (Q F) for gradient sums. Agreement is measured relative to the largest
 dense value of each convolution.
 """
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +23,12 @@ from sphaerica._convolution import (
     apply_kernel,
     grad_convolution,
 )
-from sphaerica.decomposition import _d_inv_kernel, d_inv_convolve, decompose_cap_at
+from sphaerica.decomposition import (
+    _d_inv_kernel,
+    d_inv_convolve,
+    decompose_cap_at,
+    helmholtz_decompose_sphere,
+)
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import (
@@ -88,11 +96,11 @@ def _with_radial(grid):
 
 
 def _value(spec):
-    return lambda xi, eta: kernel_value_matrix(spec, xi, eta)
+    return partial(kernel_value_matrix, spec)
 
 
 def _grad(spec):
-    return lambda xi, eta, fields: kernel_grad_rows(spec, xi, eta, fields)
+    return partial(kernel_grad_rows, spec)
 
 
 def _cases():
@@ -262,6 +270,21 @@ def test_ring_node_value_does_not_depend_on_the_other_targets(shape):
         stack = evaluate(idx)
         alone = np.array([evaluate(i) for i in idx[:, None]])[:, 0]
         assert np.array_equal(alone, stack)
+
+
+def test_sphere_split_holds_one_set_of_chunk_buffers():
+    # every ring sum writes its chunks into buffers of about 2 MiB allocated
+    # once per call; the rest is O(N) vectors (N = 4608 here)
+    grid = build_sphere_grid(48, 96)
+    field = _vector(grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        helmholtz_decompose_sphere(field, scale=SCALE)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_chunks_never_leave_a_single_row(monkeypatch):

@@ -192,8 +192,8 @@ def _rim_kernel_split(samples, pts, trace_fn, scale, m):
     trace = FieldSamples(bgrid, boundary_data(bgrid, trace_fn))
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
-    tangent_n = lambda x, eta: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
-    normal_d = lambda x, eta: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
+    tangent_n = lambda x, eta, out: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
+    normal_d = lambda x, eta, out: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
     f2 = grad_convolution(samples, spec_n, pts, curl=False)
     f3 = grad_convolution(samples, spec_d, pts, curl=True)
     return (

@@ -1,20 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
+from sphaerica import _convolution
 from sphaerica.apps import random_vortices, vortex_mfs
 from sphaerica.geometry import SphericalCap, boundary_nodes, lonlat_vector, unit_vector
 from sphaerica.harmonics import InnerHarmonicIndex, inner_harmonic_eval
 from sphaerica.mfs import (
     FundamentalSystem,
+    MfsSolution,
     _basis_columns,
     basis_eval,
     mfs_eval,
     mfs_fit,
     sources_on_circle,
 )
-from sphaerica.quadrature import build_boundary_grid
+from sphaerica.quadrature import build_boundary_grid, build_cap_grid
 from sphaerica.solvers import beltrami_fd
 
 CAP = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9)
@@ -516,3 +520,81 @@ def test_snug_ring_path_matches_the_factored_path_on_the_vortex_oracle(
         ring = run()
     monkeypatch.setattr("sphaerica.mfs._is_ring_layout", lambda *args: False)
     assert ring == pytest.approx(run(), rel=1e-3)
+
+
+def _eval_system(variant, n_sources):
+    if variant == "inner-harmonic":
+        return FundamentalSystem(np.zeros((n_sources, 3)), variant, cap=CAP)
+    return FundamentalSystem(
+        sources_on_circle(CAP, n_sources, 0.05),
+        variant,
+        regularization_point=-CAP.center,
+    )
+
+
+def _solution(system, rng):
+    coefficients = rng.standard_normal(system.size)
+    return MfsSolution(system, coefficients, "tikhonov", 0.0, 1.0)
+
+
+# mfs_eval takes one matrix-vector product per chunk of the source columns,
+# whose rounding of a row depends on the rows around it (BLAS gemv kernels
+# work in groups of rows), and adds the constant term after it, so it
+# matches the whole block's product to rounding, relative to the largest
+# value
+EVAL_REL_TOL = 1e-14
+
+
+def _assert_whole_block_product(values, whole):
+    assert np.abs(values - whole).max() <= EVAL_REL_TOL * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("variant", ["gk", "gk-mod", "inner-harmonic"])
+def test_chunked_eval_is_the_whole_block_product(variant, monkeypatch, rng):
+    solution = _solution(_eval_system(variant, 12), rng)
+    # the chunks hold the columns after the constant: three rows each, and
+    # 2 * 3 + 1 targets, so _chunks merges the one-row tail
+    width = solution.system.size - 1
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * width)
+    assert list(_convolution._chunks(7, width)) == [(0, 3), (3, 7)]
+    pts = random_interior_points(CAP, rng, 7)
+    whole = _basis_columns(solution.system, pts) @ solution.coefficients
+    _assert_whole_block_product(mfs_eval(solution, pts), whole)
+    single = mfs_eval(solution, pts[5])
+    assert isinstance(single, float)
+    row = _basis_columns(solution.system, pts[5:6]) @ solution.coefficients
+    _assert_whole_block_product(np.array([single]), row)
+
+
+@pytest.mark.parametrize("variant", ["gk", "gk-mod"])
+def test_chunked_eval_at_800_sources_spans_chunks(variant, rng):
+    solution = _solution(_eval_system(variant, 799), rng)
+    pts = build_cap_grid(SphericalCap(CAP.center, 0.8 * CAP.radius), 32, 64).nodes
+    assert len(list(_convolution._chunks(len(pts), solution.system.size - 1))) == 7
+    whole = _basis_columns(solution.system, pts) @ solution.coefficients
+    _assert_whole_block_product(mfs_eval(solution, pts), whole)
+
+
+def test_chunked_eval_rejects_a_source_point_in_the_last_chunk(monkeypatch, rng):
+    system = _gk_mod(8, 0.05)
+    solution = _solution(system, rng)
+    monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(system.sources))
+    pts = np.vstack([random_interior_points(CAP, rng, 6), system.sources[5]])
+    with pytest.raises(ValueError, match="basis evaluated at one of its source points"):
+        mfs_eval(solution, pts)
+
+
+def test_vortex_eval_at_800_sources_holds_one_chunk(rng):
+    # the whole (2048, 800) basis block would be 13 MB, and its 1 - xi . eta
+    # temporary as much again
+    cap = SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9)
+    probes = build_cap_grid(SphericalCap(cap.center, 0.8 * cap.radius), 32, 64).nodes
+    vortices = random_vortices(cap, 5, 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vortex_mfs(cap, vortices, n_sources=800, probes=probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
