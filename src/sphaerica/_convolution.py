@@ -3,9 +3,11 @@
 apply_kernel sums a kernel against scalar samples with the weights of a
 cap or sphere grid; grad_convolution sums a KernelSpec's gradient against
 vector samples, and grad_convolutions several such sums at once, sharing
-their kernel blocks (the two halves of a Helmholtz split). Boundary
-integrals never come here: the cap solvers and the layer potentials are
-rim series (solvers._rim_series). The backend follows from the targets:
+their kernel blocks off the nodes (the two halves of a cap split).
+Boundary integrals never come here: the cap solvers and the layer
+potentials are rim series (solvers._rim_series), and the global operators
+on sphere grids are spherical-harmonic transforms (harmonics.sh_analyze).
+The backend follows from the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule
   of QuadratureGrid.node_indices) use ring-FFT summation. Area grids are
@@ -15,16 +17,13 @@ rim series (solvers._rim_series). The backend follows from the targets:
   ring that holds a target needs its first node's kernel row against all
   N nodes and rFFT products over the source rings: O(n_t N) kernel
   evaluations plus O(n_t^2 n_phi log n_phi) FFT work instead of O(P N)
-  kernel pairs. Given the kernel's integral, they also subtract the
-  singular part against the sample at the target. Vector samples split
-  onto the ring frame (e_t, e_phi), and the kernel gives one row block per
-  frame field; the two blocks share each log term's gap
-  (kernels.kernel_grad_rows). The rows do not depend on the samples, so
-  sums of one kernel share the row spectra and differ only in the sample
-  spectra they multiply: the sphere split's curl sum, a gradient sum
-  against f x eta, costs the gradient sum's rows nothing more. A chunk of
-  rings is sized for everything it holds at once: its row blocks, a
-  vector kernel's two work blocks and the row spectra.
+  kernel pairs. Given the kernel's integral (d_inv_convolve), they also
+  subtract the singular part against the sample at the target. Vector
+  samples split onto the ring frame (e_t, e_phi), and the kernel gives one
+  row block per frame field; the two blocks share each log term's gap
+  (kernels.kernel_grad_rows). A chunk of rings is sized for everything it
+  holds at once: its row blocks, a vector kernel's two work blocks and the
+  row spectra.
 - any other targets use the dense path in chunks of at most
   _CHUNK_DOUBLES kernel values. A scalar chunk holds the (P, N) kernel
   values, written, weighted in place and summed. A gradient sum forms no
@@ -93,20 +92,18 @@ def _chunk_blocks(n_points: int, *layout):
         yield i0, i1, [buffer[:, : i1 - i0] for buffer in buffers]
 
 
-def apply_kernel(kernel, samples, points: np.ndarray, integral=None) -> np.ndarray:
+def apply_kernel(kernel, samples, points: np.ndarray) -> np.ndarray:
     """sum_j w_j K(xi_i, eta_j) h_j over the sample grid, for stacked points xi.
 
     samples is scalar FieldSamples h on an area grid, and kernel(xi, eta,
     out=) writes the kernel values K (P, N) into the buffer out and returns
-    them (both paths work on them in place). At node targets, when
-    integral (the exact integral of K(xi, .) over the grid's domain) is
-    given, the sum is K (h - h(xi)) plus integral h(xi). The kernel must be
-    invariant under rotations about the grid's ring axis (polar_frame[:, 2]).
+    them (both paths work on them in place). The kernel must be invariant
+    under rotations about the grid's ring axis (polar_frame[:, 2]).
     """
     idx = samples.grid.node_indices(points)
     if idx is None:
         return _dense(kernel, samples, points)
-    return _ring(kernel, samples, idx, integral)
+    return _ring(kernel, samples, idx, None)
 
 
 def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:
@@ -118,9 +115,8 @@ def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarra
 def grad_convolutions(samples, sums, points: np.ndarray) -> list:
     """grad_convolution for each (spec, curl) of sums, at the same points.
 
-    The sums share their kernel blocks: on the ring path, sums of one
-    KernelSpec object share its row spectra; on the dense path, log terms
-    with the same points and scale share one Q block. The specs of one call
+    Off the nodes, log terms with the same points and scale share one Q
+    block; on the ring path each sum runs on its own. The specs of one call
     share their cap and scale.
     """
     grid = samples.grid
@@ -132,13 +128,10 @@ def grad_convolutions(samples, sums, points: np.ndarray) -> list:
     if idx is None:
         fields = [(spec, f) for (spec, _), f in zip(sums, values)]
         return [-s for s in _dense_grads(fields, grid, points)]
-    out = [None] * len(sums)
-    for spec in {id(spec): spec for spec, _ in sums}.values():
-        group = [k for k, (other, _) in enumerate(sums) if other is spec]
-        shared = tuple(FieldSamples(grid, values[k]) for k in group)
-        for k, s in zip(group, _ring(partial(kernel_grad_rows, spec), shared, idx, None)):
-            out[k] = -s
-    return out
+    return [
+        -_ring(partial(kernel_grad_rows, spec), FieldSamples(grid, f), idx, None)
+        for (spec, _), f in zip(sums, values)
+    ]
 
 
 def _dense(kernel, samples, points):
@@ -151,11 +144,6 @@ def _dense(kernel, samples, points):
         rows *= samples.values
         np.sum(rows, axis=1, out=out[i0:i1])
     return out
-
-
-def _dense_grad(spec, samples, points):
-    """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j: _dense_grads for one sum."""
-    return _dense_grads([(spec, samples.values)], samples.grid, points)[0]
 
 
 def _dense_grads(sums, grid, points):
@@ -203,27 +191,25 @@ def _ring(kernel, samples, idx, integral):
     kernel(eta, frame) returns rows(x, out=, work=), which writes one row
     block per frame field into out using two work blocks
     (kernels.kernel_grad_rows); vector kernels are tangential gradients,
-    so the radial component would only add zero rows. samples may be a
-    tuple of FieldSamples on one grid, which share the row spectra and give
-    a list of sums.
+    so the radial component would only add zero rows. At node targets,
+    when integral (the exact integral of K(xi, .) over the grid's domain)
+    is given, the sum is K (h - h(xi)) plus integral h(xi).
     """
-    if isinstance(samples, FieldSamples):
-        return _ring(kernel, (samples,), idx, integral)[0]
-    grid = samples[0].grid
+    grid = samples.grid
     n_t, n_phi = grid.shape
-    vector = samples[0].values.ndim == 2
+    vector = samples.values.ndim == 2
     frame = _ring_frame(grid) if vector else [None]
-    # each sum's weighted sample spectrum per frame field, conjugated: the
+    # the weighted sample spectrum per frame field, conjugated: the
     # correlation in longitude conj(rfft(row)) * rfft(values) is summed as
     # the conjugate of rfft(row) * conj(rfft(values))
-    def spectrum(values, e):
-        c = values if e is None else np.sum(values * e, axis=1)
+    def spectrum(e):
+        c = samples.values if e is None else np.sum(samples.values * e, axis=1)
         return np.fft.rfft((grid.weights * c).reshape(n_t, n_phi), axis=1).conj()
 
-    spectra = [[spectrum(s.values, e) for e in frame] for s in samples]
+    sample_spectra = [spectrum(e) for e in frame]
     ring, lon = np.divmod(idx, n_phi)
     rings, slot = np.unique(ring, return_inverse=True)
-    out = [np.empty(idx.shape[0]) for _ in samples]
+    out = np.empty(idx.shape[0])
     rows_at = kernel(grid.nodes, frame) if vector else None
     # a chunk's row blocks (and the vector kernels' work blocks) and their
     # spectra: buffers allocated once per call, chunks sized for all of them
@@ -242,19 +228,18 @@ def _ring(kernel, samples, idx, integral):
             for rows, buffer in zip(blocks, spectra_out)
         ]
         sel = (slot >= r0) & (slot < r1)
-        for o, sample_spectra in zip(out, spectra):
-            acc = np.einsum("rkf,kf->rf", row_spectra[0], sample_spectra[0])
-            for row_spectrum, sample_spectrum in zip(row_spectra[1:], sample_spectra[1:]):
-                acc += np.einsum("rkf,kf->rf", row_spectrum, sample_spectrum)
-            values = np.fft.irfft(acc.conj(), n=n_phi, axis=1)
-            o[sel] = values[slot[sel] - r0, lon[sel]]
+        acc = np.einsum("rkf,kf->rf", row_spectra[0], sample_spectra[0])
+        for row_spectrum, sample_spectrum in zip(row_spectra[1:], sample_spectra[1:]):
+            acc += np.einsum("rkf,kf->rf", row_spectrum, sample_spectrum)
+        values = np.fft.irfft(acc.conj(), n=n_phi, axis=1)
+        out[sel] = values[slot[sel] - r0, lon[sel]]
         if integral is not None:
             # scalar samples: a ring's nodes share its first node's weighted
             # row sum, summed per row (a gemv would round with the row count)
             rows = blocks[0]
             rows *= grid.weights
             row_sums = np.sum(rows, axis=1)
-            out[0][sel] -= samples[0].values[idx[sel]] * row_sums[slot[sel] - r0]
+            out[sel] -= samples.values[idx[sel]] * row_sums[slot[sel] - r0]
     if integral:
-        out[0] += integral * samples[0].values[idx]
+        out += integral * samples.values[idx]
     return out

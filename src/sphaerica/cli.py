@@ -54,6 +54,7 @@ from .harmonics import (
     sh_grad_eval,
     synth_field,
 )
+from .kernels import KIND_FUNDAMENTAL, KernelSpec
 from .layers import DensitySamples, inp_residual, idp_residual, jump_probe, solve_idp, solve_inp
 from .mfs import mfs_eval, mfs_fit
 from .quadrature import (
@@ -94,6 +95,10 @@ class RunConfig:
     n_vortices: int = 5
     in_path: str | None = None
     out_dir: str = "."
+
+    def __post_init__(self):
+        # the range of J is KernelSpec's, checked for every command
+        KernelSpec(KIND_FUNDAMENTAL, scale=self.scale)
 
     def cap(self) -> SphericalCap:
         return SphericalCap(
@@ -319,7 +324,7 @@ def cmd_helmholtz(cfg: RunConfig, report: Report) -> int:
         + np.cross(grid.nodes, sh_grad_eval(s_coeffs, grid.nodes)),
         tangential=True,
     )
-    helm = helmholtz_decompose_sphere(f, scale=cfg.scale)
+    helm = helmholtz_decompose_sphere(f)
     _save(cfg, "helmholtz_f2", helm.f2)
     _save(cfg, "helmholtz_f3", helm.f3)
     for name, scalars, coeffs in (("f2", helm.f2, p_coeffs), ("f3", helm.f3, s_coeffs)):
@@ -335,7 +340,7 @@ def cmd_hardy_hodge(cfg: RunConfig, report: Report) -> int:
     p_coeffs = synth_field(cfg.seed, 1, min(cfg.nmax, 8))
     values, grad = _sh_accumulate(p_coeffs, grid.nodes, want_grad=True)
     f = FieldSamples(grid, grid.nodes * values[:, None] + grad)
-    hh = hardy_hodge_decompose_sphere(f, scale=cfg.scale)
+    hh = hardy_hodge_decompose_sphere(f)
     _save(cfg, "hardy_hodge_f1", hh.f1)
     _save(cfg, "hardy_hodge_f2", hh.f2)
     # tilde F2 - tilde F1 is the curl-free scalar F2: here P less its mean

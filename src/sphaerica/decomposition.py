@@ -2,16 +2,19 @@
 
 A field splits into a radial part, a curl-free tangential part (surface
 gradient of a scalar), and a divergence-free tangential part (surface curl
-gradient of a scalar). The scalars are recovered by convolving the field
-with gradient kernels: the fundamental solution globally, the Neumann and
-Dirichlet cap kernels on caps, plus the cap solvers' integrals of the F3
-trace there (neumann_solve_cap of its tangential derivative in F2,
-dirichlet_solve_cap of it in F3). The Hardy-Hodge variant recombines the
-Helmholtz scalars through the half-integer shifted square root of the
-(shifted) surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2)
-and pointwise as a weakly singular convolution; both paths are implemented
-and cross-checked in the tests. The Hardy-Hodge split is global only: the
-nonlocal operator does not restrict to subdomains.
+gradient of a scalar). On the full sphere every operator of the split is
+diagonal in spherical harmonics, so the global splits analyse the field on
+its sphere grid (harmonics.sh_analyze), act on the coefficients and
+synthesize the scalars at the nodes (harmonics.sh_synthesize): exact below
+the grid's band. On caps the scalars are recovered by convolving the field
+with the Neumann and Dirichlet cap kernels' gradients, plus the cap
+solvers' integrals of the F3 trace (neumann_solve_cap of its tangential
+derivative in F2, dirichlet_solve_cap of it in F3). The Hardy-Hodge variant
+recombines the Helmholtz scalars through the half-integer shifted square
+root of the (shifted) surface Laplacian, whose inverse acts spectrally as
+1/(n + 1/2) and pointwise as a weakly singular convolution (d_inv_convolve);
+the tests and the CLI cross-check the two. The Hardy-Hodge split is global
+only: the nonlocal operator does not restrict to subdomains.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
     scale_degrees,
+    sh_analyze,
     sh_curl_eval,
     sh_eval,
     sh_grad_eval,
+    sh_synthesize,
 )
-from .kernels import KIND_DIRICHLET, KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec
+from .kernels import KIND_DIRICHLET, KIND_NEUMANN, KernelSpec
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
 from .solvers import (
     _cap_boundary_samples,
@@ -64,31 +69,18 @@ def helmholtz_compose(
     return on_points(xi, evaluate)
 
 
-def helmholtz_decompose_sphere(
-    samples: FieldSamples, scale: int | None = None
-) -> DecompositionScalars:
+def helmholtz_decompose_sphere(samples: FieldSamples) -> DecompositionScalars:
     """Global decomposition; scalars are produced at the field's own nodes.
 
-    F2 and F3 are gradient/curl convolutions with the fundamental solution,
-    regularized at the given scale, from one set of kernel row spectra, and
-    are demeaned (the global split fixes them only up to constants). F1 is
-    the pointwise radial part.
+    F2 and F3 are synthesized from the field's coefficients
+    (harmonics.sh_analyze), of zero mean: the global split fixes them only
+    up to constants. F1 is the pointwise radial part.
     """
     grid = samples.grid
-    if grid.kind != KIND_SPHERE:
-        raise ValueError("helmholtz_decompose_sphere needs a sphere grid")
-    if scale is None:
-        scale = default_scale(grid)
-    spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
+    _, f2, f3 = sh_analyze(samples)
     f1 = np.sum(samples.values * grid.nodes, axis=1)
-    f2, f3 = (
-        FieldSamples(grid, f)
-        for f in grad_convolutions(samples, [(spec, False), (spec, True)], grid.nodes)
-    )
     return DecompositionScalars(
-        FieldSamples(grid, f1),
-        FieldSamples(grid, f2.values - mean_value(f2)),
-        FieldSamples(grid, f3.values - mean_value(f3)),
+        *(FieldSamples(grid, f) for f in (f1, *sh_synthesize(grid, f2, f3)))
     )
 
 
@@ -227,18 +219,19 @@ def hardy_hodge_decompose_sphere(
     samples: FieldSamples, scale: int | None = None
 ) -> DecompositionScalars:
     """Global source split via the Helmholtz scalars (F1, F2, F3) and the
-    convolution inverse of the shifted square-root operator D.
+    spectral inverse d_apply(., -1) of the shifted square-root operator D.
 
-    The inner and outer scalars are D^-1 (F1/2 + F2/4) -+ F2/2; D^-1 is
-    linear, so one convolution serves both. F3 passes through.
+    The inner and outer scalars are D^-1 (F1/2 + F2/4) -+ F2/2, formed on
+    the field's coefficients (harmonics.sh_analyze) and synthesized at the
+    nodes; F3 passes through. scale is ignored; it goes once the benchmark
+    stops passing it.
     """
-    helm = helmholtz_decompose_sphere(samples, scale=scale)
     grid = samples.grid
-    f2 = helm.f2.values
-    mixed = FieldSamples(grid, 0.5 * helm.f1.values + 0.25 * f2)
-    d = d_inv_convolve(mixed, np.arange(len(grid)))
+    f1, f2, f3 = sh_analyze(samples)
+    d = d_apply(ShCoefficients(f1.l_max, 0.5 * f1.coeffs + 0.25 * f2.coeffs), -1)
+    t1, t2 = (ShCoefficients(d.l_max, d.coeffs + k * f2.coeffs) for k in (-0.5, 0.5))
     return DecompositionScalars(
-        FieldSamples(grid, d - 0.5 * f2), FieldSamples(grid, d + 0.5 * f2), helm.f3
+        *(FieldSamples(grid, t) for t in sh_synthesize(grid, t1, t2, f3))
     )
 
 

@@ -1,10 +1,15 @@
-"""Real spherical harmonics and inner harmonics on spherical caps.
+"""Real spherical harmonics, their transforms on sphere grids, and inner
+harmonics on spherical caps.
 
 The spherical harmonics are real, fully normalized (unit L2 norm over the
 sphere), and free of the Condon-Shortley phase. Degrees are capped at 128;
-the three-term recurrences used here are stable in that range. Inner
-harmonics on a cap are pullbacks of planar disc harmonics through the
-stereographic chart of the cap center.
+the three-term recurrences used here are stable in that range. On a
+Gauss-Legendre x uniform sphere grid, sh_analyze and sh_synthesize are
+exact spherical-harmonic transforms below the grid's band (Driscoll &
+Healy, Adv. Appl. Math. 15, 1994; Swarztrauber & Spotz, J. Comput. Phys.
+159, 2000): every global operator of the package is diagonal in this
+basis. Inner harmonics on a cap are pullbacks of planar disc harmonics
+through the stereographic chart of the cap center.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .geometry import (
     stereographic_project,
     unit_vector,
 )
+from .quadrature import KIND_SPHERE
 
 MAX_DEGREE = 128
 
@@ -84,6 +90,22 @@ def synth_field(
     return ShCoefficients(n_max, c, seed=seed)
 
 
+def _recurrence(L: int):
+    """Constants of the Qbar recurrences to degree L: Qbar_mm (m = 0..L),
+    the constant that starts order m, and (L, L + 1) tables alpha, beta of
+    Qbar_{n+1,m} = alpha[n, m] z Qbar_nm - beta[n, m] Qbar_{n-1,m}, zero
+    where n < m. The per-order loop of _sh_accumulate and the per-degree
+    pass of the transforms (_degree_rows) both take them from here."""
+    k = np.arange(1, L + 1)
+    qmm = np.cumprod(np.append(0.5 / np.sqrt(np.pi), np.sqrt((2 * k + 1.0) / (2 * k))))
+    n, m = np.nonzero(np.tri(L, L + 1, dtype=bool))
+    hi2 = (n + 1.0) ** 2 - m * m
+    alpha, beta = np.zeros((2, L, L + 1))
+    alpha[n, m] = np.sqrt((4.0 * (n + 1.0) ** 2 - 1.0) / hi2)
+    beta[n, m] = np.sqrt((2.0 * n + 3.0) * (n - m) * (n + m) / ((2.0 * n - 1.0) * hi2))
+    return qmm, alpha, beta
+
+
 def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     """Shared evaluation core; returns (values, gradients or None).
 
@@ -113,20 +135,14 @@ def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     # D_m and, for the gradient, D'_m at the distinct z
     d = np.empty((L + 1, z.shape[0]), dtype=complex)
     d_z = np.zeros((L + 1, z.shape[0]), dtype=complex) if want_grad else None
-    qmm = 0.5 / np.sqrt(np.pi)
+    qmm, alpha, beta = _recurrence(L)
     for m in range(L + 1):
-        if m > 0:
-            qmm *= np.sqrt((2 * m + 1.0) / (2 * m))
         q = buf[m:]
-        q[0] = qmm
+        q[0] = qmm[m]
         n = np.arange(m, L + 1.0)
-        lo, hi2 = n[:-1], (n[:-1] + 1.0) ** 2 - m * m
-        alpha = np.sqrt((4.0 * (lo + 1.0) ** 2 - 1.0) / hi2)
-        beta = np.sqrt(
-            (2.0 * lo + 3.0) * (lo - m) * (lo + m) / ((2.0 * lo - 1.0) * hi2)
-        )
         # Q_{n+1} = alpha z Q_n - beta Q_{n-1}, in place in the buffer
-        for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist()), start=1):
+        steps = zip(alpha[m:, m].tolist(), beta[m:, m].tolist())
+        for i, (a, b) in enumerate(steps, start=1):
             np.multiply(z, a, out=q[i])
             q[i] *= q[i - 1]
             if i > 1:
@@ -182,6 +198,124 @@ def sh_curl_eval(c: ShCoefficients, xi) -> np.ndarray:
     """Surface curl gradient xi x grad of the expansion."""
     xi = np.asarray(xi, dtype=float)
     return np.cross(xi, sh_grad_eval(c, xi))
+
+
+def _degree_rows(z: np.ndarray, L: int):
+    """Yield (n, q) for n = 0..L, q[m] = Qbar_nm(z) for m = 0..L + 1 (zero
+    for m > n): each step advances every order at once, in two reused
+    buffers, so no (n_z, L + 1, L + 1) table is held."""
+    qmm, alpha, beta = _recurrence(L)
+    q, prev = np.zeros((2, L + 2, z.shape[0]))
+    q[0] = qmm[0]
+    for n in range(L + 1):
+        yield n, q
+        if n < L:
+            a, b = alpha[n, : n + 1, None], beta[n, : n + 1, None]
+            prev[: n + 1] = a * z * q[: n + 1] - b * prev[: n + 1]
+            q, prev = prev, q
+            q[n + 1] = qmm[n + 1]
+
+
+def _rings(grid):
+    """(z, sin theta, weight) per ring of a sphere grid, whose first node is
+    (sin theta, 0, z)."""
+    if grid.kind != KIND_SPHERE:
+        raise ValueError("the transform needs a sphere grid")
+    first = grid.nodes[:: grid.shape[1]]
+    return first[:, 2], first[:, 0], grid.weights[:: grid.shape[1]]
+
+
+def sh_analyze(samples):
+    """Coefficients of samples on a sphere grid to the band
+    L = min(n_t - 1, (n_phi - 1) // 2, MAX_DEGREE), exact for data of
+    degree at most L; a grid with n_t > 129 and n_phi > 257 is analysed to
+    degree 128 only, as Qbar is stable to there.
+
+    Scalar samples give ShCoefficients, vector samples f give (F1, F2, F3)
+    with f = xi F1 + grad F2 + xi x grad F3, F2 and F3 of zero mean, from
+    integral f . grad Y = n (n + 1) F2_n and f . (xi x grad Y) =
+    (f x xi) . grad Y. For Y = Re Qbar_nm w^m, w = x + i y, and tangential
+    f, f . grad Y = Re[m Qbar_nm w^(m-1) (f_x + i f_y) + Qbar'_nm w^m f_z]:
+    the gradient identity of _sh_accumulate. One rFFT per ring gives the
+    longitude sums, one pass over the degrees the latitude sums.
+    """
+    grid = samples.grid
+    z, s, w = _rings(grid)
+    n_t, n_phi = grid.shape
+    L = min(n_t - 1, (n_phi - 1) // 2, MAX_DEGREE)
+    m = np.arange(L + 1)
+    s_m = s ** m[:, None]
+
+    def spectrum(v):  # w_k conj(sum_j v_kj e^(-i m phi_j)), [m, ring k]
+        return np.fft.rfft(v.reshape(n_t, n_phi), axis=1)[:, : L + 1].T.conj() * w
+
+    v = samples.values
+    # [m, k, slot, scalar]: the weights of Qbar_nm (slot 0), Qbar'_n,m-1 (1)
+    terms = np.zeros((L + 2, n_t, 2, 1 if v.ndim == 1 else 3), complex)
+    radial = v if v.ndim == 1 else np.sum(v * grid.nodes, axis=1)
+    terms[:-1, :, 0, 0] = s_m * spectrum(radial)
+    if v.ndim == 1:
+        return _analysis_pass(z, L, terms)[0]
+    for j, f in ((1, v - radial[:, None] * grid.nodes), (2, np.cross(v, grid.nodes))):
+        fx, fy, fz = (spectrum(f[:, i]) for i in range(3))
+        terms[1:-1, :, 0, j] = m[1:, None] * s_m[:-1] * (fx[:-1] + 1j * fy[:-1])
+        terms[1:, :, 1, j] = s_m * fz
+    f1, f2, f3 = _analysis_pass(z, L, terms)
+    return f1, scale_degrees(f2, _inverse_degree), scale_degrees(f3, _inverse_degree)
+
+
+def _inverse_degree(n):
+    """1 / (n (n + 1)), 0 at n = 0: minus the inverse surface Laplacian."""
+    return np.where(n > 0, 1.0 / np.maximum(n * (n + 1.0), 1.0), 0.0)
+
+
+def _analysis_pass(z, L, terms) -> list:
+    """ShCoefficients of each scalar j of the (L + 2, n_z, 2, J) terms t,
+    from a_nm = sum_k Qbar_nm(z_k) t[m, k, 0, j] + sqrt((n - m)(n + m + 1))
+    sum_k Qbar_n,m+1(z_k) t[m + 1, k, 1, j]: Re a_n0, and sqrt(2) (Re, Im)
+    a_nm for m >= 1. Per degree, one batched product of every row against
+    both slots, as real pairs."""
+    J = terms.shape[-1]
+    flat = terms.view(float).reshape(L + 2, z.shape[0], 4 * J)
+    sums = np.zeros((L + 1, L + 2, 1, 4 * J))
+    for n, q in _degree_rows(z, L):
+        np.matmul(q[: n + 2, None], flat[: n + 2], out=sums[n, : n + 2])
+    sums = sums.view(complex).reshape(L + 1, L + 2, 2, J)
+    n, m = np.nonzero(np.tri(L + 1, dtype=bool))
+    a = sums[n, m, 0] + np.sqrt((n - m) * (n + m + 1.0))[:, None] * sums[n, m + 1, 1]
+    a[m > 0] *= np.sqrt(2.0)
+    c = np.zeros((J, L + 1, 2 * L + 1))
+    c[:, n, n - m] = a.imag.T
+    c[:, n, n + m] = a.real.T
+    return [ShCoefficients(L, cj) for cj in c]
+
+
+def sh_synthesize(grid, *coeffs: ShCoefficients) -> np.ndarray:
+    """Values at the nodes of a sphere grid, one row per coefficient set of
+    degree at most (n_phi - 1) // 2: D_m = sum_n c_nm Qbar_nm
+    (_sh_accumulate) at the ring latitudes from one pass over the degrees,
+    then Re sum_m D_m sin^m(theta) e^(i m phi) by one inverse rFFT per ring.
+    """
+    z, s, _ = _rings(grid)
+    n_t, n_phi = grid.shape
+    L = max(c.l_max for c in coeffs)
+    if L > (n_phi - 1) // 2:
+        raise ValueError(f"{n_phi} longitudes need degree <= {(n_phi - 1) // 2}")
+    # [n, part, set, m]: c_n0, and (a_nm, -b_nm) / sqrt(2) for m >= 1, half
+    # the weights of D_m, as the inverse rFFT adds each term's conjugate
+    rows = np.zeros((L + 1, 2, len(coeffs), L + 1))
+    for j, c in enumerate(coeffs):
+        n, m = np.nonzero(np.tri(c.l_max + 1, dtype=bool))
+        rows[n, 0, j, m] = c.coeffs[n, n + m]
+        rows[n, 1, j, m] = -c.coeffs[n, n - m] * (m > 0)
+    rows[..., 1:] *= np.sqrt(0.5)
+    d = np.zeros((2, len(coeffs), L + 1, n_t))
+    for n, q in _degree_rows(z, L):
+        d[:, :, : n + 1] += rows[n, :, :, : n + 1, None] * q[: n + 1]
+    spectra = np.zeros((len(coeffs), n_t, n_phi // 2 + 1), complex)
+    d = (d[0] + 1j * d[1]) * s ** np.arange(L + 1)[:, None]
+    spectra[..., : L + 1] = np.swapaxes(d, 1, 2)
+    return np.fft.irfft(spectra, n_phi, axis=2, norm="forward").reshape(len(coeffs), -1)
 
 
 @dataclass(frozen=True)

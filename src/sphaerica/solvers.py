@@ -1,21 +1,21 @@
 """Surface potentials and boundary value solvers on caps and the sphere.
 
-Quadrature of singular kernels follows two strategies. Gradient-kernel
-convolutions (invert_gradient and everything built on it) integrate the
+On full-sphere grids the surface potential is exact below the grid's band:
+the fundamental solution acts on spherical harmonics of degree n as
+-1/(n (n + 1)) (and annihilates constants), so the samples are analysed
+(harmonics.sh_analyze), scaled and synthesized at the nodes or evaluated at
+other points. On cap grids the potential and every gradient-kernel
+convolution (invert_gradient and everything built on it) integrate the
 scale-J regularized kernel directly; J defaults to a value tied to the grid
-resolution. The scalar surface potential additionally exploits the kernel's
-zero spherical mean on full-sphere grids: at grid nodes, where the
-integrand's value at the evaluation point is a sample, the singular part is
-subtracted and the quadrature error drops by more than an order of
-magnitude. Off-node points take the plain sum.
-
-Every area sum here runs through _convolution (apply_kernel, or
+resolution. Those area sums run through _convolution (apply_kernel, or
 grad_convolution for gradient kernels), which picks ring-FFT or dense
-summation from the evaluation points. The cap boundary solvers are not
-kernel sums: they evaluate their integrals exactly on the trigonometric
-interpolant of the rim data, as a power series in the stereographic chart
-(_rim_series), which stays accurate up to the rim. The layer potentials
-(layers) sum the same series on both sides of it.
+summation from the evaluation points; invert_gradient sums the fundamental
+solution that way on sphere grids too.
+
+The cap boundary solvers are not kernel sums: they evaluate their integrals
+exactly on the trigonometric interpolant of the rim data, as a power series
+in the stereographic chart (_rim_series), which stays accurate up to the
+rim. The layer potentials (layers) sum the same series on both sides of it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, stereographic_project, unit_vector
+from .harmonics import _inverse_degree, scale_degrees, sh_analyze, sh_eval, sh_synthesize
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
 from .quadrature import (
     KIND_BOUNDARY,
@@ -74,21 +75,29 @@ def surface_potential(
     scale: int | None = None,
     xi_values=None,
 ) -> float | np.ndarray:
-    """Quadrature of G(xi . eta) H(eta) over the sample grid.
+    """Integral of G(xi . eta) H(eta) over the sample grid.
 
-    Nodes with 1 - xi . eta < 2^-scale use the linear continuation of the log
-    kernel. When every xi is a node of a full-sphere grid, the zero-mean
-    identity of the kernel turns the integrand into
-    G(xi . eta)(H(eta) - H(xi)), which removes the singular contribution
-    entirely; other points take the plain sum. xi_values is ignored; it goes
-    once the benchmark stops passing it.
+    On a full-sphere grid it is the samples' expansion
+    (harmonics.sh_analyze) with degree n scaled by -1/(n (n + 1)) and the
+    mean dropped, synthesized at node targets (grid.node_indices) and
+    evaluated by sh_eval elsewhere; scale is ignored there. On a cap grid
+    it is the quadrature sum, where nodes with 1 - xi . eta < 2^-scale use
+    the linear continuation of the log kernel. xi_values is ignored; it
+    goes once the benchmark stops passing it.
     """
     grid = samples.grid
+    if grid.kind == KIND_SPHERE:
+        c = scale_degrees(sh_analyze(samples), lambda n: -_inverse_degree(n))
+
+        def expansion(pts):
+            idx = grid.node_indices(pts)
+            return sh_eval(c, pts) if idx is None else sh_synthesize(grid, c)[0, idx]
+
+        return on_points(xi, expansion)
     if scale is None:
         scale = default_scale(grid)
     kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=scale))
-    integral = 0.0 if grid.kind == KIND_SPHERE else None
-    return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts, integral))
+    return on_points(xi, lambda pts: apply_kernel(kernel, samples, pts))
 
 
 def beltrami_fd(evaluator, xi, h: float = 1e-3) -> float:

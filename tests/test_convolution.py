@@ -18,7 +18,7 @@ from conftest import random_interior_points
 from sphaerica import _convolution
 from sphaerica._convolution import (
     _dense,
-    _dense_grad,
+    _dense_grads,
     _ring,
     apply_kernel,
     grad_convolution,
@@ -95,6 +95,12 @@ def _with_radial(grid):
     )
 
 
+def _dense_grad(spec, samples, points):
+    """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j: the contracted dense sum of
+    one spec alone."""
+    return _dense_grads([(spec, samples.values)], samples.grid, points)[0]
+
+
 def _value(spec):
     return partial(kernel_value_matrix, spec)
 
@@ -144,21 +150,21 @@ def _target_sets(grid):
 
 def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
-    integral = 0.0 if subtract else None
     if isinstance(kernel, KernelSpec):
         # node targets take the ring path, other targets the contracted sum
         fast = -grad_convolution(samples, kernel, pts, curl=False)
         assert np.array_equal(fast, _ring(_grad(kernel), samples, idx, None))
         ref = _dense_grad(kernel, samples, pts)
+    elif subtract:
+        # the subtracted sum is d_inv_convolve's, which calls _ring itself
+        fast = _ring(kernel, samples, idx, 0.0)
+        h = samples.values
+        rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
+        ref = np.sum(rows, axis=1)
     else:
-        fast = apply_kernel(kernel, samples, pts, integral)
-        assert np.array_equal(fast, _ring(kernel, samples, idx, integral))
-        if subtract:
-            h = samples.values
-            rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
-            ref = np.sum(rows, axis=1)
-        else:
-            ref = _dense(kernel, samples, pts)
+        fast = apply_kernel(kernel, samples, pts)
+        assert np.array_equal(fast, _ring(kernel, samples, idx, None))
+        ref = _dense(kernel, samples, pts)
     err = np.abs(fast - ref) / np.abs(ref).max()
     inner = INNER.contains(pts) if grid.cap is not None else np.ones(len(idx), bool)
     assert err[inner].max(initial=0.0) <= REL_TOL
@@ -272,19 +278,20 @@ def test_ring_node_value_does_not_depend_on_the_other_targets(shape):
         assert np.array_equal(alone, stack)
 
 
-def test_sphere_split_holds_one_set_of_chunk_buffers():
-    # every ring sum writes its chunks into buffers of about 2 MiB allocated
-    # once per call; the rest is O(N) vectors (N = 4608 here)
+def test_sphere_split_holds_no_node_by_node_buffers():
+    # the split is one analysis and one synthesis: O(N) vectors and
+    # (L + 1, n_t) ring tables, no (rings, N) kernel rows; at 48x96 the
+    # split's transient peak is about 1.2 MB (the ring sums held 4 MB)
     grid = build_sphere_grid(48, 96)
     field = _vector(grid)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        helmholtz_decompose_sphere(field, scale=SCALE)
+        helmholtz_decompose_sphere(field)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 1.5e6
 
 
 def test_chunks_never_leave_a_single_row(monkeypatch):

@@ -19,12 +19,20 @@ from sphaerica.harmonics import (
     inner_harmonic_eval,
     inner_harmonic_grad,
     log_series,
+    sh_analyze,
+    sh_curl_eval,
     sh_eval,
     sh_grad_eval,
+    sh_synthesize,
     synth_field,
 )
-from sphaerica.quadrature import build_boundary_grid, build_cap_grid, build_sphere_grid
-from sphaerica.solvers import mvp_residual
+from sphaerica.quadrature import (
+    FieldSamples,
+    build_boundary_grid,
+    build_cap_grid,
+    build_sphere_grid,
+)
+from sphaerica.solvers import invert_gradient, mvp_residual
 
 
 def test_constant_harmonic_value():
@@ -459,3 +467,107 @@ def test_per_z_gradient_matches_finite_differences():
         ]
         exact = [float(grad @ d) for d in tangent_basis(xi)]
         assert np.abs(np.subtract(fd, exact)).max() <= 1e-7 * np.abs(grads).max()
+
+
+# Sphere-grid transforms. The band of an (n_t, n_phi) grid is
+# min(n_t - 1, (n_phi - 1) // 2, MAX_DEGREE): 16x16 is limited by n_phi,
+# 200x400 by MAX_DEGREE.
+TRANSFORM_SHAPES = [(8, 16), (16, 16), (48, 96), (96, 192), (200, 400)]
+
+
+def _band(shape):
+    return min(shape[0] - 1, (shape[1] - 1) // 2, MAX_DEGREE)
+
+
+def _padded(c: ShCoefficients, l_max: int) -> np.ndarray:
+    out = np.zeros((l_max + 1, 2 * l_max + 1))
+    out[: c.l_max + 1, : 2 * c.l_max + 1] = c.coeffs
+    return out
+
+
+def _no_mean(c: ShCoefficients) -> ShCoefficients:
+    return ShCoefficients(c.l_max, c.coeffs * (np.arange(c.l_max + 1) > 0)[:, None])
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_transform_is_exact_in_the_band(shape):
+    grid = build_sphere_grid(*shape)
+    L = _band(shape)
+    degree = min(8, L)
+    h, p, q = (synth_field(seed, 0, degree) for seed in (61, 62, 63))
+    nodes = grid.nodes
+    # scalar data: coefficients to degree L, and the data's own
+    # coefficients synthesized back to the nodes (a round trip adds the
+    # analysis' rounding at every degree to L, about L eps of the sup)
+    values = sh_eval(h, nodes)
+    c = sh_analyze(FieldSamples(grid, values))
+    assert c.l_max == L
+    sup = np.abs(values).max()
+    assert np.abs(c.coeffs - _padded(h, L)).max() <= 1e-12 * sup
+    assert np.abs(sh_synthesize(grid, h)[0] - values).max() <= 1e-12 * sup
+    # radial, gradient and curl fields: each lands in its own scalar, F2
+    # and F3 without their means; the split synthesizes F2 and F3
+    fields = {
+        "radial": (nodes * sh_eval(h, nodes)[:, None], 0, h),
+        "gradient": (sh_grad_eval(p, nodes), 1, _no_mean(p)),
+        "curl": (sh_curl_eval(q, nodes), 2, _no_mean(q)),
+    }
+    for f, part, truth in fields.values():
+        scalars = sh_analyze(FieldSamples(grid, f))
+        want = sh_eval(truth, nodes)
+        sup = np.abs(want).max()
+        for k, got in enumerate(scalars):
+            expected = _padded(truth, L) if k == part else 0.0
+            assert np.abs(got.coeffs - expected).max() <= 1e-12 * sup
+        if part:
+            got = sh_synthesize(grid, scalars[part])[0]
+            assert np.abs(got - want).max() <= 1e-12 * sup
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (24, 48), (48, 96)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_synthesis_matches_sh_eval_at_the_nodes(shape):
+    grid = build_sphere_grid(*shape)
+    sets = [synth_field(71, 0, _band(shape)), synth_field(72, 0, 3)]
+    values = sh_synthesize(grid, *sets)
+    assert values.shape == (2, len(grid))
+    for got, c in zip(values, sets):
+        want = sh_eval(c, grid.nodes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # each set keeps the bits it has alone
+        assert np.array_equal(got, sh_synthesize(grid, c)[0])
+
+
+@pytest.mark.parametrize("shape", [(24, 48), (48, 96)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("order", ["zonal", "tesseral", "sectoral"])
+@pytest.mark.parametrize("mode", ["grad", "curl"])
+def test_band_edge_harmonic_is_exact_where_the_ring_sums_fail(shape, order, mode):
+    # a single harmonic of degree n_t - 1: the transform keeps 1e-10 of the
+    # sup, the regularized-kernel ring sums (invert_gradient) err O(1)
+    grid = build_sphere_grid(*shape)
+    n = shape[0] - 1
+    m = {"zonal": 0, "tesseral": n // 2, "sectoral": n}[order]
+    c = coefficients_from_entries(n, {(n, n + 1 + m): 1.0})
+    truth = sh_eval(c, grid.nodes)
+    f = sh_grad_eval(c, grid.nodes)
+    if mode == "curl":
+        f = np.cross(grid.nodes, f)
+    samples = FieldSamples(grid, f, tangential=True)
+    _, f2, f3 = sh_analyze(samples)
+    got = sh_synthesize(grid, f2 if mode == "grad" else f3)[0]
+    sup = np.abs(truth).max()
+    assert np.abs(got - truth).max() <= 1e-10 * sup
+    ring = invert_gradient(samples, mode, None, grid.nodes)
+    ring -= np.sum(grid.weights * ring) / (4.0 * np.pi)
+    assert np.abs(ring - truth).max() > 0.5 * sup
+
+
+def test_transforms_need_a_sphere_grid_and_the_synthesis_its_band():
+    cap_grid = build_cap_grid(SphericalCap(unit_vector([0.0, 0.2, 1.0]), 0.5), 8, 16)
+    with pytest.raises(ValueError, match="needs a sphere grid"):
+        sh_analyze(FieldSamples(cap_grid, np.ones(len(cap_grid))))
+    with pytest.raises(ValueError, match="needs a sphere grid"):
+        sh_synthesize(cap_grid, synth_field(1, 0, 2))
+    grid = build_sphere_grid(16, 16)
+    sh_synthesize(grid, synth_field(1, 0, 7))
+    with pytest.raises(ValueError, match="degree <= 7"):
+        sh_synthesize(grid, synth_field(1, 0, 8))

@@ -73,22 +73,30 @@ class TestSurfacePotential:
         values = surface_potential(h, pts, scale=12)
         assert np.abs(values + sh_eval(c, pts) / 6.0).max() < 5e-6
 
-    def test_subtracts_at_sphere_nodes_and_ignores_xi_values(self):
+    def test_transform_at_sphere_nodes_and_ignores_xi_values(self):
         grid = build_sphere_grid(8, 16)
-        h = sample(grid, lambda p: sh_eval(synth_field(3, 0, 4), p))
+        c = synth_field(3, 0, 4)
+        h = sample(grid, lambda p: sh_eval(c, p))
         idx = np.arange(0, len(grid), 5)
         pts = grid.nodes[idx]
         values = surface_potential(h, pts, scale=8)
         for xi_values in (h.values[idx], np.ones(3), np.full(len(idx), np.nan)):
             again = surface_potential(h, pts, scale=8, xi_values=xi_values)
             assert np.array_equal(again, values)
-        kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=8))
-        subtracted = h.values - h.values[idx][:, None]
-        ref = np.sum(kernel(pts, grid.nodes) * grid.weights * subtracted, axis=1)
-        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
-        # off the nodes there is no sample to subtract: the plain sum
+        # degree n scales by -1/(n (n + 1)) and the mean drops, exactly in
+        # the band (degree 7 here); the scale is ignored on sphere grids
+        u = ShCoefficients(4, c.coeffs * np.array([0, -1 / 2, -1 / 6, -1 / 12, -1 / 20])[:, None])
+        assert np.abs(values - sh_eval(u, pts)).max() <= 1e-13 * np.abs(values).max()
+        assert np.array_equal(surface_potential(h, pts, scale=3), values)
+        # off the nodes the same coefficients are evaluated by sh_eval
         off = pts + 1e-3 * np.array([0.6, -0.8, 0.0])
         off /= np.linalg.norm(off, axis=1, keepdims=True)
+        assert np.abs(surface_potential(h, off) - sh_eval(u, off)).max() <= 1e-13 * np.abs(values).max()
+        # off the nodes of a cap grid: the plain sum
+        cap_grid = build_cap_grid(CAP, 8, 16)
+        h = sample(cap_grid, lambda p: sh_eval(c, p))
+        kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=8))
+        off = random_interior_points(CAP, np.random.default_rng(5), 12)
         assert np.array_equal(surface_potential(h, off, scale=8), _dense(kernel, h, off))
 
     def test_cap_exterior_laplacian_identity(self):
