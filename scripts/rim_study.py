@@ -5,9 +5,9 @@ Splits the field of acceptance criterion 9 (the gradient of synth_field
 seed 21 plus the surface curl of seed 22, degrees 0-5, on the tilted
 rho = 0.9 cap) with helmholtz_decompose_cap and prints, for the outermost
 rings, the sup error of F2 (cap-demeaned) and of F3 on the ring over the
-sup of the true scalar on the grid. The boundary integrals are trapezoid
-the cap solvers' rim series, so the outermost rings show what error is
-left near the rim: the area sums'.
+sup of the true scalar on the grid. The boundary terms are one rim series
+of the F3 trace, exact on its interpolant, so the outermost rings show what
+error is left near the rim: the area sums'.
 
 It then sweeps both cap solvers towards the rim of the same cap: for a sum
 of the cap's inner harmonics of degrees 0-9 it prints the sup error of

@@ -108,12 +108,12 @@ def vd_reconstruct(
 ) -> SolveReport:
     """Recover the potential from the deflection field at chosen points.
 
-    T_J(xi) = mean + (GM/R) * inversion of the gradient field at scale J.
-    With an oracle the report carries error statistics against it.
+    T_J(xi) = mean - (GM/R) * inversion at scale J of theta = -(R/GM) grad T,
+    FieldSamples marked tangential. With an oracle the report carries error
+    statistics against it.
     """
-    flipped = FieldSamples(theta.grid, -theta.values, tangential=True)
-    factor = constants.gm / constants.radius
-    return _recover(flipped, "grad", factor, scale, mean_potential, points, oracle)
+    factor = -constants.gm / constants.radius
+    return _recover(theta, "grad", factor, scale, mean_potential, points, oracle)
 
 
 def geo_forward(

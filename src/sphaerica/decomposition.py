@@ -7,14 +7,14 @@ diagonal in spherical harmonics, so the global splits analyse the field on
 its sphere grid (harmonics.sh_analyze), act on the coefficients and
 synthesize the scalars at the nodes (harmonics.sh_synthesize): exact below
 the grid's band. On caps the scalars are recovered by convolving the field
-with the Neumann and Dirichlet cap kernels' gradients, plus the cap
-solvers' integrals of the F3 trace (neumann_solve_cap of its tangential
-derivative in F2, dirichlet_solve_cap of it in F3). The Hardy-Hodge variant
-recombines the Helmholtz scalars through the half-integer shifted square
-root of the (shifted) surface Laplacian, whose inverse acts spectrally as
-1/(n + 1/2) and pointwise as a weakly singular convolution (d_inv_convolve);
-the tests and the CLI cross-check the two. The Hardy-Hodge split is global
-only: the nonlocal operator does not restrict to subdomains.
+with the Neumann and Dirichlet cap kernels' gradients, plus one rim series
+of the F3 trace (solvers._rim_series): its real part in F3, minus its
+imaginary part in F2. The Hardy-Hodge variant recombines the Helmholtz
+scalars through the half-integer shifted square root of the (shifted)
+surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2) and
+pointwise as a weakly singular convolution (d_inv_convolve); the tests and
+the CLI cross-check the two. The Hardy-Hodge split is global only: the
+nonlocal operator does not restrict to subdomains.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .harmonics import (
 )
 from .kernels import KIND_DIRICHLET, KIND_NEUMANN, KernelSpec
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
-from .solvers import (
-    _cap_boundary_samples,
-    default_scale,
-    dirichlet_solve_cap,
-    neumann_solve_cap,
-)
+from .solvers import _cap_boundary_samples, _rim_coefficients, _rim_series, default_scale
 
 _SQRT_SING_FLOOR = 1e-300
 
@@ -121,12 +116,14 @@ def decompose_cap_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F2, F3) of the cap decomposition at interior evaluation points.
 
-    The F3 trace adds neumann_solve_cap of its d/dsigma (by parts, the rim
-    integral of d_tau G_N F3) to F2 and dirichlet_solve_cap of it to F3.
-    Points must lie 1e-6 inside the rim (the Dirichlet solver's rule; the
-    area sums run first, so a point outside the cap fails in their kernels'
-    reflected term). Off the grid nodes the two area sums share one Q block
-    per log term (_convolution.grad_convolutions).
+    The F3 trace's interpolant sum_k Re(c_k e^{ik phi}) gives both boundary
+    terms as one rim series S = sum_k c_k w^k (solvers._rim_series): F3 adds
+    Re S, the trace's harmonic extension, and F2 adds -Im S, minus its
+    harmonic conjugate: by Cauchy-Riemann in the conformal chart, the rim
+    integral of d_tau G_N F3. Points must lie 1e-6 inside the rim, checked after the
+    area sums, so a point outside the cap fails in their kernels' reflected
+    term. Off the grid nodes the two area sums share one Q block per log
+    term (_convolution.grad_convolutions).
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then
     replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
@@ -145,27 +142,25 @@ def decompose_cap_at(
     trace = _cap_boundary_samples(
         cap, np.zeros(m) if boundary_f3 is None else boundary_f3, m
     )
-    n = len(trace.grid)
-    d_phi = np.fft.irfft(1j * np.arange(n // 2 + 1) * np.fft.rfft(trace.values), n=n)
-    flux = FieldSamples(trace.grid, d_phi / cap.boundary_sine)
+    c = _rim_coefficients(trace.values)
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
-
-    def with_flux(f2: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return f2 + neumann_solve_cap(cap, flux, 0.0, target)
-
     # one pass for both area sums: off the nodes they share each Q block
     f2, f3 = grad_convolutions(samples, [(spec_n, False), (spec_d, True)], pts)
-    f2 = with_flux(f2, pts)
-    f3 = f3 + dirichlet_solve_cap(cap, trace, pts)
+    if not np.all(cap.contains(pts, margin=1e-6)):
+        raise ValueError("evaluation points must be strictly interior")
+    rim = _rim_series(cap, c, pts)
+    f2 = f2 - rim.imag
+    f3 = f3 + rim.real
     if demean:
         nodes = grid.nodes
         f2_nodes = (
             f2
             if np.array_equal(pts, nodes)
-            else with_flux(grad_convolution(samples, spec_n, nodes, curl=False), nodes)
+            else grad_convolution(samples, spec_n, nodes, curl=False)
+            - _rim_series(cap, c, nodes).imag
         )
         f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))
     return f2, f3

@@ -75,8 +75,8 @@ def _sides(cap: SphericalCap, c: np.ndarray, pts: np.ndarray):
     sigma = np.where(np.abs(gap) <= 1e-14, 0.0, np.sign(gap))
     inside = sigma >= 0.0
     ext = np.empty(len(pts))
-    ext[inside] = _rim_series(cap, c, pts[inside])
-    ext[~inside] = _rim_series(cap.complement, c.conj(), pts[~inside])
+    ext[inside] = _rim_series(cap, c, pts[inside]).real
+    ext[~inside] = _rim_series(cap.complement, c.conj(), pts[~inside]).real
     return sigma, t, ext
 
 

@@ -181,8 +181,10 @@ def _rim_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Re sum_k c_k w^k by Horner's rule, at w = stereographic_project /
-    R_b in complex form, R_b = 2 sqrt(rho/(2 - rho)) the chart's rim radius.
+    """S = sum_k c_k w^k by Horner's rule as a complex array, at w =
+    stereographic_project / R_b in complex form, R_b = 2 sqrt(rho/(2 - rho))
+    the chart's rim radius: Re S is the harmonic extension of the rim
+    interpolant sum_k Re(c_k e^{ik phi}), Im S its harmonic conjugate.
 
     The chart is conformal, so harmonic functions of the cap are harmonic
     in the unit disc of w, and boundary nodes are built in the same frame
@@ -208,7 +210,9 @@ def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray) -> np.ndarray
         re, t1 = t1, re
         re += ck.real
         im += ck.imag
-    return re
+    out = np.empty(len(pts), complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def dirichlet_solve_cap(
@@ -232,7 +236,7 @@ def dirichlet_solve_cap(
     def evaluate(pts):
         if not np.all(cap.contains(pts, margin=1e-6)):
             raise ValueError("evaluation points must be strictly interior")
-        return _rim_series(cap, c, pts)
+        return _rim_series(cap, c, pts).real
 
     return on_points(xi, evaluate)
 
@@ -266,7 +270,7 @@ def neumann_solve_cap(
     def evaluate(pts):
         if not np.all(cap.contains(pts)):
             raise ValueError("evaluation points must lie inside the cap")
-        return _rim_series(cap, c, pts)
+        return _rim_series(cap, c, pts).real
 
     return on_points(xi, evaluate)
 

@@ -19,8 +19,10 @@ from sphaerica.decomposition import (
 )
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import (
+    InnerHarmonicIndex,
     ShCoefficients,
     coefficients_from_entries,
+    inner_harmonic_eval,
     sh_curl_eval,
     sh_eval,
     sh_analyze,
@@ -45,11 +47,7 @@ from sphaerica.quadrature import (
     build_sphere_grid,
     mean_value,
 )
-from sphaerica.solvers import (
-    _cap_boundary_samples,
-    dirichlet_solve_cap,
-    neumann_solve_cap,
-)
+from sphaerica.solvers import _cap_boundary_samples, _rim_coefficients, _rim_series
 
 GRID = build_sphere_grid(32, 64)  # shared across the sphere-path tests
 
@@ -242,26 +240,52 @@ class TestCapDecomposition:
 
     def test_shared_q_blocks_keep_the_separate_sums(self, rng):
         # off the nodes, F2 and F3 share one Q block per log term; each
-        # keeps the bits of its own contracted sum
+        # keeps the bits of its own contracted sum. The trace adds -Im and
+        # Re of one rim series, for a white-noise trace too: at even m its
+        # interpolant has a Nyquist term k = m/2, which F2 keeps as F3 does
         grid = build_cap_grid(self.CAP, 24, 48)
         _, _, samples, trace = self._field(grid)
         pts = random_interior_points(self.CAP, rng, 30)
-        got = decompose_cap_at(
-            samples, pts, boundary_f3=trace, scale=10, m=64, demean=False
-        )
         spec_n = KernelSpec(KIND_NEUMANN, cap=self.CAP, scale=10)
         spec_d = KernelSpec(KIND_DIRICHLET, cap=self.CAP, scale=10)
         rotated = FieldSamples(grid, np.cross(samples.values, grid.nodes))
-        trace_samples = _cap_boundary_samples(self.CAP, trace, 64)
-        rim = trace_samples.values
-        d_phi = np.fft.irfft(1j * np.arange(33) * np.fft.rfft(rim), n=64)
-        flux = FieldSamples(trace_samples.grid, d_phi / self.CAP.boundary_sine)
-        f2 = -_separate_dense_sum(spec_n, samples, pts)
-        f2 = f2 + neumann_solve_cap(self.CAP, flux, 0.0, pts)
-        f3 = -_separate_dense_sum(spec_d, rotated, pts)
-        f3 = f3 + dirichlet_solve_cap(self.CAP, trace_samples, pts)
-        assert np.array_equal(got[0], f2)
-        assert np.array_equal(got[1], f3)
+        area2 = -_separate_dense_sum(spec_n, samples, pts)
+        area3 = -_separate_dense_sum(spec_d, rotated, pts)
+        noise = np.random.default_rng(11).normal(size=64)
+        for boundary_f3 in (trace, noise):
+            got = decompose_cap_at(
+                samples, pts, boundary_f3=boundary_f3, scale=10, m=64, demean=False
+            )
+            rim = _cap_boundary_samples(self.CAP, boundary_f3, 64).values
+            series = _rim_series(self.CAP, _rim_coefficients(rim), pts)
+            assert np.array_equal(got[0], area2 - series.imag)
+            assert np.array_equal(got[1], area3 + series.real)
+        assert len(_rim_coefficients(noise)) == 33
+
+    @pytest.mark.parametrize("name", ["polar-0.5", "tilted-0.9", "south-0.7"])
+    @pytest.mark.parametrize("m", [64, 65, 512])
+    @pytest.mark.parametrize("degree", [1, 3, 7])
+    def test_conjugate_pair_oracle(self, name, m, degree):
+        # with no area field, a trace of the order-1 inner harmonic of a
+        # degree is its own Dirichlet extension (F3), and F2, the rim
+        # integral of d_tau G_N F3, is minus its conjugate, the order-2
+        # harmonic of that degree, up to the rim
+        cap = PIN_CAPS[name]
+        grid = build_cap_grid(cap, 8, 16)
+        samples = FieldSamples(grid, np.zeros((len(grid), 3)), tangential=True)
+        re, im = (InnerHarmonicIndex(cap, degree, order) for order in (1, 2))
+        trace = lambda q: inner_harmonic_eval(re, q)
+        rng = np.random.default_rng(degree * m)
+        edge = [cap_point(cap, 1.0 - 1e-5, phi) for phi in 0.3 + np.arange(8) * 0.78]
+        pts = np.concatenate([random_interior_points(cap, rng, 24, 1.0 - 1e-5), edge])
+        sup = np.abs(trace(build_boundary_grid(cap, 512).nodes)).max()
+        opts = dict(boundary_f3=trace, scale=6, m=m, demean=False)
+        f2, f3 = decompose_cap_at(samples, pts, **opts)
+        assert np.abs(f3 - inner_harmonic_eval(re, pts)).max() <= 1e-14 * sup
+        assert np.abs(f2 + inner_harmonic_eval(im, pts)).max() <= 1e-14 * sup
+        for i, p in enumerate(pts):
+            alone = decompose_cap_at(samples, p[None], **opts)
+            assert alone[0][0] == f2[i] and alone[1][0] == f3[i]
 
     @pytest.mark.parametrize("name", PIN_CAPS)
     @pytest.mark.parametrize("m", [64, 65, 512])
@@ -283,8 +307,8 @@ class TestCapDecomposition:
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
     def test_probe_at_the_rim_raises(self):
-        # the F3 boundary term is dirichlet_solve_cap's, with its strict
-        # interior rule; F2 runs first, so a probe outside the cap still
+        # the boundary terms keep the Dirichlet solver's strict interior
+        # rule; the area sums run first, so a probe outside the cap still
         # fails in the area kernel
         grid = build_cap_grid(self.CAP, 12, 24)
         _, _, samples, trace = self._field(grid)
