@@ -3,8 +3,10 @@ harmonics on spherical caps.
 
 The spherical harmonics are real, fully normalized (unit L2 norm over the
 sphere), and free of the Condon-Shortley phase. Degrees are capped at 128;
-the three-term recurrences used here are stable in that range. On a
-Gauss-Legendre x uniform sphere grid, sh_analyze and sh_synthesize are
+the recurrence is stable in that range. Every evaluation takes Qbar_nm from
+one pass over the degrees, each step advancing every order at a set of
+distinct z (_degree_rows; Reinecke & Seljebotn, A&A 554, A112, 2013). On
+a Gauss-Legendre x uniform sphere grid, sh_analyze and sh_synthesize are
 exact spherical-harmonic transforms below the grid's band (Driscoll &
 Healy, Adv. Appl. Math. 15, 1994; Swarztrauber & Spotz, J. Comput. Phys.
 159, 2000): every global operator of the package is diagonal in this
@@ -25,6 +27,7 @@ from .geometry import (
     stereographic_project,
     unit_vector,
 )
+from ._convolution import _chunk_blocks
 from .quadrature import KIND_SPHERE
 
 MAX_DEGREE = 128
@@ -90,98 +93,119 @@ def synth_field(
     return ShCoefficients(n_max, c, seed=seed)
 
 
-def _recurrence(L: int):
-    """Constants of the Qbar recurrences to degree L: Qbar_mm (m = 0..L),
-    the constant that starts order m, and (L, L + 1) tables alpha, beta of
-    Qbar_{n+1,m} = alpha[n, m] z Qbar_nm - beta[n, m] Qbar_{n-1,m}, zero
-    where n < m. The per-order loop of _sh_accumulate and the per-degree
-    pass of the transforms (_degree_rows) both take them from here."""
-    k = np.arange(1, L + 1)
+def _recurrence():
+    """Qbar_mm and the (128, 129, 1) tables of the recurrence Qbar_{n+1,m} =
+    alpha[n, m] z Qbar_nm - beta[n, m] Qbar_{n-1,m}, zero where n < m."""
+    k = np.arange(1, MAX_DEGREE + 1)
     qmm = np.cumprod(np.append(0.5 / np.sqrt(np.pi), np.sqrt((2 * k + 1.0) / (2 * k))))
-    n, m = np.nonzero(np.tri(L, L + 1, dtype=bool))
+    n, m = np.nonzero(np.tri(MAX_DEGREE, MAX_DEGREE + 1, dtype=bool))
     hi2 = (n + 1.0) ** 2 - m * m
-    alpha, beta = np.zeros((2, L, L + 1))
-    alpha[n, m] = np.sqrt((4.0 * (n + 1.0) ** 2 - 1.0) / hi2)
-    beta[n, m] = np.sqrt((2.0 * n + 3.0) * (n - m) * (n + m) / ((2.0 * n - 1.0) * hi2))
+    alpha, beta = np.zeros((2, MAX_DEGREE, MAX_DEGREE + 1, 1))
+    alpha[n, m, 0] = np.sqrt((4.0 * (n + 1.0) ** 2 - 1.0) / hi2)
+    beta[n, m, 0] = np.sqrt((2.0 * n + 3.0) * (n - m) * (n + m) / ((2.0 * n - 1.0) * hi2))
     return qmm, alpha, beta
+
+
+_QMM, _ALPHA, _BETA = _recurrence()
+
+
+def _degree_rows(z: np.ndarray, L: int, work: np.ndarray):
+    """Yield (n, q) for n = 0..L, q[m] = Qbar_nm(z) for m = 0..L + 1 (zero
+    for m > n), the module's one Legendre recurrence: each step advances
+    every order at once, in place in the (3, L + 2, n_z) buffers work."""
+    q, prev, tmp = work
+    q[:], prev[:] = 0.0, 0.0
+    q[0] = _QMM[0]
+    for n in range(L + 1):
+        yield n, q
+        if n < L:  # prev = alpha z q - beta prev over the orders 0..n
+            step = np.multiply(_ALPHA[n, : n + 1], z, out=tmp[: n + 1])
+            step *= q[: n + 1]
+            prev[: n + 1] *= _BETA[n, : n + 1]
+            np.subtract(step, prev[: n + 1], out=prev[: n + 1])
+            q, prev = prev, q
+            q[n + 1] = _QMM[n + 1]
+
+
+def _order_sums(coeffs, z: np.ndarray, grad: bool):
+    """Yield (i0, i1, d) per chunk of the latitudes z: d[j] = D_m(z[i0:i1])
+    = sum_n w_nm Qbar_nm [m, z] for coefficient set j, w_n0 = c_n0 and
+    w_nm = sqrt(2) (a_nm - i b_nm), so that the set's expansion is
+    Re sum_m D_m w^m; with grad, d[1, m + 1] holds D'_m = dD_m/dz =
+    sum_n w_nm sqrt((n - m)(n + m + 1)) Qbar_n,m+1. Each chunk (of
+    _chunk_blocks, in reused buffers) adds each degree's products in place;
+    each z is summed alone, so the chunk boundaries change no value."""
+    L = max(c.l_max for c in coeffs)
+    weights = np.zeros((L + 1, 2, len(coeffs) + grad, L + 1))
+    for j, c in enumerate(coeffs):
+        n, m = np.nonzero(np.tri(c.l_max + 1, dtype=bool))
+        weights[n, 0, j, m] = c.coeffs[n, n + m]
+        weights[n, 1, j, m] = -c.coeffs[n, n - m] * (m > 0)
+    weights[..., 1:] *= np.sqrt(2.0)
+    if grad:
+        n, m = np.ogrid[: L + 1, :L]
+        slope = np.sqrt((n - m).clip(0) * (n + m + 1.0))[:, None]
+        weights[..., 1, 1:] = weights[..., 0, :-1] * slope
+    size = weights[0].size
+    layout = (3 * (L + 2), (), float), (2 * size, (), float), (size // 2, (), complex)
+    for i0, i1, (work, sums, d) in _chunk_blocks(z.size, *layout):
+        parts, product = sums.reshape(2, *weights.shape[1:], i1 - i0)
+        parts[:] = 0.0
+        for n, q in _degree_rows(z[i0:i1], L, work.reshape(3, L + 2, -1)):
+            np.multiply(weights[n, ..., : n + 1, None], q[: n + 1], out=product[..., : n + 1, :])
+            parts[..., : n + 1, :] += product[..., : n + 1, :]
+        d = d.reshape(-1, L + 1, i1 - i0)
+        d.real, d.imag = parts
+        yield i0, i1, d
 
 
 def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     """Shared evaluation core; returns (values, gradients or None).
 
     With w = x + i y = sin(theta) e^(i phi), the expansion is
-    Re sum_m D_m(z) w^m, where D_m = sum_n c_nm Qbar_nm(z): c_n0 the zonal
-    coefficients, sqrt(2) (a_nm - i b_nm) for the cosine and sine
-    coefficients of order m >= 1, and Qbar_nm = Pbar_nm / sin^m(theta) a
-    polynomial in z. Qbar_nm obeys the three-term recurrence of Pbar_nm in
-    n, so it is recurred once per distinct z, one order m at a time into
-    one (L+1, n_z) buffer, and reduced by one small matrix product with the
-    order's coefficient rows. The nodes of a ring grid share their ring's z,
-    so the recurrences cost O(L^2) per ring rather than per node. Each point
-    then sums over m by Horner's rule in w, O(L) per point.
-
-    The gradient is the tangential projection of the Cartesian gradient
-    (Re H1, -Im H1, Re H2) of Re sum_m D_m(z) (x + i y)^m, with
-    H1 = sum_m m D_m w^(m-1) and H2 = sum_m D'_m w^m. Since
-    dQbar_nm/dz = sqrt((n - m)(n + m + 1)) Qbar_n,m+1, D'_m is a product
-    with the order m + 1 buffer: no derivative recurrence, no division by
-    sin(theta) and no pole branch, so the gradient keeps full accuracy up
-    to the poles, where w = 0 leaves the m = 1 terms.
+    Re sum_m D_m(z) w^m, D_m from _order_sums once per distinct z, in chunks
+    of them: a ring grid's nodes share their ring's z and fit in one chunk,
+    and a tilted grid, whose nodes mostly have their own z, holds no
+    (L + 1, N) block. Each point sums over m by Horner's rule in w. The
+    gradient is the tangential projection of the Cartesian gradient
+    (Re H1, -Im H1, Re H2) of Re sum_m D_m(z) (x + i y)^m: H2 =
+    sum_m D'_m w^m with D'_m = dD_m/dz, and H1 = sum_m m D_m w^(m-1) =
+    sum_k>0 b_k w^(k-1) over the partial sums b_k of the values' Horner
+    pass. No term divides by sin(theta): full accuracy up to the poles.
     """
     L = c.l_max
     z, zi = np.unique(np.clip(points[:, 2], -1.0, 1.0), return_inverse=True)
-    buf = np.empty((L + 1, z.shape[0]))
-    tmp = np.empty(z.shape[0])
-    # D_m and, for the gradient, D'_m at the distinct z
-    d = np.empty((L + 1, z.shape[0]), dtype=complex)
-    d_z = np.zeros((L + 1, z.shape[0]), dtype=complex) if want_grad else None
-    qmm, alpha, beta = _recurrence(L)
-    for m in range(L + 1):
-        q = buf[m:]
-        q[0] = qmm[m]
-        n = np.arange(m, L + 1.0)
-        # Q_{n+1} = alpha z Q_n - beta Q_{n-1}, in place in the buffer
-        steps = zip(alpha[m:, m].tolist(), beta[m:, m].tolist())
-        for i, (a, b) in enumerate(steps, start=1):
-            np.multiply(z, a, out=q[i])
-            q[i] *= q[i - 1]
-            if i > 1:
-                q[i] -= np.multiply(q[i - 2], b, out=tmp)
-        d[m] = _order_sum(c, m, n, q)
-        if want_grad and m > 0:
-            d_z[m - 1] = _order_sum(c, m - 1, n, q, np.sqrt((n - m + 1.0) * (n + m)))
     w = points[:, 0] + 1j * points[:, 1]
-    term = np.empty(points.shape[0], dtype=complex)
-
-    def horner(rows: np.ndarray) -> np.ndarray:
-        # sum_k rows[k](z) w^k at every point
-        acc = np.zeros(points.shape[0], dtype=complex)
-        for row in rows[::-1]:
-            acc *= w
-            acc += np.take(row, zi, out=term)
-        return acc
-
-    values = horner(d).real
+    # [sum, point]: the values' sum, H2 and H1
+    sums = np.empty((3 if want_grad else 1, points.shape[0]), complex)
+    h = min(len(sums), 2)  # the Horner rows: d[0, k] = D_k, d[1, k] = D'_k-1
+    for i0, i1, d in _order_sums([c], z, want_grad):
+        if i1 - i0 == z.size:  # one chunk holds every point: sum in place
+            at, zl, wa, acc = None, zi, w, sums
+        else:  # the points whose z lie in the chunk
+            at = np.flatnonzero((zi >= i0) & (zi < i1))
+            zl, wa = zi[at] - i0, w[at]
+            acc = np.empty((len(sums), at.size), complex)
+        np.take(d[:, L], zl, axis=1, out=acc[:h], mode="clip")
+        acc[h:] = 0.0
+        term = np.empty_like(acc[:h])
+        for k in range(L - 1, -1, -1):
+            if want_grad:
+                acc[2] *= wa
+                acc[2] += acc[0]
+            r = h if k else 1  # H2 = sum_k>0 d[1, k] w^(k-1) stops at k = 1
+            acc[:r] *= wa
+            acc[:r] += np.take(d[:r, k], zl, axis=1, out=term[:r], mode="clip")
+        if at is not None:
+            for total, part in zip(sums, acc):
+                total[at] = part
+    d = term = None  # the chunk buffers go before the (N, 3) temporaries
+    values = sums[0].real.copy()  # not a view that keeps H1 and H2 alive
     if not want_grad:
         return values, None
-    h1 = horner(np.arange(1, L + 1)[:, None] * d[1:])
-    h2 = horner(d_z)
-    grad = np.stack([h1.real, -h1.imag, h2.real], axis=1)
+    grad = np.stack([sums[2].real, -sums[2].imag, sums[1].real], axis=1)
     grad -= np.sum(grad * points, axis=1)[:, None] * points
     return values, grad
-
-
-def _order_sum(c: ShCoefficients, m: int, n: np.ndarray, q: np.ndarray, factor=1.0):
-    """sum_n c_nm factor_n q_n over the degrees n, with q the Qbar rows of
-    those degrees (at order m for D_m, at order m + 1 for D'_m): real for
-    m = 0, and for m >= 1 complex, sqrt(2) (a_nm - i b_nm) weighted."""
-    rows = n.astype(int)
-    cc = c.coeffs[rows, rows + m] * factor
-    if m == 0:
-        return cc @ q
-    cs = c.coeffs[rows, rows - m] * factor
-    r = (np.sqrt(2.0) * np.stack([cc, -cs])) @ q
-    return r[0] + 1j * r[1]
 
 
 def sh_eval(c: ShCoefficients, xi) -> float | np.ndarray:
@@ -198,22 +222,6 @@ def sh_curl_eval(c: ShCoefficients, xi) -> np.ndarray:
     """Surface curl gradient xi x grad of the expansion."""
     xi = np.asarray(xi, dtype=float)
     return np.cross(xi, sh_grad_eval(c, xi))
-
-
-def _degree_rows(z: np.ndarray, L: int):
-    """Yield (n, q) for n = 0..L, q[m] = Qbar_nm(z) for m = 0..L + 1 (zero
-    for m > n): each step advances every order at once, in two reused
-    buffers, so no (n_z, L + 1, L + 1) table is held."""
-    qmm, alpha, beta = _recurrence(L)
-    q, prev = np.zeros((2, L + 2, z.shape[0]))
-    q[0] = qmm[0]
-    for n in range(L + 1):
-        yield n, q
-        if n < L:
-            a, b = alpha[n, : n + 1, None], beta[n, : n + 1, None]
-            prev[: n + 1] = a * z * q[: n + 1] - b * prev[: n + 1]
-            q, prev = prev, q
-            q[n + 1] = qmm[n + 1]
 
 
 def _rings(grid):
@@ -278,7 +286,7 @@ def _analysis_pass(z, L, terms) -> list:
     J = terms.shape[-1]
     flat = terms.view(float).reshape(L + 2, z.shape[0], 4 * J)
     sums = np.zeros((L + 1, L + 2, 1, 4 * J))
-    for n, q in _degree_rows(z, L):
+    for n, q in _degree_rows(z, L, np.empty((3, L + 2, z.shape[0]))):
         np.matmul(q[: n + 2, None], flat[: n + 2], out=sums[n, : n + 2])
     sums = sums.view(complex).reshape(L + 1, L + 2, 2, J)
     n, m = np.nonzero(np.tri(L + 1, dtype=bool))
@@ -292,29 +300,19 @@ def _analysis_pass(z, L, terms) -> list:
 
 def sh_synthesize(grid, *coeffs: ShCoefficients) -> np.ndarray:
     """Values at the nodes of a sphere grid, one row per coefficient set of
-    degree at most (n_phi - 1) // 2: D_m = sum_n c_nm Qbar_nm
-    (_sh_accumulate) at the ring latitudes from one pass over the degrees,
-    then Re sum_m D_m sin^m(theta) e^(i m phi) by one inverse rFFT per ring.
-    """
+    degree at most (n_phi - 1) // 2: D_m(z) of _order_sums at the ring
+    latitudes, as sh_eval at its points' z, then Re sum_m D_m sin^m(theta)
+    e^(i m phi) by one inverse rFFT per ring."""
     z, s, _ = _rings(grid)
     n_t, n_phi = grid.shape
     L = max(c.l_max for c in coeffs)
     if L > (n_phi - 1) // 2:
         raise ValueError(f"{n_phi} longitudes need degree <= {(n_phi - 1) // 2}")
-    # [n, part, set, m]: c_n0, and (a_nm, -b_nm) / sqrt(2) for m >= 1, half
-    # the weights of D_m, as the inverse rFFT adds each term's conjugate
-    rows = np.zeros((L + 1, 2, len(coeffs), L + 1))
-    for j, c in enumerate(coeffs):
-        n, m = np.nonzero(np.tri(c.l_max + 1, dtype=bool))
-        rows[n, 0, j, m] = c.coeffs[n, n + m]
-        rows[n, 1, j, m] = -c.coeffs[n, n - m] * (m > 0)
-    rows[..., 1:] *= np.sqrt(0.5)
-    d = np.zeros((2, len(coeffs), L + 1, n_t))
-    for n, q in _degree_rows(z, L):
-        d[:, :, : n + 1] += rows[n, :, :, : n + 1, None] * q[: n + 1]
     spectra = np.zeros((len(coeffs), n_t, n_phi // 2 + 1), complex)
-    d = (d[0] + 1j * d[1]) * s ** np.arange(L + 1)[:, None]
-    spectra[..., : L + 1] = np.swapaxes(d, 1, 2)
+    s_m = s ** np.arange(L + 1)[:, None]
+    for i0, i1, d in _order_sums(coeffs, z, False):
+        d[:, 1:] *= 0.5  # the inverse rFFT adds each term's conjugate
+        spectra[:, i0:i1, : L + 1] = np.swapaxes(d * s_m[:, i0:i1], 1, 2)
     return np.fft.irfft(spectra, n_phi, axis=2, norm="forward").reshape(len(coeffs), -1)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -310,6 +312,12 @@ def test_value_and_gradient_calls_give_identical_values():
         assert np.array_equal(values, with_grad)
 
 
+def test_no_points_give_empty_sums():
+    c = synth_field(4, 0, 5)
+    assert sh_eval(c, np.empty((0, 3))).shape == (0,)
+    assert sh_grad_eval(c, np.empty((0, 3))).shape == (0, 3)
+
+
 def _near_pole(pole: float, angle: float) -> np.ndarray:
     phi = 0.7
     return np.array(
@@ -412,8 +420,10 @@ def _per_point_accumulate(c, points):
 
 def _per_z_points():
     """Random points, the nodes of a sphere, a polar-cap and a tilted-cap
-    grid (only the tilted one has no repeated z), exact poles and points
-    1e-12 to 1e-2 from either pole."""
+    grid (only the tilted ones have no repeated z), exact poles and points
+    1e-12 to 1e-2 from either pole. The 13 280 distinct z of the 96x192
+    tilted grid span several chunks of the degree pass at every degree
+    above 0."""
     rng = np.random.default_rng(11)
     random = rng.normal(size=(400, 3))
     angles = np.concatenate([[0.0], np.logspace(-12, -2, 11)])
@@ -425,11 +435,13 @@ def _per_z_points():
     ]
     polar = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5)
     tilted = SphericalCap(unit_vector([0.3, 0.2, 1.0]), 0.9)
+    criterion_9 = SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9)
     return {
         "random": random / np.linalg.norm(random, axis=1, keepdims=True),
         "sphere": build_sphere_grid(16, 32).nodes,
         "polar-cap": build_cap_grid(polar, 16, 32).nodes,
         "tilted-cap": build_cap_grid(tilted, 16, 32).nodes,
+        "tilted-cap-chunks": build_cap_grid(criterion_9, 96, 192).nodes,
         "poles": np.concatenate(near),
     }
 
@@ -451,6 +463,22 @@ def test_per_z_synthesis_matches_the_per_point_recurrence(l_max, tol, kind):
         assert np.array_equal(grads, np.zeros_like(points))
     else:
         assert np.abs(grads - ref_grads).max() <= tol * np.abs(ref_grads).max()
+
+
+def test_tilted_gradient_holds_no_node_by_node_buffers():
+    # most nodes of a tilted grid have their own z: the degree pass
+    # runs in chunks of the distinct z of about 2 MiB of buffers, so no
+    # (L + 1, N) block is held and the call peaks near 4.3 MB
+    points = PER_Z_POINTS["tilted-cap-chunks"]
+    c = synth_field(5, 0, 5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sh_grad_eval(c, points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_per_z_gradient_matches_finite_differences():
