@@ -12,9 +12,10 @@ of the F3 trace (solvers._rim_series): its real part in F3, minus its
 imaginary part in F2. The Hardy-Hodge variant recombines the Helmholtz
 scalars through the half-integer shifted square root of the (shifted)
 surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2) and
-pointwise as a weakly singular convolution (d_inv_convolve); the tests and
-the CLI cross-check the two. The Hardy-Hodge split is global only: the
-nonlocal operator does not restrict to subdomains.
+pointwise as a weakly singular convolution (d_inv_convolve), one ring sum
+of its kernel against w F and w; the tests and the CLI cross-check the
+two. The Hardy-Hodge split is global only: the nonlocal operator does not
+restrict to subdomains.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._convolution import _ring, grad_convolution, grad_convolutions
+from ._convolution import _term_sums, grad_convolution, grad_convolutions
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
@@ -122,8 +123,8 @@ def decompose_cap_at(
     harmonic conjugate: by Cauchy-Riemann in the conformal chart, the rim
     integral of d_tau G_N F3. Points must lie 1e-6 inside the rim, checked after the
     area sums, so a point outside the cap fails in their kernels' reflected
-    term. Off the grid nodes the two area sums share one Q block per log
-    term (_convolution.grad_convolutions).
+    term. The two area sums share one Q block per log term, and at grid
+    nodes its spectrum (_convolution.grad_convolutions).
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then
     replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
@@ -147,7 +148,7 @@ def decompose_cap_at(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
-    # one pass for both area sums: off the nodes they share each Q block
+    # one pass for both area sums: they share each Q block
     f2, f3 = grad_convolutions(samples, [(spec_n, False), (spec_d, True)], pts)
     if not np.all(cap.contains(pts, margin=1e-6)):
         raise ValueError("evaluation points must be strictly interior")
@@ -176,9 +177,11 @@ def d_apply(c: ShCoefficients, power: int) -> ShCoefficients:
 def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     """Inverse of the shifted square-root operator as a convolution.
 
-    Kernel 1/(2 pi sqrt(2 (1 - xi . eta))); the singularity is subtracted
-    against the analytic kernel integral, which equals 2:
-    integral k (F - F(xi)) + 2 F(xi). xi must be grid nodes (their values
+    Kernel k = 1/(2 pi sqrt(2 (1 - xi . eta))); the singularity is
+    subtracted against the analytic kernel integral, which equals 2:
+    integral k (F - F(xi)) + 2 F(xi). One ring sum (_convolution._term_sums)
+    takes the kernel's rows against two columns, w F and w, and the
+    subtraction is formed from them. xi must be grid nodes (their values
     feed the subtraction): indices, or points bitwise equal to nodes
     (grid.node_indices), with the same bits; other points raise ValueError.
     A scalar index or a single (3,) point gives a float, stacks an array.
@@ -191,7 +194,11 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     idx = np.atleast_1d(xi) if by_index else grid.node_indices(np.atleast_2d(xi))
     if idx is None:
         raise ValueError("evaluation points must coincide with grid nodes")
-    out = _ring(_d_inv_kernel, samples, idx, 2.0)
+    h = samples.values
+    columns = np.stack([grid.weights * h, grid.weights], axis=1)
+    [[sums]] = _term_sums(grid, [(None, _d_inv_kernel, [columns])], grid.nodes[idx])
+    out = sums[:, 0] - h[idx] * sums[:, 1]
+    out += 2.0 * h[idx]
     return float(out[0]) if xi.ndim == (0 if by_index else 1) else out
 
 

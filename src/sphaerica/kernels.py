@@ -12,12 +12,13 @@ defined inside it).
 
 Each formula is written once, in the vectorized core: kernel_value_matrix
 evaluates a KernelSpec for stacked points, and its gradient is grad_terms
-(per-node factors) over log_gap (1 - x . eta, floored or checked), which
-kernel_grad_rows assembles into rows, one block per field sharing each
-term's gap, and the dense gradient sum of _convolution contracts without
-forming them. kernel_value_matrix and kernel_grad_rows write their (P, N)
-blocks into caller buffers when given (out=), so that a chunked sum reuses
-one set of buffers for every chunk. The scalar entry points
+(per-node factors) over log_gap (1 - x . eta, floored or checked) at
+term_points (the targets or their cap reflections). kernel_grad_dot
+assembles them into rows; the area sums of _convolution contract each log
+term as x . (Q F), Q = 1/log_gap, without forming them, on both of their
+paths. kernel_value_matrix and log_gap write their (P, N) blocks into
+caller buffers when given (out=), so that a chunked sum reuses one set of
+buffers for every chunk. The scalar entry points
 (fundamental, fundamental_deriv, dirichlet_green, neumann_green,
 neumann_green_regularized) evaluate one (xi, eta) pair through that same
 core, so the finite-difference tests of the scalar APIs check the
@@ -279,48 +280,15 @@ def kernel_grad_dot(
 
     D is the tangential gradient; for the surface curl gradient pass the
     rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
-    branch uses the spec's regularization scale when present. This is
-    kernel_grad_rows for one field.
+    branch uses the spec's regularization scale when present. Each log term
+    of grad_terms adds (x . g) / log_gap at its term_points x, and the
+    Neumann centre column comes last.
     """
-    return kernel_grad_rows(spec, eta, [field])(xi)[0]
-
-
-def kernel_grad_rows(spec: KernelSpec, eta: np.ndarray, fields):
-    """kernel_grad_dot's (P, N) rows for each of several (N, 3) fields, as a
-    function rows(xi, out=None, work=None) of the stacked targets xi.
-
-    The O(N) work is done here, once per node and field (grad_terms), so
-    that calls for successive chunks of targets share it. Each log term's
-    rows are (x . g) / log_gap: the fields share the term's points x and its
-    gap block, so a term costs one gap block, one matrix product per field
-    and one elementwise pass per field. The reflected term and the Neumann
-    centre column are added in place. out, one C-contiguous (P, N) buffer
-    per field, receives the rows; work, two such buffers, holds the gap and
-    the reflected term's rows (the fundamental kernel uses only the first).
-    The ring path of _convolution sums these rows; at other targets it
-    contracts the same terms without forming them.
-    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    per_field = [grad_terms(spec, eta, f) for f in fields]
-
-    def rows(xi, out=None, work=None):
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        shape = (xi.shape[0], eta.shape[0])
-        if out is None:
-            out = [np.empty(shape) for _ in per_field]
-        if work is None:
-            work = [np.empty(shape) for _ in per_field[0][0]]
-        for k, (reflected, _, scale) in enumerate(per_field[0][0]):
-            points = term_points(spec, xi, reflected)
-            gap = log_gap(points, eta, scale, out=work[0])
-            for block, (terms, _) in zip(out, per_field):
-                part = np.matmul(points, terms[k][1].T, out=block if k == 0 else work[1])
-                part /= gap
-                if k:
-                    block += part
-        for block, (_, centre) in zip(out, per_field):
-            if centre is not None:
-                block += centre[None, :]
-        return out
-
-    return rows
+    terms, centre = grad_terms(spec, eta, field)
+    rows = 0.0
+    for reflected, g, scale in terms:
+        x = term_points(spec, xi, reflected)
+        rows = rows + (x @ g.T) / log_gap(x, eta, scale)
+    return rows if centre is None else rows + centre[None, :]

@@ -150,10 +150,10 @@ def poisson_solve_cap(
 
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:
     """Boundary data of a cap solver or of the cap split's F3 trace on a
-    boundary grid of this cap, with as many nodes as FieldSamples data
-    (whose nodes must be its own) or m. FieldSamples on a boundary grid of
-    this cap keep their grid: every boundary grid comes from
-    build_boundary_grid, so an equal cap has the same nodes."""
+    boundary grid of this cap: FieldSamples data keep their grid, which
+    must be a boundary grid of this cap (every boundary grid comes from
+    build_boundary_grid, so an equal cap has the same nodes); other data
+    are taken on m nodes."""
     if isinstance(boundary_values, FieldSamples):
         grid = boundary_values.grid
         own = (
@@ -162,7 +162,7 @@ def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSa
             and np.array_equal(grid.cap.center, cap.center)
         )
         if not own:
-            grid = build_boundary_grid(cap, len(grid))
+            raise ValueError("samples must lie on the collocation grid (cap boundary)")
     else:
         grid = build_boundary_grid(cap, m)
     return FieldSamples(grid, boundary_data(grid, boundary_values))

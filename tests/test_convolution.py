@@ -1,13 +1,17 @@
 """The convolution primitive: ring-FFT summation against the dense path.
 
-Targets that are grid nodes take the ring path; the dense path stays the
-reference: the chunked kernel sum for scalar samples, the contracted sum
-x . (Q F) for gradient sums. Agreement is measured relative to the largest
-dense value of each convolution.
+Every area sum is one term sum of _convolution._term_sums: row functions R
+against weighted column blocks F, a scalar kernel against w h (or, for
+D^-1, against w h and w), a gradient log term's Q = 1/(1 - x . eta) against
+w g, dotted with x. Targets that are grid nodes take the ring path; the
+dense path, each target's own (N,) @ (N, c) product, stays the reference.
+Agreement is measured relative to the largest dense value of each
+convolution.
 """
 
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import random_interior_points
 from sphaerica import _convolution
-from sphaerica._convolution import (
-    _dense,
-    _dense_grads,
-    _ring,
-    apply_kernel,
-    grad_convolution,
-)
+from sphaerica._convolution import _term_sums, apply_kernel, grad_convolution
 from sphaerica.decomposition import (
     _d_inv_kernel,
     d_inv_convolve,
@@ -36,11 +34,11 @@ from sphaerica.kernels import (
     KIND_FUNDAMENTAL,
     KIND_NEUMANN,
     KernelSpec,
-    kernel_grad_rows,
     kernel_value_matrix,
 )
 from sphaerica.layers import DensitySamples, double_layer, single_layer
 from sphaerica.quadrature import (
+    KIND_SPHERE,
     FieldSamples,
     build_boundary_grid,
     build_cap_grid,
@@ -87,31 +85,47 @@ def _rotated(grid):
 
 
 def _with_radial(grid):
-    # xi P + grad P: the ring path drops the radial part, the dense path
-    # sums its (zero) rows
+    # xi P + grad P: grad_terms drops the radial part on both paths
     p = synth_field(6, 0, 6)
     return FieldSamples(
         grid, grid.nodes * sh_eval(p, grid.nodes)[:, None] + sh_grad_eval(p, grid.nodes)
     )
 
 
+def _refuse(*args):
+    raise AssertionError("the targets must take the other path")
+
+
+def _on_the_ring(evaluate):
+    """evaluate() with the dense path refused."""
+    with mock.patch.object(_convolution, "_dense", _refuse):
+        return evaluate()
+
+
+def _on_the_dense_path(evaluate):
+    """evaluate() with node targets sent to the dense path."""
+
+    def dense(grid, groups, points, idx):
+        return _convolution._dense(grid, groups, points)
+
+    with mock.patch.object(_convolution, "_ring", dense):
+        return evaluate()
+
+
 def _dense_grad(spec, samples, points):
     """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j: the contracted dense sum of
-    one spec alone."""
-    return _dense_grads([(spec, samples.values)], samples.grid, points)[0]
+    one spec alone, at any targets."""
+    return _on_the_dense_path(lambda: -grad_convolution(samples, spec, points, curl=False))
 
 
 def _value(spec):
     return partial(kernel_value_matrix, spec)
 
 
-def _grad(spec):
-    return partial(kernel_grad_rows, spec)
-
-
 def _cases():
     """(id, grid name, kernel, samples builder, subtract) per kernel and
-    mode; a gradient case's kernel is its KernelSpec."""
+    mode; a gradient case's kernel is its KernelSpec, and a subtracted
+    case sums as d_inv_convolve does."""
     cases = []
     for name in GRIDS:
         kinds = [KernelSpec(KIND_FUNDAMENTAL, scale=SCALE)]
@@ -152,19 +166,22 @@ def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
     if isinstance(kernel, KernelSpec):
         # node targets take the ring path, other targets the contracted sum
-        fast = -grad_convolution(samples, kernel, pts, curl=False)
-        assert np.array_equal(fast, _ring(_grad(kernel), samples, idx, None))
+        fast = _on_the_ring(lambda: -grad_convolution(samples, kernel, pts, curl=False))
         ref = _dense_grad(kernel, samples, pts)
     elif subtract:
-        # the subtracted sum is d_inv_convolve's, which calls _ring itself
-        fast = _ring(kernel, samples, idx, 0.0)
-        h = samples.values
-        rows = kernel(pts, grid.nodes) * grid.weights * (h - h[idx][:, None])
+        # as d_inv_convolve sums: the kernel's rows against w h and w, and
+        # K (h - h(xi)) formed from the two (D^-1 adds 2 h(xi))
+        h, w = samples.values, grid.weights
+        columns = [np.stack([w * h, w], axis=1)]
+        [[sums]] = _on_the_ring(lambda: _term_sums(grid, [(None, kernel, columns)], pts))
+        fast = sums[:, 0] - h[idx] * sums[:, 1]
+        if kernel is _d_inv_kernel and grid.kind == KIND_SPHERE:
+            assert np.array_equal(d_inv_convolve(samples, idx), fast + 2.0 * h[idx])
+        rows = kernel(pts, grid.nodes) * w * (h - h[idx][:, None])
         ref = np.sum(rows, axis=1)
     else:
-        fast = apply_kernel(kernel, samples, pts)
-        assert np.array_equal(fast, _ring(kernel, samples, idx, None))
-        ref = _dense(kernel, samples, pts)
+        fast = _on_the_ring(lambda: apply_kernel(kernel, samples, pts))
+        ref = _on_the_dense_path(lambda: apply_kernel(kernel, samples, pts))
     err = np.abs(fast - ref) / np.abs(ref).max()
     inner = INNER.contains(pts) if grid.cap is not None else np.ones(len(idx), bool)
     assert err[inner].max(initial=0.0) <= REL_TOL
@@ -183,7 +200,7 @@ def test_ring_matches_dense(case, targets):
 def test_ring_matches_dense_across_chunks(case, monkeypatch):
     _, name, kernel, build, subtract = case
     grid = GRIDS[name]
-    # three rings (ring path) or three points (dense path) per chunk
+    # two rings (ring path) or three points (dense path) per chunk
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(grid))
     _check(grid, kernel, build(grid), np.arange(len(grid)), subtract)
 
@@ -311,11 +328,7 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     nudged = grid.nodes[idx] + 1e-9 * np.array([0.6, -0.8, 0.0])
     pts = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
     expected = -_dense_grad(spec, samples, pts)
-
-    def refuse(*args):
-        raise AssertionError("off-node targets must not take the ring path")
-
-    monkeypatch.setattr(_convolution, "_ring", refuse)
+    monkeypatch.setattr(_convolution, "_ring", _refuse)
     assert np.array_equal(grad_convolution(samples, spec, pts, False), expected)
     # one off-node point sends the whole set to the dense path
     mixed = grid.nodes[idx].copy()

@@ -239,27 +239,39 @@ class TestCapDecomposition:
         assert np.abs(f3 - sh_eval(s, pts)).max() < 1.5e-3
 
     def test_shared_q_blocks_keep_the_separate_sums(self, rng):
-        # off the nodes, F2 and F3 share one Q block per log term; each
-        # keeps the bits of its own contracted sum. The trace adds -Im and
-        # Re of one rim series, for a white-noise trace too: at even m its
-        # interpolant has a Nyquist term k = m/2, which F2 keeps as F3 does
+        # F2 and F3 share one Q block per log term, off the nodes and at
+        # them (there with its spectrum); each keeps the bits of its own
+        # one-sum call, which off the nodes are those of the separate
+        # contracted sum and at the nodes match it to the ring path's
+        # rounding. The trace adds -Im and Re of one rim series, for a
+        # white-noise trace too: at even m its interpolant has a Nyquist
+        # term k = m/2, which F2 keeps as F3 does
         grid = build_cap_grid(self.CAP, 24, 48)
         _, _, samples, trace = self._field(grid)
-        pts = random_interior_points(self.CAP, rng, 30)
         spec_n = KernelSpec(KIND_NEUMANN, cap=self.CAP, scale=10)
         spec_d = KernelSpec(KIND_DIRICHLET, cap=self.CAP, scale=10)
         rotated = FieldSamples(grid, np.cross(samples.values, grid.nodes))
-        area2 = -_separate_dense_sum(spec_n, samples, pts)
-        area3 = -_separate_dense_sum(spec_d, rotated, pts)
+        inner = SphericalCap(self.CAP.center, 0.8 * self.CAP.radius)
         noise = np.random.default_rng(11).normal(size=64)
-        for boundary_f3 in (trace, noise):
-            got = decompose_cap_at(
-                samples, pts, boundary_f3=boundary_f3, scale=10, m=64, demean=False
-            )
-            rim = _cap_boundary_samples(self.CAP, boundary_f3, 64).values
-            series = _rim_series(self.CAP, _rim_coefficients(rim), pts)
-            assert np.array_equal(got[0], area2 - series.imag)
-            assert np.array_equal(got[1], area3 + series.real)
+        off = random_interior_points(self.CAP, rng, 30)
+        for pts in (off, grid.nodes):
+            area2 = grad_convolution(samples, spec_n, pts, curl=False)
+            area3 = grad_convolution(samples, spec_d, pts, curl=True)
+            for area, spec, f in ((area2, spec_n, samples), (area3, spec_d, rotated)):
+                dense = -_separate_dense_sum(spec, f, pts)
+                if pts is off:
+                    assert np.array_equal(area, dense)
+                err = np.abs(area - dense) / np.abs(dense).max()
+                assert err[inner.contains(pts)].max() <= 1e-13
+                assert err.max() <= 1e-11
+            for boundary_f3 in (trace, noise):
+                got = decompose_cap_at(
+                    samples, pts, boundary_f3=boundary_f3, scale=10, m=64, demean=False
+                )
+                rim = _cap_boundary_samples(self.CAP, boundary_f3, 64).values
+                series = _rim_series(self.CAP, _rim_coefficients(rim), pts)
+                assert np.array_equal(got[0], area2 - series.imag)
+                assert np.array_equal(got[1], area3 + series.real)
         assert len(_rim_coefficients(noise)) == 33
 
     @pytest.mark.parametrize("name", ["polar-0.5", "tilted-0.9", "south-0.7"])

@@ -97,7 +97,9 @@ class TestSurfacePotential:
         h = sample(cap_grid, lambda p: sh_eval(c, p))
         kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=8))
         off = random_interior_points(CAP, np.random.default_rng(5), 12)
-        assert np.array_equal(surface_potential(h, off, scale=8), _dense(kernel, h, off))
+        weighted = (cap_grid.weights * h.values)[:, None]
+        [[plain]] = _dense(cap_grid, [(None, kernel, [weighted])], off)
+        assert np.array_equal(surface_potential(h, off, scale=8), plain[:, 0])
 
     def test_cap_exterior_laplacian_identity(self):
         grid = build_cap_grid(CAP, 48, 96)
