@@ -61,14 +61,8 @@ _CHUNK_DOUBLES = 262_144
 
 
 def _chunks(n_points: int, n_nodes: int):
-    # no chunk of one row out of several: BLAS multiplies a single row by
-    # gemv, whose rounding differs from the gemm of a taller block, so the
-    # sums would depend on where the chunk boundaries fall
-    step = max(2, _CHUNK_DOUBLES // max(n_nodes, 1))
-    bounds = list(range(0, n_points, step)) + [n_points]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
+    step = max(1, _CHUNK_DOUBLES // max(n_nodes, 1))
+    return ((i0, min(i0 + step, n_points)) for i0 in range(0, n_points, step))
 
 
 def _chunk_blocks(n_points: int, *layout):
@@ -77,12 +71,12 @@ def _chunk_blocks(n_points: int, *layout):
     layout gives each buffer as (count, row shape, dtype); views holds, per
     buffer, a (count, i1 - i0, *row shape) view whose count blocks are
     C-contiguous. The chunks are sized for every buffer together and the
-    buffers for the tallest chunk (_chunks may merge a one-row tail into
-    it), so each chunk reuses the memory of the last.
+    buffers for the first chunk, the tallest, so each chunk reuses the
+    memory of the last.
     """
     nbytes = sum(c * math.prod(shape) * np.dtype(t).itemsize for c, shape, t in layout)
     bounds = list(_chunks(n_points, nbytes // 8))
-    tallest = max((i1 - i0 for i0, i1 in bounds), default=0)
+    tallest = bounds[0][1] if bounds else 0
     buffers = [np.empty((c, tallest, *shape), t) for c, shape, t in layout]
     for i0, i1 in bounds:
         yield i0, i1, [buffer[:, : i1 - i0] for buffer in buffers]

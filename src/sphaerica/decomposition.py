@@ -35,7 +35,7 @@ from .harmonics import (
     sh_grad_eval,
     sh_synthesize,
 )
-from .kernels import KIND_DIRICHLET, KIND_NEUMANN, KernelSpec
+from .kernels import _SING_TOL, KIND_DIRICHLET, KIND_NEUMANN, KernelSpec, gap
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
 from .solvers import _cap_boundary_samples, _rim_coefficients, _rim_series, default_scale
 
@@ -205,10 +205,9 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
 def _d_inv_kernel(xi: np.ndarray, eta: np.ndarray, out=None) -> np.ndarray:
     """1/(2 pi sqrt(2 (1 - xi . eta))), zero at coincident points; out, a
     C-contiguous (P, N) buffer, receives it, each step in place."""
-    u = np.matmul(xi, eta.T, out=out)
-    np.subtract(1.0, u, out=u)
+    u = gap(xi, eta, out=out)
     np.maximum(u, _SQRT_SING_FLOOR, out=u)
-    coincident = np.nonzero(u < 1e-14)
+    coincident = np.nonzero(u < _SING_TOL)
     u *= 2.0
     np.sqrt(u, out=u)
     u *= 2.0 * np.pi

@@ -49,6 +49,19 @@ def on_points(xi, evaluate):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _stacked_product(rows: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """rows @ b for stacked rows (P, k), into out when given. BLAS multiplies
+    a single row by gemv, which rounds differently from the rows of a gemm,
+    so a single row is multiplied as two and the first kept."""
+    if rows.shape[0] != 1:
+        return np.matmul(rows, b, out=out)
+    two = np.matmul(np.concatenate([rows, rows]), b)[:1]
+    if out is None:
+        return two
+    out[...] = two
+    return out
+
+
 def lonlat_vector(lon_deg: float, lat_deg: float) -> np.ndarray:
     """Unit vector from geographic longitude and latitude in degrees."""
     lon = np.radians(lon_deg)
@@ -224,7 +237,7 @@ def _reflect_many(cap: SphericalCap, xi: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("the cap reflection requires points inside the cap")
     rho = cap.radius
     s2 = rho * (2.0 - rho)
-    t = xi @ cap.center
+    t = _stacked_product(xi, cap.center)
     scale = (1.0 + 2.0 * t * (rho - 1.0) + (rho - 1.0) ** 2) / s2
     # stable coefficient of zeta, equal to (scale - 1)/(scale (rho - 1)) but
     # finite at rho = 1

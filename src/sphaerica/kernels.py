@@ -10,14 +10,16 @@ singular log branch continues linearly inside 1 - xi . eta < 2^-J. The cap
 kernels reject xi outside their cap with ValueError (the reflection is only
 defined inside it).
 
-Each formula is written once, in the vectorized core: kernel_value_matrix
-evaluates a KernelSpec for stacked points, and its gradient is grad_terms
-(per-node factors) over log_gap (1 - x . eta, floored or checked) at
-term_points (the targets or their cap reflections). kernel_grad_dot
-assembles them into rows; the area sums of _convolution contract each log
-term as x . (Q F), Q = 1/log_gap, without forming them, on both of their
-paths. kernel_value_matrix and log_gap write their (P, N) blocks into
-caller buffers when given (out=), so that a chunked sum reuses one set of
+Each formula is written once, in the vectorized core, and every kernel
+block (the D^-1 kernel and the MFS log basis too) starts from one gap
+1 - x . eta and one coincidence test. kernel_value_matrix evaluates a
+KernelSpec for stacked points, and its gradient is grad_terms (per-node
+factors) over log_gap (the gap, floored or checked) at term_points (the
+targets or their cap reflections). kernel_grad_dot assembles them into
+rows; the area sums of _convolution contract each log term as x . (Q F),
+Q = 1/log_gap, without forming them, on both of their paths.
+kernel_value_matrix and log_gap write their (P, N) blocks into caller
+buffers when given (out=), so that a chunked sum reuses one set of
 buffers for every chunk. The scalar entry points
 (fundamental, fundamental_deriv, dirichlet_green, neumann_green,
 neumann_green_regularized) evaluate one (xi, eta) pair through that same
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPoint, SphericalCap, _reflect_many
+from .geometry import BoundaryPoint, SphericalCap, _reflect_many, _stacked_product
 
 FOUR_PI = 4.0 * np.pi
 _G_CONST = (1.0 - np.log(2.0)) / FOUR_PI  # G(0): the constant of G
@@ -65,19 +67,31 @@ class KernelSpec:
             raise ValueError(f"scale J must lie in [0, 53], got {self.scale}")
 
 
-def _fundamental_many(
-    t: np.ndarray, scale: int | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vectorized fundamental solution; with a scale, the log branch is
-    replaced by its linear continuation inside 1 - t < 2^-scale. out, an
-    array of t's shape (t itself allowed), receives the values."""
-    u = np.subtract(1.0, np.asarray(t, dtype=float), out=out)
+def gap(x: np.ndarray, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - x . eta for stacked x (P, 3) against stacked eta (N, 3), shape
+    (P, N), or against one point eta (3,), shape (P,): every kernel block
+    starts here. out, a C-contiguous buffer of that shape, receives it, and
+    1 - t runs in place. A single x is multiplied as a stack
+    (geometry._stacked_product), so a point gets the bits it has in one."""
+    u = _stacked_product(x, np.transpose(eta), out=out)
+    return np.subtract(1.0, u, out=u)
+
+
+def _coincident(u: np.ndarray) -> bool:
+    """Whether gaps u hold a coincident pair, u < _SING_TOL, with no boolean
+    block formed; fmin skips NaN, as the comparison would."""
+    return bool(np.fmin.reduce(u, axis=None, initial=np.inf) < _SING_TOL)
+
+
+def _log_term(u: np.ndarray, scale: int | None) -> np.ndarray:
+    """ln(u)/(4 pi) over gaps u, in place. With a scale, the log branch is
+    replaced by its linear continuation inside u < 2^-scale; without one, a
+    coincident pair raises SingularityError."""
     if scale is None:
-        if np.any(u < _SING_TOL):
+        if _coincident(u):
             raise SingularityError("kernel evaluated at its singularity")
         np.log(u, out=u)
         u /= FOUR_PI
-        u += _G_CONST
         return u
     # the log branch of max(u, 2^-J) at every pair, in place; the linear
     # branch only at the few pairs inside 2^-J, which it overwrites
@@ -87,51 +101,26 @@ def _fundamental_many(
     np.maximum(u, delta, out=u)
     np.log(u, out=u)
     u /= FOUR_PI
-    u += _G_CONST
-    u[near] = (u_near / delta - scale * np.log(2.0) - 1.0) / FOUR_PI + _G_CONST
+    u[near] = (u_near / delta - scale * np.log(2.0) - 1.0) / FOUR_PI
     return u
 
 
-def _cap_terms_value(
-    cap: SphericalCap,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    sign: float,
-    scale: int | None,
-    out: np.ndarray | None = None,
+def _fundamental_many(
+    t: np.ndarray, scale: int | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """log(1 - xi.eta)/4pi (possibly regularized) + sign * reflected log term.
-
-    xi has shape (P, 3), eta (N, 3); returns (P, N), in out when given. The
-    reflected term is smooth for xi inside the cap and carries no
-    regularization.
-    """
-    base = np.matmul(xi, eta.T, out=out)
-    check, scale_arr = _reflect_many(cap, xi)
-    refl = check @ eta.T
-    _fundamental_many(base, scale, out=base)
-    base -= _G_CONST
-    np.subtract(1.0, refl, out=refl)
-    np.log(refl, out=refl)
-    refl += np.log(scale_arr)[:, None]
-    refl /= FOUR_PI
-    refl *= sign
-    base += refl
-    return base
+    """Vectorized fundamental solution G(t) = _log_term(1 - t) + G(0); out,
+    an array of t's shape (t itself allowed), receives the values."""
+    u = np.subtract(1.0, np.asarray(t, dtype=float), out=out)
+    return np.add(_log_term(u, scale), _G_CONST, out=u)
 
 
-def _neumann_zeta_term(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
-    """(1 - rho) ln(1 + zeta . eta) / (2 pi rho), shape (N,)."""
-    c = _center_cosine(cap, eta)
-    return (1.0 - cap.radius) / (2.0 * np.pi * cap.radius) * np.log1p(c)
-
-
-def _center_cosine(cap: SphericalCap, eta: np.ndarray) -> np.ndarray:
-    """zeta . eta, where the Neumann kernel's center term is finite."""
+def _neumann_centre(cap: SphericalCap, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """(coef, zeta . eta) of the Neumann kernel's centre term
+    coef ln(1 + zeta . eta), coef = (1 - rho)/(2 pi rho), where it is finite."""
     c = eta @ cap.center
-    if np.any(1.0 + c < _SING_TOL):
+    if _coincident(1.0 + c):
         raise SingularityError("Neumann kernel at the antipode of the cap center")
-    return c
+    return (1.0 - cap.radius) / (2.0 * np.pi * cap.radius), c
 
 
 def fundamental(t: float) -> float:
@@ -216,32 +205,38 @@ def kernel_value_matrix(
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    u = _log_term(gap(xi, eta, out=out), spec.scale)
     if spec.kind == KIND_FUNDAMENTAL:
-        t = np.matmul(xi, eta.T, out=out)
-        return _fundamental_many(t, spec.scale, out=t)
-    sign = -1.0 if spec.kind == KIND_DIRICHLET else 1.0
-    out = _cap_terms_value(spec.cap, xi, eta, sign, spec.scale, out=out)
-    if spec.kind == KIND_NEUMANN:
-        out += _neumann_zeta_term(spec.cap, eta)[None, :]
-    return out
+        return np.add(u, _G_CONST, out=u)
+    # the reflected term ln(r (1 - check . eta))/(4 pi), smooth inside the
+    # cap and never regularized
+    check, r = _reflect_many(spec.cap, xi)
+    refl = gap(check, eta)
+    np.log(refl, out=refl)
+    refl += np.log(r)[:, None]
+    refl /= FOUR_PI
+    if spec.kind == KIND_DIRICHLET:
+        return np.subtract(u, refl, out=u)
+    u += refl
+    coef, c = _neumann_centre(spec.cap, eta)
+    u += coef * np.log1p(c)
+    return u
 
 
 def log_gap(
     points: np.ndarray, eta: np.ndarray, scale: int | None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """1 - points . eta, shape (P, N), the denominator of every log term of a
-    kernel gradient. With a scale it is floored at 2^-scale, which caps the
-    term's factor at 2^scale; without one, a gap below _SING_TOL raises
-    SingularityError. out, a C-contiguous (P, N) buffer, receives it: the
-    matrix product, 1 - t and the floor run in place.
+    """gap(points, eta), the denominator of every log term of a kernel
+    gradient, into out as for gap. With a scale it is floored at 2^-scale
+    in place, which caps the term's factor at 2^scale; without one, a
+    coincident pair raises SingularityError.
     """
-    gap = np.matmul(points, eta.T, out=out)
-    np.subtract(1.0, gap, out=gap)
+    u = gap(points, eta, out=out)
     if scale is not None:
-        np.maximum(gap, 2.0**-scale, out=gap)
-    elif np.any(gap < _SING_TOL):
+        np.maximum(u, 2.0**-scale, out=u)
+    elif _coincident(u):
         raise SingularityError("kernel gradient at its singularity")
-    return gap
+    return u
 
 
 def grad_terms(spec: KernelSpec, eta: np.ndarray, field: np.ndarray):
@@ -263,8 +258,7 @@ def grad_terms(spec: KernelSpec, eta: np.ndarray, field: np.ndarray):
     terms.append((True, f_tan * (sign / FOUR_PI), None))
     if spec.kind != KIND_NEUMANN:
         return terms, None
-    c = _center_cosine(spec.cap, eta)
-    coef = (1.0 - spec.cap.radius) / (2.0 * np.pi * spec.cap.radius)
+    coef, c = _neumann_centre(spec.cap, eta)
     return terms, coef * (f_tan @ spec.cap.center) / (1.0 + c)
 
 

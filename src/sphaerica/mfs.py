@@ -28,7 +28,8 @@ the same filter factors and cut-off, described in mfs_fit.
 mfs_eval never forms the whole (P, n) basis block at its P targets: it
 writes the source columns chunk by chunk into one buffer of about 2 MiB,
 allocated once per call (_convolution._chunk_blocks), contracts each chunk
-with one matrix-vector product and adds the constant term once.
+with one matrix-vector product and adds the constant term once. The log
+columns start from kernels.gap, which rounds a one-row chunk as a stack.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from ._convolution import _chunk_blocks
 from .geometry import SphericalCap, boundary_nodes, circle_points, on_points
 from .harmonics import InnerHarmonicIndex, inner_harmonic_eval
-from .kernels import FOUR_PI
+from .kernels import FOUR_PI, _coincident, gap
 from .quadrature import QuadratureGrid, boundary_data
 
 VARIANT_GK = "gk"
@@ -120,18 +121,16 @@ def _log_part(pts, anchors, mode, nu, out=None):
     """Log kernel (or normal derivative) at pts: shape (P,) for one anchor
     point, (P, S) for a stack of S anchors, written into out when given
     (the values run in place)."""
-    gap = np.matmul(pts, np.transpose(anchors), out=out)
-    np.subtract(1.0, gap, out=gap)
-    # fmin skips NaN, as the comparison gap < 1e-14 would
-    if np.fmin.reduce(gap, axis=None, initial=np.inf) < 1e-14:
+    u = gap(pts, anchors, out=out)
+    if _coincident(u):
         raise ValueError("basis evaluated at one of its source points")
     if mode == "value":
-        np.log(gap, out=gap)
-        gap /= FOUR_PI
-        return gap
+        np.log(u, out=u)
+        u /= FOUR_PI
+        return u
     # normal derivative: -(nu . anchor - t (nu . pts = 0)) / (4 pi (1 - t));
     # nu is tangential at pts, so nu . pts vanishes
-    return np.divide(-(nu @ np.transpose(anchors)), FOUR_PI * gap, out=gap)
+    return np.divide(-(nu @ np.transpose(anchors)), FOUR_PI * u, out=u)
 
 
 def _basis_columns(system, pts, mode="value", nu=None) -> np.ndarray:
@@ -322,9 +321,9 @@ def mfs_eval(solution: MfsSolution, xi) -> float | np.ndarray:
     """Evaluate the fitted combination at xi (away from the source points).
 
     The source columns of the basis block are formed in chunks of targets
-    (_convolution._chunks), each written into one reused buffer of at most
-    about 2 MiB and contracted by one matrix-vector product; the constant
-    term is added to the result. The whole block and its 1 - xi . eta
+    (_convolution._chunk_blocks), each written into one reused buffer of at
+    most about 2 MiB and contracted by one matrix-vector product; the
+    constant term is added to the result. The whole block and its 1 - xi . eta
     temporary would hold 26.2 MB at M = 800 on the CLI's 2048 interior
     probes; the chunk buffer holds 2.1 MB, and vortex_mfs there, its fit
     included, peaks at 2.9 MB above entry (tracemalloc). Values match the

@@ -29,7 +29,7 @@ import numpy as np
 from ._convolution import apply_kernel, grad_convolution
 from .geometry import SphericalCap, on_points, stereographic_project, unit_vector
 from .harmonics import _inverse_degree, scale_degrees, sh_analyze, sh_eval, sh_synthesize
-from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, kernel_value_matrix
+from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, gap, kernel_value_matrix
 from .quadrature import (
     KIND_BOUNDARY,
     KIND_CAP,
@@ -143,9 +143,7 @@ def poisson_solve_cap(
     total = integrate(grid, samples)
     demeaned = FieldSamples(grid, samples.values - total / area)
     base = surface_potential(demeaned, xi, scale=scale)
-    xi = np.asarray(xi, dtype=float)
-    t_bar = xi @ xi_bar
-    return base - np.log(1.0 - t_bar) / area * total
+    return base - on_points(xi, lambda pts: np.log(gap(pts, xi_bar)) / area * total)
 
 
 def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSamples:

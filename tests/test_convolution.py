@@ -237,8 +237,8 @@ def test_boundary_sums_bit_identical_across_chunks(case, monkeypatch):
     pts = INNER.contains(CAP_GRID.nodes)
     pts = CAP_GRID.nodes[np.flatnonzero(pts)[::7]]
     whole = evaluate(pts)
-    # two points or rings per chunk on the 512-node area grid (51 points: a
-    # last chunk of one would be merged)
+    # two points or rings per chunk on the 512-node area grid (51 points:
+    # the last chunk of points holds one)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * 64)
     assert np.array_equal(evaluate(pts), whole)
 
@@ -311,12 +311,14 @@ def test_sphere_split_holds_no_node_by_node_buffers():
     assert peak < 1.5e6
 
 
-def test_chunks_never_leave_a_single_row(monkeypatch):
+def test_chunks_are_plain_ranges(monkeypatch):
+    # a one-row chunk is left as it falls: the products round a single row
+    # as a row of a stack (geometry._stacked_product), not the chunker
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 30)
-    assert list(_convolution._chunks(7, 10)) == [(0, 3), (3, 7)]
+    assert list(_convolution._chunks(7, 10)) == [(0, 3), (3, 6), (6, 7)]
     assert list(_convolution._chunks(6, 10)) == [(0, 3), (3, 6)]
     assert list(_convolution._chunks(1, 10)) == [(0, 1)]
-    assert list(_convolution._chunks(5, 100)) == [(0, 2), (2, 5)]
+    assert list(_convolution._chunks(3, 100)) == [(0, 1), (1, 2), (2, 3)]
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -342,13 +344,13 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
 )
 def test_contracted_sum_with_a_merged_tail_chunk(spec, monkeypatch):
-    # 2 step + 1 targets: _chunks merges the one-row tail into the last
-    # chunk, so the reused Q buffer must hold its step + 1 rows
+    # 2 step + 1 targets: the last chunk is a single row, which the gap
+    # product rounds as a row of a stack, and a view of the reused Q buffer
     pts = random_interior_points(CAP, np.random.default_rng(1618), 7)
     samples = _vector(CAP_GRID)
     whole = _dense_grad(spec, samples, pts)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
-    assert list(_convolution._chunks(7, len(CAP_GRID))) == [(0, 3), (3, 7)]
+    assert list(_convolution._chunks(7, len(CAP_GRID))) == [(0, 3), (3, 6), (6, 7)]
     assert np.array_equal(_dense_grad(spec, samples, pts), whole)
 
 

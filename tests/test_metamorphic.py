@@ -1,4 +1,5 @@
-"""Metamorphic checks: a rotation about E3 and a constant shift.
+"""Metamorphic checks: a rotation about E3, a constant shift, and a point
+evaluated alone, in a stack or in a permuted stack.
 
 rotation_to_pole(R zeta) = R rotation_to_pole(zeta) for a rotation R about
 E3, so every grid, boundary node and frame of a rotated cap is the rotated
@@ -8,13 +9,14 @@ so they agree only to quadrature error; the caps drawn here are tilted.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_interior_points
 from sphaerica.decomposition import d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
-from sphaerica.harmonics import sh_eval, synth_field
+from sphaerica.harmonics import sh_eval, sh_grad_eval, synth_field
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -25,6 +27,7 @@ from sphaerica.solvers import (
     dirichlet_solve_cap,
     invert_gradient,
     neumann_solve_cap,
+    poisson_solve_cap,
     surface_potential,
 )
 
@@ -129,3 +132,63 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
     # D^-1 maps the constant c to 2c (the kernel integral is 2)
     d_inv = d_inv_convolve(base, nodes)
     assert np.abs(d_inv_convolve(moved, nodes) - (d_inv + 2.0 * c)).max() <= bound
+
+
+# A point gets the same bits alone as in a stack, in any order: on the ring
+# path (invert_gradient at nodes) and on the dense path (decompose_cap_at,
+# surface_potential and poisson_solve_cap at interior points). Every gap
+# 1 - x . eta multiplies a single x as a stack (kernels.gap), and so does
+# the cap reflection's x . zeta. Not a guarantee of the BLAS: on OpenBLAS
+# 0.3.31 a row of a (P, 3) @ (3, N) gemm can depend on its place in the
+# block for N >= 196 with N mod 8 in {4, 5, 6, 7}; these grids have
+# N = 1152. Left out (ROADMAP item 13): sh_eval and sh_grad_eval, whose
+# complex Horner step rounds a point by its place (a real Horner cost +30%
+# to +111% per call), and vortex_exact and mfs_eval, whose gemv over the
+# vortices or sources does (a per-row sum cost +26% per mfs_eval).
+POINT_CAPS = {
+    "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9),
+    "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+}
+POINT_EVALUATORS = (
+    "invert_gradient",
+    "decompose_cap_at",
+    "surface_potential",
+    "poisson_solve_cap",
+)
+
+
+@pytest.mark.parametrize("evaluator", POINT_EVALUATORS)
+@pytest.mark.parametrize("name", POINT_CAPS)
+def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
+    cap = POINT_CAPS[name]
+    grid = build_cap_grid(cap, *SHAPE)
+    p = synth_field(1, 1, 6)
+    if evaluator == "invert_gradient":
+        samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
+        targets = grid.nodes[::7]
+
+        def evaluate(q):
+            return invert_gradient(samples, "grad", SCALE, q)
+
+    elif evaluator == "decompose_cap_at":
+        samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
+        targets = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+
+        def evaluate(q):
+            f2, f3 = decompose_cap_at(samples, q, scale=SCALE, m=M, demean=False)
+            return np.stack([f2, f3], axis=1)
+
+    else:
+        samples = FieldSamples(grid, sh_eval(p, grid.nodes))
+        targets = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+
+        def evaluate(q):
+            if evaluator == "surface_potential":
+                return surface_potential(samples, q, SCALE)
+            return poisson_solve_cap(cap, samples, -cap.center, q, SCALE)
+
+    stack = evaluate(targets)
+    order = np.random.default_rng(1).permutation(len(targets))
+    assert np.array_equal(evaluate(targets[order]), stack[order])
+    alone = np.array([evaluate(q[None])[0] for q in targets])
+    assert np.array_equal(alone, stack)

@@ -553,10 +553,10 @@ def _assert_whole_block_product(values, whole):
 def test_chunked_eval_is_the_whole_block_product(variant, monkeypatch, rng):
     solution = _solution(_eval_system(variant, 12), rng)
     # the chunks hold the columns after the constant: three rows each, and
-    # 2 * 3 + 1 targets, so _chunks merges the one-row tail
+    # 2 * 3 + 1 targets, so the last chunk is a single row
     width = solution.system.size - 1
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * width)
-    assert list(_convolution._chunks(7, width)) == [(0, 3), (3, 7)]
+    assert list(_convolution._chunks(7, width)) == [(0, 3), (3, 6), (6, 7)]
     pts = random_interior_points(CAP, rng, 7)
     whole = _basis_columns(solution.system, pts) @ solution.coefficients
     _assert_whole_block_product(mfs_eval(solution, pts), whole)
