@@ -16,7 +16,7 @@ several at once: their log terms are grouped by (reflected, scale), so the
 cap split's Neumann F2 and Dirichlet F3 share each Q block (and, at the
 nodes, its spectrum), and the Neumann centre column is summed once, to a
 scalar. Boundary integrals never come here: the cap solvers and the layer
-potentials are rim series (solvers._rim_series), and the global operators
+potentials are rim series (harmonics._rim_series), and the global operators
 on sphere grids are spherical-harmonic transforms (harmonics.sh_analyze).
 The backend follows from the targets:
 

@@ -8,7 +8,7 @@ its sphere grid (harmonics.sh_analyze), act on the coefficients and
 synthesize the scalars at the nodes (harmonics.sh_synthesize): exact below
 the grid's band. On caps the scalars are recovered by convolving the field
 with the Neumann and Dirichlet cap kernels' gradients, plus one rim series
-of the F3 trace (solvers._rim_series): its real part in F3, minus its
+of the F3 trace (harmonics._rim_series): its real part in F3, minus its
 imaginary part in F2. The Hardy-Hodge variant recombines the Helmholtz
 scalars through the half-integer shifted square root of the (shifted)
 surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2) and
@@ -28,6 +28,8 @@ from ._convolution import _term_sums, grad_convolution, grad_convolutions
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
+    _rim_coefficients,
+    _rim_series,
     scale_degrees,
     sh_analyze,
     sh_curl_eval,
@@ -37,7 +39,7 @@ from .harmonics import (
 )
 from .kernels import _SING_TOL, KIND_DIRICHLET, KIND_NEUMANN, KernelSpec, gap
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
-from .solvers import _cap_boundary_samples, _rim_coefficients, _rim_series, default_scale
+from .solvers import _cap_boundary_samples, default_scale
 
 _SQRT_SING_FLOOR = 1e-300
 
@@ -118,12 +120,12 @@ def decompose_cap_at(
     """(F2, F3) of the cap decomposition at interior evaluation points.
 
     The F3 trace's interpolant sum_k Re(c_k e^{ik phi}) gives both boundary
-    terms as one rim series S = sum_k c_k w^k (solvers._rim_series): F3 adds
-    Re S, the trace's harmonic extension, and F2 adds -Im S, minus its
+    terms as one rim series S = sum_k c_k w^k (harmonics._rim_series): F3
+    adds Re S, the trace's harmonic extension, and F2 adds -Im S, minus its
     harmonic conjugate: by Cauchy-Riemann in the conformal chart, the rim
-    integral of d_tau G_N F3. Points must lie 1e-6 inside the rim, checked after the
-    area sums, so a point outside the cap fails in their kernels' reflected
-    term. The two area sums share one Q block per log term, and at grid
+    integral of d_tau G_N F3. Points must lie 1e-6 inside the rim, checked
+    after the area sums, so a point outside the cap fails in their kernels'
+    reflected term. The two area sums share one Q block per log term, and at grid
     nodes its spectrum (_convolution.grad_convolutions).
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then

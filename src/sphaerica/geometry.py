@@ -134,6 +134,19 @@ def rotation_to_pole(zeta) -> np.ndarray:
     return np.column_stack([u, v, zeta])
 
 
+def _chart_products(zeta, xi):
+    """(frame, xi @ frame, 1 + xi . zeta) of the chart of zeta, frame the
+    columns (a1, a2, zeta) of rotation_to_pole(zeta) with zeta itself: one
+    (P, 3) @ (3, 3) product, which rounds each row as a single point does."""
+    zeta = unit_vector(zeta)
+    frame = np.column_stack([rotation_to_pole(zeta)[:, :2], zeta])
+    proj = np.asarray(xi, dtype=float) @ frame
+    denom = 1.0 + proj[..., 2]
+    if np.any(denom < _ANTIPODE_TOL):
+        raise AntipodeError("stereographic projection evaluated at the antipode")
+    return frame, proj, denom
+
+
 def stereographic_project(zeta, xi) -> np.ndarray:
     """Project xi from the antipode of zeta onto the tangent-plane chart.
 
@@ -141,18 +154,9 @@ def stereographic_project(zeta, xi) -> np.ndarray:
     first two columns of rotation_to_pole(zeta). Shape (2,) for a single
     point, (N, 2) for stacked input.
     """
-    zeta = unit_vector(zeta)
-    t = rotation_to_pole(zeta)
-    xi = np.asarray(xi, dtype=float)
-    # one (P, 3) @ (3, 3) product gives xi . a1, xi . a2 and xi . zeta: it
-    # rounds each row as a single point does, where a matrix-vector product
-    # for xi . zeta would not
-    proj = xi @ np.column_stack([t[:, :2], zeta])
-    denom = 1.0 + proj[..., 2]
-    if np.any(denom < _ANTIPODE_TOL):
-        raise AntipodeError("stereographic projection evaluated at the antipode")
+    _, proj, denom = _chart_products(zeta, xi)
     plane = proj[..., :2]
-    return 2.0 * plane / denom[..., None] if xi.ndim > 1 else 2.0 * plane / denom
+    return 2.0 * plane / denom[..., None] if proj.ndim > 1 else 2.0 * plane / denom
 
 
 def stereographic_inverse(zeta, p) -> np.ndarray:

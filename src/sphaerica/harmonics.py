@@ -1,5 +1,5 @@
-"""Real spherical harmonics, their transforms on sphere grids, and inner
-harmonics on spherical caps.
+"""Real spherical harmonics, their transforms on sphere grids, and the
+chart series of spherical caps, inner harmonics among them.
 
 The spherical harmonics are real, fully normalized (unit L2 norm over the
 sphere), and free of the Condon-Shortley phase. Degrees are capped at 128;
@@ -10,8 +10,10 @@ a Gauss-Legendre x uniform sphere grid, sh_analyze and sh_synthesize are
 exact spherical-harmonic transforms below the grid's band (Driscoll &
 Healy, Adv. Appl. Math. 15, 1994; Swarztrauber & Spotz, J. Comput. Phys.
 159, 2000): every global operator of the package is diagonal in this
-basis. Inner harmonics on a cap are pullbacks of planar disc harmonics
-through the stereographic chart of the cap center.
+basis. The closed-form harmonic functions of a cap are one chart series
+Re sum c_k w^k (_rim_series), w the cap's stereographic chart with the rim
+at |w| = 1: the cap solvers, layer potentials and cap split, the inner
+harmonics and their gradients (one-term series), the log-kernel series.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .geometry import (
     SphericalCap,
+    _chart_products,
     on_points,
-    rotation_to_pole,
     stereographic_project,
     unit_vector,
 )
@@ -303,17 +305,25 @@ def sh_synthesize(grid, *coeffs: ShCoefficients) -> np.ndarray:
     degree at most (n_phi - 1) // 2: D_m(z) of _order_sums at the ring
     latitudes, as sh_eval at its points' z, then Re sum_m D_m sin^m(theta)
     e^(i m phi) by one inverse rFFT per ring."""
+    return _synthesize_rings(grid, coeffs).reshape(len(coeffs), -1)
+
+
+def _synthesize_rings(grid, coeffs, rings=slice(None)) -> np.ndarray:
+    """sh_synthesize on the rings `rings` of the grid (all by default), as
+    (sets, rings, n_phi): each ring's latitude is summed alone, so a ring
+    gets the bits it has in the whole grid."""
     z, s, _ = _rings(grid)
-    n_t, n_phi = grid.shape
+    z, s = z[rings], s[rings]
+    n_phi = grid.shape[1]
     L = max(c.l_max for c in coeffs)
     if L > (n_phi - 1) // 2:
         raise ValueError(f"{n_phi} longitudes need degree <= {(n_phi - 1) // 2}")
-    spectra = np.zeros((len(coeffs), n_t, n_phi // 2 + 1), complex)
+    spectra = np.zeros((len(coeffs), len(z), n_phi // 2 + 1), complex)
     s_m = s ** np.arange(L + 1)[:, None]
     for i0, i1, d in _order_sums(coeffs, z, False):
         d[:, 1:] *= 0.5  # the inverse rFFT adds each term's conjugate
         spectra[:, i0:i1, : L + 1] = np.swapaxes(d * s_m[:, i0:i1], 1, 2)
-    return np.fft.irfft(spectra, n_phi, axis=2, norm="forward").reshape(len(coeffs), -1)
+    return np.fft.irfft(spectra, n_phi, axis=2, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -337,97 +347,110 @@ class InnerHarmonicIndex:
             raise ValueError("order 2 requires degree >= 1")
 
 
-def _inner_radius(cap: SphericalCap) -> float:
-    # chart radius (rho (2 - rho))^(1/4) of the planar disc harmonics
-    return (cap.radius * (2.0 - cap.radius)) ** 0.25
+def _rim_radius(cap: SphericalCap) -> float:
+    """R_b = 2 sqrt(rho/(2 - rho)), the rim's radius in the cap's chart."""
+    return 2.0 * np.sqrt(cap.radius / (2.0 - cap.radius))
+
+
+def _rim_coefficients(values: np.ndarray) -> np.ndarray:
+    """c_k with sum_k Re(c_k e^{ik phi}) the trigonometric interpolant of m
+    equispaced rim values: rfft / m, the terms 0 < k < m/2 doubled (an even
+    m's Nyquist term is not). Trailing c_k at most eps max |c| are dropped:
+    past the data's bandwidth they are rounding noise, and each kept term
+    costs _rim_series a pass over the targets."""
+    c = np.fft.rfft(values) / len(values)
+    c[1 : (len(values) + 1) // 2] *= 2.0
+    kept = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())
+    return c[: kept[-1] + 1 if kept.size else 1]
+
+
+def _times_w(re, im, u, v, out, tmp):
+    """(re + i im)(u + i v) into (out, im), and re, now free, in real
+    arithmetic: numpy's complex product rounds a vector's body and tail apart."""
+    np.multiply(re, u, out=out)
+    np.multiply(im, v, out=tmp)
+    out -= tmp
+    np.multiply(re, v, out=tmp)
+    im *= u
+    im += tmp
+    return out, im, re
+
+
+def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray, grad: bool = False):
+    """S = sum_k c_k w^k as a complex array, w = stereographic_project / R_b
+    in complex form: Re S is the harmonic extension of the rim interpolant
+    sum_k Re(c_k e^{ik phi}), Im S its harmonic conjugate (the chart is
+    conformal, and rim node j of a boundary grid sits at exp(2 pi i j/m)).
+    With grad, (S, the tangential gradient of Re S): Re S' grad u - Im S'
+    grad v for w = u + i v, with S' = dS/dw from the same Horner loop and
+    grad (u, v) = (2 (a1, a2)/R_b - (u, v) zeta)/(1 + xi . zeta) less its
+    part along xi, from the chart's one product. No step mixes points, so a
+    point gives the same bits alone as inside a stack.
+    """
+    rim = _rim_radius(cap)
+    frame, proj, denom = _chart_products(cap.center, pts)
+    u, v = (2.0 * proj[:, j] / denom / rim for j in (0, 1))
+    n = len(pts)
+    re, im = np.full(n, c[-1].real), np.full(n, c[-1].imag)
+    t1, t2 = np.empty(n), np.empty(n)
+    if grad:
+        dre, dim = np.zeros(n), np.zeros(n)
+    for ck in c[-2::-1]:
+        if grad:  # S' by the same rule, from (re, im) before they advance
+            dre, dim, t1 = _times_w(dre, dim, u, v, t1, t2)
+            dre += re
+            dim += im
+        re, im, t1 = _times_w(re, im, u, v, t1, t2)
+        re += ck.real
+        im += ck.imag
+    out = np.empty(n, complex)
+    out.real, out.imag = re, im
+    if not grad:
+        return out
+    # the ambient gradient k1 a1 + k2 a2 + k3 zeta, less its part along xi
+    k1, k2 = dre / denom * (2.0 / rim), dim / denom * (-2.0 / rim)
+    k3 = (dim * v - dre * u) / denom
+    along = k1 * proj[:, 0] + k2 * proj[:, 1] + k3 * proj[:, 2]
+    rows = zip(frame, pts.T)  # component j: (a1_j, a2_j, zeta_j) and xi_j
+    return out, np.stack([k1 * a + k2 * b + k3 * z - along * x for (a, b, z), x in rows], 1)
+
+
+def _inner_coefficients(idx: InnerHarmonicIndex) -> np.ndarray:
+    """The one-term rim series c_n w^n of an inner harmonic, the disc
+    harmonic (p/R)^n / (R sqrt(pi)) of p = R_b w, R = (rho (2 - rho))^(1/4):
+    c_n = (R_b/R)^n / (R sqrt(pi)), times -i for order 2."""
+    R = (idx.cap.radius * (2.0 - idx.cap.radius)) ** 0.25
+    c = np.zeros(idx.degree + 1, complex)
+    c[-1] = (1.0, -1j)[idx.order - 1] * (_rim_radius(idx.cap) / R) ** idx.degree
+    c[-1] /= R * np.sqrt(np.pi)
+    return c
 
 
 def inner_harmonic_eval(idx: InnerHarmonicIndex, xi) -> float | np.ndarray:
     """Inner harmonic of the cap at xi: the planar disc harmonic of the
-    stereographic image."""
-    R = _inner_radius(idx.cap)
-
-    def evaluate(pts):
-        p = stereographic_project(idx.cap.center, pts)
-        wn = ((p[:, 0] + 1j * p[:, 1]) / R) ** idx.degree
-        part = wn.real if idx.order == 1 else wn.imag
-        return part / (R * np.sqrt(np.pi))
-
-    return on_points(xi, evaluate)
+    stereographic image, as a one-term rim series."""
+    return on_points(xi, lambda pts: _rim_series(idx.cap, _inner_coefficients(idx), pts).real)
 
 
 def inner_harmonic_grad(idx: InnerHarmonicIndex, xi) -> np.ndarray:
     """Tangential surface gradient of an inner harmonic."""
-    return on_points(xi, lambda pts: _inner_harmonic_grad(idx, pts))
-
-
-def _inner_harmonic_grad(idx: InnerHarmonicIndex, pts: np.ndarray) -> np.ndarray:
-    zeta = idx.cap.center
-    frame = rotation_to_pole(zeta)
-    a1, a2 = frame[:, 0], frame[:, 1]
-    n = idx.degree
-    R = _inner_radius(idx.cap)
-
-    p1, p2 = stereographic_project(zeta, pts).T
-    denom = 1.0 + pts @ zeta
-    w = (p1 + 1j * p2) / R
-    dw = n * w ** max(n - 1, 0) / R if n > 0 else np.zeros_like(w)
-    # planar gradient: for Re(w^n) it is (Re dw, -Im dw), for Im(w^n)
-    # (Im dw, Re dw), with dw = n w^(n-1) / R
-    if idx.order == 1:
-        gp1, gp2 = dw.real, -dw.imag
-    else:
-        gp1, gp2 = dw.imag, dw.real
-    gp1 = gp1 / (R * np.sqrt(np.pi))
-    gp2 = gp2 / (R * np.sqrt(np.pi))
-
-    # tangential gradients of the chart components
-    proj_a1 = a1[None, :] - (pts @ a1)[:, None] * pts
-    proj_a2 = a2[None, :] - (pts @ a2)[:, None] * pts
-    proj_zeta = zeta[None, :] - (pts @ zeta)[:, None] * pts
-    grad_p1 = 2.0 * proj_a1 / denom[:, None] - (p1 / denom)[:, None] * proj_zeta
-    grad_p2 = 2.0 * proj_a2 / denom[:, None] - (p2 / denom)[:, None] * proj_zeta
-    return gp1[:, None] * grad_p1 + gp2[:, None] * grad_p2
+    return on_points(xi, lambda pts: _rim_series(idx.cap, _inner_coefficients(idx), pts, True)[1])
 
 
 def log_series(xi, eta, zeta, rho: float, n_terms: int) -> float:
-    """Partial sum of the separable expansion of ln(1 - xi . eta).
-
-    The expansion splits the log kernel into three boundary-free logs plus a
-    series of products of inner harmonics of the cap (rho, zeta) at xi and of
-    the complementary cap (2 - rho, -zeta) at eta. It converges when the
-    stereographic image of xi is closer to the chart origin than that of eta;
-    successive terms shrink geometrically with ratio |p(xi)| / |p(eta)|.
-
-    The series is evaluated with the mirror-compatible chart on the eta side
-    (delivered by rotation_to_pole(-zeta)), which makes the sine products
-    enter with a minus sign, and each term carries the chart scale factor
-    (s/4)^n with s = sqrt(rho (2 - rho)). Both adjustments are required for
-    the partial sums to converge to ln(1 - xi . eta).
-    """
-    xi = unit_vector(np.asarray(xi, dtype=float))
-    eta = unit_vector(np.asarray(eta, dtype=float))
-    zeta = unit_vector(np.asarray(zeta, dtype=float))
-    p_xi = stereographic_project(zeta, xi)
-    p_eta = stereographic_project(zeta, eta)
-    if not np.linalg.norm(p_xi) < np.linalg.norm(p_eta):
+    """Partial sum of the separable expansion of ln(1 - xi . eta), -ln 2 +
+    ln(1 + xi . zeta) + ln(1 - eta . zeta) - 2 Re sum_{n <= n_terms} (p p'/4)^n
+    / n, p = stereographic_project(zeta, xi) and p' the point of eta in the
+    complement's chart (-zeta): the rim series of xi in the cap (zeta, rho)
+    with c_n = (R_b p'/4)^n / n. It converges, with ratio |p p'|/4, when that
+    is below 1; rho sets only the chart scale, not the partial sums."""
+    xi, eta, zeta = (unit_vector(v) for v in (xi, eta, zeta))
+    cap = SphericalCap(zeta, rho)
+    p = complex(*stereographic_project(zeta, xi))
+    q = complex(*stereographic_project(-zeta, eta))
+    if not abs(p * q) < 4.0:
         raise ValueError("series requires |p(xi)| < |p(eta)| in the zeta chart")
-    cap_xi = SphericalCap(zeta, rho)
-    cap_eta = cap_xi.complement
-    s = cap_xi.boundary_sine
-    total = (
-        -np.log(2.0)
-        + np.log(1.0 + float(xi @ zeta))
-        + np.log(1.0 - float(eta @ zeta))
-    )
-    scale = s / 4.0
-    factor = 1.0
-    acc = 0.0
-    for n in range(1, n_terms + 1):
-        factor *= scale
-        h1x = inner_harmonic_eval(InnerHarmonicIndex(cap_xi, n, 1), xi)
-        h2x = inner_harmonic_eval(InnerHarmonicIndex(cap_xi, n, 2), xi)
-        h1e = inner_harmonic_eval(InnerHarmonicIndex(cap_eta, n, 1), eta)
-        h2e = inner_harmonic_eval(InnerHarmonicIndex(cap_eta, n, 2), eta)
-        acc += (2.0 / n) * factor * (h1x * h1e - h2x * h2e)
-    return total - s * np.pi * acc
+    ratio = np.full(n_terms, q * _rim_radius(cap) / 4.0)
+    c = np.concatenate([[0.0], np.cumprod(ratio) / np.arange(1, n_terms + 1)])
+    total = -np.log(2.0) + np.log(1.0 + float(xi @ zeta)) + np.log(1.0 - float(eta @ zeta))
+    return total - 2.0 * _rim_series(cap, c, xi[None])[0].real

@@ -2,8 +2,8 @@
 
 The single layer integrates the fundamental solution against a boundary
 density, the double layer its boundary-normal derivative. Both are exact on
-the density's trigonometric interpolant, as rim series (solvers._rim_series)
-in the stereographic chart of the cap inside it and of the complement cap
+the density's trigonometric interpolant, as chart series
+(harmonics._rim_series) of the cap inside it and of the complement cap
 outside it. The chart is conformal and the rim a circle in it, so the
 double-layer kernel is the disc's Poisson kernel plus a constant, and the
 single layer's log singularity a power series: both hold up to the curve
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SphericalCap, on_points
+from .harmonics import _rim_coefficients, _rim_series
 from .kernels import FOUR_PI
 from .quadrature import (
     KIND_BOUNDARY,
@@ -34,7 +35,6 @@ from .quadrature import (
     _zero_integral,
     boundary_data,
 )
-from .solvers import _rim_coefficients, _rim_series
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,8 @@ def _sides(cap: SphericalCap, c: np.ndarray, pts: np.ndarray):
     the curve (1 - t within 1e-14 of rho); t = xi . zeta, summed row by row
     so that a point gives the same bits alone as in a stack; E the harmonic
     extension Re sum_k c_k w^k of the rim series c to the point's side, in
-    the cap's chart inside and on the curve, else in the complement cap's,
-    whose frame flips a2 (rotation_to_pole), mirroring the rim angle: so
-    its coefficients are conjugated."""
+    the cap's chart inside and on the curve, else in the complement's with
+    conjugated c_k, as its frame flips a2 (rotation_to_pole)."""
     t = np.sum(pts * cap.center, axis=1)
     gap = cap.radius - (1.0 - t)
     sigma = np.where(np.abs(gap) <= 1e-14, 0.0, np.sign(gap))
@@ -166,12 +165,17 @@ def jump_probe(
     any displacement, so no tau is too small for the grid. The reported jump
     extrapolates the last three displacements to zero with a quadratic fit;
     convergence in tau is first order, so the extrapolation is heuristic
-    rather than certified.
+    rather than certified. boundary_index must lie in [0, m) and the taus
+    must be finite, positive and distinct, else ValueError.
     """
     taus = np.asarray(sorted(np.atleast_1d(taus), reverse=True), dtype=float)
     if taus.size < 3:
         raise ValueError("need at least three displacements to extrapolate")
+    if not (np.all(np.isfinite(taus)) and taus[-1] > 0.0 and np.all(np.diff(taus) < 0.0)):
+        raise ValueError("displacements must be finite, positive and distinct")
     grid = density.grid
+    if not 0 <= boundary_index < len(grid):
+        raise ValueError(f"boundary index must lie in [0, {len(grid)})")
     layer = {"double": double_layer, "single": single_layer}.get(potential)
     if layer is None:
         raise ValueError("potential must be 'single' or 'double'")

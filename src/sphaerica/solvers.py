@@ -13,9 +13,8 @@ summation from the evaluation points; invert_gradient sums the fundamental
 solution that way on sphere grids too.
 
 The cap boundary solvers are not kernel sums: they evaluate their integrals
-exactly on the trigonometric interpolant of the rim data, as a power series
-in the stereographic chart (_rim_series), which stays accurate up to the
-rim. The layer potentials (layers) sum the same series on both sides of it.
+exactly on the trigonometric interpolant of the rim data, as the chart
+series of harmonics._rim_series, which stays accurate up to the rim.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from functools import partial
 import numpy as np
 
 from ._convolution import apply_kernel, grad_convolution
-from .geometry import SphericalCap, on_points, stereographic_project, unit_vector
-from .harmonics import _inverse_degree, scale_degrees, sh_analyze, sh_eval, sh_synthesize
+from .geometry import SphericalCap, on_points, unit_vector
+from .harmonics import _inverse_degree, _rim_coefficients, _rim_series, _synthesize_rings
+from .harmonics import scale_degrees, sh_analyze, sh_eval, sh_synthesize
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, gap, kernel_value_matrix
 from .quadrature import (
     KIND_BOUNDARY,
@@ -79,11 +79,11 @@ def surface_potential(
 
     On a full-sphere grid it is the samples' expansion
     (harmonics.sh_analyze) with degree n scaled by -1/(n (n + 1)) and the
-    mean dropped, synthesized at node targets (grid.node_indices) and
-    evaluated by sh_eval elsewhere; scale is ignored there. On a cap grid
-    it is the quadrature sum, where nodes with 1 - xi . eta < 2^-scale use
-    the linear continuation of the log kernel. xi_values is ignored; it
-    goes once the benchmark stops passing it.
+    mean dropped, synthesized on the rings that hold node targets
+    (grid.node_indices) and evaluated by sh_eval elsewhere; scale is
+    ignored there. On a cap grid it is the quadrature sum, where nodes with
+    1 - xi . eta < 2^-scale use the linear continuation of the log kernel.
+    xi_values is ignored; it goes once the benchmark stops passing it.
     """
     grid = samples.grid
     if grid.kind == KIND_SPHERE:
@@ -91,7 +91,16 @@ def surface_potential(
 
         def expansion(pts):
             idx = grid.node_indices(pts)
-            return sh_eval(c, pts) if idx is None else sh_synthesize(grid, c)[0, idx]
+            if idx is None:
+                return sh_eval(c, pts)
+            n_t, n_phi = grid.shape
+            held = np.zeros(n_t, bool)  # not np.unique: its first call imports numpy.ma
+            held[idx // n_phi] = True
+            if held.all():  # every ring: the whole synthesis
+                return sh_synthesize(grid, c)[0, idx]
+            rings = np.flatnonzero(held)
+            values = _synthesize_rings(grid, [c], rings)[0]
+            return values[np.searchsorted(rings, idx // n_phi), idx % n_phi]
 
         return on_points(xi, expansion)
     if scale is None:
@@ -164,53 +173,6 @@ def _cap_boundary_samples(cap: SphericalCap, boundary_values, m: int) -> FieldSa
     else:
         grid = build_boundary_grid(cap, m)
     return FieldSamples(grid, boundary_data(grid, boundary_values))
-
-
-def _rim_coefficients(values: np.ndarray) -> np.ndarray:
-    """c_k with sum_k Re(c_k e^{ik phi}) the trigonometric interpolant of m
-    equispaced rim values: rfft / m, the terms 0 < k < m/2 doubled (an even
-    m's Nyquist term is not). Trailing c_k at most eps max |c| are dropped:
-    past the data's bandwidth they are rounding noise, and each kept term
-    costs _rim_series a pass over the targets."""
-    c = np.fft.rfft(values) / len(values)
-    c[1 : (len(values) + 1) // 2] *= 2.0
-    kept = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())
-    return c[: kept[-1] + 1 if kept.size else 1]
-
-
-def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """S = sum_k c_k w^k by Horner's rule as a complex array, at w =
-    stereographic_project / R_b in complex form, R_b = 2 sqrt(rho/(2 - rho))
-    the chart's rim radius: Re S is the harmonic extension of the rim
-    interpolant sum_k Re(c_k e^{ik phi}), Im S its harmonic conjugate.
-
-    The chart is conformal, so harmonic functions of the cap are harmonic
-    in the unit disc of w, and boundary nodes are built in the same frame
-    (rotation_to_pole(cap.center)): rim node j sits at exp(2 pi i j/m).
-    Each point is summed on its own, so a point gives the same bits alone
-    as inside a stack.
-    """
-    rho = cap.radius
-    p = stereographic_project(cap.center, pts) / (2.0 * np.sqrt(rho / (2.0 - rho)))
-    u, v = p[:, 0], p[:, 1]
-    # in real arithmetic: numpy's complex product rounds a vector's body and
-    # tail differently
-    re, im = np.full(len(pts), c[-1].real), np.full(len(pts), c[-1].imag)
-    t1, t2 = np.empty(len(pts)), np.empty(len(pts))
-    for ck in c[-2::-1]:
-        # (re + i im)(u + i v) + ck
-        np.multiply(re, u, out=t1)
-        np.multiply(im, v, out=t2)
-        t1 -= t2
-        np.multiply(re, v, out=t2)
-        im *= u
-        im += t2
-        re, t1 = t1, re
-        re += ck.real
-        im += ck.imag
-    out = np.empty(len(pts), complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def dirichlet_solve_cap(

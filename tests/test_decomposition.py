@@ -21,6 +21,8 @@ from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     ShCoefficients,
+    _rim_coefficients,
+    _rim_series,
     coefficients_from_entries,
     inner_harmonic_eval,
     sh_curl_eval,
@@ -47,7 +49,7 @@ from sphaerica.quadrature import (
     build_sphere_grid,
     mean_value,
 )
-from sphaerica.solvers import _cap_boundary_samples, _rim_coefficients, _rim_series
+from sphaerica.solvers import _cap_boundary_samples
 
 GRID = build_sphere_grid(32, 64)  # shared across the sphere-path tests
 

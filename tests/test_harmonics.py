@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cap_point, fd_tangent_derivative, tangent_basis
+from conftest import cap_point, fd_tangent_derivative, random_interior_points, tangent_basis
 from sphaerica.geometry import (
     AntipodeError,
     SphericalCap,
     boundary_nodes,
+    rotation_to_pole,
     stereographic_project,
     unit_vector,
 )
@@ -16,6 +17,7 @@ from sphaerica.harmonics import (
     MAX_DEGREE,
     InnerHarmonicIndex,
     ShCoefficients,
+    _rim_series,
     _sh_accumulate,
     coefficients_from_entries,
     inner_harmonic_eval,
@@ -176,6 +178,136 @@ def test_tangential_derivative_closed_loop():
     grid = build_boundary_grid(CAP, 64)
     tangential = np.sum(grid.tangents * inner_harmonic_grad(idx, grid.nodes), axis=1)
     assert abs(np.sum(grid.weights * tangential)) < 1e-13
+
+
+CHART_CAPS = {
+    "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5),
+    "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    "south": SphericalCap(np.array([0.0, 0.0, -1.0]), 0.7),
+    "wide": SphericalCap(unit_vector([0.3, 0.5, -0.2]), 1.8),
+}
+
+
+def _chart_targets(cap):
+    """Area nodes of a 32 x 64 grid and 128 rim nodes of the cap."""
+    return np.concatenate([build_cap_grid(cap, 32, 64).nodes, build_boundary_grid(cap, 128).nodes])
+
+
+def _reference_rim_series(cap, c, pts):
+    """The chart series as solvers once summed it: the per-point real Horner
+    loop at w = stereographic_project / R_b, without the gradient."""
+    rho = cap.radius
+    p = stereographic_project(cap.center, pts) / (2.0 * np.sqrt(rho / (2.0 - rho)))
+    u, v = p[:, 0], p[:, 1]
+    re, im = np.full(len(pts), c[-1].real), np.full(len(pts), c[-1].imag)
+    t1, t2 = np.empty(len(pts)), np.empty(len(pts))
+    for ck in c[-2::-1]:
+        np.multiply(re, u, out=t1)
+        np.multiply(im, v, out=t2)
+        t1 -= t2
+        np.multiply(re, v, out=t2)
+        im *= u
+        im += t2
+        re, t1 = t1, re
+        re += ck.real
+        im += ck.imag
+    return re + 1j * im
+
+
+def _reference_inner(idx, pts):
+    """Value and gradient of an inner harmonic as harmonics once formed
+    them: complex powers of p/R, R = (rho (2 - rho))^(1/4), and the chart's
+    hand-written Jacobian."""
+    zeta = idx.cap.center
+    a1, a2 = rotation_to_pole(zeta)[:, :2].T
+    n, R = idx.degree, (idx.cap.radius * (2.0 - idx.cap.radius)) ** 0.25
+    p1, p2 = stereographic_project(zeta, pts).T
+    w = (p1 + 1j * p2) / R
+    wn = w**n / (R * np.sqrt(np.pi))
+    dw = (n * w ** max(n - 1, 0) / R if n else np.zeros_like(w)) / (R * np.sqrt(np.pi))
+    # Re w^n has the planar gradient (Re dw, -Im dw), Im w^n (Im dw, Re dw)
+    if idx.order == 1:
+        value, gp1, gp2 = wn.real, dw.real, -dw.imag
+    else:
+        value, gp1, gp2 = wn.imag, dw.imag, dw.real
+    denom = 1.0 + pts @ zeta
+
+    def tangential(a):
+        return a[None, :] - (pts @ a)[:, None] * pts
+
+    grad_p1 = 2.0 * tangential(a1) / denom[:, None] - (p1 / denom)[:, None] * tangential(zeta)
+    grad_p2 = 2.0 * tangential(a2) / denom[:, None] - (p2 / denom)[:, None] * tangential(zeta)
+    return value, gp1[:, None] * grad_p1 + gp2[:, None] * grad_p2
+
+
+def _reference_log_series(xi, eta, zeta, rho, n_terms):
+    """log_series as a loop of products of inner harmonics of the cap at xi
+    and of its complement at eta, the sine products entering with a minus
+    sign (the complement's frame flips a2), each scaled by (s/4)^n."""
+    cap = SphericalCap(zeta, rho)
+    s = cap.boundary_sine
+    total = -np.log(2.0) + np.log(1.0 + xi @ zeta) + np.log(1.0 - eta @ zeta)
+    acc = 0.0
+    for n in range(1, n_terms + 1):
+        hx = [_reference_inner(InnerHarmonicIndex(cap, n, k), xi[None])[0][0] for k in (1, 2)]
+        he = [
+            _reference_inner(InnerHarmonicIndex(cap.complement, n, k), eta[None])[0][0]
+            for k in (1, 2)
+        ]
+        acc += (2.0 / n) * (s / 4.0) ** n * (hx[0] * he[0] - hx[1] * he[1])
+    return total - s * np.pi * acc
+
+
+class TestChartSeries:
+    @pytest.mark.parametrize("name", ["polar", "tilted", "south"])
+    def test_values_keep_the_bits_of_the_real_horner_loop(self, name):
+        cap = CHART_CAPS[name]
+        pts = _chart_targets(cap)
+        rng = np.random.default_rng(7)
+        for length in (1, 2, 5, 40):
+            c = rng.normal(size=length) + 1j * rng.normal(size=length)
+            want = _reference_rim_series(cap, c, pts)
+            for got in (_rim_series(cap, c, pts), _rim_series(cap, c, pts, grad=True)[0]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", CHART_CAPS)
+    def test_inner_harmonics_match_complex_powers(self, name):
+        cap = CHART_CAPS[name]
+        pts = _chart_targets(cap)
+        for n in range(10):
+            for order in (1, 2) if n else (1,):
+                idx = InnerHarmonicIndex(cap, n, order)
+                value, grad = _reference_inner(idx, pts)
+                got = inner_harmonic_eval(idx, pts)
+                assert np.abs(got - value).max() <= 1e-14 * np.abs(value).max()
+                got = inner_harmonic_grad(idx, pts)
+                assert np.abs(got - grad).max() <= 1e-14 * max(np.abs(grad).max(), 1.0)
+
+    def test_log_series_matches_the_inner_harmonic_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            zeta = unit_vector(rng.normal(size=3))
+            xi, eta = _chart_pair(
+                zeta, 0.8, 0.6 * rng.random(), rng.uniform(0, 6.3), 0.9, rng.uniform(0, 6.3)
+            )
+            for n in (0, 1, 5, 17, 30):
+                want = _reference_log_series(xi, eta, zeta, 0.8, n)
+                assert abs(log_series(xi, eta, zeta, 0.8, n) - want) <= 1e-14
+
+    @pytest.mark.parametrize("name", CHART_CAPS)
+    def test_gradient_matches_finite_differences(self, name):
+        cap = CHART_CAPS[name]
+        rng = np.random.default_rng(13)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        value = lambda p: _rim_series(cap, c, np.atleast_2d(p)).real
+        pts = random_interior_points(cap, rng, 12, 0.85)
+        _, grad = _rim_series(cap, c, pts, grad=True)
+        sup = np.abs(grad).max()
+        for xi, g in zip(pts, grad):
+            assert abs(g @ xi) <= 1e-14 * sup
+            for direction in tangent_basis(xi):
+                fd = fd_tangent_derivative(value, xi, direction)[0]
+                assert abs(fd - g @ direction) <= 1e-7 * sup
 
 
 def _chart_pair(zeta, rho, t_xi, phi_xi, t_eta, phi_eta):

@@ -303,6 +303,31 @@ class TestJumpRelations:
         with pytest.raises(ValueError, match=message):
             jump_probe(density, 0, taus, potential, quantity)
 
+    @pytest.mark.parametrize(
+        "index,taus,message",
+        [
+            # -1 once probed node m - 1, m raised IndexError
+            (-1, [0.5, 0.25, 0.125], "boundary index"),
+            (64, [0.5, 0.25, 0.125], "boundary index"),
+            # a repeated tau once made the fit singular (LinAlgError), a
+            # negative one swapped the sides (+0.822 here, for -1.053), a
+            # zero one read a jump of 0 and a NaN one a NaN jump
+            (5, [0.5, 0.25, 0.25], "distinct"),
+            (5, [0.5, 0.25, -0.02], "positive"),
+            (5, [0.5, 0.25, 0.0], "positive"),
+            (5, [0.5, 0.25, np.nan], "finite"),
+            (5, [np.inf, 0.25, 0.125], "finite"),
+        ],
+    )
+    def test_probe_rejects_bad_nodes_and_displacements(self, index, taus, message):
+        cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9)
+        grid = build_boundary_grid(cap, 64)
+        density = DensitySamples(grid, 0.7 + 0.4 * np.cos(grid.phis))
+        with pytest.raises(ValueError, match=message):
+            jump_probe(density, index, taus)
+        for node in (0, 63):  # the ends of the range are probed
+            assert np.isfinite(jump_probe(density, node, [0.5, 0.25, 0.125]).jump)
+
 
 class TestDirichletEquation:
     def test_constant_data_gives_constant_potential(self, rng):

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from conftest import random_interior_points
 from sphaerica.decomposition import d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
-from sphaerica.harmonics import sh_eval, sh_grad_eval, synth_field
+from sphaerica.harmonics import (
+    InnerHarmonicIndex,
+    inner_harmonic_eval,
+    inner_harmonic_grad,
+    sh_eval,
+    sh_grad_eval,
+    synth_field,
+)
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -135,16 +142,19 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
 
 
 # A point gets the same bits alone as in a stack, in any order: on the ring
-# path (invert_gradient at nodes) and on the dense path (decompose_cap_at,
-# surface_potential and poisson_solve_cap at interior points). Every gap
-# 1 - x . eta multiplies a single x as a stack (kernels.gap), and so does
-# the cap reflection's x . zeta. Not a guarantee of the BLAS: on OpenBLAS
-# 0.3.31 a row of a (P, 3) @ (3, N) gemm can depend on its place in the
-# block for N >= 196 with N mod 8 in {4, 5, 6, 7}; these grids have
-# N = 1152. Left out (ROADMAP item 13): sh_eval and sh_grad_eval, whose
-# complex Horner step rounds a point by its place (a real Horner cost +30%
-# to +111% per call), and vortex_exact and mfs_eval, whose gemv over the
-# vortices or sources does (a per-row sum cost +26% per mfs_eval).
+# path (invert_gradient at nodes), on the dense path (decompose_cap_at,
+# surface_potential and poisson_solve_cap at interior points) and in the
+# chart series (inner harmonics and their gradients, of several degrees and
+# both orders). Every gap 1 - x . eta multiplies a single x as a stack
+# (kernels.gap), and so does the cap reflection's x . zeta; the chart's
+# x @ (a1, a2, zeta) is one (P, 3) @ (3, 3) product and its series runs
+# point by point. Not a guarantee of the BLAS: on OpenBLAS 0.3.31 a row of a
+# (P, 3) @ (3, N) gemm can depend on its place in the block for N >= 196
+# with N mod 8 in {4, 5, 6, 7}; these grids have N = 1152. Left out
+# (ROADMAP item 13): sh_eval and sh_grad_eval, whose complex Horner step
+# rounds a point by its place (a real Horner cost +30% to +111% per call),
+# and vortex_exact and mfs_eval, whose gemv over the vortices or sources
+# does (a per-row sum cost +26% per mfs_eval).
 POINT_CAPS = {
     "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9),
     "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
@@ -154,7 +164,10 @@ POINT_EVALUATORS = (
     "decompose_cap_at",
     "surface_potential",
     "poisson_solve_cap",
+    "inner_harmonic_eval",
+    "inner_harmonic_grad",
 )
+INNER_INDICES = ((0, 1), (1, 1), (2, 2), (3, 1), (3, 2), (5, 2), (8, 1), (9, 2))
 
 
 @pytest.mark.parametrize("evaluator", POINT_EVALUATORS)
@@ -163,7 +176,15 @@ def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
     cap = POINT_CAPS[name]
     grid = build_cap_grid(cap, *SHAPE)
     p = synth_field(1, 1, 6)
-    if evaluator == "invert_gradient":
+    if evaluator.startswith("inner_harmonic"):
+        targets = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+        inner = inner_harmonic_grad if evaluator.endswith("grad") else inner_harmonic_eval
+        indices = [InnerHarmonicIndex(cap, *i) for i in INNER_INDICES]
+
+        def evaluate(q):
+            return np.stack([inner(idx, q) for idx in indices], axis=1)
+
+    elif evaluator == "invert_gradient":
         samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
         targets = grid.nodes[::7]
 

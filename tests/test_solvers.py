@@ -17,6 +17,8 @@ from sphaerica.geometry import (
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     ShCoefficients,
+    _rim_coefficients,
+    _rim_series,
     coefficients_from_entries,
     inner_harmonic_eval,
     inner_harmonic_grad,
@@ -36,8 +38,6 @@ from sphaerica.quadrature import (
 )
 from sphaerica.solvers import (
     _cap_boundary_samples,
-    _rim_coefficients,
-    _rim_series,
     beltrami_fd,
     default_scale,
     dirichlet_solve_cap,
