@@ -30,7 +30,6 @@ from sphaerica.decomposition import helmholtz_decompose_cap
 from sphaerica.geometry import (
     SphericalCap,
     circle_points,
-    rotation_to_pole,
     stereographic_project,
     unit_vector,
 )
@@ -74,7 +73,7 @@ def solver_sweep(cap, grid, m):
     rows = []
     for delta in DELTAS:
         t = 1.0 - cap.radius * (1.0 - delta)
-        pts = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phis)
+        pts = circle_points(cap.frame, t, np.sqrt(1.0 - t * t), phis)
         truth = value(pts)
         err_d = np.abs(dirichlet_solve_cap(cap, value, pts, m=m) - truth).max()
         err_n = np.abs(neumann_solve_cap(cap, flux, mean, pts) - truth).max()
@@ -86,7 +85,7 @@ def _ring_points(cap, delta):
     """64 points with 1 - xi . center = rho (1 - delta), off every lattice."""
     t = 1.0 - cap.radius * (1.0 - delta)
     phis = 2.0 * np.pi * (np.arange(64) + 0.37) / 64
-    return circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phis)
+    return circle_points(cap.frame, t, np.sqrt(1.0 - t * t), phis)
 
 
 def layer_sweep(cap, m):

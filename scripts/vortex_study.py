@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from sphaerica.apps import random_vortices, vortex_mfs
-from sphaerica.geometry import SphericalCap, rotation_to_pole
+from sphaerica.geometry import SphericalCap
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -28,7 +28,7 @@ def main() -> None:
     cap = SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9)
     vortices = random_vortices(cap, args.vortices, args.seed)
     rng = np.random.default_rng(args.seed + 1)
-    frame = rotation_to_pole(cap.center)
+    frame = cap.frame
     probes = []
     for _ in range(200):
         t = 1.0 - 0.8 * cap.radius * rng.random()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalCap, circle_points, on_points, rotation_to_pole
+from .geometry import SphericalCap, circle_points, on_points
 from .harmonics import ShCoefficients, _sh_accumulate
 from .kernels import (
     KIND_DIRICHLET,
@@ -77,7 +77,7 @@ def random_vortices(cap: SphericalCap, count: int, seed: int) -> VortexSet:
     rng = np.random.default_rng(seed)
     t = 1.0 - cap.radius * 0.6 * rng.random(count)
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    centers = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1.0 - t * t), phi)
+    centers = circle_points(cap.frame, t, np.sqrt(1.0 - t * t), phi)
     strengths = rng.uniform(-1.0, 1.0, count)
     return VortexSet(centers, strengths, -cap.center)
 
@@ -188,10 +188,17 @@ def vortex_exact(cap: SphericalCap, vortices: VortexSet, xi) -> float | np.ndarr
     centers; vanishes on the boundary.
     """
     spec = KernelSpec(KIND_DIRICHLET, cap=cap)
-    centers = vortices.centers
-    return on_points(
-        xi, lambda pts: vortices.strengths @ kernel_value_matrix(spec, centers, pts)
-    )
+
+    def evaluate(pts):
+        # the vortices are the block's rows, added one by one in order
+        block = kernel_value_matrix(spec, vortices.centers, pts)
+        block *= vortices.strengths[:, None]
+        total = block[0]
+        for row in block[1:]:
+            total += row
+        return total
+
+    return on_points(xi, evaluate)
 
 
 def vortex_boundary_data(vortices: VortexSet):

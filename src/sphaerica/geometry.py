@@ -4,12 +4,15 @@ Points are plain numpy unit vectors of shape (3,) (or stacked (N, 3) arrays).
 This module supplies spherical caps, the deterministic rotation that carries
 the north pole onto a cap center, the circles of a cap in that frame,
 stereographic projection, parameterized frames of cap boundaries, and the
-Kelvin-type reflection of an interior point across a cap boundary.
+Kelvin-type reflection of an interior point across a cap boundary. A cap
+builds its frame once, on first use, and every chart, area grid, boundary
+grid and node lookup of that cap reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +54,18 @@ def on_points(xi, evaluate):
 
 def _stacked_product(rows: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """rows @ b for stacked rows (P, k), into out when given. BLAS multiplies
-    a single row by gemv, which rounds differently from the rows of a gemm,
-    so a single row is multiplied as two and the first kept."""
-    if rows.shape[0] != 1:
+    a single row, or a single column b (k, 1), by gemv, which rounds
+    differently from a gemm, so either is multiplied as two and the first
+    kept."""
+    if rows.shape[0] == 1:
+        product = _stacked_product(np.concatenate([rows, rows]), b)[:1]
+    elif b.ndim == 2 and b.shape[1] == 1:
+        product = np.matmul(rows, np.concatenate([b, b], axis=1))[:, :1]
+    else:
         return np.matmul(rows, b, out=out)
-    two = np.matmul(np.concatenate([rows, rows]), b)[:1]
     if out is None:
-        return two
-    out[...] = two
+        return product
+    out[...] = product
     return out
 
 
@@ -90,9 +97,19 @@ class SphericalCap:
         self.center.setflags(write=False)
 
     def contains(self, xi, margin: float = 0.0):
-        """Strict membership 1 - xi . center < radius - margin."""
-        t = np.asarray(xi, dtype=float) @ self.center
-        return 1.0 - t < self.radius - margin
+        """Strict membership 1 - xi . center < radius - margin. A single
+        point is decided as a stack of one, so as it is inside a stack."""
+        xi = np.asarray(xi, dtype=float)
+        t = _stacked_product(np.atleast_2d(xi), self.center)
+        inside = 1.0 - t < self.radius - margin
+        return inside if xi.ndim > 1 else inside[0]
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """rotation_to_pole(center), built on first use and read-only."""
+        frame = rotation_to_pole(self.center)
+        frame.setflags(write=False)
+        return frame
 
     @property
     def boundary_sine(self) -> float:
@@ -103,9 +120,11 @@ class SphericalCap:
         """
         return float(np.sqrt(self.radius * (2.0 - self.radius)))
 
-    @property
+    @cached_property
     def complement(self) -> "SphericalCap":
-        """The complementary cap, center -zeta and radius 2 - rho."""
+        """The complementary cap, center -zeta and radius 2 - rho, built once.
+        Its frame equals frame @ diag(1, -1, -1) (rotation_to_pole), but is
+        its own rotation_to_pole, whose zero entries can carry the other sign."""
         return SphericalCap(-self.center, 2.0 - self.radius)
 
 
@@ -134,17 +153,17 @@ def rotation_to_pole(zeta) -> np.ndarray:
     return np.column_stack([u, v, zeta])
 
 
-def _chart_products(zeta, xi):
-    """(frame, xi @ frame, 1 + xi . zeta) of the chart of zeta, frame the
-    columns (a1, a2, zeta) of rotation_to_pole(zeta) with zeta itself: one
-    (P, 3) @ (3, 3) product, which rounds each row as a single point does."""
-    zeta = unit_vector(zeta)
-    frame = np.column_stack([rotation_to_pole(zeta)[:, :2], zeta])
-    proj = np.asarray(xi, dtype=float) @ frame
+def _chart_products(frame: np.ndarray, zeta: np.ndarray, xi):
+    """(chart, xi @ chart, 1 + xi . zeta) of the chart of the unit vector
+    zeta, chart the columns (a1, a2) of its frame rotation_to_pole(zeta) with
+    zeta itself: one (P, 3) @ (3, 3) product, which rounds each row as a
+    single point does."""
+    chart = np.column_stack([frame[:, :2], zeta])
+    proj = np.asarray(xi, dtype=float) @ chart
     denom = 1.0 + proj[..., 2]
     if np.any(denom < _ANTIPODE_TOL):
         raise AntipodeError("stereographic projection evaluated at the antipode")
-    return frame, proj, denom
+    return chart, proj, denom
 
 
 def stereographic_project(zeta, xi) -> np.ndarray:
@@ -154,9 +173,9 @@ def stereographic_project(zeta, xi) -> np.ndarray:
     first two columns of rotation_to_pole(zeta). Shape (2,) for a single
     point, (N, 2) for stacked input.
     """
-    _, proj, denom = _chart_products(zeta, xi)
-    plane = proj[..., :2]
-    return 2.0 * plane / denom[..., None] if proj.ndim > 1 else 2.0 * plane / denom
+    zeta = unit_vector(zeta)
+    _, proj, denom = _chart_products(rotation_to_pole(zeta), zeta, xi)
+    return np.stack([2.0 * proj[..., j] / denom for j in (0, 1)], axis=-1)
 
 
 def stereographic_inverse(zeta, p) -> np.ndarray:
@@ -190,7 +209,7 @@ def circle_points(frame: np.ndarray, t, sin_t, phis) -> np.ndarray:
     """Points t zeta + sin_t (cos phi a1 + sin phi a2), for (a1, a2, zeta)
     the columns of frame and t, sin_t, phis broadcast together (a last axis
     of 3 is added). Every circle of a cap (area rings, boundary nodes, MFS
-    sources, vortex centres) is built here in rotation_to_pole(cap.center).
+    sources, vortex centres) is built here in the cap's frame.
     """
     t, sin_t, phis = (np.asarray(a, dtype=float)[..., None] for a in (t, sin_t, phis))
     a1, a2, zeta = frame.T
@@ -204,12 +223,12 @@ def boundary_nodes(
 
     eta(phi) = (1 - rho) zeta + s (cos phi a1 + sin phi a2) with
     s = sqrt(rho (2 - rho)); nu = ((1 - rho) eta - zeta) / s; tau = eta x nu,
-    in the area grids' frame (a1, a2, zeta) = rotation_to_pole(cap.center).
+    in the area grids' frame (a1, a2, zeta) = cap.frame.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     rho = cap.radius
     s = cap.boundary_sine
-    frame = rotation_to_pole(cap.center)
+    frame = cap.frame
     pos = circle_points(frame, 1.0 - rho, s, phis)
     nor = ((1.0 - rho) * pos - frame[:, 2]) / s
     tan = np.cross(pos, nor)

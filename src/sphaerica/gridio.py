@@ -11,15 +11,16 @@ A save writes every cell as "%.17g" text, the same text as
 format(x, ".17g"). Ring grids repeat their coordinates from ring to ring,
 so each distinct longitude and latitude is formatted once, by one
 %-format; a second %-format puts that text into a row template, and one
-more fills in all the values. A load checks that every non-blank row has
-the schema's comma count, then parses all cells with one join, one split
-and one float conversion; a table with a bad row is parsed again row by row,
-which names that row in the CsvFormatError.
+more fills in all the values. A load reads the grid line and the header,
+then numpy's C reader parses the remaining rows from the open file; a table
+it does not take whole is read again row by row, which names the first bad
+row in the CsvFormatError.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .quadrature import (
 
 _SCALAR_HEADER = "lon_deg,lat_deg,value"
 _VECTOR_HEADER = "lon_deg,lat_deg,vx,vy,vz"
+_WIDTHS = {_SCALAR_HEADER: 3, _VECTOR_HEADER: 5}
 
 
 class CsvFormatError(ValueError):
@@ -156,23 +158,29 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def _parse_table(lines: list[str], width: int) -> np.ndarray:
-    """Parse the data lines (blank ones skipped) into an (n, width) array.
+def _split_head(lines: list[str]) -> tuple[dict, int, list[str]]:
+    """(metadata, width, the lines after the header) of a file's lines."""
+    meta: dict = {}
+    if lines and lines[0].startswith("# grid"):
+        meta = dict(t.partition("=")[::2] for t in lines.pop(0)[len("# grid") :].split())
+    if not lines:
+        raise CsvFormatError("empty file")
+    header = lines[0].strip()
+    if header not in _WIDTHS:
+        raise CsvFormatError(f"unrecognized header {header!r}")
+    return meta, _WIDTHS[header], lines[1:]
 
-    Once every row has width - 1 commas (so that a short row and a long row
-    cannot make up for each other), all cells go through one join, one split
-    and one float conversion. A table with a bad row, or with no rows, goes
-    through _parse_rows instead.
-    """
-    body = [line for line in lines if line.strip()]
-    if all(line.count(",") == width - 1 for line in body):
-        try:
-            data = np.array(list(map(float, ",".join(body).split(","))))
-        except ValueError:
-            return _parse_rows(lines, width)
-        if np.all(np.isfinite(data)):
-            return data.reshape(len(body), width)
-    return _parse_rows(lines, width)
+
+def _read_table(fh, width: int) -> np.ndarray | None:
+    """The rows left in fh by numpy's reader (comments=None: a '#' in a row
+    fails), or None unless it takes rows of that width with finite cells."""
+    try:
+        with warnings.catch_warnings():  # numpy warns on an empty body
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if len(data) and data.shape[1] == width and np.isfinite(data).all() else None
 
 
 def load_field_csv(path) -> LoadedField:
@@ -180,28 +188,19 @@ def load_field_csv(path) -> LoadedField:
     duplicate nodes. Returns grid-attached samples when the metadata line is
     present and consistent with the rows."""
     with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    meta: dict = {}
-    lines = list(raw)
-    if lines and lines[0].startswith("# grid"):
-        for token in lines[0][len("# grid") :].split():
-            key, _, val = token.partition("=")
-            meta[key] = val
-        lines = lines[1:]
-    if not lines:
-        raise CsvFormatError("empty file")
-    header = lines[0].strip()
-    if header == _SCALAR_HEADER:
-        width, vector = 3, False
-    elif header == _VECTOR_HEADER:
-        width, vector = 5, True
-    else:
-        raise CsvFormatError(f"unrecognized header {header!r}")
-    data = _parse_table(lines[1:], width)
+        head = fh.readline()
+        if head.startswith("# grid"):
+            head += fh.readline()
+        meta, width, rest = _split_head(head.splitlines())
+        # a line break other than a newline in the head leaves rest non-empty
+        data = None if rest else _read_table(fh, width)
+    if data is None:  # the row pass names the first bad row
+        with open(path, encoding="utf-8") as fh:
+            data = _parse_rows(_split_head(fh.read().splitlines())[2], width)
     lons, lats = data[:, 0], data[:, 1]
     if len(set(zip(lons.tolist(), lats.tolist()))) != len(data):
         raise CsvFormatError("duplicate nodes")
-    values = data[:, 2:] if vector else data[:, 2]
+    values = data[:, 2:] if width == 5 else data[:, 2]
     grid = _rebuild_grid(meta, len(data)) if meta else None
     samples = None
     if grid is not None:

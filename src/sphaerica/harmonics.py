@@ -388,7 +388,7 @@ def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray, grad: bool = 
     point gives the same bits alone as inside a stack.
     """
     rim = _rim_radius(cap)
-    frame, proj, denom = _chart_products(cap.center, pts)
+    frame, proj, denom = _chart_products(cap.frame, cap.center, pts)
     u, v = (2.0 * proj[:, j] / denom / rim for j in (0, 1))
     n = len(pts)
     re, im = np.full(n, c[-1].real), np.full(n, c[-1].imag)

@@ -19,6 +19,10 @@ KIND_CAP = "cap-area"
 KIND_SPHERE = "sphere-area"
 KIND_BOUNDARY = "boundary-line"
 
+# the frame of every sphere grid, rotation_to_pole(E3)
+_SPHERE_FRAME = rotation_to_pole(E3)
+_SPHERE_FRAME.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -58,7 +62,7 @@ class QuadratureGrid:
     def polar_frame(self) -> np.ndarray:
         """Columns (a1, a2, zeta) = rotation_to_pole(cap center, or E3) of the
         product rule: zeta is the ring axis and longitude 0 lies along a1."""
-        return rotation_to_pole(E3 if self.cap is None else self.cap.center)
+        return _SPHERE_FRAME if self.cap is None else self.cap.frame
 
     def node_indices(self, points: np.ndarray) -> np.ndarray | None:
         """Indices of the area-grid nodes the points are, or None unless
@@ -110,8 +114,9 @@ class FieldSamples:
         values.setflags(write=False)
 
 
-def _polar_product_grid(zeta: np.ndarray, t_lo: float, n_t: int, n_phi: int):
-    """Nodes/weights of the Gauss-Legendre x uniform product rule, t in [t_lo, 1]."""
+def _polar_product_grid(frame: np.ndarray, t_lo: float, n_t: int, n_phi: int):
+    """Nodes/weights of the Gauss-Legendre x uniform product rule, t in
+    [t_lo, 1] about the third column of frame."""
     x, w = np.polynomial.legendre.leggauss(n_t)
     half = 0.5 * (1.0 - t_lo)
     t = t_lo + half * (x + 1.0)
@@ -119,7 +124,7 @@ def _polar_product_grid(zeta: np.ndarray, t_lo: float, n_t: int, n_phi: int):
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * np.pi / n_phi
     sin_t = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    nodes = circle_points(rotation_to_pole(zeta), t[:, None], sin_t[:, None], phis)
+    nodes = circle_points(frame, t[:, None], sin_t[:, None], phis)
     weights = np.broadcast_to((wt * wphi)[:, None], (n_t, n_phi))
     return nodes.reshape(-1, 3), np.ascontiguousarray(weights).reshape(-1)
 
@@ -128,7 +133,7 @@ def build_cap_grid(cap: SphericalCap, n_t: int, n_phi: int) -> QuadratureGrid:
     """Product rule over a cap; total weight is the cap area 2 pi rho."""
     if n_t < 2 or n_phi < 4:
         raise ValueError("cap grid needs n_t >= 2 and n_phi >= 4")
-    nodes, weights = _polar_product_grid(cap.center, 1.0 - cap.radius, n_t, n_phi)
+    nodes, weights = _polar_product_grid(cap.frame, 1.0 - cap.radius, n_t, n_phi)
     return QuadratureGrid(KIND_CAP, nodes, weights, (n_t, n_phi), cap=cap)
 
 
@@ -137,7 +142,7 @@ def build_sphere_grid(n_t: int, n_phi: int) -> QuadratureGrid:
     degree <= min(2 n_t - 1, n_phi - 1)."""
     if n_t < 2 or n_phi < 4:
         raise ValueError("sphere grid needs n_t >= 2 and n_phi >= 4")
-    nodes, weights = _polar_product_grid(E3, -1.0, n_t, n_phi)
+    nodes, weights = _polar_product_grid(_SPHERE_FRAME, -1.0, n_t, n_phi)
     return QuadratureGrid(KIND_SPHERE, nodes, weights, (n_t, n_phi))
 
 

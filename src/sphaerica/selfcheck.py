@@ -61,7 +61,7 @@ def _check_reflection(rng):
         for _ in range(5):
             t = 1.0 - rho * rng.random()
             ang = rng.uniform(0.0, 2.0 * np.pi)
-            xi = circle_points(rotation_to_pole(cap.center), t, np.sqrt(1 - t * t), ang)
+            xi = circle_points(cap.frame, t, np.sqrt(1 - t * t), ang)
             ref = reflect(cap, xi)
             res = np.abs((1.0 - pos @ xi) - ref.scale * (1.0 - pos @ ref.point))
             worst = max(worst, float(res.max()))
@@ -118,7 +118,7 @@ def _check_trichotomy(rng):
 def _check_mvp(rng):
     cap = SphericalCap(unit_vector([0.2, 0.1, 1.0]), 0.9)
     idx = InnerHarmonicIndex(cap, 3, 1)
-    fr = rotation_to_pole(cap.center)
+    fr = cap.frame
     center = 0.7 * cap.center + np.sqrt(1 - 0.49) * fr[:, 0]
     probe = SphericalCap(unit_vector(center), 0.05)
     r1 = mvp_residual(lambda p: inner_harmonic_eval(idx, p), probe, "I")
@@ -128,7 +128,7 @@ def _check_mvp(rng):
 
 def _check_green_boundary(rng):
     cap = SphericalCap(unit_vector([0.0, 0.2, 1.0]), 0.8)
-    fr = rotation_to_pole(cap.center)
+    fr = cap.frame
     xi = 0.75 * cap.center + np.sqrt(1 - 0.75**2) * fr[:, 1]
     xi = unit_vector(xi)
     grid = build_boundary_grid(cap, 32)

@@ -62,6 +62,29 @@ def test_rotation_properties(zeta):
     assert_allclose(mirrored, t @ np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
 
+FRAME_CENTERS = {
+    "random": unit_vector([0.3, -0.7, 0.2]),
+    "north-snapped": unit_vector([1e-13, -2e-13, 1.0]),
+    "south-snapped": unit_vector([2e-13, 1e-13, -1.0]),
+    "north-pole": E3,
+    "south-pole": -E3,
+    "near-north": unit_vector([1e-9, 0.0, 1.0]),
+    "near-south": unit_vector([0.0, -1e-9, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_CENTERS)
+def test_a_cap_builds_its_frame_once(name):
+    cap = SphericalCap(FRAME_CENTERS[name], 0.4)
+    frame = cap.frame
+    assert cap.frame is frame and not frame.flags.writeable
+    expected = rotation_to_pole(cap.center)
+    assert np.array_equal(frame.view(np.int64), expected.view(np.int64))
+    complement = cap.complement
+    assert cap.complement is complement
+    assert np.array_equal(complement.frame, frame @ np.diag([1.0, -1.0, -1.0]))
+
+
 def test_rotation_is_deterministic():
     zeta = unit_vector([0.3, -0.7, 0.2])
     assert np.array_equal(rotation_to_pole(zeta), rotation_to_pole(zeta))

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +228,113 @@ class TestCsv:
             "neumann": lambda data: neumann_solve_cap(CAP, data, 0.0, probes),
         }[consumer]
         assert np.array_equal(solve(loaded), solve(original))
+
+
+def _reference_table(path) -> np.ndarray:
+    """The rows of a field CSV as the join/split/float pass read them before
+    numpy's reader did: every non-blank row after the header, with the
+    schema's comma count, through one join, one split and one float
+    conversion."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = lines[2:] if lines[0].startswith("# grid") else lines[1:]
+    body = [line for line in lines if line.strip()]
+    width = body[0].count(",") + 1
+    assert all(line.count(",") == width - 1 for line in body)
+    return np.array(list(map(float, ",".join(body).split(",")))).reshape(-1, width)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+EDGE_FILES = {
+    "crlf": ("# grid kind=sphere-area nt=2 nphi=4\r\nlon_deg,lat_deg,value\r\n"
+             "0,10,1.0\r\n5,10,2.0\r\n", [1.0, 2.0]),
+    "whitespace-lines": ("lon_deg,lat_deg,value\n0,10,1.0\n \t \n5,10,2.0\n", [1.0, 2.0]),
+    "empty-body": ("# grid kind=sphere-area nt=2 nphi=4\nlon_deg,lat_deg,value\n", []),
+    "underscore": ("lon_deg,lat_deg,value\n0,10,1_0\n", [10.0]),
+    "tab-in-cell": ("lon_deg,lat_deg,value\n0,10,1\t0\n",
+                    "row 2: could not convert string to float: '1\\t0'"),
+    "hash-in-row": ("lon_deg,lat_deg,value\n0,10,1.0\n5,10,2.0 # c\n",
+                    "row 3: could not convert string to float: '2.0 # c'"),
+}
+
+
+class TestReader:
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_sphere_grid(24, 48),
+            build_cap_grid(SphericalCap(np.array([0.0, 0.0, 1.0]), 0.5), 16, 32),
+            build_cap_grid(SphericalCap(unit_vector([0.3, 0.2, 1.0]), 0.9), 16, 32),
+            build_boundary_grid(CAP, 64),
+        ],
+        ids=["sphere", "polar", "tilted", "boundary"],
+    )
+    def test_values_match_the_join_split_pass(self, tmp_path, grid, vector):
+        path = tmp_path / "field.csv"
+        save_field_csv(path, _edge_samples(grid, vector))
+        loaded = load_field_csv(path)
+        table = _reference_table(path)
+        values = table[:, 2:] if vector else table[:, 2]
+        assert _same_bits(loaded.values, values)
+        assert _same_bits(loaded.lons, table[:, 0])
+        assert _same_bits(loaded.lats, table[:, 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_17_digit_cells_match_the_join_split_pass(self, tmp_path, seed):
+        # decimal text that no double prints as: every cell must round to
+        # the nearest double as float() rounds it
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(0, 10, size=(500, 3, 17))
+        signs = rng.choice(["", "-"], size=(500, 3))
+        exps = rng.integers(-320, 300, size=(500, 3))
+        rows = [
+            ",".join([str(i), str(seed)] + [
+                f"{signs[i, j]}{d[0]}.{''.join(map(str, d[1:]))}e{exps[i, j]}"
+                for j, d in enumerate(digits[i])
+            ])
+            for i in range(500)
+        ]
+        path = tmp_path / "digits.csv"
+        path.write_text("lon_deg,lat_deg,vx,vy,vz\n" + "\n".join(rows) + "\n")
+        table = _reference_table(path)
+        assert _same_bits(load_field_csv(path).values, table[:, 2:])
+
+    @pytest.mark.parametrize("name", EDGE_FILES)
+    def test_edge_files_load_or_fail_as_the_row_pass(self, tmp_path, name):
+        text, expected = EDGE_FILES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(CsvFormatError) as info:
+                    load_field_csv(path)
+                assert str(info.value) == expected
+                return
+            values = load_field_csv(path).values
+        assert values.shape == (len(expected),)
+        assert values.tolist() == expected
+
+    def test_load_peak(self, tmp_path):
+        # the 64x128 cap grid of vertical-deflections at the CLI defaults
+        cfg = config_from_args(["vertical-deflections"])
+        cap = cfg.cap()
+        coeffs = synth_field(cfg.seed, cfg.nmin, cfg.nmax)
+        _, theta = vd_forward(coeffs, cap, build_cap_grid(cap, cfg.nt, cfg.nphi))
+        path = tmp_path / "theta.csv"
+        save_field_csv(path, theta)
+        load_field_csv(path)
+        tracemalloc.start()
+        try:
+            loaded = load_field_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.samples is not None and loaded.values.shape == (64 * 128, 3)
+        assert peak <= 2.5e6
 
 
 class TestConfig:

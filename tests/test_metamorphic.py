@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_interior_points
+from sphaerica.apps import random_vortices, vortex_exact
 from sphaerica.decomposition import d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import (
@@ -145,16 +146,17 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
 # path (invert_gradient at nodes), on the dense path (decompose_cap_at,
 # surface_potential and poisson_solve_cap at interior points) and in the
 # chart series (inner harmonics and their gradients, of several degrees and
-# both orders). Every gap 1 - x . eta multiplies a single x as a stack
-# (kernels.gap), and so does the cap reflection's x . zeta; the chart's
-# x @ (a1, a2, zeta) is one (P, 3) @ (3, 3) product and its series runs
-# point by point. Not a guarantee of the BLAS: on OpenBLAS 0.3.31 a row of a
-# (P, 3) @ (3, N) gemm can depend on its place in the block for N >= 196
-# with N mod 8 in {4, 5, 6, 7}; these grids have N = 1152. Left out
-# (ROADMAP item 13): sh_eval and sh_grad_eval, whose complex Horner step
-# rounds a point by its place (a real Horner cost +30% to +111% per call),
-# and vortex_exact and mfs_eval, whose gemv over the vortices or sources
-# does (a per-row sum cost +26% per mfs_eval).
+# both orders), and in the vortex stream function, whose targets are the
+# columns of its block. Every gap 1 - x . eta multiplies a single x, or a
+# single eta, as a stack (kernels.gap), and so does the cap reflection's
+# x . zeta; the chart's x @ (a1, a2, zeta) is one (P, 3) @ (3, 3) product
+# and its series runs point by point; the vortices are summed row by row.
+# Not a guarantee of the BLAS: on OpenBLAS 0.3.31 a row of a (P, 3) @ (3, N)
+# gemm can depend on its place in the block for N >= 196 with N mod 8 in
+# {4, 5, 6, 7}; these grids have N = 1152. Left out (ROADMAP item 13):
+# sh_eval and sh_grad_eval, whose complex Horner step rounds a point by its
+# place (a real Horner cost +30% to +111% per call), and mfs_eval, whose
+# gemv over the sources does (a per-row sum cost +26% per mfs_eval).
 POINT_CAPS = {
     "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9),
     "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
@@ -166,6 +168,7 @@ POINT_EVALUATORS = (
     "poisson_solve_cap",
     "inner_harmonic_eval",
     "inner_harmonic_grad",
+    "vortex_exact",
 )
 INNER_INDICES = ((0, 1), (1, 1), (2, 2), (3, 1), (3, 2), (5, 2), (8, 1), (9, 2))
 
@@ -183,6 +186,15 @@ def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
 
         def evaluate(q):
             return np.stack([inner(idx, q) for idx in indices], axis=1)
+
+    elif evaluator == "vortex_exact":
+        # more than 8 vortices: numpy sums 8 or more rows of one column
+        # pairwise, but a wider block row by row
+        vortices = random_vortices(cap, 12, 0)
+        targets = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+
+        def evaluate(q):
+            return vortex_exact(cap, vortices, q)
 
     elif evaluator == "invert_gradient":
         samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
@@ -213,3 +225,20 @@ def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
     assert np.array_equal(evaluate(targets[order]), stack[order])
     alone = np.array([evaluate(q[None])[0] for q in targets])
     assert np.array_equal(alone, stack)
+
+
+def test_contains_decides_a_point_alone_as_in_a_stack():
+    # a lone xi @ center is a dot product, which can round differently from
+    # its row of the stacked product; with the radius at either value of
+    # 1 - t, the point lies on the boundary in exactly one of them
+    rng = np.random.default_rng(0)
+    pts = unit_vector(rng.normal(size=(400, 3)))
+    center = unit_vector(rng.normal(size=3))
+    stacked = 1.0 - pts @ center
+    lone = 1.0 - np.array([p @ center for p in pts])
+    valid = (0.0 < np.minimum(stacked, lone)) & (np.maximum(stacked, lone) < 2.0)
+    for i in np.flatnonzero(valid):
+        for radius in (stacked[i], lone[i]):
+            cap = SphericalCap(center, radius)
+            assert cap.contains(pts[i]) == cap.contains(pts)[i]
+            assert cap.contains(pts[i]) == cap.contains(pts[i : i + 1])[0]
