@@ -12,12 +12,19 @@ subtracted D^-1 sum (decomposition.d_inv_convolve). A log term's value at
 a pair is (x . g_j) Q_ij, so its (P, 3) sum is dotted with its points x:
 the gradient sum is x . (Q F). apply_kernel sums a scalar kernel against
 w h. grad_convolution sums a KernelSpec's gradient, and grad_convolutions
-several at once: their log terms are grouped by (reflected, scale), so the
-cap split's Neumann F2 and Dirichlet F3 share each Q block (and, at the
-nodes, its spectrum), and the Neumann centre column is summed once, to a
-scalar. Boundary integrals never come here: the cap solvers and the layer
-potentials are rim series (harmonics._rim_series), and the global operators
-on sphere grids are spherical-harmonic transforms (harmonics.sh_analyze).
+several at once: their log terms are grouped by (reflected, scale), so
+sums with the same points and scale share each Q block (and, at the nodes,
+its spectrum), and a Neumann centre column is summed once, to a scalar.
+The callers: the surface potential on cap grids, invert_gradient on sphere
+grids, the pointwise D^-1 (decomposition.d_inv_convolve), and the direct
+log term of the cap gradient sums (modes.gradient_sums) at the scales and
+targets where its closed-form series in 2^-J does not hold. The cap
+gradient sums themselves (invert_gradient and the cap split on cap grids)
+run per longitude mode in modes.py; the sums here with a cap kernel remain
+as the tests' reference for them. Boundary integrals never come here: the
+cap solvers and the layer potentials are rim series
+(harmonics._rim_series), and the global operators on sphere grids are
+spherical-harmonic transforms (harmonics.sh_analyze).
 The backend follows from the targets:
 
 - targets that are grid nodes (bitwise equal to grid.nodes[idx], the rule

@@ -7,9 +7,10 @@ diagonal in spherical harmonics, so the global splits analyse the field on
 its sphere grid (harmonics.sh_analyze), act on the coefficients and
 synthesize the scalars at the nodes (harmonics.sh_synthesize): exact below
 the grid's band. On caps the scalars are recovered by convolving the field
-with the Neumann and Dirichlet cap kernels' gradients, plus one rim series
-of the F3 trace (harmonics._rim_series): its real part in F3, minus its
-imaginary part in F2. The Hardy-Hodge variant recombines the Helmholtz
+with the Neumann and Dirichlet cap kernels' gradients, per longitude mode
+in one pass for both (modes.gradient_sums), plus one rim series of the F3
+trace (harmonics._rim_series): its real part in F3, minus its imaginary
+part in F2. The Hardy-Hodge variant recombines the Helmholtz
 scalars through the half-integer shifted square root of the (shifted)
 surface Laplacian, whose inverse acts spectrally as 1/(n + 1/2) and
 pointwise as a weakly singular convolution (d_inv_convolve), one ring sum
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._convolution import _term_sums, grad_convolution, grad_convolutions
+from ._convolution import _term_sums
 from .geometry import on_points
 from .harmonics import (
     ShCoefficients,
@@ -37,7 +38,8 @@ from .harmonics import (
     sh_grad_eval,
     sh_synthesize,
 )
-from .kernels import _SING_TOL, KIND_DIRICHLET, KIND_NEUMANN, KernelSpec, gap
+from .kernels import _SING_TOL, KIND_DIRICHLET, KIND_NEUMANN, gap
+from .modes import gradient_sums
 from .quadrature import KIND_BOUNDARY, KIND_SPHERE, FieldSamples, mean_value
 from .solvers import _cap_boundary_samples, default_scale
 
@@ -123,10 +125,11 @@ def decompose_cap_at(
     terms as one rim series S = sum_k c_k w^k (harmonics._rim_series): F3
     adds Re S, the trace's harmonic extension, and F2 adds -Im S, minus its
     harmonic conjugate: by Cauchy-Riemann in the conformal chart, the rim
-    integral of d_tau G_N F3. Points must lie 1e-6 inside the rim, checked
-    after the area sums, so a point outside the cap fails in their kernels'
-    reflected term. The two area sums share one Q block per log term, and at grid
-    nodes its spectrum (_convolution.grad_convolutions).
+    integral of d_tau G_N F3. Points must lie inside the cap (the cap
+    reflection's rule and message) and 1e-6 inside the rim, both checked
+    before any area work. The two area sums, the Neumann kernel against f
+    and the Dirichlet kernel against f x eta, run per longitude mode in one
+    pass (modes.gradient_sums), J by its series where that holds.
     boundary_f3 is the F3 trace as for helmholtz_decompose_cap, or
     FieldSamples on a boundary grid of the cap, whose node count then
     replaces m (the cap solvers' rule, solvers._cap_boundary_samples).
@@ -148,12 +151,14 @@ def decompose_cap_at(
     c = _rim_coefficients(trace.values)
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    spec_n = KernelSpec(KIND_NEUMANN, cap=cap, scale=scale)
-    spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
-    # one pass for both area sums: they share each Q block
-    f2, f3 = grad_convolutions(samples, [(spec_n, False), (spec_d, True)], pts)
+    if not np.all(cap.contains(pts)):
+        raise ValueError("the cap reflection requires points inside the cap")
     if not np.all(cap.contains(pts, margin=1e-6)):
         raise ValueError("evaluation points must be strictly interior")
+    # one mode pass for both area sums: the Neumann kernel against f (F2)
+    # and the Dirichlet kernel against f x eta (F3)
+    sums = [(KIND_NEUMANN, False), (KIND_DIRICHLET, True)]
+    f2, f3 = gradient_sums(samples, sums, pts, scale)
     rim = _rim_series(cap, c, pts)
     f2 = f2 - rim.imag
     f3 = f3 + rim.real
@@ -162,7 +167,7 @@ def decompose_cap_at(
         f2_nodes = (
             f2
             if np.array_equal(pts, nodes)
-            else grad_convolution(samples, spec_n, nodes, curl=False)
+            else gradient_sums(samples, sums[:1], nodes, scale)[0]
             - _rim_series(cap, c, nodes).imag
         )
         f2 = f2 - mean_value(FieldSamples(grid, f2_nodes))

@@ -12,7 +12,7 @@ grid and node lookup of that cap reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,9 +107,7 @@ class SphericalCap:
     @cached_property
     def frame(self) -> np.ndarray:
         """rotation_to_pole(center), built on first use and read-only."""
-        frame = rotation_to_pole(self.center)
-        frame.setflags(write=False)
-        return frame
+        return rotation_to_pole(self.center)
 
     @property
     def boundary_sine(self) -> float:
@@ -142,15 +140,24 @@ def rotation_to_pole(zeta) -> np.ndarray:
     (north) or the rotation by pi about the x axis (south) only when the cross
     product is too short to normalize. It satisfies rotation_to_pole(-zeta)
     = rotation_to_pole(zeta) @ diag(1, -1, -1), so charts of antipodal caps
-    stay mirror-aligned.
+    stay mirror-aligned. The matrix is read-only and built once per centre:
+    the last few are kept, keyed by the bits of the normalized zeta.
     """
-    zeta = unit_vector(zeta)
+    return _rotation_of(unit_vector(zeta).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _rotation_of(bits: bytes) -> np.ndarray:
+    """rotation_to_pole of the unit vector with these float64 bits."""
+    zeta = np.frombuffer(bits)
     cross = np.cross(E3, zeta)
     if np.linalg.norm(cross) < 1e-12:
-        return np.eye(3) if zeta[2] > 0.0 else np.diag([1.0, -1.0, -1.0])
-    v = unit_vector(cross)
-    u = np.cross(v, zeta)
-    return np.column_stack([u, v, zeta])
+        frame = np.eye(3) if zeta[2] > 0.0 else np.diag([1.0, -1.0, -1.0])
+    else:
+        v = unit_vector(cross)
+        frame = np.column_stack([np.cross(v, zeta), v, zeta])
+    frame.setflags(write=False)
+    return frame
 
 
 def _chart_products(frame: np.ndarray, zeta: np.ndarray, xi):

@@ -19,9 +19,8 @@ KIND_CAP = "cap-area"
 KIND_SPHERE = "sphere-area"
 KIND_BOUNDARY = "boundary-line"
 
-# the frame of every sphere grid, rotation_to_pole(E3)
+# the frame of every sphere grid, rotation_to_pole(E3), read-only
 _SPHERE_FRAME = rotation_to_pole(E3)
-_SPHERE_FRAME.setflags(write=False)
 
 
 @dataclass(frozen=True)

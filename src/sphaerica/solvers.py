@@ -4,13 +4,15 @@ On full-sphere grids the surface potential is exact below the grid's band:
 the fundamental solution acts on spherical harmonics of degree n as
 -1/(n (n + 1)) (and annihilates constants), so the samples are analysed
 (harmonics.sh_analyze), scaled and synthesized at the nodes or evaluated at
-other points. On cap grids the potential and every gradient-kernel
-convolution (invert_gradient and everything built on it) integrate the
-scale-J regularized kernel directly; J defaults to a value tied to the grid
-resolution. Those area sums run through _convolution (apply_kernel, or
-grad_convolution for gradient kernels), which picks ring-FFT or dense
-summation from the evaluation points; invert_gradient sums the fundamental
-solution that way on sphere grids too.
+other points. On cap grids invert_gradient (and everything built on it)
+sums the Neumann kernel's gradient per longitude mode (modes.gradient_sums):
+the unregularized operator, exact below the grid's band, plus the
+closed-form series in 2^-J where it holds, and elsewhere the regularized
+direct log term of _convolution. The surface potential on cap grids still
+integrates the scale-J regularized kernel directly (_convolution.apply_kernel,
+ring-FFT or dense from the evaluation points), and so does invert_gradient
+with the fundamental solution on sphere grids; J defaults to a value tied
+to the grid resolution.
 
 The cap boundary solvers are not kernel sums: they evaluate their integrals
 exactly on the trigonometric interpolant of the rim data, as the chart
@@ -30,6 +32,7 @@ from .geometry import SphericalCap, on_points, unit_vector
 from .harmonics import _inverse_degree, _rim_coefficients, _rim_series, _synthesize_rings
 from .harmonics import scale_degrees, sh_analyze, sh_eval, sh_synthesize
 from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, gap, kernel_value_matrix
+from .modes import gradient_sums
 from .quadrature import (
     KIND_BOUNDARY,
     KIND_CAP,
@@ -246,8 +249,10 @@ def invert_gradient(
 
     mode "grad" treats the samples as grad U, mode "curl" as curl-grad U.
     Returns -integral (D_eta K)(xi, eta) . f(eta) with K the Neumann cap
-    kernel (cap grids) or the fundamental solution (sphere grids),
-    regularized at the given scale. The caller adds any desired mean.
+    kernel (cap grids, per longitude mode: modes.gradient_sums) or the
+    fundamental solution (sphere grids, the kernel sums of _convolution),
+    regularized at the given scale. The caller adds any desired mean. On a
+    cap grid the points must lie inside the cap.
     """
     if mode not in ("grad", "curl"):
         raise ValueError("mode must be 'grad' or 'curl'")
@@ -256,10 +261,17 @@ def invert_gradient(
     grid = samples.grid
     if scale is None:
         scale = default_scale(grid)
-    kind = KIND_FUNDAMENTAL if grid.kind == KIND_SPHERE else KIND_NEUMANN
-    spec = KernelSpec(kind, cap=grid.cap, scale=scale)
     curl = mode == "curl"
-    return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
+    if grid.kind == KIND_SPHERE:
+        spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
+        return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
+
+    def evaluate(pts):
+        if not np.all(grid.cap.contains(pts)):
+            raise ValueError("the cap reflection requires points inside the cap")
+        return gradient_sums(samples, [(KIND_NEUMANN, curl)], pts, scale)[0]
+
+    return on_points(xi, evaluate)
 
 
 def mvp_residual(evaluator, probe_cap: SphericalCap, which: str) -> float:

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
-from sphaerica import _convolution
-from sphaerica._convolution import apply_kernel, grad_convolution
+from sphaerica import _convolution, decomposition
+from sphaerica._convolution import apply_kernel, grad_convolution, grad_convolutions
 from sphaerica.decomposition import (
     d_apply,
     d_inv_convolve,
@@ -198,6 +198,20 @@ def _rim_kernel_split(samples, pts, trace_fn, scale, m):
     )
 
 
+def _quadrature_area_sums(samples, sums, points, scale):
+    """The cap split's area sums as the regularized kernel sums of
+    _convolution (grad_convolutions), in place of modes.gradient_sums."""
+    cap = samples.grid.cap
+    specs = [(KernelSpec(kind, cap=cap, scale=scale), curl) for kind, curl in sums]
+    return grad_convolutions(samples, specs, points)
+
+
+@pytest.fixture
+def quadrature_split(monkeypatch):
+    """decompose_cap_at with its area sums on the kernel sums."""
+    monkeypatch.setattr(decomposition, "gradient_sums", _quadrature_area_sums)
+
+
 # polar, tilted, wide, and snapped south (rotation_to_pole gives
 # diag(1, -1, -1))
 PIN_CAPS = {
@@ -240,7 +254,9 @@ class TestCapDecomposition:
         assert np.abs(err2).max() < 1.5e-3
         assert np.abs(f3 - sh_eval(s, pts)).max() < 1.5e-3
 
-    def test_shared_q_blocks_keep_the_separate_sums(self, rng):
+    def test_shared_q_blocks_keep_the_separate_sums(self, rng, quadrature_split):
+        # with the split's area sums on the kernel sums of _convolution
+        # (quadrature_split; the split itself sums per longitude mode),
         # F2 and F3 share one Q block per log term, off the nodes and at
         # them (there with its spectrum); each keeps the bits of its own
         # one-sum call, which off the nodes are those of the separate
@@ -303,9 +319,10 @@ class TestCapDecomposition:
 
     @pytest.mark.parametrize("name", PIN_CAPS)
     @pytest.mark.parametrize("m", [64, 65, 512])
-    def test_boundary_terms_match_the_rim_kernel_sums(self, name, m):
+    def test_boundary_terms_match_the_rim_kernel_sums(self, name, m, quadrature_split):
         # the rim kernels' trapezoid sums and the solvers' sums approximate
-        # the same integrals, and agree once both have converged: within
+        # the same integrals, and agree once both have converged (both
+        # sides take the area sums of _convolution, quadrature_split): within
         # 0.8 rho at m = 512, within 0.4 rho at m = 64 and 65 (at 0.8 rho
         # there they differ by their quadrature errors, up to 5e-5)
         cap = PIN_CAPS[name]
@@ -322,8 +339,7 @@ class TestCapDecomposition:
 
     def test_probe_at_the_rim_raises(self):
         # the boundary terms keep the Dirichlet solver's strict interior
-        # rule; the area sums run first, so a probe outside the cap still
-        # fails in the area kernel
+        # rule, checked before the area sums, after the cap's own rule
         grid = build_cap_grid(self.CAP, 12, 24)
         _, _, samples, trace = self._field(grid)
         rho = self.CAP.radius

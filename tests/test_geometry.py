@@ -90,6 +90,27 @@ def test_rotation_is_deterministic():
     assert np.array_equal(rotation_to_pole(zeta), rotation_to_pole(zeta))
 
 
+def _rotation_built(zeta):
+    """rotation_to_pole as built on every call before it was kept."""
+    zeta = unit_vector(zeta)
+    cross = np.cross(E3, zeta)
+    if np.linalg.norm(cross) < 1e-12:
+        return np.eye(3) if zeta[2] > 0.0 else np.diag([1.0, -1.0, -1.0])
+    v = unit_vector(cross)
+    return np.column_stack([np.cross(v, zeta), v, zeta])
+
+
+@pytest.mark.parametrize("name", FRAME_CENTERS)
+def test_rotation_is_kept_per_centre_with_its_bits(name):
+    zeta = FRAME_CENTERS[name]
+    frame = rotation_to_pole(zeta)
+    assert not frame.flags.writeable
+    assert rotation_to_pole(zeta.copy()) is frame
+    assert np.array_equal(frame.view(np.int64), _rotation_built(zeta).view(np.int64))
+    # an unnormalized centre is normalized first, as before
+    assert np.array_equal(rotation_to_pole(3.0 * zeta), _rotation_built(3.0 * zeta))
+
+
 def test_stereographic_basic_values():
     assert_allclose(stereographic_project(E3, E3), [0.0, 0.0], atol=1e-15)
     assert_allclose(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_interior_points
+from conftest import random_interior_points, rim_ring
 from sphaerica.apps import random_vortices, vortex_exact
 from sphaerica.decomposition import d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
@@ -93,7 +93,7 @@ def test_cap_results_rotate_with_the_cap(angle, tilt, lon, radius, seed):
     trace = np.cos(phis) - 0.5 * np.sin(3 * phis) + 0.25
     flux = np.cos(2 * phis) + 0.5 * np.sin(phis)
 
-    # the cap split at off-grid probes (the dense path)
+    # the cap split at off-grid probes (the mode path, interpolated in t)
     for got, want in zip(
         decompose_cap_at(samples_r, probes_r, boundary_f3=trace, scale=SCALE, m=M),
         decompose_cap_at(samples, probes, boundary_f3=trace, scale=SCALE, m=M),
@@ -109,17 +109,17 @@ def test_cap_results_rotate_with_the_cap(angle, tilt, lon, radius, seed):
         neumann_solve_cap(cap, flux, 0.5, probes, m=M),
         1e-12,
     )
-    # the gradient inversion at the nodes (the ring path). Ring 0 borders
-    # the rim: its nodes' images lie just outside it, so the unregularized
-    # image term of the Neumann kernel is near-singular there and magnifies
-    # the rounding of the rotated nodes (up to 1.2e-11 of the sup in 300
-    # draws, alike at J = 6 to 16; ROADMAP 7(b)). The other rings keep 1e-12.
+    # the gradient inversion at the nodes (the mode path, one inverse rFFT
+    # per ring). Ring 0 borders the rim; the kernel sums' image term was
+    # near-singular there and moved it by up to 1.2e-11 of the sup, but per
+    # mode the image term is the smooth (s s'/R^2)^m: 7.1e-14 on ring 0 and
+    # 1.7e-13 elsewhere in 300 draws (ROADMAP 7(b))
     got = invert_gradient(samples_r, "grad", SCALE, grid_r.nodes)
     want = invert_gradient(samples, "grad", SCALE, grid.nodes)
     n_phi = SHAPE[1]
     err = np.abs(got - want) / np.abs(want).max()
     assert err[n_phi:].max() <= 1e-12
-    assert err[:n_phi].max() <= 5e-11
+    assert err[:n_phi].max() <= 1e-12
 
 
 @given(
@@ -142,9 +142,13 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
     assert np.abs(d_inv_convolve(moved, nodes) - (d_inv + 2.0 * c)).max() <= bound
 
 
-# A point gets the same bits alone as in a stack, in any order: on the ring
-# path (invert_gradient at nodes), on the dense path (decompose_cap_at,
-# surface_potential and poisson_solve_cap at interior points) and in the
+# A point gets the same bits alone as in a stack, in any order: in the mode
+# path of the cap gradient sums at nodes (invert_gradient, one inverse rFFT
+# per ring) and off them (invert_gradient and decompose_cap_at: each mode's
+# barycentric interpolant and the trigonometric series are summed point by
+# point), in one stack of points that take the J series and points near the
+# rim that take the regularized kernel sums, on the dense path
+# (surface_potential and poisson_solve_cap at interior points) and in the
 # chart series (inner harmonics and their gradients, of several degrees and
 # both orders), and in the vortex stream function, whose targets are the
 # columns of its block. Every gap 1 - x . eta multiplies a single x, or a
@@ -160,9 +164,12 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
 POINT_CAPS = {
     "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9),
     "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
+    "south": SphericalCap(np.array([0.0, 0.0, -1.0]), 0.7),
+    "wide": SphericalCap(unit_vector([0.3, 0.5, -0.2]), 1.4),
 }
 POINT_EVALUATORS = (
     "invert_gradient",
+    "invert_gradient_off_nodes",
     "decompose_cap_at",
     "surface_potential",
     "poisson_solve_cap",
@@ -171,6 +178,14 @@ POINT_EVALUATORS = (
     "vortex_exact",
 )
 INNER_INDICES = ((0, 1), (1, 1), (2, 2), (3, 1), (3, 2), (5, 2), (8, 1), (9, 2))
+
+
+def series_and_rim_targets(cap):
+    """40 interior points, whose J = 12 discs lie inside the cap, then 8 at
+    1 - 1e-3 of the radius, whose discs cross the rim, interleaved."""
+    inner = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+    targets = np.concatenate([inner, rim_ring(cap, 1e-3, 8)])
+    return targets[np.random.default_rng(2).permutation(len(targets))]
 
 
 @pytest.mark.parametrize("evaluator", POINT_EVALUATORS)
@@ -196,16 +211,19 @@ def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
         def evaluate(q):
             return vortex_exact(cap, vortices, q)
 
-    elif evaluator == "invert_gradient":
+    elif evaluator.startswith("invert_gradient"):
         samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
-        targets = grid.nodes[::7]
+        if evaluator.endswith("off_nodes"):
+            targets = series_and_rim_targets(cap)
+        else:
+            targets = grid.nodes[::7]
 
         def evaluate(q):
             return invert_gradient(samples, "grad", SCALE, q)
 
     elif evaluator == "decompose_cap_at":
         samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)
-        targets = random_interior_points(cap, np.random.default_rng(0), 40, 0.9)
+        targets = series_and_rim_targets(cap)
 
         def evaluate(q):
             f2, f3 = decompose_cap_at(samples, q, scale=SCALE, m=M, demean=False)
