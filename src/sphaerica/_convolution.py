@@ -11,12 +11,12 @@ kernel, w g for a log term (kernels.grad_terms), w h and w for the
 subtracted D^-1 sum (decomposition.d_inv_convolve). A log term's value at
 a pair is (x . g_j) Q_ij, so its (P, 3) sum is dotted with its points x:
 the gradient sum is x . (Q F). apply_kernel sums a scalar kernel against
-w h. grad_convolution sums a KernelSpec's gradient, and grad_convolutions
-several at once: their log terms are grouped by (reflected, scale), so
-sums with the same points and scale share each Q block (and, at the nodes,
-its spectrum), and a Neumann centre column is summed once, to a scalar.
-The callers: the surface potential on cap grids, invert_gradient on sphere
-grids, the pointwise D^-1 (decomposition.d_inv_convolve), and the direct
+w h. grad_convolutions sums the gradients of one or more KernelSpecs: their
+log terms are grouped by (reflected, scale), so sums with the same points
+and scale share each Q block (and, at the nodes, its spectrum), and a
+Neumann centre column is summed once, to a scalar.
+The callers: the surface potential on cap grids, the pointwise D^-1
+(decomposition.d_inv_convolve, the one sum on sphere grids), and the direct
 log term of the cap gradient sums (modes.gradient_sums) at the scales and
 targets where its closed-form series in 2^-J does not hold. The cap
 gradient sums themselves (invert_gradient and the cap split on cap grids)
@@ -103,14 +103,10 @@ def apply_kernel(kernel, samples, points: np.ndarray) -> np.ndarray:
     return sums[:, 0]
 
 
-def grad_convolution(samples, spec, points: np.ndarray, curl: bool) -> np.ndarray:
-    """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j for the KernelSpec K; with curl,
-    D = eta x grad, summed as the gradient against f x eta (same product)."""
-    return grad_convolutions(samples, [(spec, curl)], points)[0]
-
-
 def grad_convolutions(samples, sums, points: np.ndarray) -> list:
-    """grad_convolution for each (spec, curl) of sums, at the same points.
+    """-sum_j w_j (D_eta K(xi_i, eta_j)) . f_j for the KernelSpec K of each
+    (spec, curl) of sums, at the same points; with curl, D = eta x grad,
+    summed as the gradient against f x eta (same product).
 
     Log terms with the same points and scale form one group, whose Q block
     serves each sum with its own columns (module docstring); the specs of

@@ -1,18 +1,18 @@
 """Surface potentials and boundary value solvers on caps and the sphere.
 
-On full-sphere grids the surface potential is exact below the grid's band:
-the fundamental solution acts on spherical harmonics of degree n as
--1/(n (n + 1)) (and annihilates constants), so the samples are analysed
-(harmonics.sh_analyze), scaled and synthesized at the nodes or evaluated at
-other points. On cap grids invert_gradient (and everything built on it)
-sums the Neumann kernel's gradient per longitude mode (modes.gradient_sums):
-the unregularized operator, exact below the grid's band, plus the
-closed-form series in 2^-J where it holds, and elsewhere the regularized
-direct log term of _convolution. The surface potential on cap grids still
-integrates the scale-J regularized kernel directly (_convolution.apply_kernel,
-ring-FFT or dense from the evaluation points), and so does invert_gradient
-with the fundamental solution on sphere grids; J defaults to a value tied
-to the grid resolution.
+On full-sphere grids the surface potential and invert_gradient are exact
+below the grid's band: the fundamental solution acts on spherical
+harmonics of degree n as -1/(n (n + 1)) (and annihilates constants), and
+its scale-J regularization as 1 - n (n + 1) lambda_n(J) on the scalar
+whose gradient is inverted, so the samples are analysed, scaled and
+evaluated (_sphere_values). On cap grids invert_gradient (and everything
+built on it) sums the Neumann kernel's gradient per longitude mode
+(modes.gradient_sums): the unregularized operator, exact below the grid's
+band, plus the closed-form series in 2^-J where it holds, and elsewhere
+the regularized direct log term of _convolution. The surface potential on
+cap grids still integrates the scale-J regularized kernel directly
+(_convolution.apply_kernel, ring-FFT or dense from the evaluation points);
+J defaults to a value tied to the grid resolution.
 
 The cap boundary solvers are not kernel sums: they evaluate their integrals
 exactly on the trigonometric interpolant of the rim data, as the chart
@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import legendre
 
-from ._convolution import apply_kernel, grad_convolution
+from ._convolution import apply_kernel
 from .geometry import SphericalCap, on_points, unit_vector
 from .harmonics import _inverse_degree, _rim_coefficients, _rim_series, _synthesize_rings
-from .harmonics import scale_degrees, sh_analyze, sh_eval, sh_synthesize
-from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, gap, kernel_value_matrix
-from .modes import gradient_sums
+from .harmonics import ShCoefficients, scale_degrees, sh_analyze, sh_eval, sh_synthesize
+from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, _log_term, gap, kernel_value_matrix
+from .modes import _gauss, gradient_sums
 from .quadrature import (
     KIND_BOUNDARY,
     KIND_CAP,
@@ -72,6 +73,22 @@ def default_scale(grid: QuadratureGrid) -> int:
     return int(np.ceil(np.log2(1.0 / h))) + 2
 
 
+def _sphere_values(grid, c: ShCoefficients, pts: np.ndarray) -> np.ndarray:
+    """The expansion c at stacked points: synthesized on the rings that hold
+    node targets (grid.node_indices), evaluated by sh_eval elsewhere."""
+    idx = grid.node_indices(pts)
+    if idx is None:
+        return sh_eval(c, pts)
+    n_t, n_phi = grid.shape
+    held = np.zeros(n_t, bool)  # not np.unique: its first call imports numpy.ma
+    held[idx // n_phi] = True
+    if held.all():  # every ring: the whole synthesis
+        return sh_synthesize(grid, c)[0, idx]
+    rings = np.flatnonzero(held)
+    values = _synthesize_rings(grid, [c], rings)[0]
+    return values[np.searchsorted(rings, idx // n_phi), idx % n_phi]
+
+
 def surface_potential(
     samples: FieldSamples,
     xi,
@@ -82,30 +99,15 @@ def surface_potential(
 
     On a full-sphere grid it is the samples' expansion
     (harmonics.sh_analyze) with degree n scaled by -1/(n (n + 1)) and the
-    mean dropped, synthesized on the rings that hold node targets
-    (grid.node_indices) and evaluated by sh_eval elsewhere; scale is
-    ignored there. On a cap grid it is the quadrature sum, where nodes with
-    1 - xi . eta < 2^-scale use the linear continuation of the log kernel.
+    mean dropped (_sphere_values); scale is ignored there. On a cap grid it
+    is the quadrature sum, where nodes with 1 - xi . eta < 2^-scale use the
+    linear continuation of the log kernel.
     xi_values is ignored; it goes once the benchmark stops passing it.
     """
     grid = samples.grid
     if grid.kind == KIND_SPHERE:
         c = scale_degrees(sh_analyze(samples), lambda n: -_inverse_degree(n))
-
-        def expansion(pts):
-            idx = grid.node_indices(pts)
-            if idx is None:
-                return sh_eval(c, pts)
-            n_t, n_phi = grid.shape
-            held = np.zeros(n_t, bool)  # not np.unique: its first call imports numpy.ma
-            held[idx // n_phi] = True
-            if held.all():  # every ring: the whole synthesis
-                return sh_synthesize(grid, c)[0, idx]
-            rings = np.flatnonzero(held)
-            values = _synthesize_rings(grid, [c], rings)[0]
-            return values[np.searchsorted(rings, idx // n_phi), idx % n_phi]
-
-        return on_points(xi, expansion)
+        return on_points(xi, partial(_sphere_values, grid, c))
     if scale is None:
         scale = default_scale(grid)
     kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=scale))
@@ -248,11 +250,12 @@ def invert_gradient(
     surface curl gradient sampled on a cap or sphere grid.
 
     mode "grad" treats the samples as grad U, mode "curl" as curl-grad U.
-    Returns -integral (D_eta K)(xi, eta) . f(eta) with K the Neumann cap
-    kernel (cap grids, per longitude mode: modes.gradient_sums) or the
-    fundamental solution (sphere grids, the kernel sums of _convolution),
-    regularized at the given scale. The caller adds any desired mean. On a
-    cap grid the points must lie inside the cap.
+    Returns T_J f = -integral (D_eta K)(xi, eta) . f(eta) with K the
+    Neumann cap kernel (cap grids, per longitude mode: modes.gradient_sums)
+    or the fundamental solution (sphere grids: G_J * div f, F2 or F3 of
+    sh_analyze scaled by _regularized_factor, exact below the band),
+    regularized at J = scale (default_scale(grid) if None). The caller adds
+    any desired mean. On a cap grid the points must lie inside the cap.
     """
     if mode not in ("grad", "curl"):
         raise ValueError("mode must be 'grad' or 'curl'")
@@ -263,8 +266,9 @@ def invert_gradient(
         scale = default_scale(grid)
     curl = mode == "curl"
     if grid.kind == KIND_SPHERE:
-        spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
-        return on_points(xi, lambda pts: grad_convolution(samples, spec, pts, curl))
+        KernelSpec(KIND_FUNDAMENTAL, scale=scale)  # the kernels' rule: J in [0, 53]
+        c = scale_degrees(sh_analyze(samples)[2 if curl else 1], partial(_regularized_factor, scale))
+        return on_points(xi, partial(_sphere_values, grid, c))
 
     def evaluate(pts):
         if not np.all(grid.cap.contains(pts)):
@@ -272,6 +276,18 @@ def invert_gradient(
         return gradient_sums(samples, [(KIND_NEUMANN, curl)], pts, scale)[0]
 
     return on_points(xi, evaluate)
+
+
+def _regularized_factor(scale: int, n: np.ndarray) -> np.ndarray:
+    """1 - n (n + 1) lambda_n at the degrees n = 0..L: lambda_n = 2 pi int c(u)
+    P_n(1 - u) du over u = 1 - xi . eta < 2^-J, c = G_J - G, by one Gauss
+    rule in v, u = 2^-J v^6, which smooths c's log singularity at u = 0."""
+    x, w = _gauss(200)
+    v = 0.5 * (x + 1.0)
+    u = 2.0**-scale * v**6
+    c = _log_term(u.copy(), scale) - np.log(u) / (4.0 * np.pi)
+    lam = legendre.legvander(1.0 - u, len(n) - 1).T @ (6.0 * np.pi * w * c * u / v)
+    return 1.0 - n * (n + 1.0) * lam
 
 
 def mvp_residual(evaluator, probe_cap: SphericalCap, which: str) -> float:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import random_interior_points
 from sphaerica import _convolution
-from sphaerica._convolution import _term_sums, apply_kernel, grad_convolution
+from sphaerica._convolution import _term_sums, apply_kernel, grad_convolutions
 from sphaerica.decomposition import (
     _d_inv_kernel,
     d_inv_convolve,
@@ -44,7 +44,12 @@ from sphaerica.quadrature import (
     build_cap_grid,
     build_sphere_grid,
 )
-from sphaerica.solvers import dirichlet_solve_cap, neumann_solve_cap, surface_potential
+from sphaerica.solvers import (
+    dirichlet_solve_cap,
+    invert_gradient,
+    neumann_solve_cap,
+    surface_potential,
+)
 
 SCALE = 10
 SPHERE = build_sphere_grid(16, 32)
@@ -75,7 +80,7 @@ def _vector(grid):
 
 
 def _rotated(grid):
-    # curl sums run as gradient sums of f x eta, as grad_convolution does
+    # curl sums run as gradient sums of f x eta, as grad_convolutions does
     return FieldSamples(grid, np.cross(_vector(grid).values, grid.nodes))
 
 
@@ -110,7 +115,7 @@ def _on_the_dense_path(evaluate):
 def _dense_grad(spec, samples, points):
     """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j: the contracted dense sum of
     one spec alone, at any targets."""
-    return _on_the_dense_path(lambda: -grad_convolution(samples, spec, points, curl=False))
+    return _on_the_dense_path(lambda: -grad_convolutions(samples, [(spec, False)], points)[0])
 
 
 def _value(spec):
@@ -161,7 +166,7 @@ def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
     if isinstance(kernel, KernelSpec):
         # node targets take the ring path, other targets the contracted sum
-        fast = _on_the_ring(lambda: -grad_convolution(samples, kernel, pts, curl=False))
+        fast = _on_the_ring(lambda: -grad_convolutions(samples, [(kernel, False)], pts)[0])
         ref = _dense_grad(kernel, samples, pts)
     elif subtract:
         # as d_inv_convolve sums: the kernel's rows against w h and w, and
@@ -259,10 +264,10 @@ def test_off_grid_area_sums_bit_identical_across_chunks(spec, curl, monkeypatch)
     pts = _off_grid_points()
     assert CAP_GRID.node_indices(pts) is None
     samples = _vector(CAP_GRID)
-    whole = grad_convolution(samples, spec, pts, curl)
+    whole = grad_convolutions(samples, [(spec, curl)], pts)[0]
     # three points per chunk on the 512-node area grid
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
-    assert np.array_equal(grad_convolution(samples, spec, pts, curl), whole)
+    assert np.array_equal(grad_convolutions(samples, [(spec, curl)], pts)[0], whole)
 
 
 def test_off_grid_surface_potential_bit_identical_across_chunks(monkeypatch):
@@ -277,14 +282,18 @@ def test_off_grid_surface_potential_bit_identical_across_chunks(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(32, 64), (48, 96), (64, 128)])
 def test_ring_node_value_does_not_depend_on_the_other_targets(shape):
-    # the subtracted row sums are summed row by row, so a node alone gives
-    # the bits it has inside a stack of nodes on many rings
+    # the subtracted row sums are summed row by row, and the transforms
+    # synthesize each ring alone, so a node alone gives the bits it has
+    # inside a stack of nodes on many rings
     grid = build_sphere_grid(*shape)
     samples = FieldSamples(grid, sh_eval(synth_field(5, 0, 6), grid.nodes))
+    field = _vector(grid)
     idx = np.arange(0, len(grid), 7)
     for evaluate in (
         lambda i: d_inv_convolve(samples, i),
         lambda i: surface_potential(samples, grid.nodes[i], scale=SCALE),
+        lambda i: invert_gradient(field, "grad", SCALE, grid.nodes[i]),
+        lambda i: invert_gradient(field, "curl", SCALE, grid.nodes[i]),
     ):
         stack = evaluate(idx)
         alone = np.array([evaluate(i) for i in idx[:, None]])[:, 0]
@@ -327,12 +336,12 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     pts = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
     expected = -_dense_grad(spec, samples, pts)
     monkeypatch.setattr(_convolution, "_ring", _refuse)
-    assert np.array_equal(grad_convolution(samples, spec, pts, False), expected)
+    assert np.array_equal(grad_convolutions(samples, [(spec, False)], pts)[0], expected)
     # one off-node point sends the whole set to the dense path
     mixed = grid.nodes[idx].copy()
     mixed[0] = pts[0]
     assert np.array_equal(
-        grad_convolution(samples, spec, mixed, False), -_dense_grad(spec, samples, mixed)
+        grad_convolutions(samples, [(spec, False)], mixed)[0], -_dense_grad(spec, samples, mixed)
     )
 
 
@@ -354,7 +363,7 @@ def test_contracted_sum_with_a_merged_tail_chunk(spec, monkeypatch):
     "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
 )
 def test_no_targets_give_an_empty_sum(spec):
-    out = grad_convolution(_vector(CAP_GRID), spec, np.empty((0, 3)), curl=False)
+    out = grad_convolutions(_vector(CAP_GRID), [(spec, False)], np.empty((0, 3)))[0]
     assert out.shape == (0,)
 
 
@@ -373,7 +382,7 @@ def test_ring_path_is_linear(a, b, seed):
     # the Neumann kernel's ring sums, which invert_gradient ran on cap grids
     # before it summed per longitude mode
     spec = KernelSpec(KIND_NEUMANN, cap=CAP, scale=SCALE)
-    af, ag, combined = (grad_convolution(s, spec, pts, False) for s in samples)
+    af, ag, combined = (grad_convolutions(s, [(spec, False)], pts)[0] for s in samples)
     scale = abs(a) * np.abs(af).max() + abs(b) * np.abs(ag).max() + 1e-300
     assert np.abs(combined - (a * af + b * ag)).max() <= 1e-12 * scale
     h1 = rng.normal(size=len(SPHERE))

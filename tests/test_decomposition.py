@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import cap_point, random_interior_points
 from sphaerica import _convolution, decomposition
-from sphaerica._convolution import apply_kernel, grad_convolution, grad_convolutions
+from sphaerica._convolution import apply_kernel, grad_convolutions
 from sphaerica.decomposition import (
     d_apply,
     d_inv_convolve,
@@ -190,8 +190,8 @@ def _rim_kernel_split(samples, pts, trace_fn, scale, m):
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
     tangent_n = lambda x, eta, out: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
     normal_d = lambda x, eta, out: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
-    f2 = grad_convolution(samples, spec_n, pts, curl=False)
-    f3 = grad_convolution(samples, spec_d, pts, curl=True)
+    f2 = grad_convolutions(samples, [(spec_n, False)], pts)[0]
+    f3 = grad_convolutions(samples, [(spec_d, True)], pts)[0]
     return (
         f2 + apply_kernel(tangent_n, trace, pts),
         f3 + apply_kernel(normal_d, trace, pts),
@@ -273,8 +273,8 @@ class TestCapDecomposition:
         noise = np.random.default_rng(11).normal(size=64)
         off = random_interior_points(self.CAP, rng, 30)
         for pts in (off, grid.nodes):
-            area2 = grad_convolution(samples, spec_n, pts, curl=False)
-            area3 = grad_convolution(samples, spec_d, pts, curl=True)
+            area2 = grad_convolutions(samples, [(spec_n, False)], pts)[0]
+            area3 = grad_convolutions(samples, [(spec_d, True)], pts)[0]
             for area, spec, f in ((area2, spec_n, samples), (area3, spec_d, rotated)):
                 dense = -_separate_dense_sum(spec, f, pts)
                 if pts is off:

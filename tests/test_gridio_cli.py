@@ -318,6 +318,25 @@ class TestReader:
         assert values.shape == (len(expected),)
         assert values.tolist() == expected
 
+    @pytest.mark.parametrize(
+        "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_separators_other_than_newline_are_rejected(self, tmp_path, char):
+        # str.splitlines breaks lines at each of them, numpy's reader takes
+        # them as blanks (0,10,\f1.0 would load as (0, 10, 1)): the load
+        # names the character wherever it stands
+        meta = "# grid kind=sphere-area nt=2 nphi=4"
+        for text in [
+            f"lon_deg,lat_deg,value\n0,10,{char}1.0\n",
+            f"{meta}\nlon_deg,lat_deg,value\n0,10,1.0{char}\n5,10,2.0\n",
+            f"{meta}{char}\nlon_deg,lat_deg,value\n0,10,1.0\n",
+        ]:
+            path = tmp_path / "separator.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.raises(CsvFormatError) as info:
+                load_field_csv(path)
+            assert str(info.value) == f"line separator {char!r} in the file"
+
     def test_load_peak(self, tmp_path):
         # the 64x128 cap grid of vertical-deflections at the CLI defaults
         cfg = config_from_args(["vertical-deflections"])

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cap_point, fd_tangent_derivative, random_interior_points, tangent_basis
+from sphaerica._convolution import grad_convolutions
 from sphaerica.geometry import (
     AntipodeError,
     SphericalCap,
@@ -30,13 +31,14 @@ from sphaerica.harmonics import (
     sh_synthesize,
     synth_field,
 )
+from sphaerica.kernels import KIND_FUNDAMENTAL, KernelSpec
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
     build_cap_grid,
     build_sphere_grid,
 )
-from sphaerica.solvers import invert_gradient, mvp_residual
+from sphaerica.solvers import default_scale, invert_gradient, mvp_residual
 
 
 def test_constant_harmonic_value():
@@ -701,8 +703,10 @@ def test_synthesis_matches_sh_eval_at_the_nodes(shape):
 @pytest.mark.parametrize("order", ["zonal", "tesseral", "sectoral"])
 @pytest.mark.parametrize("mode", ["grad", "curl"])
 def test_band_edge_harmonic_is_exact_where_the_ring_sums_fail(shape, order, mode):
-    # a single harmonic of degree n_t - 1: the transform keeps 1e-10 of the
-    # sup, the regularized-kernel ring sums (invert_gradient) err O(1)
+    # a single harmonic of degree n_t - 1: the transform, and invert_gradient
+    # at J = 53, keep 1e-10 of the sup. The ring sums of the regularized
+    # fundamental solution at the grid's default J err O(1) against U, most
+    # of it T_J - U, and miss the exact T_J (invert_gradient) by 2-10%
     grid = build_sphere_grid(*shape)
     n = shape[0] - 1
     m = {"zonal": 0, "tesseral": n // 2, "sectoral": n}[order]
@@ -716,9 +720,13 @@ def test_band_edge_harmonic_is_exact_where_the_ring_sums_fail(shape, order, mode
     got = sh_synthesize(grid, f2 if mode == "grad" else f3)[0]
     sup = np.abs(truth).max()
     assert np.abs(got - truth).max() <= 1e-10 * sup
-    ring = invert_gradient(samples, mode, None, grid.nodes)
+    assert np.abs(invert_gradient(samples, mode, 53, grid.nodes) - truth).max() <= 1e-10 * sup
+    spec = KernelSpec(KIND_FUNDAMENTAL, scale=default_scale(grid))
+    ring = grad_convolutions(samples, [(spec, mode == "curl")], grid.nodes)[0]
     ring -= np.sum(grid.weights * ring) / (4.0 * np.pi)
     assert np.abs(ring - truth).max() > 0.5 * sup
+    exact = invert_gradient(samples, mode, spec.scale, grid.nodes)
+    assert np.abs(ring - exact).max() > 0.01 * sup
 
 
 def test_transforms_need_a_sphere_grid_and_the_synthesis_its_band():

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import random_interior_points, rim_ring
 from sphaerica import decomposition, modes, solvers
-from sphaerica._convolution import grad_convolution, grad_convolutions
+from sphaerica._convolution import grad_convolutions
 from sphaerica.decomposition import decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
@@ -117,7 +117,7 @@ def test_far_from_the_rule_every_target_takes_the_kernel_sums():
             got = invert_gradient(samples, "grad", scale, pts)
         assert len(sent) == 1 and np.array_equal(sent[0], pts)
         spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
-        rest.append(got - grad_convolution(samples, spec, pts, False))
+        rest.append(got - grad_convolutions(samples, [(spec, False)], pts)[0])
     assert np.abs(rest[0] - rest[1]).max() <= 1e-14 * np.abs(rest[0]).max()
 
 
@@ -155,7 +155,7 @@ def test_series_follows_the_kernel_sums_at_a_finite_scale():
         grid, samples = _series_field(cap, shape, 25)
         pts = grid.nodes[inner.contains(grid.nodes)]
         spec = KernelSpec(KIND_NEUMANN, cap=cap, scale=12)
-        ring = grad_convolution(samples, spec, pts, False)
+        ring = grad_convolutions(samples, [(spec, False)], pts)[0]
         got = invert_gradient(samples, "grad", 12, pts)
         exact = modes.gradient_sums(samples, [(KIND_NEUMANN, False)], pts, None)[0]
         sup = np.abs(exact).max()

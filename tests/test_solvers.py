@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import cap_point, random_interior_points, rim_ring
 from sphaerica._convolution import _dense
 from sphaerica.apps import vd_reconstruct
-from sphaerica.decomposition import decompose_cap_at
+from sphaerica.decomposition import decompose_cap_at, helmholtz_decompose_sphere
 from sphaerica.geometry import (
     SphericalCap,
     boundary_nodes,
@@ -22,6 +22,8 @@ from sphaerica.harmonics import (
     coefficients_from_entries,
     inner_harmonic_eval,
     inner_harmonic_grad,
+    scale_degrees,
+    sh_curl_eval,
     sh_eval,
     sh_grad_eval,
     synth_field,
@@ -42,6 +44,7 @@ from sphaerica.solvers import (
     default_scale,
     dirichlet_solve_cap,
     invert_gradient,
+    _regularized_factor,
     max_principle_check,
     mvp_residual,
     neumann_solve_cap,
@@ -646,3 +649,118 @@ def test_cap_solvers_reject_samples_of_another_cap(solver, differs):
         other = SphericalCap(unit_vector([0.0, 0.2, 1.0]), CAP.radius)
     with pytest.raises(ValueError, match="cap boundary"):
         solve(other)
+
+
+# Sphere grids: T_J f = G_J * div f, one multiplier per degree.
+SPHERE_GRIDS = {shape: build_sphere_grid(*shape) for shape in [(48, 96), (64, 128)]}
+
+
+def _series_lambda(n, scale):
+    """lambda_n(J) = sum_k a_k prod_{j<k} (n (n + 1) - j (j + 1)), a_k =
+    (delta/2) (-delta/2)^k / ((k!)^2 (k + 1)^2 (k + 2)): a polynomial in
+    n (n + 1) (its terms vanish from k = n + 1 on), each term from the last."""
+    delta = 2.0**-scale
+    total, term = np.zeros_like(n), np.full_like(n, 0.25 * delta)
+    for k in range(int(n.max()) + 1):
+        total += term
+        term = term * (-0.5 * delta) * (n * (n + 1.0) - k * (k + 1.0)) / ((k + 2) * (k + 3))
+    return total
+
+
+def test_regularized_factor_matches_the_closed_form_series():
+    # the series converges without cancellation where delta n (n + 1) <= 60
+    n = np.arange(129.0)
+    for scale in range(54):
+        keep = 2.0**-scale * n * (n + 1.0) <= 60.0
+        want = 1.0 - n * (n + 1.0) * _series_lambda(n, scale)
+        got = _regularized_factor(scale, n)
+        assert np.abs(got - want)[keep].max(initial=0.0) <= 1e-13
+
+
+def test_regularized_factor_matches_a_3000_node_rule():
+    # an independent Gauss-Legendre rule in v, u = delta v^6, with c written
+    # out; both rules round 1 - n (n + 1) lambda_n to about 1e-12 at L = 128
+    n = np.arange(129.0)
+    x, w = np.polynomial.legendre.leggauss(3000)
+    v = 0.5 * (x + 1.0)
+    for scale in [0, 1, 2, 4, 8, 12, 20, 53]:
+        delta = 2.0**-scale
+        u = delta * v**6
+        c = (u / delta + np.log(delta) - 1.0 - np.log(u)) / (4.0 * np.pi)
+        p = np.polynomial.legendre.legvander(1.0 - u, 128)
+        lam = 2.0 * np.pi * p.T @ (3.0 * delta * v**5 * w * c)
+        got = _regularized_factor(scale, n)
+        assert np.abs(got - (1.0 - n * (n + 1.0) * lam)).max() <= 5e-12
+
+
+def _disc_oracle(u_coeffs, scale, points, n_azimuth):
+    """U - mean + integral_{u < delta} c(u) Lap U over the disc about each
+    point: the J = infinity inversion plus the regularization's difference,
+    by Gauss-Legendre in v (u = delta v^6, 40 nodes) and the trapezoid rule
+    in azimuth."""
+    delta = 2.0**-scale
+    x, w = np.polynomial.legendre.leggauss(40)
+    v = 0.5 * (x + 1.0)
+    u = delta * v**6
+    c = (u / delta + np.log(delta) - 1.0 - np.log(u)) / (4.0 * np.pi)
+    radial = 3.0 * delta * v**5 * w * c  # c du
+    lap = scale_degrees(u_coeffs, lambda n: -n * (n + 1.0))
+    alpha = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    ring = np.cos(alpha)[:, None, None], np.sin(alpha)[:, None, None]
+    helper = np.where(np.abs(points[:, 2:]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+    e1 = np.cross(helper, points)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(points, e1)
+    r = np.sqrt(u * (2.0 - u))[:, None, None, None]
+    eta = (1.0 - u)[:, None, None, None] * points + r * (ring[0] * e1 + ring[1] * e2)
+    values = sh_eval(lap, eta.reshape(-1, 3)).reshape(len(u), n_azimuth, len(points))
+    disc = radial @ values.sum(axis=1) * (2.0 * np.pi / n_azimuth)
+    mean = u_coeffs.coeffs[0, 0] / np.sqrt(4.0 * np.pi)
+    return sh_eval(u_coeffs, points) - mean + disc
+
+
+@pytest.mark.parametrize("degree", [8, 25, 40])
+@pytest.mark.parametrize("scale", [6, 8, 10, 12, 14])
+def test_sphere_inversion_is_exact_regularized_operator(degree, scale):
+    # every delta-disc lies on the sphere, so T_J = T + c * Lap holds at
+    # every target; nodes of both grids and random points off them
+    u_coeffs = synth_field(degree, 0, degree)
+    rng = np.random.default_rng(degree + 100 * scale)
+    off = rng.normal(size=(20, 3))
+    off /= np.linalg.norm(off, axis=1, keepdims=True)
+    nodes = {shape: grid.nodes[rng.choice(len(grid), 10, replace=False)]
+             for shape, grid in SPHERE_GRIDS.items()}
+    points = np.concatenate([*nodes.values(), off])
+    want = _disc_oracle(u_coeffs, scale, points, 96 if degree > 25 else 56)
+    sup = np.abs(want).max()
+    for i, (shape, grid) in enumerate(SPHERE_GRIDS.items()):
+        grad = sh_grad_eval(u_coeffs, grid.nodes)
+        for mode, field in [("grad", grad), ("curl", np.cross(grid.nodes, grad))]:
+            samples = FieldSamples(grid, field, tangential=True)
+            got = np.concatenate([
+                invert_gradient(samples, mode, scale, nodes[shape]),
+                invert_gradient(samples, mode, scale, off),
+            ])
+            target = np.concatenate([want[10 * i : 10 * i + 10], want[20:]])
+            assert np.abs(got - target).max() <= 1e-12 * sup
+
+
+@pytest.mark.parametrize("shape", list(SPHERE_GRIDS))
+def test_sphere_inversion_at_the_finest_scale_is_the_helmholtz_split(shape):
+    # at J = 53 the factor is within 3e-14 of 1 up to degree 30: the split
+    grid = SPHERE_GRIDS[shape]
+    p, s = synth_field(3, 0, 30), synth_field(4, 0, 30)
+    field = sh_grad_eval(p, grid.nodes) + sh_curl_eval(s, grid.nodes)
+    samples = FieldSamples(grid, field, tangential=True)
+    split = helmholtz_decompose_sphere(samples)
+    for mode, want in [("grad", split.f2.values), ("curl", split.f3.values)]:
+        got = invert_gradient(samples, mode, 53, grid.nodes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scale", [-1, 54])
+def test_sphere_inversion_rejects_a_scale_outside_the_kernels_range(scale):
+    grid = SPHERE_GRIDS[(48, 96)]
+    field = FieldSamples(grid, np.cross(grid.nodes, [0.0, 0.0, 1.0]), tangential=True)
+    with pytest.raises(ValueError, match=r"scale J must lie in \[0, 53\]"):
+        invert_gradient(field, "grad", scale, grid.nodes[:3])
