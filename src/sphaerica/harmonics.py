@@ -365,7 +365,7 @@ def _rim_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 def _times_w(re, im, u, v, out, tmp):
-    """(re + i im)(u + i v) into (out, im), and re, now free, in real
+    """(re + i im)(u + i v) into (out, im), leaving re free, in real
     arithmetic: numpy's complex product rounds a vector's body and tail apart."""
     np.multiply(re, u, out=out)
     np.multiply(im, v, out=tmp)
@@ -373,10 +373,11 @@ def _times_w(re, im, u, v, out, tmp):
     np.multiply(re, v, out=tmp)
     im *= u
     im += tmp
-    return out, im, re
 
 
-def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray, grad: bool = False):
+def _rim_series(
+    cap: SphericalCap, c: np.ndarray, pts: np.ndarray, grad: bool = False, terms=None
+):
     """S = sum_k c_k w^k as a complex array, w = stereographic_project / R_b
     in complex form: Re S is the harmonic extension of the rim interpolant
     sum_k Re(c_k e^{ik phi}), Im S its harmonic conjugate (the chart is
@@ -384,29 +385,51 @@ def _rim_series(cap: SphericalCap, c: np.ndarray, pts: np.ndarray, grad: bool = 
     With grad, (S, the tangential gradient of Re S): Re S' grad u - Im S'
     grad v for w = u + i v, with S' = dS/dw from the same Horner loop and
     grad (u, v) = (2 (a1, a2)/R_b - (u, v) zeta)/(1 + xi . zeta) less its
-    part along xi, from the chart's one product. No step mixes points, so a
-    point gives the same bits alone as inside a stack.
+    part along xi, from the chart's one product.
+
+    terms (P,), each at most len(c), sums point i to c_{terms_i - 1} only
+    (0 terms: S = 0). The points then run one Horner loop in the order of
+    their term counts, each step on the prefix of points still summing; a
+    point joins at its own top term, from buffers that hold exactly 0. No
+    step mixes points, so a point gives the same bits alone as inside a
+    stack.
     """
     rim = _rim_radius(cap)
     frame, proj, denom = _chart_products(cap.frame, cap.center, pts)
     u, v = (2.0 * proj[:, j] / denom / rim for j in (0, 1))
     n = len(pts)
-    re, im = np.full(n, c[-1].real), np.full(n, c[-1].imag)
-    t1, t2 = np.empty(n), np.empty(n)
-    if grad:
-        dre, dim = np.zeros(n), np.zeros(n)
-    for ck in c[-2::-1]:
-        if grad:  # S' by the same rule, from (re, im) before they advance
-            dre, dim, t1 = _times_w(dre, dim, u, v, t1, t2)
-            dre += re
-            dim += im
-        re, im, t1 = _times_w(re, im, u, v, t1, t2)
-        re += ck.real
-        im += ck.imag
+    if terms is None:
+        order, live, uw, vw = None, np.full(len(c), n), u, v
+    else:
+        order = np.argsort(-terms, kind="stable")
+        uw, vw = u[order], v[order]
+        # live[k]: how many points sum term k, a prefix of the sorted points
+        live = np.cumsum(np.bincount(terms, minlength=len(c) + 1)[::-1])[::-1][1:]
+    # re, im, t1, t2 (and dre, dim): S, the product's scratch, S'
+    full = [np.zeros(n) for _ in range(6 if grad else 4)]
+    p = -1
+    for k in range(len(c) - 1, -1, -1):
+        if live[k] != p:
+            p = live[k]
+            part, up, vp = [b[:p] for b in full], uw[:p], vw[:p]
+        if grad:  # S' by the same rule, from S before it advances
+            _times_w(part[4], part[5], up, vp, part[2], part[3])
+            for b in (part, full):
+                b[2], b[4] = b[4], b[2]
+            part[4] += part[0]
+            part[5] += part[1]
+        _times_w(part[0], part[1], up, vp, part[2], part[3])
+        for b in (part, full):
+            b[0], b[2] = b[2], b[0]
+        part[0] += c[k].real
+        part[1] += c[k].imag
+    back = slice(None) if order is None else np.argsort(order)
     out = np.empty(n, complex)
-    out.real, out.imag = re, im
+    out.real, out.imag = full[0], full[1]
+    out = out[back]
     if not grad:
         return out
+    dre, dim = full[4][back], full[5][back]
     # the ambient gradient k1 a1 + k2 a2 + k3 zeta, less its part along xi
     k1, k2 = dre / denom * (2.0 / rim), dim / denom * (-2.0 / rim)
     k3 = (dim * v - dre * u) / denom

@@ -25,22 +25,36 @@ layout alone:
 Both give the condition number and the Tikhonov filter-factor solution with
 the same filter factors and cut-off, described in mfs_fit.
 
-mfs_eval never forms the whole (P, n) basis block at its P targets: it
-writes the source columns chunk by chunk into one buffer of about 2 MiB,
-allocated once per call (_convolution._chunk_blocks), contracts each chunk
-with one matrix-vector product and adds the constant term once. The log
-columns start from kernels.gap, which rounds a one-row chunk as a stack.
+mfs_eval sums a fit on a ring of sources (the layout of sources_on_circle,
+decided from the system alone) as one chart series of the cap whose rim
+holds the sources: ln(1 - xi . y_k) is a power series in the chart
+variable w, so the K coefficients collapse into one FFT and every point
+sums its own number of powers, set by its distance from the source circle
+(the Fourier form of the charge simulation method on a disc: Katsurada and
+Okamoto, J. Fac. Sci. Univ. Tokyo IA 35, 1988). Points that would need more
+powers than there are sources take the log columns, each row formed and
+summed alone; so do all points of other layouts and of the inner-harmonic
+basis, but in chunks of about 2 MiB contracted by one matrix-vector
+product each. The whole (P, n) basis block is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._convolution import _chunk_blocks
-from .geometry import SphericalCap, boundary_nodes, circle_points, on_points
-from .harmonics import InnerHarmonicIndex, inner_harmonic_eval
+from .geometry import (
+    SphericalCap,
+    _stacked_product,
+    boundary_nodes,
+    circle_points,
+    on_points,
+    rotation_to_pole,
+)
+from .harmonics import InnerHarmonicIndex, _rim_series, inner_harmonic_eval
 from .kernels import FOUR_PI, _coincident, gap
 from .quadrature import QuadratureGrid, boundary_data
 
@@ -81,6 +95,12 @@ class FundamentalSystem:
     def size(self) -> int:
         return len(self.sources) + (1 if self.include_constant else 0)
 
+    @cached_property
+    def _ring(self) -> SphericalCap | None:
+        """The cap on whose rim the sources form a ring (_source_ring), the
+        chart of mfs_eval's series; None for other layouts."""
+        return _source_ring(self)
+
 
 def sources_on_circle(
     cap: SphericalCap, count: int, radius_offset: float = 0.005
@@ -117,11 +137,18 @@ def basis_eval(
     return on_points(xi, lambda pts: _basis_columns(system, pts, mode, nu)[:, k])
 
 
-def _log_part(pts, anchors, mode, nu, out=None):
+def _log_part(pts, anchors, mode, nu, out=None, alone=False):
     """Log kernel (or normal derivative) at pts: shape (P,) for one anchor
     point, (P, S) for a stack of S anchors, written into out when given
-    (the values run in place)."""
-    u = gap(pts, anchors, out=out)
+    (the values run in place). With alone, each point's gaps are formed
+    as the point alone: a stack's gap product can round a row by its place
+    (kernels.gap)."""
+    if alone:
+        u = np.empty((len(pts), len(anchors))) if out is None else out
+        for i in range(len(pts)):
+            gap(pts[i : i + 1], anchors, out=u[i : i + 1])
+    else:
+        u = gap(pts, anchors, out=out)
     if _coincident(u):
         raise ValueError("basis evaluated at one of its source points")
     if mode == "value":
@@ -142,9 +169,9 @@ def _basis_columns(system, pts, mode="value", nu=None) -> np.ndarray:
     return np.column_stack([const, block])
 
 
-def _source_columns(system, pts, mode="value", nu=None, out=None) -> np.ndarray:
+def _source_columns(system, pts, mode="value", nu=None, out=None, alone=False) -> np.ndarray:
     """The basis block without the constant column, written into out (a
-    C-contiguous buffer) when given."""
+    C-contiguous buffer) when given; alone as in _log_part."""
     if system.variant == VARIANT_INNER:
         if mode != "value":
             raise NotImplementedError("inner-harmonic collocation is value-only")
@@ -155,7 +182,7 @@ def _source_columns(system, pts, mode="value", nu=None, out=None) -> np.ndarray:
             idx = InnerHarmonicIndex(system.cap, (k + 2) // 2, 1 if k % 2 == 0 else 2)
             out[:, k] = inner_harmonic_eval(idx, pts)
         return out
-    block = _log_part(pts, system.sources, mode, nu, out=out)
+    block = _log_part(pts, system.sources, mode, nu, out=out, alone=alone)
     if system.variant == VARIANT_GK_MOD:
         block -= _log_part(pts, system.regularization_point, mode, nu)[:, None]
     return block
@@ -257,6 +284,7 @@ def _filter_factors(sv: np.ndarray, ridge: float, n_rows: int) -> np.ndarray:
 
 
 _RING_TOL = 1e-13
+_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _is_ring_layout(system: FundamentalSystem, collocation: QuadratureGrid) -> bool:
@@ -271,11 +299,42 @@ def _is_ring_layout(system: FundamentalSystem, collocation: QuadratureGrid) -> b
         off_axis = np.cross(system.regularization_point, frame[:, 2])
         if np.abs(off_axis).max() > _RING_TOL:
             return False
+    return _lattice_height(sources, frame) is not None
+
+
+def _lattice_height(sources: np.ndarray, frame: np.ndarray) -> float | None:
+    """The height t_s along zeta = frame[:, 2] at which the K sources lie at
+    azimuths 2 pi k / K of the frame (a1, a2, zeta), to _RING_TOL; None if
+    they do not."""
+    n_src = len(sources)
     height, a1, a2 = sources[0] @ frame[:, [2, 0, 1]]
     lattice = circle_points(
         frame, height, np.hypot(a1, a2), 2.0 * np.pi * np.arange(n_src) / n_src
     )
-    return bool(np.abs(sources - lattice).max() <= _RING_TOL)
+    return float(height) if np.abs(sources - lattice).max() <= _RING_TOL else None
+
+
+def _source_ring(system: FundamentalSystem) -> SphericalCap | None:
+    """The cap (zeta, 1 - t_s) whose rim holds the log-kernel sources on
+    its lattice (_lattice_height in the cap's frame), or None. zeta is -x
+    for a gk-mod regularization point x that the sources ring, else the
+    unit normal of the source polygon, sum_k y_k x y_{k+1}."""
+    sources = system.sources
+    if system.variant == VARIANT_INNER or not len(sources):
+        return None
+
+    def axes():
+        if system.variant == VARIANT_GK_MOD:
+            yield -np.asarray(system.regularization_point, dtype=float)
+        yield np.sum(np.cross(sources, np.roll(sources, -1, axis=0)), axis=0)
+
+    for zeta in axes():
+        if not (np.all(np.isfinite(zeta)) and np.any(zeta)):
+            continue
+        height = _lattice_height(sources, rotation_to_pole(zeta))
+        if height is not None and abs(height) < 1.0:
+            return SphericalCap(zeta, 1.0 - height)
+    return None
 
 
 def _ring_fit(system, collocation, f, ridge):
@@ -320,28 +379,104 @@ def _ring_fit(system, collocation, f, ridge):
 def mfs_eval(solution: MfsSolution, xi) -> float | np.ndarray:
     """Evaluate the fitted combination at xi (away from the source points).
 
-    The source columns of the basis block are formed in chunks of targets
-    (_convolution._chunk_blocks), each written into one reused buffer of at
-    most about 2 MiB and contracted by one matrix-vector product; the
-    constant term is added to the result. The whole block and its 1 - xi . eta
-    temporary would hold 26.2 MB at M = 800 on the CLI's 2048 interior
-    probes; the chunk buffer holds 2.1 MB, and vortex_mfs there, its fit
-    included, peaks at 2.9 MB above entry (tracemalloc). Values match the
-    whole block's product to rounding: within 4e-16 of the largest value
-    at the CLI's probes for M = 200 and 800.
+    On a ring of K sources (_source_ring, decided from the system alone)
+    the fit is one chart series of the cap (zeta, 1 - t_s) whose rim holds
+    them, w = (s/s_s) e^{i phi}, s = tan(theta/2): inside the source
+    circle ln(1 - xi . y_k) = ln((1 + t)(1 - t_s)/2) - 2 Re sum_{m>=1}
+    w^m e^{-i m phi_k}/m, so with a^ the FFT of the source coefficients
+    and A = sum_k a_k the value is Re sum_m c_m w^m (harmonics._rim_series),
+    c_0 = (a_0 + A ln((1 - t_s)/2))/4 pi and c_m = -2 a^_{m mod K}/(4 pi m),
+    plus A ln(1 + t)/4 pi for gk and A (ln(1 + t) - ln(1 - xi . x))/4 pi
+    for gk-mod unless x = -zeta, where the two cancel. A point at
+    r = s/s_s < 1 sums its own n powers, the least n with r^n <= u (1 - r),
+    u the unit roundoff, so the tail is below u r/(n + 1) times
+    2 max|a^|/4 pi, the scale of the terms themselves. Points with n > K,
+    where K log columns cost less, or r >= 1 take the log columns, each
+    row's gaps formed and summed as the point alone: a point gets the same
+    bits alone as in a stack. At the CLI's 2048 interior probes of the
+    rho = 0.9 cap, sources 0.005 outside it, n <= 199: none falls back
+    from M = 200 to 800.
+
+    Other layouts and the inner-harmonic basis form the source columns in
+    chunks of targets (_convolution._chunk_blocks), each written into one
+    reused buffer of at most about 2 MiB and contracted by one
+    matrix-vector product, and add the constant term to the result. At
+    M = 800 on the CLI's probes the whole block and its 1 - xi . eta
+    temporary would hold 26.2 MB; vortex_mfs there, its fit included,
+    peaks 1.45 MB above entry on its first call with the series and
+    2.92 MB with the chunked log columns (tracemalloc).
     """
-    return on_points(xi, lambda pts: _eval_chunked(solution, pts))
+    return on_points(xi, lambda pts: _evaluate(solution, pts))
 
 
-def _eval_chunked(solution, pts):
+def _evaluate(solution, pts):
+    ring = solution.system._ring
+    if ring is None:
+        return _log_sums(solution, pts)
+    system = solution.system
+    first = 1 if system.include_constant else 0
+    a = solution.coefficients[first:]
+    t, powers = _series_powers(ring, pts)
+    out = np.empty(pts.shape[0])
+    series = np.flatnonzero(powers <= len(a))
+    if series.size:
+        terms = powers[series].astype(int) + 1
+        m = np.arange(1, int(powers[series].max()) + 1)
+        c = np.empty(len(m) + 1, complex)
+        c[0] = a.sum() * np.log(0.5 * ring.radius) / FOUR_PI  # 1 - t_s = rho_s
+        if first:
+            c[0] += solution.coefficients[0] / FOUR_PI
+        c[1:] = np.fft.fft(a)[m % len(a)] * (-2.0 / FOUR_PI) / m
+        values = _rim_series(ring, c, pts[series], terms=terms).real
+        regular = _regular_part(system, ring, pts[series], t[series])
+        if regular is not None:
+            values += a.sum() * regular
+        out[series] = values
+    rest = np.flatnonzero(powers > len(a))
+    if rest.size:
+        out[rest] = _log_sums(solution, pts[rest], alone=True)
+    return out
+
+
+def _series_powers(ring, pts):
+    """(t, n): each point's height t = xi . zeta and its power count n, the
+    least n with r^n <= u (1 - r) for r = s/s_s, u the unit roundoff, from
+    r^2 = (1 - t)(1 + t_s)/((1 + t)(1 - t_s)); inf unless r < 1."""
+    t = _stacked_product(pts, ring.center)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt((1.0 - t) / (1.0 + t) * ((2.0 - ring.radius) / ring.radius))
+        n = np.ceil(np.log(_ROUNDOFF * (1.0 - r)) / np.log(r))
+    return t, np.where(r < 1.0, n, np.inf)
+
+
+def _regular_part(system, ring, pts, t):
+    """The per-point column that the series leaves out, per unit of A:
+    ln(1 + t)/4 pi less the gk-mod regularization column, or None where
+    the two cancel (x = -zeta)."""
+    if system.variant == VARIANT_GK:
+        return np.log(1.0 + t) / FOUR_PI
+    point = np.asarray(system.regularization_point, dtype=float)
+    if np.all(ring.center == -point):
+        return None
+    return np.log(1.0 + t) / FOUR_PI - _log_part(pts, point, "value", None)
+
+
+def _log_sums(solution, pts, alone=False):
+    """The log columns contracted with the coefficients in chunks of
+    targets: one matrix-vector product per chunk, or with alone each row
+    formed (_log_part) and summed as the point alone."""
     system = solution.system
     coefficients = solution.coefficients
     out = np.empty(pts.shape[0])
     first = 1 if system.include_constant else 0
     layout = (1, (system.size - first,), float)
     for i0, i1, [block] in _chunk_blocks(pts.shape[0], layout):
-        columns = _source_columns(system, pts[i0:i1], out=block[0])
-        np.matmul(columns, coefficients[first:], out=out[i0:i1])
+        columns = _source_columns(system, pts[i0:i1], out=block[0], alone=alone)
+        if alone:
+            columns *= coefficients[first:]
+            np.sum(columns, axis=1, out=out[i0:i1])
+        else:
+            np.matmul(columns, coefficients[first:], out=out[i0:i1])
     if first:
         out += coefficients[0] / FOUR_PI
     return out

@@ -129,17 +129,23 @@ def _mode_spectra(grid, rings, fields):
     (2 pi / n_phi) sum_j (g_theta +- i g_phi) e^(-i m phi_j) per ring for
     each field g (N, 3), cut after the last mode holding more than
     _TRIM_MODES of the largest. One FFT of z = g_theta + i g_phi per ring
-    gives both: u_+ at mode m, and u_- as the conjugate at mode -m."""
+    gives both: u_+ at mode m, and u_- as the conjugate at mode -m. The
+    frame projection and z are written into one real and one complex
+    block, and every later step runs in place in them."""
     n_t, n_phi = grid.shape
-    local = np.stack(fields) @ grid.cap.frame  # (C, N, 3): a1, a2, zeta parts
+    local = np.empty((len(fields), len(grid.nodes), 3))  # a1, a2, zeta parts
+    for k, field in enumerate(fields):
+        np.matmul(field, grid.cap.frame, out=local[k])
     g1, g2, g3 = (local[..., k].reshape(-1, n_t, n_phi) for k in range(3))
     # (g1 + i g2) e^(-i phi) = (cos g1 + sin g2) + i g_phi
-    turned = (g1 + 1j * g2) * np.exp(-2j * np.pi * np.arange(n_phi) / n_phi)
-    t = 1.0 - 0.5 * rings.rho * (1.0 - rings.x)
-    z = turned
-    z.real *= t[:, None]
-    z.real -= rings.sin[:, None] * g3
-    spectra = np.fft.fft(z, axis=2) * (2.0 * np.pi / n_phi)
+    z = np.empty(g1.shape, complex)
+    z.real, z.imag = g1, g2
+    z *= np.exp(-2j * np.pi * np.arange(n_phi) / n_phi)
+    z.real *= (1.0 - 0.5 * rings.rho * (1.0 - rings.x))[:, None]
+    g3 *= rings.sin[:, None]
+    z.real -= g3
+    spectra = np.fft.fft(z, axis=2, out=z)
+    spectra *= 2.0 * np.pi / n_phi
     half = np.arange((n_phi + 1) // 2)
     both = np.maximum(np.abs(spectra[..., half]), np.abs(spectra[..., -half]))
     modes = _kept(both, 2, _TRIM_MODES)
@@ -230,9 +236,11 @@ def gradient_sums(samples, sums, points: np.ndarray, scale: int | None) -> list:
     """-integral D_eta K(xi, eta) . g(eta) over a cap grid at the points, for
     each (kind, curl) of sums: K the Neumann or Dirichlet cap kernel of the
     grid's cap, g the samples, or samples x eta with curl. scale None gives
-    the unregularized operator; a scale J gives T_J (module docstring). The
-    points must lie inside the cap.
+    the unregularized operator; a scale J gives T_J (module docstring), J
+    in [0, 53] as for every kernel, checked before any work. The points
+    must lie inside the cap.
     """
+    spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
     grid = samples.grid
     cap = grid.cap
     rings = _Rings(grid)
@@ -276,7 +284,6 @@ def gradient_sums(samples, sums, points: np.ndarray, scale: int | None) -> list:
     fallback = np.flatnonzero(~series)
     if fallback.size:
         pts = points[fallback]
-        spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
         direct = grad_convolutions(samples, [(spec, curl) for _, curl in sums], pts)
         for k in range(C):
             out[k, fallback] = direct[k] + _rim_series(cap, i0[k], pts).real

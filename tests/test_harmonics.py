@@ -272,6 +272,25 @@ class TestChartSeries:
             for got in (_rim_series(cap, c, pts), _rim_series(cap, c, pts, grad=True)[0]):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["polar", "tilted", "south"])
+    def test_each_point_sums_its_own_terms_with_the_bits_it_has_alone(self, name):
+        cap = CHART_CAPS[name]
+        pts = _chart_targets(cap)
+        rng = np.random.default_rng(9)
+        c = rng.normal(size=40) + 1j * rng.normal(size=40)
+        terms = rng.integers(0, 41, len(pts))
+        got = _rim_series(cap, c, pts, terms=terms)
+        assert np.array_equal(got[terms == 0], np.zeros(np.sum(terms == 0)))
+        for n in np.unique(terms[terms > 0]):
+            at = terms == n
+            assert np.array_equal(got[at], _reference_rim_series(cap, c[:n], pts[at]))
+        pick = rng.choice(len(pts), 30, replace=False)
+        alone = [_rim_series(cap, c, pts[i : i + 1], terms=terms[i : i + 1])[0] for i in pick]
+        assert np.array_equal(alone, got[pick])
+        _, grad = _rim_series(cap, c, pts, grad=True, terms=terms)
+        at = terms == 40
+        assert np.array_equal(grad[at], _rim_series(cap, c, pts[at], grad=True)[1])
+
     @pytest.mark.parametrize("name", CHART_CAPS)
     def test_inner_harmonics_match_complex_powers(self, name):
         cap = CHART_CAPS[name]

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_interior_points, rim_ring
-from sphaerica.apps import random_vortices, vortex_exact
+from sphaerica.apps import mfs_layout, random_vortices, vortex_exact
 from sphaerica.decomposition import d_inv_convolve, decompose_cap_at
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import (
@@ -25,6 +25,7 @@ from sphaerica.harmonics import (
     sh_grad_eval,
     synth_field,
 )
+from sphaerica.mfs import MfsSolution, _series_powers, mfs_eval
 from sphaerica.quadrature import (
     FieldSamples,
     build_boundary_grid,
@@ -148,19 +149,26 @@ def test_a_constant_moves_only_the_gauge(shift, sign, seed):
 # barycentric interpolant and the trigonometric series are summed point by
 # point), in one stack of points that take the J series and points near the
 # rim that take the regularized kernel sums, on the dense path
-# (surface_potential and poisson_solve_cap at interior points) and in the
+# (surface_potential and poisson_solve_cap at interior points), in the
 # chart series (inner harmonics and their gradients, of several degrees and
-# both orders), and in the vortex stream function, whose targets are the
-# columns of its block. Every gap 1 - x . eta multiplies a single x, or a
-# single eta, as a stack (kernels.gap), and so does the cap reflection's
-# x . zeta; the chart's x @ (a1, a2, zeta) is one (P, 3) @ (3, 3) product
-# and its series runs point by point; the vortices are summed row by row.
+# both orders), in the vortex stream function, whose targets are the
+# columns of its block, and in an MFS fit on a ring of sources, in one
+# stack of points that sum the fit's chart series, each to its own term
+# count, and near-rim points that take its log columns. Every gap
+# 1 - x . eta multiplies a single x, or a single eta, as a stack
+# (kernels.gap), and so does the cap reflection's x . zeta; the chart's
+# x @ (a1, a2, zeta) is one (P, 3) @ (3, 3) product and its series runs
+# point by point; the vortices are summed row by row; the MFS log columns
+# form each row's gaps as the point alone and sum the row alone.
 # Not a guarantee of the BLAS: on OpenBLAS 0.3.31 a row of a (P, 3) @ (3, N)
 # gemm can depend on its place in the block for N >= 196 with N mod 8 in
-# {4, 5, 6, 7}; these grids have N = 1152. Left out (ROADMAP item 13):
-# sh_eval and sh_grad_eval, whose complex Horner step rounds a point by its
-# place (a real Horner cost +30% to +111% per call), and mfs_eval, whose
-# gemv over the sources does (a per-row sum cost +26% per mfs_eval).
+# {4, 5, 6, 7}; these grids have N = 1152, and the fit's 199 sources are
+# such an N, which the per-row gaps get round (400 near-rim points cost
+# 2.5-6 ms at M = 200-800 against 0.3-1.4 ms as one block). Left out
+# (ROADMAP item 13): sh_eval and sh_grad_eval, whose complex Horner step
+# rounds a point by its place (a real Horner cost +30% to +111% per call),
+# and mfs_eval off a ring, whose gemv over the sources does (a per-row sum
+# cost +26% per mfs_eval).
 POINT_CAPS = {
     "polar": SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9),
     "tilted": SphericalCap(unit_vector([0.2, -0.1, 1.0]), 0.9),
@@ -176,6 +184,7 @@ POINT_EVALUATORS = (
     "inner_harmonic_eval",
     "inner_harmonic_grad",
     "vortex_exact",
+    "mfs_eval",
 )
 INNER_INDICES = ((0, 1), (1, 1), (2, 2), (3, 1), (3, 2), (5, 2), (8, 1), (9, 2))
 
@@ -210,6 +219,20 @@ def test_a_point_alone_gives_its_bits_in_any_stack(name, evaluator):
 
         def evaluate(q):
             return vortex_exact(cap, vortices, q)
+
+    elif evaluator == "mfs_eval":
+        # a ring of 199 sources 0.005 outside the rim: the interior points
+        # sum the chart series and the near-rim ones the log columns
+        system, _ = mfs_layout(cap, 200, 0.005, -cap.center)
+        solution = MfsSolution(
+            system, np.random.default_rng(3).standard_normal(system.size), "tikhonov", 0.0, 1.0
+        )
+        targets = series_and_rim_targets(cap)
+        beyond = _series_powers(system._ring, targets)[1] > len(system.sources)
+        assert beyond.any() and not beyond.all()
+
+        def evaluate(q):
+            return mfs_eval(solution, q)
 
     elif evaluator.startswith("invert_gradient"):
         samples = FieldSamples(grid, sh_grad_eval(p, grid.nodes), tangential=True)

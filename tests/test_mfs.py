@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cap_point, random_interior_points
+from conftest import cap_point, random_interior_points, rim_ring
 from sphaerica import _convolution
 from sphaerica.apps import random_vortices, vortex_mfs
 from sphaerica.geometry import SphericalCap, boundary_nodes, lonlat_vector, unit_vector
@@ -13,6 +13,7 @@ from sphaerica.mfs import (
     FundamentalSystem,
     MfsSolution,
     _basis_columns,
+    _series_powers,
     basis_eval,
     mfs_eval,
     mfs_fit,
@@ -522,11 +523,20 @@ def test_snug_ring_path_matches_the_factored_path_on_the_vortex_oracle(
     assert ring == pytest.approx(run(), rel=1e-3)
 
 
-def _eval_system(variant, n_sources):
+def _off_lattice(sources):
+    """The sources with one moved 1e-6 off the ring's lattice, so that
+    mfs_eval sums its log columns."""
+    moved = sources.copy()
+    moved[3] = unit_vector(moved[3] + [1e-6, -1e-6, 1e-6])
+    return moved
+
+
+def _eval_system(variant, n_sources, ring=False):
     if variant == "inner-harmonic":
         return FundamentalSystem(np.zeros((n_sources, 3)), variant, cap=CAP)
+    sources = sources_on_circle(CAP, n_sources, 0.05)
     return FundamentalSystem(
-        sources_on_circle(CAP, n_sources, 0.05),
+        sources if ring else _off_lattice(sources),
         variant,
         regularization_point=-CAP.center,
     )
@@ -537,11 +547,11 @@ def _solution(system, rng):
     return MfsSolution(system, coefficients, "tikhonov", 0.0, 1.0)
 
 
-# mfs_eval takes one matrix-vector product per chunk of the source columns,
-# whose rounding of a row depends on the rows around it (BLAS gemv kernels
-# work in groups of rows), and adds the constant term after it, so it
-# matches the whole block's product to rounding, relative to the largest
-# value
+# off a ring, mfs_eval takes one matrix-vector product per chunk of the
+# source columns, whose rounding of a row depends on the rows around it
+# (BLAS gemv kernels work in groups of rows), and adds the constant term
+# after it, so it matches the whole block's product to rounding, relative
+# to the largest value; on a ring it sums one chart series
 EVAL_REL_TOL = 1e-14
 
 
@@ -552,6 +562,7 @@ def _assert_whole_block_product(values, whole):
 @pytest.mark.parametrize("variant", ["gk", "gk-mod", "inner-harmonic"])
 def test_chunked_eval_is_the_whole_block_product(variant, monkeypatch, rng):
     solution = _solution(_eval_system(variant, 12), rng)
+    assert solution.system._ring is None
     # the chunks hold the columns after the constant: three rows each, and
     # 2 * 3 + 1 targets, so the last chunk is a single row
     width = solution.system.size - 1
@@ -569,6 +580,7 @@ def test_chunked_eval_is_the_whole_block_product(variant, monkeypatch, rng):
 @pytest.mark.parametrize("variant", ["gk", "gk-mod"])
 def test_chunked_eval_at_800_sources_spans_chunks(variant, rng):
     solution = _solution(_eval_system(variant, 799), rng)
+    assert solution.system._ring is None
     pts = build_cap_grid(SphericalCap(CAP.center, 0.8 * CAP.radius), 32, 64).nodes
     assert len(list(_convolution._chunks(len(pts), solution.system.size - 1))) == 7
     whole = _basis_columns(solution.system, pts) @ solution.coefficients
@@ -576,12 +588,89 @@ def test_chunked_eval_at_800_sources_spans_chunks(variant, rng):
 
 
 def test_chunked_eval_rejects_a_source_point_in_the_last_chunk(monkeypatch, rng):
-    system = _gk_mod(8, 0.05)
+    system = FundamentalSystem(
+        _off_lattice(sources_on_circle(CAP, 8, 0.05)), "gk-mod", regularization_point=-CAP.center
+    )
+    assert system._ring is None
     solution = _solution(system, rng)
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(system.sources))
     pts = np.vstack([random_interior_points(CAP, rng, 6), system.sources[5]])
     with pytest.raises(ValueError, match="basis evaluated at one of its source points"):
         mfs_eval(solution, pts)
+
+
+def _ring_system(cap, variant, n_sources):
+    """gk, or gk-mod with its point at -zeta ("gk-mod") or off the axis."""
+    point = -cap.center if variant == "gk-mod" else unit_vector(-cap.center + [0.1, 0.0, 0.0])
+    return FundamentalSystem(
+        sources_on_circle(cap, n_sources, 0.005),
+        "gk" if variant == "gk" else "gk-mod",
+        regularization_point=point,
+    )
+
+
+@pytest.mark.parametrize("n_sources", [200, 400, 800])
+@pytest.mark.parametrize("variant", ["gk", "gk-mod", "gk-mod-off-axis"])
+@pytest.mark.parametrize("cap_name", RING_CAPS)
+def test_ring_eval_is_the_log_columns_product(cap_name, variant, n_sources, rng):
+    # the CLI's probes (the interior 32x64 grid of the 0.8 rho cap), where
+    # the series runs, then random points out to (1 - 1e-5) rho, where the
+    # points past the series' reach take the log columns
+    cap = RING_CAPS[cap_name]
+    system = _ring_system(cap, variant, n_sources - 1)
+    assert system._ring is not None
+    solution = _solution(system, rng)
+    probes = build_cap_grid(SphericalCap(cap.center, 0.8 * cap.radius), 32, 64).nodes
+    near_rim = random_interior_points(cap, rng, 100, 1.0 - 1e-5)
+    beyond = _series_powers(system._ring, near_rim)[1] > n_sources - 1
+    assert beyond.any() and not beyond.all()
+    for pts in (probes, near_rim):
+        whole = _basis_columns(system, pts) @ solution.coefficients
+        assert np.abs(mfs_eval(solution, pts) - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("cap_name", RING_CAPS)
+def test_ring_eval_at_the_cli_probes_forms_no_log_column(cap_name, monkeypatch, rng):
+    # at 0.8 rho against sources 0.005 outside the rim, a probe needs at
+    # most 199 powers of the series on the rho = 0.9 caps and 229 on the
+    # rho = 0.7 one, so none falls back at M = 400
+    cap = RING_CAPS[cap_name]
+    solution = _solution(_ring_system(cap, "gk-mod", 399), rng)
+    probes = build_cap_grid(SphericalCap(cap.center, 0.8 * cap.radius), 32, 64).nodes
+    whole = _basis_columns(solution.system, probes) @ solution.coefficients
+    monkeypatch.setattr("sphaerica.mfs._source_columns", None)
+    values = mfs_eval(solution, probes)
+    assert np.abs(values - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+def test_ring_eval_of_one_point_is_a_float_and_a_source_point_raises(rng):
+    solution = _solution(_ring_system(CAP, "gk-mod", 199), rng)
+    pts = np.vstack([random_interior_points(CAP, rng, 5), rim_ring(CAP, 1e-5, 3)])
+    stack = mfs_eval(solution, pts)
+    for k, p in enumerate(pts):
+        single = mfs_eval(solution, p)
+        assert isinstance(single, float)
+        assert single == stack[k]
+    source = solution.system.sources[7]
+    with pytest.raises(ValueError, match="basis evaluated at one of its source points"):
+        mfs_eval(solution, source)
+    with pytest.raises(ValueError, match="basis evaluated at one of its source points"):
+        mfs_eval(solution, np.vstack([pts, source]))
+
+
+@pytest.mark.parametrize(
+    "case", ["inner-harmonic", "source-moved", "half-step-rotation", "two-sources"]
+)
+def test_layouts_off_a_ring_keep_the_log_columns(case):
+    if case == "inner-harmonic":
+        system = FundamentalSystem(np.zeros((16, 3)), "inner-harmonic", cap=CAP)
+    elif case == "source-moved":
+        system = FundamentalSystem(_off_lattice(sources_on_circle(CAP, 32, 0.1)), "gk")
+    elif case == "half-step-rotation":
+        system = FundamentalSystem(_rotated_sources(CAP, 32, 0.1, 0.5), "gk")
+    else:
+        system = FundamentalSystem(sources_on_circle(CAP, 2, 0.1), "gk")
+    assert system._ring is None
 
 
 def test_vortex_eval_at_800_sources_holds_one_chunk(rng):

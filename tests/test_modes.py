@@ -18,11 +18,12 @@ import pytest
 from conftest import random_interior_points, rim_ring
 from sphaerica import decomposition, modes, solvers
 from sphaerica._convolution import grad_convolutions
-from sphaerica.decomposition import decompose_cap_at
+from sphaerica.apps import geo_reconstruct, vd_reconstruct
+from sphaerica.decomposition import decompose_cap_at, helmholtz_decompose_cap
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec
-from sphaerica.quadrature import FieldSamples, build_cap_grid, mean_value
+from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid, mean_value
 from sphaerica.solvers import invert_gradient
 
 CAPS = {
@@ -196,3 +197,39 @@ def test_rule_reads_the_bandwidth_of_the_result():
     p = np.arange(n_modes) % 2
     poly = (modes_[0] / rings.sin ** p[:, None]).T
     assert modes._bandwidth(rings, poly, p) == 25
+
+
+# every public cap caller of gradient_sums, as a function of (samples,
+# points, J)
+CAP_CALLERS = {
+    "invert_gradient": lambda f, pts, J: invert_gradient(f, "grad", J, pts),
+    "decompose_cap_at": lambda f, pts, J: decompose_cap_at(f, pts, scale=J, m=64),
+    "helmholtz_decompose_cap": lambda f, pts, J: helmholtz_decompose_cap(f, scale=J, m=64),
+    "vd_reconstruct": lambda f, pts, J: vd_reconstruct(f, J, 0.0, pts),
+    "geo_reconstruct": lambda f, pts, J: geo_reconstruct(f, J, 0.0, pts),
+}
+
+
+@pytest.mark.parametrize("caller", CAP_CALLERS)
+@pytest.mark.parametrize("scale", [60, -1])
+def test_cap_callers_reject_a_scale_outside_the_kernels_range_before_any_work(caller, scale):
+    # the kernels' rule, as on the sphere path: J in [0, 53]
+    cap = CAPS["polar"]
+    grid, samples = _series_field(cap, (12, 24), 4)
+    pts = random_interior_points(cap, np.random.default_rng(0), 5)
+    refuse = mock.Mock(side_effect=AssertionError("area work ran"))
+    with mock.patch.object(modes, "_mode_spectra", refuse):
+        with pytest.raises(ValueError, match=r"scale J must lie in \[0, 53\]"):
+            CAP_CALLERS[caller](samples, pts, scale)
+
+
+def test_a_fractional_scale_is_accepted_on_cap_and_sphere_grids():
+    cap = CAPS["polar"]
+    grid, samples = _series_field(cap, (12, 24), 4)
+    pts = random_interior_points(cap, np.random.default_rng(0), 5)
+    for run in CAP_CALLERS.values():
+        run(samples, pts, 2.5)
+    sphere = build_sphere_grid(12, 24)
+    field = FieldSamples(sphere, sh_grad_eval(synth_field(6, 1, 4), sphere.nodes), tangential=True)
+    assert np.all(np.isfinite(invert_gradient(field, "grad", 2.5, sphere.nodes[:3])))
+    assert np.all(np.isfinite(invert_gradient(samples, "grad", 2.5, pts)))
