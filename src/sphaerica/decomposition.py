@@ -188,22 +188,27 @@ def d_inv_convolve(samples: FieldSamples, xi) -> float | np.ndarray:
     subtracted against the analytic kernel integral, which equals 2:
     integral k (F - F(xi)) + 2 F(xi). One ring sum (_convolution._term_sums)
     takes the kernel's rows against two columns, w F and w, and the
-    subtraction is formed from them. xi must be grid nodes (their values
-    feed the subtraction): indices, or points bitwise equal to nodes
-    (grid.node_indices), with the same bits; other points raise ValueError.
-    A scalar index or a single (3,) point gives a float, stacks an array.
+    subtraction is formed from them. The samples must be scalar. xi must be
+    grid nodes (their values feed the subtraction): indices in [0, N), or
+    points bitwise equal to nodes (grid.node_indices), with the same bits;
+    anything else raises ValueError. A scalar index or a single (3,) point
+    gives a float, stacks an array.
     """
     grid = samples.grid
     if grid.kind != KIND_SPHERE:
         raise ValueError("the convolution path needs a sphere grid")
+    if samples.values.ndim != 1:
+        raise ValueError("D^-1 convolves scalar samples, not 3-vectors")
     xi = np.asarray(xi)
     by_index = xi.dtype.kind in "iu"
     idx = np.atleast_1d(xi) if by_index else grid.node_indices(np.atleast_2d(xi))
     if idx is None:
         raise ValueError("evaluation points must coincide with grid nodes")
+    if by_index and np.any((idx < 0) | (idx >= len(grid))):
+        raise ValueError(f"node indices must lie in [0, {len(grid)})")
     h = samples.values
     columns = np.stack([grid.weights * h, grid.weights], axis=1)
-    [[sums]] = _term_sums(grid, [(None, _d_inv_kernel, [columns])], grid.nodes[idx])
+    [sums] = _term_sums(grid, _d_inv_kernel, [columns], grid.nodes[idx])
     out = sums[:, 0] - h[idx] * sums[:, 1]
     out += 2.0 * h[idx]
     return float(out[0]) if xi.ndim == (0 if by_index else 1) else out

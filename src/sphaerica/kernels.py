@@ -14,10 +14,10 @@ Each formula is written once, in the vectorized core, and every kernel
 block (the D^-1 kernel and the MFS log basis too) starts from one gap
 1 - x . eta and one coincidence test. kernel_value_matrix evaluates a
 KernelSpec for stacked points, and its gradient is grad_terms (per-node
-factors) over log_gap (the gap, floored or checked) at term_points (the
-targets or their cap reflections). kernel_grad_dot assembles them into
-rows; the area sums of _convolution contract each log term as x . (Q F),
-Q = 1/log_gap, without forming them, on both of their paths.
+factors) over log_gap (the gap, floored or checked) at the targets or
+their cap reflections. kernel_grad_dot assembles them into rows; the
+direct log term of the cap gradient sums (modes._direct_term) contracts
+its term as x . (Q F), Q = 1/log_gap, without forming the rows.
 kernel_value_matrix and log_gap write their (P, N) blocks into caller
 buffers when given (out=), so that a chunked sum reuses one set of
 buffers for every chunk. The scalar entry points
@@ -262,11 +262,6 @@ def grad_terms(spec: KernelSpec, eta: np.ndarray, field: np.ndarray):
     return terms, coef * (f_tan @ spec.cap.center) / (1.0 + c)
 
 
-def term_points(spec: KernelSpec, xi: np.ndarray, reflected: bool) -> np.ndarray:
-    """The points x of a grad_terms log term: xi, or its cap reflection."""
-    return _reflect_many(spec.cap, xi)[0] if reflected else xi
-
-
 def kernel_grad_dot(
     spec: KernelSpec, xi: np.ndarray, eta: np.ndarray, field: np.ndarray
 ) -> np.ndarray:
@@ -275,14 +270,14 @@ def kernel_grad_dot(
     D is the tangential gradient; for the surface curl gradient pass the
     rotated field f x eta, as (eta x D K) . f = D K . (f x eta). The log
     branch uses the spec's regularization scale when present. Each log term
-    of grad_terms adds (x . g) / log_gap at its term_points x, and the
-    Neumann centre column comes last.
+    of grad_terms adds (x . g) / log_gap at its points x, xi or their cap
+    reflections, and the Neumann centre column comes last.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     terms, centre = grad_terms(spec, eta, field)
     rows = 0.0
     for reflected, g, scale in terms:
-        x = term_points(spec, xi, reflected)
+        x = _reflect_many(spec.cap, xi)[0] if reflected else xi
         rows = rows + (x @ g.T) / log_gap(x, eta, scale)
     return rows if centre is None else rows + centre[None, :]

@@ -35,22 +35,22 @@ per mode. The series is used when delta n_b (n_b + 1) <= 1, n_b the
 result's bandwidth (the highest degree of its modes' Legendre content);
 elsewhere, at every target when the rule fails and at targets whose
 delta-disc crosses the rim, only the direct term is summed with the
-regularized kernel (_convolution.grad_convolutions of the fundamental
-solution), and the reflected and centre terms are the chart series
-sum_m sigma I_m w^m (harmonics._rim_series, w = s e^(i phi)/R).
+regularized kernel (_direct_term, a kernel sum of _convolution), and the
+reflected and centre terms are the chart series sum_m sigma I_m w^m
+(harmonics._rim_series, w = s e^(i phi)/R).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from ._convolution import grad_convolutions
+from ._convolution import _term_sums
 from .geometry import _chart_products, _stacked_product
 from .harmonics import _rim_series
-from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec
+from .kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec, grad_terms, log_gap
 
 # Gauss-Legendre points per interval between two rings
 _SUB_NODES = 12
@@ -284,10 +284,32 @@ def gradient_sums(samples, sums, points: np.ndarray, scale: int | None) -> list:
     fallback = np.flatnonzero(~series)
     if fallback.size:
         pts = points[fallback]
-        direct = grad_convolutions(samples, [(spec, curl) for _, curl in sums], pts)
+        direct = _direct_term(spec, grid, fields, pts)
         for k in range(C):
             out[k, fallback] = direct[k] + _rim_series(cap, i0[k], pts).real
     return list(out)
+
+
+def _direct_term(spec, grid, fields, points) -> list:
+    """-sum_j w_j (D_eta G(x_i, eta_j)) . g_j at the points x for each field
+    g (N, 3), G the fundamental solution of spec at its scale: the direct
+    log term, a kernel sum over the grid's nodes (_convolution._term_sums).
+    Its value at a pair is (x . g_j) Q_ij (kernels.grad_terms), so one row
+    block Q = 1/log_gap serves every field, and each field's (P, 3) sum
+    Q (w g) is dotted with x here."""
+    blocks = []
+    for field in fields:
+        [(_, g, _)], _ = grad_terms(spec, grid.nodes, field)
+        g *= grid.weights[:, None]
+        blocks.append(g)
+    sums = _term_sums(grid, partial(_inverse_gap, scale=spec.scale), blocks, points)
+    return [-np.sum(points * s, axis=1) for s in sums]
+
+
+def _inverse_gap(x, eta, scale, out=None):
+    """Q = 1/log_gap(x, eta), the rows of a gradient log term, in out."""
+    q = log_gap(x, eta, scale, out=out)
+    return np.divide(1.0, q, out=q)
 
 
 def _disc_inside(cap, points, delta) -> np.ndarray:

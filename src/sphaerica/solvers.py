@@ -9,10 +9,11 @@ evaluated (_sphere_values). On cap grids invert_gradient (and everything
 built on it) sums the Neumann kernel's gradient per longitude mode
 (modes.gradient_sums): the unregularized operator, exact below the grid's
 band, plus the closed-form series in 2^-J where it holds, and elsewhere
-the regularized direct log term of _convolution. The surface potential on
-cap grids still integrates the scale-J regularized kernel directly
-(_convolution.apply_kernel, ring-FFT or dense from the evaluation points);
-J defaults to a value tied to the grid resolution.
+the regularized direct log term (modes._direct_term, a kernel sum of
+_convolution). The surface potential on cap grids still integrates the
+scale-J regularized kernel directly (_convolution.apply_kernel, ring-FFT
+or dense from the evaluation points); J defaults to a value tied to the
+grid resolution.
 
 The cap boundary solvers are not kernel sums: they evaluate their integrals
 exactly on the trigonometric interpolant of the rim data, as the chart
@@ -101,10 +102,12 @@ def surface_potential(
     (harmonics.sh_analyze) with degree n scaled by -1/(n (n + 1)) and the
     mean dropped (_sphere_values); scale is ignored there. On a cap grid it
     is the quadrature sum, where nodes with 1 - xi . eta < 2^-scale use the
-    linear continuation of the log kernel.
+    linear continuation of the log kernel. The samples must be scalar.
     xi_values is ignored; it goes once the benchmark stops passing it.
     """
     grid = samples.grid
+    if samples.values.ndim != 1:
+        raise ValueError("the surface potential integrates scalar samples, not 3-vectors")
     if grid.kind == KIND_SPHERE:
         c = scale_degrees(sh_analyze(samples), lambda n: -_inverse_degree(n))
         return on_points(xi, partial(_sphere_values, grid, c))

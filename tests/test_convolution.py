@@ -1,12 +1,15 @@
 """The convolution primitive: ring-FFT summation against the dense path.
 
-Every area sum is one term sum of _convolution._term_sums: row functions R
-against weighted column blocks F, a scalar kernel against w h (or, for
-D^-1, against w h and w), a gradient log term's Q = 1/(1 - x . eta) against
-w g, dotted with x. Targets that are grid nodes take the ring path; the
-dense path, each target's own (N,) @ (N, c) product, stays the reference.
-Agreement is measured relative to the largest dense value of each
-convolution.
+Every kernel sum is one term sum of _convolution._term_sums: one row
+function R against weighted column blocks F, a scalar kernel against w h
+(or, for D^-1, against w h and w), a gradient log term's
+Q = 1/(1 - x . eta) against w g, dotted with x afterwards. The package runs
+the scalar sums and the fundamental solution's direct log term
+(modes._direct_term); the cap kernels' gradient sums are the tests'
+reference (conftest.kernel_gradient_sums), built on the same primitive.
+Targets that are grid nodes take the ring path; the dense path, each
+target's own (N,) @ (N, c) product, stays the reference. Agreement is
+measured relative to the largest dense value of each convolution.
 """
 
 import tracemalloc
@@ -18,9 +21,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_interior_points
-from sphaerica import _convolution
-from sphaerica._convolution import _term_sums, apply_kernel, grad_convolutions
+from conftest import kernel_gradient_sums, random_interior_points
+from sphaerica import _convolution, modes
+from sphaerica._convolution import _term_sums, apply_kernel
 from sphaerica.decomposition import (
     _d_inv_kernel,
     d_inv_convolve,
@@ -80,7 +83,7 @@ def _vector(grid):
 
 
 def _rotated(grid):
-    # curl sums run as gradient sums of f x eta, as grad_convolutions does
+    # curl sums run as gradient sums of f x eta, as kernel_gradient_sums does
     return FieldSamples(grid, np.cross(_vector(grid).values, grid.nodes))
 
 
@@ -105,8 +108,8 @@ def _on_the_ring(evaluate):
 def _on_the_dense_path(evaluate):
     """evaluate() with node targets sent to the dense path."""
 
-    def dense(grid, groups, points, idx):
-        return _convolution._dense(grid, groups, points)
+    def dense(grid, rows, blocks, idx):
+        return _convolution._dense(grid, rows, blocks, grid.nodes[idx])
 
     with mock.patch.object(_convolution, "_ring", dense):
         return evaluate()
@@ -115,7 +118,7 @@ def _on_the_dense_path(evaluate):
 def _dense_grad(spec, samples, points):
     """sum_j w_j (D_eta K(xi_i, eta_j)) . f_j: the contracted dense sum of
     one spec alone, at any targets."""
-    return _on_the_dense_path(lambda: -grad_convolutions(samples, [(spec, False)], points)[0])
+    return _on_the_dense_path(lambda: -kernel_gradient_sums(samples, [(spec, False)], points)[0])
 
 
 def _value(spec):
@@ -166,14 +169,14 @@ def _check(grid, kernel, samples, idx, subtract):
     pts = grid.nodes[idx]
     if isinstance(kernel, KernelSpec):
         # node targets take the ring path, other targets the contracted sum
-        fast = _on_the_ring(lambda: -grad_convolutions(samples, [(kernel, False)], pts)[0])
+        fast = _on_the_ring(lambda: -kernel_gradient_sums(samples, [(kernel, False)], pts)[0])
         ref = _dense_grad(kernel, samples, pts)
     elif subtract:
         # as d_inv_convolve sums: the kernel's rows against w h and w, and
         # K (h - h(xi)) formed from the two (D^-1 adds 2 h(xi))
         h, w = samples.values, grid.weights
         columns = [np.stack([w * h, w], axis=1)]
-        [[sums]] = _on_the_ring(lambda: _term_sums(grid, [(None, kernel, columns)], pts))
+        [sums] = _on_the_ring(lambda: _term_sums(grid, kernel, columns, pts))
         fast = sums[:, 0] - h[idx] * sums[:, 1]
         if kernel is _d_inv_kernel and grid.kind == KIND_SPHERE:
             assert np.array_equal(d_inv_convolve(samples, idx), fast + 2.0 * h[idx])
@@ -264,10 +267,32 @@ def test_off_grid_area_sums_bit_identical_across_chunks(spec, curl, monkeypatch)
     pts = _off_grid_points()
     assert CAP_GRID.node_indices(pts) is None
     samples = _vector(CAP_GRID)
-    whole = grad_convolutions(samples, [(spec, curl)], pts)[0]
+    whole = kernel_gradient_sums(samples, [(spec, curl)], pts)[0]
     # three points per chunk on the 512-node area grid
     monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
-    assert np.array_equal(grad_convolutions(samples, [(spec, curl)], pts)[0], whole)
+    assert np.array_equal(kernel_gradient_sums(samples, [(spec, curl)], pts)[0], whole)
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "across-chunks"])
+@pytest.mark.parametrize("where", ["nodes", "off-nodes"])
+def test_one_row_block_serves_every_field(where, chunked, monkeypatch):
+    # the direct log term sums the fields [f, f x eta] of a cap split
+    # against one Q row block (modes._direct_term); each field keeps the
+    # bits of a call with that field alone, which are those of the
+    # reference sum of the fundamental solution
+    spec = KernelSpec(KIND_FUNDAMENTAL, scale=SCALE)
+    f = _vector(CAP_GRID).values
+    fields = [f, np.cross(f, CAP_GRID.nodes)]
+    pts = CAP_GRID.nodes if where == "nodes" else _off_grid_points()
+    monkeypatch.setattr(_convolution, "_dense" if where == "nodes" else "_ring", _refuse)
+    if chunked:
+        # two rings (ring path) or three points (dense path) per chunk
+        monkeypatch.setattr(_convolution, "_CHUNK_DOUBLES", 3 * len(CAP_GRID))
+    both = modes._direct_term(spec, CAP_GRID, fields, pts)
+    for field, got in zip(fields, both):
+        assert np.array_equal(modes._direct_term(spec, CAP_GRID, [field], pts)[0], got)
+        samples = FieldSamples(CAP_GRID, field)
+        assert np.array_equal(kernel_gradient_sums(samples, [(spec, False)], pts)[0], got)
 
 
 def test_off_grid_surface_potential_bit_identical_across_chunks(monkeypatch):
@@ -336,12 +361,13 @@ def test_points_off_nodes_take_the_dense_path(name, monkeypatch):
     pts = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
     expected = -_dense_grad(spec, samples, pts)
     monkeypatch.setattr(_convolution, "_ring", _refuse)
-    assert np.array_equal(grad_convolutions(samples, [(spec, False)], pts)[0], expected)
+    assert np.array_equal(kernel_gradient_sums(samples, [(spec, False)], pts)[0], expected)
     # one off-node point sends the whole set to the dense path
     mixed = grid.nodes[idx].copy()
     mixed[0] = pts[0]
     assert np.array_equal(
-        grad_convolutions(samples, [(spec, False)], mixed)[0], -_dense_grad(spec, samples, mixed)
+        kernel_gradient_sums(samples, [(spec, False)], mixed)[0],
+        -_dense_grad(spec, samples, mixed),
     )
 
 
@@ -363,7 +389,7 @@ def test_contracted_sum_with_a_merged_tail_chunk(spec, monkeypatch):
     "spec", OFF_GRID_SPECS, ids=[f"{s.kind}-J{s.scale}" for s in OFF_GRID_SPECS]
 )
 def test_no_targets_give_an_empty_sum(spec):
-    out = grad_convolutions(_vector(CAP_GRID), [(spec, False)], np.empty((0, 3)))[0]
+    out = kernel_gradient_sums(_vector(CAP_GRID), [(spec, False)], np.empty((0, 3)))[0]
     assert out.shape == (0,)
 
 
@@ -382,7 +408,7 @@ def test_ring_path_is_linear(a, b, seed):
     # the Neumann kernel's ring sums, which invert_gradient ran on cap grids
     # before it summed per longitude mode
     spec = KernelSpec(KIND_NEUMANN, cap=CAP, scale=SCALE)
-    af, ag, combined = (grad_convolutions(s, [(spec, False)], pts)[0] for s in samples)
+    af, ag, combined = (kernel_gradient_sums(s, [(spec, False)], pts)[0] for s in samples)
     scale = abs(a) * np.abs(af).max() + abs(b) * np.abs(ag).max() + 1e-300
     assert np.abs(combined - (a * af + b * ag)).max() <= 1e-12 * scale
     h1 = rng.normal(size=len(SPHERE))

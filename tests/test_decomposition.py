@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cap_point, random_interior_points
+from conftest import cap_point, kernel_gradient_sums, random_interior_points
 from sphaerica import _convolution, decomposition
-from sphaerica._convolution import apply_kernel, grad_convolutions
+from sphaerica._convolution import apply_kernel
 from sphaerica.decomposition import (
     d_apply,
     d_inv_convolve,
@@ -17,7 +17,7 @@ from sphaerica.decomposition import (
     helmholtz_decompose_cap,
     helmholtz_decompose_sphere,
 )
-from sphaerica.geometry import SphericalCap, unit_vector
+from sphaerica.geometry import SphericalCap, _reflect_many, unit_vector
 from sphaerica.harmonics import (
     InnerHarmonicIndex,
     ShCoefficients,
@@ -39,7 +39,6 @@ from sphaerica.kernels import (
     grad_terms,
     kernel_grad_dot,
     log_gap,
-    term_points,
 )
 from sphaerica.quadrature import (
     FieldSamples,
@@ -65,7 +64,7 @@ def _separate_dense_sum(spec, samples, points):
     for i0, i1 in _convolution._chunks(points.shape[0], len(grid)):
         acc = base
         for reflected, g, scale in terms:
-            x = term_points(spec, points[i0:i1], reflected)
+            x = _reflect_many(spec.cap, points[i0:i1])[0] if reflected else points[i0:i1]
             q = 1.0 / log_gap(x, nodes, scale)
             qf = np.matmul(q[:, None, :], w[:, None] * g)[:, 0, :]
             acc = acc + np.sum(x * qf, axis=1)
@@ -190,8 +189,8 @@ def _rim_kernel_split(samples, pts, trace_fn, scale, m):
     spec_d = KernelSpec(KIND_DIRICHLET, cap=cap, scale=scale)
     tangent_n = lambda x, eta, out: kernel_grad_dot(spec_n, x, eta, bgrid.tangents)
     normal_d = lambda x, eta, out: kernel_grad_dot(spec_d, x, eta, bgrid.normals)
-    f2 = grad_convolutions(samples, [(spec_n, False)], pts)[0]
-    f3 = grad_convolutions(samples, [(spec_d, True)], pts)[0]
+    f2 = kernel_gradient_sums(samples, [(spec_n, False)], pts)[0]
+    f3 = kernel_gradient_sums(samples, [(spec_d, True)], pts)[0]
     return (
         f2 + apply_kernel(tangent_n, trace, pts),
         f3 + apply_kernel(normal_d, trace, pts),
@@ -199,11 +198,11 @@ def _rim_kernel_split(samples, pts, trace_fn, scale, m):
 
 
 def _quadrature_area_sums(samples, sums, points, scale):
-    """The cap split's area sums as the regularized kernel sums of
-    _convolution (grad_convolutions), in place of modes.gradient_sums."""
+    """The cap split's area sums as the regularized kernel sums
+    (kernel_gradient_sums), in place of modes.gradient_sums."""
     cap = samples.grid.cap
     specs = [(KernelSpec(kind, cap=cap, scale=scale), curl) for kind, curl in sums]
-    return grad_convolutions(samples, specs, points)
+    return kernel_gradient_sums(samples, specs, points)
 
 
 @pytest.fixture
@@ -273,8 +272,8 @@ class TestCapDecomposition:
         noise = np.random.default_rng(11).normal(size=64)
         off = random_interior_points(self.CAP, rng, 30)
         for pts in (off, grid.nodes):
-            area2 = grad_convolutions(samples, [(spec_n, False)], pts)[0]
-            area3 = grad_convolutions(samples, [(spec_d, True)], pts)[0]
+            area2 = kernel_gradient_sums(samples, [(spec_n, False)], pts)[0]
+            area3 = kernel_gradient_sums(samples, [(spec_d, True)], pts)[0]
             for area, spec, f in ((area2, spec_n, samples), (area3, spec_d, rotated)):
                 dense = -_separate_dense_sum(spec, f, pts)
                 if pts is off:
@@ -502,6 +501,16 @@ class TestHalfShiftOperator:
         ones = FieldSamples(GRID, np.ones(len(GRID)))
         with pytest.raises(ValueError):
             d_inv_convolve(ones, unit_vector([0.123, 0.456, 0.789]))
+
+    @pytest.mark.parametrize("idx", [-1, [-1], [10**6], [0, 2048]], ids=str)
+    def test_convolution_rejects_indices_off_the_grid(self, idx):
+        # indices must lie in [0, N): a negative one does not wrap to the
+        # last node, and one past the end is a ValueError, not an IndexError
+        samples = FieldSamples(GRID, np.ones(len(GRID)))
+        assert len(GRID) == 2048
+        with pytest.raises(ValueError, match=r"node indices must lie in \[0, 2048\)"):
+            d_inv_convolve(samples, idx)
+        assert_allclose(d_inv_convolve(samples, [0, 2047]), 2.0, atol=1e-12)
 
     def test_convolution_node_tolerance(self):
         samples = FieldSamples(GRID, sh_eval(synth_field(3, 0, 4), GRID.nodes))

@@ -7,7 +7,9 @@ the nodes and off them up to the rim. At a finite J the series
 T_J = T + (delta/4) h + (delta^2/48) Lap h holds where the rule
 delta n_b (n_b + 1) <= 1 does and the delta-disc lies inside the cap;
 elsewhere the direct log term is the regularized kernel sum of
-_convolution and the reflected and centre terms a chart series.
+_convolution (modes._direct_term) and the reflected and centre terms a
+chart series. The cap kernels' own gradient sums
+(conftest.kernel_gradient_sums) are the reference at a finite J.
 """
 
 from unittest import mock
@@ -15,14 +17,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import random_interior_points, rim_ring
+from conftest import kernel_gradient_sums, random_interior_points, rim_ring
 from sphaerica import decomposition, modes, solvers
-from sphaerica._convolution import grad_convolutions
 from sphaerica.apps import geo_reconstruct, vd_reconstruct
 from sphaerica.decomposition import decompose_cap_at, helmholtz_decompose_cap
 from sphaerica.geometry import SphericalCap, unit_vector
 from sphaerica.harmonics import sh_curl_eval, sh_eval, sh_grad_eval, synth_field
 from sphaerica.kernels import KIND_FUNDAMENTAL, KIND_NEUMANN, KernelSpec
+from sphaerica.modes import _direct_term
 from sphaerica.quadrature import FieldSamples, build_cap_grid, build_sphere_grid, mean_value
 from sphaerica.solvers import invert_gradient
 
@@ -110,15 +112,15 @@ def test_far_from_the_rule_every_target_takes_the_kernel_sums():
     for scale in (3, 4):
         sent = []
 
-        def recording(samples, sums, points):
+        def recording(spec, grid, fields, points):
             sent.append(points)
-            return grad_convolutions(samples, sums, points)
+            return _direct_term(spec, grid, fields, points)
 
-        with mock.patch.object(modes, "grad_convolutions", recording):
+        with mock.patch.object(modes, "_direct_term", recording):
             got = invert_gradient(samples, "grad", scale, pts)
         assert len(sent) == 1 and np.array_equal(sent[0], pts)
         spec = KernelSpec(KIND_FUNDAMENTAL, scale=scale)
-        rest.append(got - grad_convolutions(samples, [(spec, False)], pts)[0])
+        rest.append(got - kernel_gradient_sums(samples, [(spec, False)], pts)[0])
     assert np.abs(rest[0] - rest[1]).max() <= 1e-14 * np.abs(rest[0]).max()
 
 
@@ -131,11 +133,11 @@ def test_targets_whose_disc_crosses_the_rim_take_the_kernel_sums():
     assert modes._disc_inside(cap, inside, 2.0**-12).all()
     calls = []
 
-    def recording(samples, sums, points):
+    def recording(spec, grid, fields, points):
         calls.append(points)
-        return grad_convolutions(samples, sums, points)
+        return _direct_term(spec, grid, fields, points)
 
-    with mock.patch.object(modes, "grad_convolutions", recording):
+    with mock.patch.object(modes, "_direct_term", recording):
         mixed = invert_gradient(samples, "grad", 12, np.concatenate([inside, near]))
     [sent] = calls
     assert np.array_equal(sent, near)
@@ -156,7 +158,7 @@ def test_series_follows_the_kernel_sums_at_a_finite_scale():
         grid, samples = _series_field(cap, shape, 25)
         pts = grid.nodes[inner.contains(grid.nodes)]
         spec = KernelSpec(KIND_NEUMANN, cap=cap, scale=12)
-        ring = grad_convolutions(samples, [(spec, False)], pts)[0]
+        ring = kernel_gradient_sums(samples, [(spec, False)], pts)[0]
         got = invert_gradient(samples, "grad", 12, pts)
         exact = modes.gradient_sums(samples, [(KIND_NEUMANN, False)], pts, None)[0]
         sup = np.abs(exact).max()

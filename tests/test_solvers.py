@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import cap_point, random_interior_points, rim_ring
 from sphaerica._convolution import _dense
 from sphaerica.apps import vd_reconstruct
-from sphaerica.decomposition import decompose_cap_at, helmholtz_decompose_sphere
+from sphaerica.decomposition import d_inv_convolve, decompose_cap_at, helmholtz_decompose_sphere
 from sphaerica.geometry import (
     SphericalCap,
     boundary_nodes,
@@ -101,7 +101,7 @@ class TestSurfacePotential:
         kernel = partial(kernel_value_matrix, KernelSpec(KIND_FUNDAMENTAL, scale=8))
         off = random_interior_points(CAP, np.random.default_rng(5), 12)
         weighted = (cap_grid.weights * h.values)[:, None]
-        [[plain]] = _dense(cap_grid, [(None, kernel, [weighted])], off)
+        [plain] = _dense(cap_grid, kernel, [weighted], off)
         assert np.array_equal(surface_potential(h, off, scale=8), plain[:, 0])
 
     def test_cap_exterior_laplacian_identity(self):
@@ -114,6 +114,24 @@ class TestSurfacePotential:
             lambda p: surface_potential(h, p, scale=10), outside, h=1e-3
         )
         assert fd == pytest.approx(-total / (4 * np.pi), abs=1e-3)
+
+
+@pytest.mark.parametrize("call", ["sphere-potential", "cap-potential", "d-inv", "poisson"])
+def test_scalar_sums_reject_vector_samples(call):
+    # the surface potential and D^-1 integrate scalar samples; 3-vectors
+    # fail before any transform or kernel sum, and the Poisson solver
+    # reaches the surface potential's check
+    sphere, cap_grid = build_sphere_grid(8, 16), build_cap_grid(CAP, 8, 16)
+    on_sphere = FieldSamples(sphere, np.ones((len(sphere), 3)))
+    on_cap = FieldSamples(cap_grid, np.ones((len(cap_grid), 3)))
+    calls = {
+        "sphere-potential": lambda: surface_potential(on_sphere, sphere.nodes[:3]),
+        "cap-potential": lambda: surface_potential(on_cap, cap_grid.nodes[:3]),
+        "d-inv": lambda: d_inv_convolve(on_sphere, [0, 1]),
+        "poisson": lambda: poisson_solve_cap(CAP, on_cap, -CAP.center, cap_grid.nodes[:3]),
+    }
+    with pytest.raises(ValueError, match="scalar samples, not 3-vectors"):
+        calls[call]()
 
 
 class TestBeltramiProbe:
