@@ -43,9 +43,15 @@ def on_points(xi, evaluate):
     """evaluate(pts) on stacked points pts (N, 3).
 
     A single point (3,) is evaluated as a stack of one, and its result is
-    returned as a float (scalar results) or one row (vector results).
+    returned as a float (scalar results) or one row (vector results). Points
+    of any other shape, or not finite, raise ValueError. A float array is
+    passed on as itself, not a copy (harmonics' ring path keys on it).
     """
     xi = np.asarray(xi, dtype=float)
+    if xi.ndim not in (1, 2) or xi.shape[-1] != 3:
+        raise ValueError(f"points must have shape (3,) or (N, 3), not {xi.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("points must be finite")
     if xi.ndim != 1:
         return evaluate(xi)
     out = evaluate(xi[None, :])[0]

@@ -14,15 +14,28 @@ basis. The closed-form harmonic functions of a cap are one chart series
 Re sum c_k w^k (_rim_series), w the cap's stereographic chart with the rim
 at |w| = 1: the cap solvers, layer potentials and cap split, the inner
 harmonics and their gradients (one-term series), the log-kernel series.
+
+sh_eval and sh_grad_eval at the nodes array of a tilted cap grid take a
+ring path: almost every such node has its own z, but in the cap's frame the
+nodes are n_t rings. The coefficients are rotated into that frame, degree
+by degree and exactly (_rotated), then synthesized with one pass over the
+degrees at the n_t ring heights and inverse FFTs per ring, the sphere
+transform's synthesis (_synthesize_rings). The rule reads sizes only: the
+points are the nodes array itself of a live grid from build_cap_grid, whose
+axis is not +-E3, with at least RING_MIN_NODES nodes, and the degree is 1 to
+min(RING_MAX_DEGREE, (n_phi - 1) // 2). The ring path agrees with the per-z
+path to 1e-13 of the sup; every other call takes the per-z path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import (
+    E3,
     SphericalCap,
     _chart_products,
     on_points,
@@ -30,9 +43,15 @@ from .geometry import (
     unit_vector,
 )
 from ._convolution import _chunk_blocks
-from .quadrature import KIND_SPHERE
+from .quadrature import KIND_SPHERE, _cap_grid_of, build_sphere_grid
 
 MAX_DEGREE = 128
+# the ring path of _sh_accumulate: degrees 1 to RING_MAX_DEGREE, where the
+# rotation keeps 1e-13 of the sup with room (at most 3.1e-14 was measured
+# to degree 24, 7.1e-14 to degree 32), on tilted cap grids of at least
+# RING_MIN_NODES nodes (below, at 16 x 32, the per-z path is faster)
+RING_MAX_DEGREE = 24
+RING_MIN_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -161,6 +180,77 @@ def _order_sums(coeffs, z: np.ndarray, grad: bool):
         yield i0, i1, d
 
 
+def _ring_grid(c: ShCoefficients, points: np.ndarray):
+    """The tilted cap grid whose nodes are points when the ring path's rule
+    admits it, else None. The rule reads sizes only: the grid's axis is not
+    +-E3 (the rings of polar and south caps already share z), and the degree
+    L of c is 1 to min(RING_MAX_DEGREE, (n_phi - 1) // 2), on a grid of at
+    least RING_MIN_NODES nodes."""
+    grid = _cap_grid_of(points)
+    if grid is None or np.array_equal(np.abs(grid.polar_frame[:, 2]), E3):
+        return None
+    band = min(RING_MAX_DEGREE, (grid.shape[1] - 1) // 2)
+    return grid if 1 <= c.l_max <= band and len(grid) >= RING_MIN_NODES else None
+
+
+@lru_cache(maxsize=RING_MAX_DEGREE)
+def _rotation_grid(L: int):
+    """The (L + 1) x (2L + 2) sphere grid that rotates degree L exactly."""
+    return build_sphere_grid(L + 1, 2 * L + 2)
+
+
+def _rotated(c: ShCoefficients, frame: np.ndarray) -> ShCoefficients:
+    """The coefficients of y -> expansion(frame @ y), degree by degree, as a
+    rotation keeps each degree: the degree-n part of c at the nodes of an
+    (L + 1) x (2L + 2) sphere grid mapped by frame, projected onto degree n
+    by the grid's rule, which is exact there (sh_analyze's sums). Each
+    degree's rounding stays in its degree, in proportion to its own size."""
+    L = c.l_max
+    grid = _rotation_grid(L)
+    n_t, n_phi = grid.shape
+    pts = grid.nodes @ frame.T
+    n, m = np.nonzero(np.tri(L + 1, dtype=bool))
+    # [n, m, 0 and 1]: Re and -Im of _order_sums' weights w_nm
+    w_nm = np.zeros((L + 1, L + 1, 2))
+    w_nm[n, m, 0], w_nm[n, m, 1] = c.coeffs[n, n + m], c.coeffs[n, n - m] * (m > 0)
+    w_nm[:, 1:] *= np.sqrt(2.0)
+    w = np.ones((L + 1, len(pts)), complex)
+    w[1:] = pts[:, 0] + 1j * pts[:, 1]
+    w = np.cumprod(w, axis=0).view(float).reshape(L + 1, len(pts), 2)  # w^m
+    w = np.ascontiguousarray(np.swapaxes(w, 1, 2))  # [m, Re and Im, point]
+    parts = np.empty((L + 1, len(pts)))  # [n, point]: Re sum_m w_nm Qbar_nm w^m
+    z = np.clip(pts[:, 2], -1.0, 1.0)
+    for k, q in _degree_rows(z, L, np.empty((3, L + 2, len(pts)))):
+        terms = (q[: k + 1, None] * w[: k + 1]).reshape(-1, len(pts))
+        parts[k] = w_nm[k, : k + 1].reshape(-1) @ terms
+    z, s = _rings(grid)
+    spectra = np.fft.rfft(parts.reshape(L + 1, n_t, n_phi), axis=2)[..., : L + 1].conj()
+    spectra *= grid.weights[::n_phi, None] * s[:, None] ** np.arange(L + 1)
+    a = np.empty((L + 1, L + 1), complex)
+    for k, q in _degree_rows(z, L, np.empty((3, L + 2, n_t))):
+        a[k] = np.sum(q[: L + 1].T * spectra[k], axis=0)
+    a[:, 1:] *= np.sqrt(2.0)
+    out = np.zeros((L + 1, 2 * L + 1))
+    out[n, n - m] = a[n, m].imag
+    out[n, n + m] = a[n, m].real
+    return ShCoefficients(L, out)
+
+
+def _ring_accumulate(c: ShCoefficients, grid, want_grad: bool):
+    """_sh_accumulate at the nodes of a tilted cap grid: c rotated into the
+    grid's polar frame, where its nodes are n_t rings, and synthesized ring
+    by ring (_synthesize_rings); the gradient's frame components are rotated
+    back and projected tangentially."""
+    frame = grid.polar_frame
+    out = _synthesize_rings(grid, [_rotated(c, frame)], grad=want_grad)
+    if not want_grad:
+        return out[0].ravel(), None
+    values, parts = out
+    grad = parts.reshape(3, -1).T @ frame.T
+    grad -= np.sum(grad * grid.nodes, axis=1)[:, None] * grid.nodes
+    return values.ravel().copy(), grad  # not a view that keeps Re H2 alive
+
+
 def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     """Shared evaluation core; returns (values, gradients or None).
 
@@ -174,7 +264,12 @@ def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
     sum_m D'_m w^m with D'_m = dD_m/dz, and H1 = sum_m m D_m w^(m-1) =
     sum_k>0 b_k w^(k-1) over the partial sums b_k of the values' Horner
     pass. No term divides by sin(theta): full accuracy up to the poles.
+    At the nodes array of a tilted cap grid (_ring_grid's rule), the ring
+    path of _ring_accumulate gives the same sums to 1e-13 of the sup.
     """
+    grid = _ring_grid(c, points)
+    if grid is not None:
+        return _ring_accumulate(c, grid, want_grad)
     L = c.l_max
     z, zi = np.unique(np.clip(points[:, 2], -1.0, 1.0), return_inverse=True)
     w = points[:, 0] + 1j * points[:, 1]
@@ -211,12 +306,16 @@ def _sh_accumulate(c: ShCoefficients, points: np.ndarray, want_grad: bool):
 
 
 def sh_eval(c: ShCoefficients, xi) -> float | np.ndarray:
-    """Evaluate sum of c[n, j] Y_{n, j} at xi ((3,) or (N, 3))."""
+    """Evaluate sum of c[n, j] Y_{n, j} at xi ((3,) or (N, 3)). At the
+    nodes array of a tilted cap grid, by rings in the cap's frame when the
+    ring path's rule (module docstring) admits the grid and degree."""
     return on_points(xi, lambda pts: _sh_accumulate(c, pts, want_grad=False)[0])
 
 
 def sh_grad_eval(c: ShCoefficients, xi) -> np.ndarray:
-    """Tangential surface gradient of the expansion at xi ((3,) or (N, 3))."""
+    """Tangential surface gradient of the expansion at xi ((3,) or (N, 3)),
+    by the ring path at the nodes of a tilted cap grid as sh_eval; the
+    values of a gradient call keep the bits of a value call."""
     return on_points(xi, lambda pts: _sh_accumulate(c, pts, want_grad=True)[1])
 
 
@@ -227,12 +326,15 @@ def sh_curl_eval(c: ShCoefficients, xi) -> np.ndarray:
 
 
 def _rings(grid):
-    """(z, sin theta, weight) per ring of a sphere grid, whose first node is
-    (sin theta, 0, z)."""
+    """(z, sin theta) per ring of an area grid in its polar frame, where the
+    ring's first node is (sin theta, 0, z)."""
+    first = grid.nodes[:: grid.shape[1]] @ grid.polar_frame
+    return first[:, 2], first[:, 0]
+
+
+def _need_sphere(grid) -> None:
     if grid.kind != KIND_SPHERE:
         raise ValueError("the transform needs a sphere grid")
-    first = grid.nodes[:: grid.shape[1]]
-    return first[:, 2], first[:, 0], grid.weights[:: grid.shape[1]]
 
 
 def sh_analyze(samples):
@@ -250,8 +352,10 @@ def sh_analyze(samples):
     longitude sums, one pass over the degrees the latitude sums.
     """
     grid = samples.grid
-    z, s, w = _rings(grid)
+    _need_sphere(grid)
+    z, s = _rings(grid)
     n_t, n_phi = grid.shape
+    w = grid.weights[::n_phi]
     L = min(n_t - 1, (n_phi - 1) // 2, MAX_DEGREE)
     m = np.arange(L + 1)
     s_m = s ** m[:, None]
@@ -305,25 +409,44 @@ def sh_synthesize(grid, *coeffs: ShCoefficients) -> np.ndarray:
     degree at most (n_phi - 1) // 2: D_m(z) of _order_sums at the ring
     latitudes, as sh_eval at its points' z, then Re sum_m D_m sin^m(theta)
     e^(i m phi) by one inverse rFFT per ring."""
+    _need_sphere(grid)
     return _synthesize_rings(grid, coeffs).reshape(len(coeffs), -1)
 
 
-def _synthesize_rings(grid, coeffs, rings=slice(None)) -> np.ndarray:
-    """sh_synthesize on the rings `rings` of the grid (all by default), as
-    (sets, rings, n_phi): each ring's latitude is summed alone, so a ring
-    gets the bits it has in the whole grid."""
-    z, s, _ = _rings(grid)
+def _synthesize_rings(grid, coeffs, rings=slice(None), grad=False):
+    """Synthesis on the rings `rings` of an area grid (all by default), as
+    (sets, rings, n_phi), of expansions in the grid's polar frame: on a
+    sphere grid sh_synthesize, on a cap grid coefficients rotated into the
+    cap's frame (_rotated), whose z is then the height along the cap's
+    axis. Each ring's latitude is summed alone, so a ring gets the bits it
+    has in the whole grid. With grad (one set), also the frame components
+    (Re H1, -Im H1, Re H2) of _sh_accumulate's Cartesian gradient, as
+    (3, rings, n_phi): H2 = sum_m D'_m w^m by one inverse rFFT per ring, as
+    the values, and H1 = sum_m m D_m w^(m-1) by one complex inverse FFT."""
+    if not coeffs:
+        raise ValueError("a synthesis needs at least one coefficient set")
+    z, s = _rings(grid)
     z, s = z[rings], s[rings]
     n_phi = grid.shape[1]
     L = max(c.l_max for c in coeffs)
     if L > (n_phi - 1) // 2:
         raise ValueError(f"{n_phi} longitudes need degree <= {(n_phi - 1) // 2}")
-    spectra = np.zeros((len(coeffs), len(z), n_phi // 2 + 1), complex)
-    s_m = s ** np.arange(L + 1)[:, None]
-    for i0, i1, d in _order_sums(coeffs, z, False):
+    spectra = np.zeros((len(coeffs) + grad, len(z), n_phi // 2 + 1), complex)
+    h1 = np.zeros((len(z), n_phi), complex) if grad else None
+    m = np.arange(L + 1)
+    s_m = s ** m[:, None]
+    for i0, i1, d in _order_sums(coeffs, z, grad):
+        if grad:  # m D_m s^(m-1) at frequency m - 1; D'_m from d[1, m + 1]
+            h1[i0:i1, :L] = (m[1:, None] * d[0, 1:] * s_m[:-1, i0:i1]).T
+            d[1, :-1] = d[1, 1:]
+            d[1, -1] = 0.0  # D'_L = 0: Qbar_LL is constant
         d[:, 1:] *= 0.5  # the inverse rFFT adds each term's conjugate
         spectra[:, i0:i1, : L + 1] = np.swapaxes(d * s_m[:, i0:i1], 1, 2)
-    return np.fft.irfft(spectra, n_phi, axis=2, norm="forward")
+    out = np.fft.irfft(spectra, n_phi, axis=2, norm="forward")
+    if not grad:
+        return out
+    h1 = np.fft.ifft(h1, axis=1, norm="forward")
+    return out[:1], np.stack([h1.real, -h1.imag, out[1]])
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,21 @@
 
 Area grids are product rules: Gauss-Legendre in the polar coordinate
 t = xi . zeta times a uniform longitude rule, mapped through the cap's
-rotation frame. Boundary grids are equispaced in the curve parameter
-(trapezoidal rule, spectrally accurate for smooth periodic integrands).
-All constructions and reductions are bit-reproducible for identical inputs.
+rotation frame: node (k, j) of an (n_t, n_phi) grid is
+t_k zeta + sin(theta_k) (cos phi_j a1 + sin phi_j a2), phi_j = 2 pi j / n_phi,
+for (a1, a2, zeta) the columns of the grid's polar_frame. In that frame the
+nodes are n_t rings of constant height t_k; a cap centred off the poles has
+nodes with almost all distinct z in the global frame, but still these rings.
+build_cap_grid records each grid it builds, without keeping it alive, so
+that harmonics finds the grid of a nodes array and synthesizes by its rings.
+Boundary grids are equispaced in the curve parameter (trapezoidal rule,
+spectrally accurate for smooth periodic integrands). All constructions and
+reductions are bit-reproducible for identical inputs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,10 @@ KIND_BOUNDARY = "boundary-line"
 
 # the frame of every sphere grid, rotation_to_pole(E3), read-only
 _SPHERE_FRAME = rotation_to_pole(E3)
+
+# every grid build_cap_grid has built and that is still alive, by the id of
+# its nodes array (_cap_grid_of)
+_CAP_GRIDS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,17 @@ def build_cap_grid(cap: SphericalCap, n_t: int, n_phi: int) -> QuadratureGrid:
     if n_t < 2 or n_phi < 4:
         raise ValueError("cap grid needs n_t >= 2 and n_phi >= 4")
     nodes, weights = _polar_product_grid(cap.frame, 1.0 - cap.radius, n_t, n_phi)
-    return QuadratureGrid(KIND_CAP, nodes, weights, (n_t, n_phi), cap=cap)
+    grid = QuadratureGrid(KIND_CAP, nodes, weights, (n_t, n_phi), cap=cap)
+    _CAP_GRIDS[id(nodes)] = grid
+    return grid
+
+
+def _cap_grid_of(points) -> QuadratureGrid | None:
+    """The live cap grid whose nodes array is points itself, or None: a
+    copy, a view or a subset of the nodes is not the grid's nodes. The
+    lookup holds no grid alive."""
+    grid = _CAP_GRIDS.get(id(points))
+    return grid if grid is not None and grid.nodes is points else None
 
 
 def build_sphere_grid(n_t: int, n_phi: int) -> QuadratureGrid:

@@ -206,3 +206,80 @@ def test_cap_metrics_closed_forms():
     assert cap_metrics(SphericalCap(E3, 1.999999))[0] == pytest.approx(
         4 * np.pi, rel=1e-6
     )
+
+
+def _point_evaluators():
+    """Each public evaluator that takes points through on_points, as a
+    function of the points alone."""
+    from sphaerica import apps, decomposition, harmonics, layers, mfs, solvers
+    from sphaerica.quadrature import FieldSamples, build_boundary_grid, build_cap_grid
+    from sphaerica.quadrature import build_sphere_grid
+
+    cap = SphericalCap(unit_vector([0.2, 0.1, 1.0]), 0.6)
+    c = harmonics.synth_field(5, 0, 3)
+    idx = harmonics.InnerHarmonicIndex(cap, 2, 1)
+    grid = build_cap_grid(cap, 6, 12)
+    sphere = build_sphere_grid(6, 12)
+    on_cap = FieldSamples(grid, harmonics.sh_eval(c, grid.nodes))
+    on_sphere = FieldSamples(sphere, harmonics.sh_eval(c, sphere.nodes))
+    gradient = FieldSamples(grid, harmonics.sh_grad_eval(c, grid.nodes), tangential=True)
+    density = layers.DensitySamples(build_boundary_grid(cap, 16), np.ones(16))
+    system = mfs.FundamentalSystem(mfs.sources_on_circle(cap, 8), "gk")
+    solution = mfs.MfsSolution(system, np.ones(9), "tikhonov", 0.0, 1.0)
+    vortices = apps.random_vortices(cap, 2, 3)
+
+    def rim(q):
+        return q[:, 2]
+
+    def flux(q):  # sin of the rim parameter, times the rim's radius
+        return q @ cap.frame[:, 1]
+
+    return {
+        "sh_eval": lambda x: harmonics.sh_eval(c, x),
+        "sh_grad_eval": lambda x: harmonics.sh_grad_eval(c, x),
+        "sh_curl_eval": lambda x: harmonics.sh_curl_eval(c, x),
+        "inner_harmonic_eval": lambda x: harmonics.inner_harmonic_eval(idx, x),
+        "inner_harmonic_grad": lambda x: harmonics.inner_harmonic_grad(idx, x),
+        "surface_potential-cap": lambda x: solvers.surface_potential(on_cap, x),
+        "surface_potential-sphere": lambda x: solvers.surface_potential(on_sphere, x),
+        "poisson_solve_cap": lambda x: solvers.poisson_solve_cap(cap, on_cap, -cap.center, x),
+        "dirichlet_solve_cap": lambda x: solvers.dirichlet_solve_cap(cap, rim, x),
+        "neumann_solve_cap": lambda x: solvers.neumann_solve_cap(cap, flux, 0.0, x),
+        "invert_gradient": lambda x: solvers.invert_gradient(gradient, "grad", 8, x),
+        "helmholtz_compose": lambda x: decomposition.helmholtz_compose(c, c, c, x),
+        "hardy_hodge_compose_spectral": (
+            lambda x: decomposition.hardy_hodge_compose_spectral(c, c, c, x)
+        ),
+        "single_layer": lambda x: layers.single_layer(density, x),
+        "double_layer": lambda x: layers.double_layer(density, x),
+        "basis_eval": lambda x: mfs.basis_eval(system, 1, x),
+        "mfs_eval": lambda x: mfs.mfs_eval(solution, x),
+        "vortex_exact": lambda x: apps.vortex_exact(cap, vortices, x),
+    }
+
+
+POINT_EVALUATORS = _point_evaluators()
+BAD_POINTS = {
+    "nan": (np.array([[np.nan, 0.0, 1.0]]), "finite"),
+    "inf": (np.array([0.0, np.inf, 1.0]), "finite"),
+    "two columns": (np.zeros((4, 2)), r"shape \(3,\) or \(N, 3\)"),
+    "four entries": (np.array([0.0, 0.0, 1.0, 0.0]), r"shape \(3,\) or \(N, 3\)"),
+    "a stack of stacks": (np.zeros((2, 2, 3)), r"shape \(3,\) or \(N, 3\)"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_POINTS))
+@pytest.mark.parametrize("name", list(POINT_EVALUATORS))
+def test_point_evaluators_reject_misshapen_and_non_finite_points(name, bad):
+    points, message = BAD_POINTS[bad]
+    with pytest.raises(ValueError, match=message):
+        POINT_EVALUATORS[name](points)
+
+
+@pytest.mark.parametrize("name", list(POINT_EVALUATORS))
+def test_point_evaluators_take_one_point_and_a_stack(name):
+    # the rule admits the shapes it names: one interior point and a stack
+    point = cap_point(SphericalCap(unit_vector([0.2, 0.1, 1.0]), 0.6), 0.3, 0.4)
+    one = np.asarray(POINT_EVALUATORS[name](point))
+    stack = np.asarray(POINT_EVALUATORS[name](np.stack([point, point])))
+    assert np.all(np.isfinite(one)) and stack.shape == (2, *one.shape)

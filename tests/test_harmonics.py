@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,8 +23,11 @@ from sphaerica.geometry import (
 )
 from sphaerica.harmonics import (
     MAX_DEGREE,
+    RING_MAX_DEGREE,
+    RING_MIN_NODES,
     InnerHarmonicIndex,
     ShCoefficients,
+    _ring_grid,
     _rim_series,
     _sh_accumulate,
     coefficients_from_entries,
@@ -763,3 +768,98 @@ def test_transforms_need_a_sphere_grid_and_the_synthesis_its_band():
     sh_synthesize(grid, synth_field(1, 0, 7))
     with pytest.raises(ValueError, match="degree <= 7"):
         sh_synthesize(grid, synth_field(1, 0, 8))
+
+
+def test_a_synthesis_needs_a_coefficient_set():
+    with pytest.raises(ValueError, match="at least one coefficient set"):
+        sh_synthesize(build_sphere_grid(8, 16))
+
+
+# The ring path: tilted cap grids of at least RING_MIN_NODES nodes, degree
+# 1 to RING_MAX_DEGREE. 32 x 64 is the least grid past the crossover, and
+# its 64 longitudes admit every degree to the bound.
+RING_CAPS = {
+    "tilted": SphericalCap(unit_vector([0.3, 0.2, 1.0]), 0.9),
+    "wide": SphericalCap(unit_vector([1.0, 0.3, 0.1]), 0.5),
+    "south-tilted": SphericalCap(unit_vector([0.4, -0.3, -1.0]), 1.6),
+}
+RING_SHAPE = (32, 64)
+
+
+def _sup_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("cap", list(RING_CAPS))
+def test_ring_path_matches_the_per_z_path_at_every_admitted_degree(cap):
+    # the copy of the nodes takes the per-z path; the worst gap over these
+    # caps, degrees and decays is 2.3e-14 of the sup
+    grid = build_cap_grid(RING_CAPS[cap], *RING_SHAPE)
+    assert RING_MAX_DEGREE <= (RING_SHAPE[1] - 1) // 2 and len(grid) >= RING_MIN_NODES
+    copy = grid.nodes.copy()
+    for l_max in range(1, RING_MAX_DEGREE + 1):
+        for decay in (0.0, 2.0):
+            c = synth_field(l_max, 0, l_max, decay)
+            assert _ring_grid(c, grid.nodes) is grid
+            values, grads = _sh_accumulate(c, grid.nodes, want_grad=True)
+            ref_values, ref_grads = _sh_accumulate(c, copy, want_grad=True)
+            assert _sup_gap(values, ref_values) <= 1e-13
+            assert _sup_gap(grads, ref_grads) <= 1e-13
+            # the values of a value call keep the gradient call's bits
+            assert np.array_equal(sh_eval(c, grid.nodes), values)
+    curl = sh_curl_eval(c, grid.nodes)
+    assert _sup_gap(curl, np.cross(copy, ref_grads)) <= 1e-13
+    assert np.abs(np.sum(curl * grid.nodes, axis=1)).max() <= 1e-15 * np.abs(curl).max()
+
+
+def test_ring_path_matches_finite_differences():
+    grid = build_cap_grid(RING_CAPS["tilted"], *RING_SHAPE)
+    c = synth_field(13, 0, 8)
+    grads = sh_grad_eval(c, grid.nodes)
+    for i in range(0, len(grid), 197):
+        xi = grid.nodes[i]
+        fd = [fd_tangent_derivative(lambda p: sh_eval(c, p), xi, d) for d in tangent_basis(xi)]
+        exact = [float(grads[i] @ d) for d in tangent_basis(xi)]
+        assert np.abs(np.subtract(fd, exact)).max() <= 1e-7 * np.abs(grads).max()
+
+
+def _per_z_cases():
+    """(grid, points, degree) the rule leaves on the per-z path."""
+    tilted = build_cap_grid(RING_CAPS["tilted"], *RING_SHAPE)
+    polar = build_cap_grid(SphericalCap(np.array([0.0, 0.0, 1.0]), 0.9), *RING_SHAPE)
+    south = build_cap_grid(SphericalCap(np.array([0.0, 0.0, -1.0]), 0.9), *RING_SHAPE)
+    small = build_cap_grid(RING_CAPS["tilted"], 16, 32)
+    sphere = build_sphere_grid(*RING_SHAPE)
+    return {
+        "polar cap": (polar, polar.nodes, 8),
+        "south cap": (south, south.nodes, 8),
+        "sphere grid": (sphere, sphere.nodes, 8),
+        "below the crossover": (small, small.nodes, 8),
+        "a copy": (tilted, tilted.nodes.copy(), 8),
+        "a subset": (tilted, tilted.nodes[:-1], 8),
+        "degree 0": (tilted, tilted.nodes, 0),
+        "above the bound": (tilted, tilted.nodes, RING_MAX_DEGREE + 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_per_z_cases()))
+def test_the_rule_keeps_other_points_on_the_per_z_path(case):
+    grid, points, l_max = _per_z_cases()[case]
+    c = synth_field(7, 0, l_max)
+    assert _ring_grid(c, points) is None
+    # the per-z path's bits: those of a fresh copy of the points
+    values, grads = _sh_accumulate(c, points, want_grad=True)
+    ref_values, ref_grads = _sh_accumulate(c, points.copy(), want_grad=True)
+    assert np.array_equal(values, ref_values) and np.array_equal(grads, ref_grads)
+
+
+def test_the_grid_lookup_keeps_no_grid_alive():
+    grid = build_cap_grid(RING_CAPS["tilted"], *RING_SHAPE)
+    nodes, dropped = grid.nodes, weakref.ref(grid)
+    c = synth_field(3, 0, 5)
+    assert _ring_grid(c, nodes) is grid
+    del grid
+    gc.collect()
+    assert dropped() is None
+    # the nodes outlive their grid, and then take the per-z path
+    assert _ring_grid(c, nodes) is None
